@@ -15,11 +15,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import filtering, loads as loads_mod, pipeline, profile2d, shell3d, units
-from .config import PipelineConfig, derive_seed, load_config
+from .config import PipelineConfig, derive_seed, load_config, validate
 from .errors import (ChainshellError, ConfigError, EnvelopeError, GeometryError,
                      InfeasibleError, MechanismError, ParameterError, StageError)
-from .fem import Material, analyze_shell
-from .pipeline import SELECTED_HEADER, _fmt
+# unused here, but bench/test_bench.py checks that the tracer rebinds
+# chainshell.cli.analyze_shell, so the name stays importable
+from .fem import analyze_shell  # noqa: F401
+from .pipeline import _fmt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -67,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True,
                    help="selected.csv from the filter step")
     p.add_argument("--supports", default=None,
-                   help="support mode or a config file providing [fem] supports")
+                   help="boundary-fixed or corner-pinned; overrides [fem] supports")
 
     sub.add_parser("optimize", parents=[common], help="shelter optimization study")
     sub.add_parser("run", parents=[common], help="full pipeline")
@@ -84,7 +86,9 @@ def _config_from_args(args) -> PipelineConfig:
         config = replace(config, seed=args.seed)
     if args.threads is not None:
         config = replace(config, threads=args.threads)
-    return config
+    if getattr(args, "supports", None) is not None:
+        config = replace(config, fem=replace(config.fem, supports=args.supports))
+    return validate(config)
 
 
 def _out_dir(args, default: str) -> Path:
@@ -95,24 +99,21 @@ def _cat(path: Path) -> None:
     sys.stdout.write(path.read_text(encoding="utf-8"))
 
 
-def cmd_units(args) -> int:
-    config = _config_from_args(args)
+def cmd_units(args, config: PipelineConfig) -> int:
     out = _out_dir(args, "runs/units")
     pipeline.stage_units(config, out)
     _cat(out / "units" / "units.csv")
     return EXIT_OK
 
 
-def cmd_sweep2d(args) -> int:
-    config = _config_from_args(args)
+def cmd_sweep2d(args, config: PipelineConfig) -> int:
     out = _out_dir(args, "runs/sweep2d")
     pipeline.stage_sweep2d(config, out)
     _cat(out / "sweep2d" / "max_feasible.csv")
     return EXIT_OK
 
 
-def cmd_gen3d(args) -> int:
-    config = _config_from_args(args)
+def cmd_gen3d(args, config: PipelineConfig) -> int:
     out = _out_dir(args, "runs/gen3d")
     envelope = profile2d.default_envelope(units.Shape.parse(config.sweep2d.shape))
     # an explicit --seed keys the pool directly; otherwise derive per stage
@@ -121,23 +122,9 @@ def cmd_gen3d(args) -> int:
                                         n=args.iterations, seed=seed,
                                         span=config.gen3d.span_mm,
                                         envelope=envelope)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = ["iteration,amplitude_mm,frequency,seed,min_z_mm,max_z_mm,"
-            "area_m2,perimeter_m"]
-    for i, grid in enumerate(grids):
-        surface = shell3d.interpolate_surface(grid, config.gen3d.resolution)
-        with open(out / f"iter{i:02d}.mesh", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            shell3d.write_mesh(surface.mesh, fh)
-        with open(out / f"iter{i:02d}.pgm", "wb") as fh:
-            shell3d.write_pgm(shell3d.depth_map(surface, 128), fh)
-        metrics = filtering.measure(surface)
-        rows.append(",".join([
-            str(i), _fmt(args.amplitude, 1), str(args.frequency), str(seed),
-            _fmt(float(grid.z_values.min()), 6),
-            _fmt(float(grid.z_values.max()), 6),
-            _fmt(metrics.area_a, 9), _fmt(metrics.perimeter_P, 9)]))
-    (out / "manifest.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    surfaces = [shell3d.interpolate_surface(g, config.gen3d.resolution)
+                for g in grids]
+    pipeline.write_pool(out, args.amplitude, args.frequency, seed, grids, surfaces)
     print(f"wrote {len(grids)} iterations to {out}")
     return EXIT_OK
 
@@ -148,31 +135,25 @@ def _read_csv(path: Path) -> List[dict]:
                 if row and not next(iter(row.values()), "").startswith("#")]
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args, config: PipelineConfig) -> int:
     in_dir = Path(args.in_path)
     manifest = in_dir / "manifest.csv" if in_dir.is_dir() else in_dir
     rows = _read_csv(manifest)
     if not rows:
         raise ParameterError(f"no iterations found in {manifest}")
-    metrics = [filtering.SurfaceMetrics(perimeter_P=float(r["perimeter_m"]),
-                                        area_a=float(r["area_m2"]))
-               for r in rows]
-    dP, da = filtering.auto_tolerance_from_metrics(metrics, args.keep)
-    kept = set(filtering.select_indices(metrics, dP, da, args.keep))
+    outcome = filtering.filter_surfaces(
+        [filtering.SurfaceMetrics(perimeter_P=float(r["perimeter_m"]),
+                                  area_a=float(r["area_m2"])) for r in rows],
+        k=args.keep)
     out = Path(args.out) if args.out else manifest.parent
-    lines = [SELECTED_HEADER]
-    for i, r in enumerate(rows):
-        lines.append(",".join([
-            r["iteration"], r["amplitude_mm"], r["frequency"], r["seed"],
-            r["perimeter_m"], r["area_m2"], "1" if i in kept else "0",
-            _fmt(dP, 9), _fmt(da, 9)]))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "selected.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"kept {len(kept)} of {len(rows)} (dP={dP:.9f} m, da={da:.9f} m2)")
+    pipeline.write_selected(out / "selected.csv", float(rows[0]["amplitude_mm"]),
+                            int(rows[0]["frequency"]), int(rows[0]["seed"]), outcome)
+    print(f"kept {len(outcome.kept_indices)} of {len(rows)} "
+          f"(dP={outcome.dP:.9f} m, da={outcome.da:.9f} m2)")
     return EXIT_OK
 
 
-def cmd_loads(args) -> int:
+def cmd_loads(args, config: PipelineConfig) -> int:
     spec = loads_mod.StructureSpec(plan_area_a=args.area,
                                    thickness_t=args.thickness)
     surface_area = args.surface_area if args.surface_area is not None else args.area
@@ -185,31 +166,13 @@ def cmd_loads(args) -> int:
     return EXIT_OK
 
 
-def _support_mode(value: Optional[str], config: PipelineConfig) -> str:
-    if value is None:
-        return config.fem.supports
-    if value in ("boundary-fixed", "corner-pinned"):
-        return value
-    nested = load_config(value)
-    return nested.fem.supports
-
-
-def cmd_analyze(args) -> int:
-    config = _config_from_args(args)
-    mode = _support_mode(args.supports, config)
+def cmd_analyze(args, config: PipelineConfig) -> int:
     selected = Path(args.in_path)
     if selected.is_dir():
         selected = selected / "selected.csv"
     rows = [r for r in _read_csv(selected) if r["kept"] == "1"]
     if not rows:
         raise ParameterError(f"no kept surfaces in {selected}")
-    structure = loads_mod.StructureSpec(
-        plan_area_a=config.loads.plan_area_m2,
-        thickness_t=config.loads.thickness_m,
-        span_L=config.gen3d.span_mm / 1000.0,
-        unit_weight_rho=config.loads.unit_weight_kn_m3,
-        solid_fraction=config.loads.solid_fraction)
-    material = Material(config.fem.elastic_modulus_pa, config.fem.shear_modulus_pa)
     out_lines = ["model,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,max_displacement_mm,"
                  "limit_mm,passed"]
     for r in rows:
@@ -219,18 +182,9 @@ def cmd_analyze(args) -> int:
                                             seed=int(r["seed"]),
                                             span=config.gen3d.span_mm)
         surface = shell3d.interpolate_surface(grids[idx], config.gen3d.resolution)
-        case = loads_mod.combine(structure, float(r["area_m2"]),
-                                 mu=config.loads.snow_shape_factor,
-                                 c_p=config.loads.wind_shape_factor)
-        analysis = analyze_shell(surface, case, grid=config.fem.lattice_grid,
-                                 material=material, support_mode=mode,
-                                 thickness=config.loads.thickness_m,
-                                 solid_fraction=config.loads.solid_fraction)
-        out_lines.append(",".join([
-            f"iter{idx:02d}", _fmt(case.dead_DL, 4), _fmt(case.live_LL, 4),
-            _fmt(case.snow_SL, 4), _fmt(case.wind_WL, 4),
-            _fmt(case.total_TL, 4), _fmt(analysis.max_displacement_mm, 4),
-            _fmt(analysis.limit_mm, 4), "1" if analysis.passed else "0"]))
+        out_lines.append(",".join(
+            [f"iter{idx:02d}"]
+            + pipeline.analyze_model(config, surface, float(r["area_m2"]))))
     out = Path(args.out) if args.out else selected.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "displacements.csv").write_text("\n".join(out_lines) + "\n",
@@ -239,16 +193,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    config = _config_from_args(args)
+def cmd_optimize(args, config: PipelineConfig) -> int:
     out = _out_dir(args, "runs/shelter")
     pipeline.stage_optimize(config, out)
     _cat(out / "optimize" / "ranking.csv")
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    config = _config_from_args(args)
+def cmd_run(args, config: PipelineConfig) -> int:
     out = _out_dir(args, f"runs/run-seed{config.seed}")
     run_dir = pipeline.run_pipeline(config, out)
     print(f"run complete: {run_dir}")
@@ -256,7 +208,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, config: PipelineConfig) -> int:
     run_dir = Path(args.in_path)
     manifest = run_dir / "manifest.txt"
     if not manifest.exists():
@@ -308,7 +260,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _config_from_args(args))
     except (ConfigError, ParameterError, EnvelopeError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

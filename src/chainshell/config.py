@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
@@ -113,45 +114,75 @@ _BLOCK_NAMES = ("unit", "sweep2d", "gen3d", "filter", "loads", "fem", "optimizer
 _SHAPES = ("triangular", "circular", "rectangular")
 
 
+def _require(ok: bool, key: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(message, key=key)
+
+
 def validate(config: PipelineConfig) -> PipelineConfig:
-    """Check cross-field invariants; raises ConfigError naming the key."""
-    w = config.optimizer.weights
-    if abs(sum(w) - 1.0) > 1e-9:
-        raise ConfigError(f"criterion weights must sum to 1.0, got {sum(w)}",
-                          key="optimizer.weight_cms")
-    if config.unit.shape not in _SHAPES:
-        raise ConfigError(f"unknown shape {config.unit.shape!r}", key="unit.shape")
-    if config.sweep2d.shape not in _SHAPES:
-        raise ConfigError(f"unknown shape {config.sweep2d.shape!r}",
-                          key="sweep2d.shape")
-    if not 0 < config.unit.target_ratio < 1:
-        raise ConfigError("target ratio must be in (0, 1)", key="unit.target_ratio")
-    if config.gen3d.iterations < 1:
-        raise ConfigError("iterations must be >= 1", key="gen3d.iterations")
-    if not 1 <= config.gen3d.groups <= 5:
-        raise ConfigError("groups must be in 1..5", key="gen3d.groups")
-    if config.filter.keep < 1:
-        raise ConfigError("keep must be >= 1", key="filter.keep")
-    if config.filter.tolerance_mode not in ("auto", "explicit"):
-        raise ConfigError(f"unknown tolerance mode {config.filter.tolerance_mode!r}",
-                          key="filter.tolerance_mode")
-    if config.fem.supports not in ("boundary-fixed", "corner-pinned"):
-        raise ConfigError(f"unknown support mode {config.fem.supports!r}",
-                          key="fem.supports")
-    if config.optimizer.slope_rule not in ("ponding", "strict"):
-        raise ConfigError(f"unknown slope rule {config.optimizer.slope_rule!r}",
-                          key="optimizer.slope_rule")
-    if not 0 < config.optimizer.amplitude_cap_m <= 3.0:
-        raise ConfigError("amplitude cap must be in (0, 3] m",
-                          key="optimizer.amplitude_cap_m")
-    if config.threads < 1:
-        raise ConfigError("threads must be >= 1", key="threads")
-    for block_name in ("loads",):
-        block = getattr(config, block_name)
+    """Reject every value a stage would reject later; ConfigError names the key."""
+    for name in _BLOCK_NAMES:
+        block = getattr(config, name)
         for f in fields(block):
-            if isinstance(getattr(block, f.name), float) and getattr(block, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive",
-                                  key=f"{block_name}.{f.name}")
+            value = getattr(block, f.name)
+            if isinstance(value, float):
+                _require(math.isfinite(value), f"{name}.{f.name}",
+                         f"{f.name} must be finite, got {value}")
+    w = config.optimizer.weights
+    _require(abs(sum(w) - 1.0) <= 1e-9, "optimizer.weight_cms",
+             f"criterion weights must sum to 1.0, got {sum(w)}")
+    _require(config.unit.shape in _SHAPES, "unit.shape",
+             f"unknown shape {config.unit.shape!r}")
+    _require(config.sweep2d.shape in _SHAPES, "sweep2d.shape",
+             f"unknown shape {config.sweep2d.shape!r}")
+    _require(0 < config.unit.target_ratio < 1, "unit.target_ratio",
+             "target ratio must be in (0, 1)")
+    _require(config.sweep2d.span_mm > 0, "sweep2d.span_mm", "span must be positive")
+    _require(config.gen3d.iterations >= 1, "gen3d.iterations",
+             "iterations must be >= 1")
+    _require(1 <= config.gen3d.groups <= 5, "gen3d.groups", "groups must be in 1..5")
+    _require(config.gen3d.span_mm > 0, "gen3d.span_mm", "span must be positive")
+    # group g samples a (g+2)-point control grid, the optimizer a (F+1)-point one
+    needed = max(config.gen3d.groups + 2, config.optimizer.control_F + 1)
+    _require(config.gen3d.resolution >= needed, "gen3d.resolution",
+             f"resolution must be >= {needed}, the largest control grid size")
+    _require(config.filter.keep >= 1, "filter.keep", "keep must be >= 1")
+    _require(config.filter.tolerance_mode in ("auto", "explicit"),
+             "filter.tolerance_mode",
+             f"unknown tolerance mode {config.filter.tolerance_mode!r}")
+    _require(config.filter.perimeter_tolerance_m >= 0, "filter.perimeter_tolerance_m",
+             "tolerances must be non-negative")
+    _require(config.filter.area_tolerance_m2 >= 0, "filter.area_tolerance_m2",
+             "tolerances must be non-negative")
+    for f in fields(config.loads):
+        _require(getattr(config.loads, f.name) > 0, f"loads.{f.name}",
+                 f"{f.name} must be positive")
+    _require(config.loads.snow_shape_factor <= 1, "loads.snow_shape_factor",
+             "snow shape factor must be <= 1")
+    _require(config.loads.solid_fraction <= 1, "loads.solid_fraction",
+             "solid fraction must be <= 1")
+    _require(config.fem.elastic_modulus_pa > 0, "fem.elastic_modulus_pa",
+             "moduli must be positive")
+    _require(config.fem.shear_modulus_pa > 0, "fem.shear_modulus_pa",
+             "moduli must be positive")
+    _require(config.fem.lattice_grid >= 2, "fem.lattice_grid",
+             "lattice grid must be >= 2")
+    _require(config.fem.supports in ("boundary-fixed", "corner-pinned"), "fem.supports",
+             f"unknown support mode {config.fem.supports!r}")
+    block = config.optimizer
+    _require(block.iterations_per_anchor >= 1, "optimizer.iterations_per_anchor",
+             "need at least one iteration per anchor kind")
+    _require(0 < block.amplitude_cap_m <= 3.0, "optimizer.amplitude_cap_m",
+             "amplitude cap must be in (0, 3] m")
+    _require(0 <= block.amplitude_min_fraction < 1, "optimizer.amplitude_min_fraction",
+             "amplitude_min_fraction must be in [0, 1)")
+    _require(block.control_F >= 2, "optimizer.control_F",
+             "control grid F must be >= 2")
+    _require(block.slope_rule in ("ponding", "strict"), "optimizer.slope_rule",
+             f"unknown slope rule {block.slope_rule!r}")
+    _require(block.reduction_tolerance >= 0, "optimizer.reduction_tolerance",
+             "reduction tolerance must be non-negative")
+    _require(config.threads >= 1, "threads", "threads must be >= 1")
     return config
 
 

@@ -29,8 +29,8 @@ class SurfaceMetrics:
 def measure(surface: ShellSurface) -> SurfaceMetrics:
     """Boundary-loop length and total triangle area of the surface mesh."""
     mesh = surface.mesh
-    mesh.require_single_boundary_loop()
-    return SurfaceMetrics(perimeter_P=mesh.boundary_length(), area_a=mesh.area())
+    edges = mesh.require_single_boundary_loop()
+    return SurfaceMetrics(perimeter_P=mesh.edge_length(edges), area_a=mesh.area())
 
 
 def _distinct(m1: SurfaceMetrics, m2: SurfaceMetrics,
@@ -55,35 +55,14 @@ def select_indices(metrics: Sequence[SurfaceMetrics], dP: float, da: float,
     return kept
 
 
-def select_distinct(surfaces: Sequence[ShellSurface], dP: float, da: float,
-                    k: int = DEFAULT_KEEP) -> List[ShellSurface]:
-    """Keep up to k mutually distinct surfaces (order-preserving subsequence).
-
-    May return fewer than k when the pool has no more distinct members;
-    that is a reportable outcome, not an error.
-    """
-    if not surfaces:
-        raise ParameterError("surface pool is empty")
-    metrics = [measure(s) for s in surfaces]
-    return [surfaces[i] for i in select_indices(metrics, dP, da, k)]
-
-
-def auto_tolerance(surfaces: Sequence[ShellSurface],
-                   k: int = DEFAULT_KEEP) -> Tuple[float, float]:
-    """Tolerances that yield k distinct surfaces from this pool.
+def auto_tolerance_from_metrics(metrics: Sequence[SurfaceMetrics],
+                                k: int = DEFAULT_KEEP) -> Tuple[float, float]:
+    """Tolerances that yield k distinct surfaces from this pool's metrics.
 
     Starts at 2% of the median perimeter and median area; halves both
     (at most 10 times) while the greedy selection comes up short, then
     bottoms out at zero where any bitwise metric difference is distinct.
     """
-    if len(surfaces) < 2:
-        raise ParameterError("auto tolerance needs at least 2 surfaces")
-    metrics = [measure(s) for s in surfaces]
-    return auto_tolerance_from_metrics(metrics, k)
-
-
-def auto_tolerance_from_metrics(metrics: Sequence[SurfaceMetrics],
-                                k: int = DEFAULT_KEEP) -> Tuple[float, float]:
     dP = TOLERANCE_FRACTION * float(np.median([m.perimeter_P for m in metrics]))
     da = TOLERANCE_FRACTION * float(np.median([m.area_a for m in metrics]))
     for _ in range(MAX_HALVINGS):
@@ -107,17 +86,17 @@ class FilterOutcome:
     da: float
 
 
-def filter_surfaces(surfaces: Sequence[ShellSurface], k: int = DEFAULT_KEEP,
+def filter_surfaces(metrics: Sequence[SurfaceMetrics], k: int = DEFAULT_KEEP,
                     dP: Optional[float] = None,
                     da: Optional[float] = None) -> FilterOutcome:
-    """Measure a pool and select k distinct members.
+    """Select k distinct members of a measured pool.
 
     Tolerances are taken from the caller when both are given, otherwise
     chosen by the auto rule.
     """
-    if not surfaces:
+    if not metrics:
         raise ParameterError("surface pool is empty")
-    metrics = [measure(s) for s in surfaces]
+    metrics = list(metrics)
     if dP is None or da is None:
         if len(metrics) >= 2:
             dP, da = auto_tolerance_from_metrics(metrics, k)

@@ -23,8 +23,8 @@ from .errors import ParameterError
 from .fem import SupportKind
 from .filtering import measure
 from .loads import StructureSpec, combine, deflection_limit
-from .shell3d import (ControlGrid, ShellSurface, TriangleMesh, _iteration_rng,
-                      interpolate_surface)
+from .shell3d import (ControlGrid, ShellSurface, _iteration_rng,
+                      interpolate_surface, lattice_mesh)
 
 MIN_DRAINAGE_SLOPE = 0.02
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
@@ -413,13 +413,7 @@ def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
     X, Y = np.meshgrid(coords, coords, indexing="ij")
     Z = rbf(np.column_stack([X.ravel(), Y.ravel()])).reshape(resolution, resolution)
     # mesh the fit directly for perimeter/area comparison
-    verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-    idx = np.arange(resolution * resolution).reshape(resolution, resolution)
-    v00 = idx[:-1, :-1].ravel(); v10 = idx[1:, :-1].ravel()
-    v01 = idx[:-1, 1:].ravel(); v11 = idx[1:, 1:].ravel()
-    faces = np.concatenate([np.column_stack([v00, v10, v11]),
-                            np.column_stack([v00, v11, v01])])
-    mesh = TriangleMesh(vertices=verts, faces=faces)
+    mesh = lattice_mesh(coords, Z)
     return mesh.boundary_length(), mesh.area()
 
 

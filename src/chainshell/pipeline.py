@@ -26,9 +26,6 @@ from .optimizer import OptimizeSettings, optimize
 STAGES = ("units", "sweep2d", "gen3d", "filter", "analyze", "optimize")
 GROUP_SHAPE = units.Shape.RECTANGULAR  # printed group parameters are rectangular
 
-SELECTED_HEADER = ("iteration,amplitude_mm,frequency,seed,perimeter_m,area_m2,"
-                   "kept,perimeter_tolerance_m,area_tolerance_m2")
-
 
 def _fmt(value: float, nd: int = 6) -> str:
     return f"{value:.{nd}f}"
@@ -98,39 +95,61 @@ def _group_surfaces(config: PipelineConfig, group: int):
     return amplitude, frequency, seed, grids, surfaces
 
 
+def write_pool(pool_dir: Path, amplitude: float, frequency: int, seed: int,
+               grids: List[shell3d.ControlGrid],
+               surfaces: List[shell3d.ShellSurface]) -> List[filtering.SurfaceMetrics]:
+    """Write a pool's iterNN.mesh, iterNN.pgm and manifest.csv; return its metrics."""
+    rows = ["iteration,amplitude_mm,frequency,seed,min_z_mm,max_z_mm,"
+            "area_m2,perimeter_m"]
+    metrics = []
+    for i, (grid, surface) in enumerate(zip(grids, surfaces)):
+        with _opened(pool_dir / f"iter{i:02d}.mesh") as fh:
+            shell3d.write_mesh(surface.mesh, fh)
+        with open(pool_dir / f"iter{i:02d}.pgm", "wb") as fh:
+            shell3d.write_pgm(shell3d.depth_map(surface, 128), fh)
+        m = filtering.measure(surface)
+        rows.append(",".join([
+            str(i), _fmt(amplitude, 1), str(frequency), str(seed),
+            _fmt(float(grid.z_values.min()), 6),
+            _fmt(float(grid.z_values.max()), 6),
+            _fmt(m.area_a, 9), _fmt(m.perimeter_P, 9)]))
+        metrics.append(m)
+    _write_text(pool_dir / "manifest.csv", "\n".join(rows) + "\n")
+    return metrics
+
+
 def stage_gen3d(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Dict]:
     outputs: List[str] = []
     carry: Dict[int, Dict] = {}
     for group in range(1, config.gen3d.groups + 1):
         amplitude, frequency, seed, grids, surfaces = _group_surfaces(config, group)
-        gdir = run_dir / "gen3d" / f"g{group}"
-        rows = ["iteration,amplitude_mm,frequency,seed,min_z_mm,max_z_mm,"
-                "area_m2,perimeter_m"]
-        for i, (grid, surface) in enumerate(zip(grids, surfaces)):
-            mesh_rel = f"gen3d/g{group}/iter{i:02d}.mesh"
-            with _opened(run_dir / mesh_rel) as fh:
-                shell3d.write_mesh(surface.mesh, fh)
-            pgm_rel = f"gen3d/g{group}/iter{i:02d}.pgm"
-            (run_dir / pgm_rel).parent.mkdir(parents=True, exist_ok=True)
-            with open(run_dir / pgm_rel, "wb") as fh:
-                shell3d.write_pgm(shell3d.depth_map(surface, 128), fh)
-            metrics = filtering.measure(surface)
-            rows.append(",".join([
-                str(i), _fmt(amplitude, 1), str(frequency), str(seed),
-                _fmt(float(grid.z_values.min()), 6),
-                _fmt(float(grid.z_values.max()), 6),
-                _fmt(metrics.area_a, 9), _fmt(metrics.perimeter_P, 9)]))
-            outputs += [mesh_rel, pgm_rel]
-        _write_text(gdir / "manifest.csv", "\n".join(rows) + "\n")
+        metrics = write_pool(run_dir / "gen3d" / f"g{group}", amplitude, frequency,
+                             seed, grids, surfaces)
+        outputs += [f"gen3d/g{group}/iter{i:02d}.{ext}"
+                    for i in range(len(grids)) for ext in ("mesh", "pgm")]
         outputs.append(f"gen3d/g{group}/manifest.csv")
         carry[group] = {"amplitude": amplitude, "frequency": frequency,
-                        "seed": seed, "surfaces": surfaces}
+                        "seed": seed, "surfaces": surfaces, "metrics": metrics}
     return outputs, carry
 
 
 def _opened(path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_selected(path: Path, amplitude: float, frequency: int, seed: int,
+                   outcome: filtering.FilterOutcome) -> None:
+    """Write a pool's selected.csv: every member's metrics and kept flag."""
+    rows = ["iteration,amplitude_mm,frequency,seed,perimeter_m,area_m2,"
+            "kept,perimeter_tolerance_m,area_tolerance_m2"]
+    for i, m in enumerate(outcome.metrics):
+        rows.append(",".join([
+            str(i), _fmt(amplitude, 1), str(frequency), str(seed),
+            _fmt(m.perimeter_P, 9), _fmt(m.area_a, 9),
+            "1" if i in outcome.kept_indices else "0",
+            _fmt(outcome.dP, 9), _fmt(outcome.da, 9)]))
+    _write_text(path, "\n".join(rows) + "\n")
 
 
 def stage_filter(config: PipelineConfig, run_dir: Path,
@@ -140,59 +159,61 @@ def stage_filter(config: PipelineConfig, run_dir: Path,
     for group, info in gen_carry.items():
         explicit = config.filter.tolerance_mode == "explicit"
         outcome = filtering.filter_surfaces(
-            info["surfaces"], k=config.filter.keep,
+            info["metrics"], k=config.filter.keep,
             dP=config.filter.perimeter_tolerance_m if explicit else None,
             da=config.filter.area_tolerance_m2 if explicit else None)
-        rows = [SELECTED_HEADER]
-        for i, metrics in enumerate(outcome.metrics):
-            rows.append(",".join([
-                str(i), _fmt(info["amplitude"], 1), str(info["frequency"]),
-                str(info["seed"]),
-                _fmt(metrics.perimeter_P, 9), _fmt(metrics.area_a, 9),
-                "1" if i in outcome.kept_indices else "0",
-                _fmt(outcome.dP, 9), _fmt(outcome.da, 9)]))
         rel = f"filter/g{group}/selected.csv"
-        _write_text(run_dir / rel, "\n".join(rows) + "\n")
+        write_selected(run_dir / rel, info["amplitude"], info["frequency"],
+                       info["seed"], outcome)
         outputs.append(rel)
         carry[group] = outcome
     return outputs, carry
 
 
-def stage_analyze(config: PipelineConfig, run_dir: Path, gen_carry: Dict,
-                  filter_carry: Dict) -> Tuple[List[str], Dict]:
-    structure = loads.StructureSpec(
+def structure_spec(config: PipelineConfig) -> loads.StructureSpec:
+    """The shell's structure parameters, read from the config in this one place."""
+    return loads.StructureSpec(
         plan_area_a=config.loads.plan_area_m2,
         thickness_t=config.loads.thickness_m,
         span_L=config.gen3d.span_mm / 1000.0,
         unit_weight_rho=config.loads.unit_weight_kn_m3,
         solid_fraction=config.loads.solid_fraction)
-    material = Material(config.fem.elastic_modulus_pa, config.fem.shear_modulus_pa)
+
+
+def analyze_model(config: PipelineConfig, surface: shell3d.ShellSurface,
+                  area_m2: float) -> List[str]:
+    """Load case and frame solve of one model, as displacements.csv columns.
+
+    Columns: DL_kN, LL_kN, SL_kN, WL_kN, TL_kN, max_displacement_mm,
+    limit_mm, passed.
+    """
+    case = loads.combine(structure_spec(config), area_m2,
+                         mu=config.loads.snow_shape_factor,
+                         c_p=config.loads.wind_shape_factor)
+    analysis = analyze_shell(
+        surface, case, grid=config.fem.lattice_grid,
+        material=Material(config.fem.elastic_modulus_pa, config.fem.shear_modulus_pa),
+        support_mode=config.fem.supports, thickness=config.loads.thickness_m,
+        solid_fraction=config.loads.solid_fraction)
+    return [_fmt(case.dead_DL, 4), _fmt(case.live_LL, 4), _fmt(case.snow_SL, 4),
+            _fmt(case.wind_WL, 4), _fmt(case.total_TL, 4),
+            _fmt(analysis.max_displacement_mm, 4), _fmt(analysis.limit_mm, 4),
+            "1" if analysis.passed else "0"]
+
+
+def stage_analyze(config: PipelineConfig, run_dir: Path, gen_carry: Dict,
+                  filter_carry: Dict) -> List[str]:
     rows = ["model,group,iteration,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,"
             "max_displacement_mm,limit_mm,passed"]
-    results = []
     for group, info in gen_carry.items():
         outcome = filter_carry[group]
         for idx in outcome.kept_indices:
-            surface = info["surfaces"][idx]
-            case = loads.combine(structure, outcome.metrics[idx].area_a,
-                                 mu=config.loads.snow_shape_factor,
-                                 c_p=config.loads.wind_shape_factor)
-            analysis = analyze_shell(surface, case, grid=config.fem.lattice_grid,
-                                     material=material,
-                                     support_mode=config.fem.supports,
-                                     thickness=config.loads.thickness_m,
-                                     solid_fraction=config.loads.solid_fraction)
-            rows.append(",".join([
-                f"g{group}-{idx:02d}", str(group), str(idx),
-                _fmt(case.dead_DL, 4), _fmt(case.live_LL, 4),
-                _fmt(case.snow_SL, 4), _fmt(case.wind_WL, 4),
-                _fmt(case.total_TL, 4),
-                _fmt(analysis.max_displacement_mm, 4),
-                _fmt(analysis.limit_mm, 4),
-                "1" if analysis.passed else "0"]))
-            results.append((group, idx, analysis))
+            columns = analyze_model(config, info["surfaces"][idx],
+                                    outcome.metrics[idx].area_a)
+            rows.append(",".join([f"g{group}-{idx:02d}", str(group), str(idx)]
+                                 + columns))
     _write_text(run_dir / "analyze" / "displacements.csv", "\n".join(rows) + "\n")
-    return ["analyze/displacements.csv"], {"results": results}
+    return ["analyze/displacements.csv"]
 
 
 def _ranking_rows(report) -> List[str]:
@@ -237,13 +258,7 @@ def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Di
         reduction_tolerance=block.reduction_tolerance,
         weights=block.weights,
         threads=config.threads)
-    structure = loads.StructureSpec(
-        plan_area_a=config.loads.plan_area_m2,
-        thickness_t=config.loads.thickness_m,
-        span_L=config.gen3d.span_mm / 1000.0,
-        unit_weight_rho=config.loads.unit_weight_kn_m3,
-        solid_fraction=config.loads.solid_fraction)
-    result = optimize(settings, structure)
+    result = optimize(settings, structure_spec(config))
 
     outputs: List[str] = []
     rows = _ranking_rows(result.report)
@@ -370,8 +385,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> Path:
                 new, filter_carry = stage_filter(config, run_dir, gen_carry)
                 outputs += new
             elif stage == "analyze":
-                new, _ = stage_analyze(config, run_dir, gen_carry, filter_carry)
-                outputs += new
+                outputs += stage_analyze(config, run_dir, gen_carry, filter_carry)
             elif stage == "optimize":
                 new, _ = stage_optimize(config, run_dir)
                 outputs += new

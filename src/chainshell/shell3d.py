@@ -134,13 +134,16 @@ class TriangleMesh:
             raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
         return uniq[counts == 1]
 
-    def boundary_length(self) -> float:
-        edges = self.boundary_edges()
+    def edge_length(self, edges: np.ndarray) -> float:
+        """Summed 3D length of (K, 2) vertex index pairs."""
         seg = self.vertices[edges[:, 0]] - self.vertices[edges[:, 1]]
         return float(np.linalg.norm(seg, axis=1).sum())
 
-    def require_single_boundary_loop(self) -> None:
-        """Raise GeometryError unless the boundary is one closed cycle."""
+    def boundary_length(self) -> float:
+        return self.edge_length(self.boundary_edges())
+
+    def require_single_boundary_loop(self) -> np.ndarray:
+        """Boundary edges; raises GeometryError unless they form one closed cycle."""
         edges = self.boundary_edges()
         if len(edges) == 0:
             raise GeometryError("mesh has no boundary (expected an open height field)")
@@ -168,6 +171,7 @@ class TriangleMesh:
                 break
         if visited != len(edges):
             raise GeometryError("boundary splits into multiple loops")
+        return edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +205,28 @@ def _fit_spline(grid: ControlGrid) -> RectBivariateSpline:
     return RectBivariateSpline(coords, coords, grid.z_values, kx=k, ky=k, s=0)
 
 
+def lattice_mesh(coords_m: np.ndarray, heights_m: np.ndarray) -> TriangleMesh:
+    """Height-field mesh over the plan lattice coords_m x coords_m, metres.
+
+    heights_m[i, j] is the height at (x_i, y_j); vertex i * n + j sits
+    there.  Each cell is split along its (i, j)-(i+1, j+1) diagonal into
+    two faces, counter-clockwise seen from +z.
+    """
+    X, Y = np.meshgrid(coords_m, coords_m, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel(), heights_m.ravel()])
+    n = len(coords_m)
+    idx = np.arange(n * n).reshape(n, n)
+    v00 = idx[:-1, :-1].ravel()
+    v10 = idx[1:, :-1].ravel()
+    v01 = idx[:-1, 1:].ravel()
+    v11 = idx[1:, 1:].ravel()
+    faces = np.concatenate([
+        np.column_stack([v00, v10, v11]),
+        np.column_stack([v00, v11, v01]),
+    ])
+    return TriangleMesh(vertices=vertices, faces=faces)
+
+
 def interpolate_surface(grid: ControlGrid,
                         resolution: int = DEFAULT_RESOLUTION) -> ShellSurface:
     """Sample the interpolating spline on a resolution^2 lattice and mesh it."""
@@ -211,23 +237,7 @@ def interpolate_surface(grid: ControlGrid,
     spline = _fit_spline(grid)
     coords = np.linspace(0.0, grid.span_L, resolution)
     heights = spline(coords, coords)  # (res, res), [i, j] = (x_i, y_j)
-
-    xs_m = coords / 1000.0
-    X, Y = np.meshgrid(xs_m, xs_m, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel(), heights.ravel() / 1000.0])
-
-    n = resolution
-    idx = np.arange(n * n).reshape(n, n)
-    v00 = idx[:-1, :-1].ravel()
-    v10 = idx[1:, :-1].ravel()
-    v01 = idx[:-1, 1:].ravel()
-    v11 = idx[1:, 1:].ravel()
-    # CCW seen from +z
-    faces = np.concatenate([
-        np.column_stack([v00, v10, v11]),
-        np.column_stack([v00, v11, v01]),
-    ])
-    mesh = TriangleMesh(vertices=vertices, faces=faces)
+    mesh = lattice_mesh(coords / 1000.0, heights / 1000.0)
     return ShellSurface(control=grid, mesh=mesh, sample_resolution=resolution,
                         heights_mm=heights)
 

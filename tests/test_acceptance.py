@@ -170,7 +170,7 @@ def test_a06_group_compliance_and_trend():
     for group in range(1, 5):
         amplitude, frequency = group_parameters(group)
         surfaces = pool_surfaces(amplitude, frequency, n=20, seed=42)
-        outcome = filter_surfaces(surfaces, k=4)
+        outcome = filter_surfaces([measure(s) for s in surfaces], k=4)
         peaks = []
         for idx in outcome.kept_indices:
             case = combine(structure, outcome.metrics[idx].area_a)
@@ -189,7 +189,7 @@ def test_a06_group_compliance_and_trend():
 
 
 def test_a07_group4_filter_distinctness(pools42):
-    outcome = filter_surfaces(pools42[4].surfaces, k=4)
+    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces], k=4)
     kept = outcome.kept_indices
     distinct = True
     for a in range(len(kept)):

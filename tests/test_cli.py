@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from chainshell.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
+from chainshell.config import derive_seed
 from chainshell.pipeline import read_manifest_hash
 
 TRIMMED = """\
@@ -92,6 +93,57 @@ def test_generate_filter_analyze_chain(capsys, tmp_path):
     assert all(row.split(",")[-1] == "1" for row in table[1:])
     assert (pool / "displacements.csv").is_file()
 
+    pinned = tmp_path / "pinned"
+    assert main(["analyze", "--in", str(pool), "--supports", "corner-pinned",
+                 "--out", str(pinned)]) == EXIT_OK
+    capsys.readouterr()
+    fixed_rows = (pool / "displacements.csv").read_text().splitlines()
+    pinned_rows = (pinned / "displacements.csv").read_text().splitlines()
+    assert [r.split(",")[:6] for r in pinned_rows] == [r.split(",")[:6]
+                                                       for r in fixed_rows]
+    assert ([r.split(",")[6] for r in pinned_rows[1:]]
+            != [r.split(",")[6] for r in fixed_rows[1:]])
+
+
+GROUP1 = """\
+[gen3d]
+iterations = 8
+groups = 1
+
+[filter]
+keep = 3
+
+[optimizer]
+iterations_per_anchor = 2
+"""
+
+
+def test_cli_chain_reproduces_the_pipeline_pool(capsys, tmp_path):
+    cfg = tmp_path / "group1.ini"
+    cfg.write_text(GROUP1)
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+    pool = tmp_path / "pool"
+    assert main(["gen3d", "--config", str(cfg), "--amplitude", "10",
+                 "--frequency", "3", "--iterations", "8",
+                 "--seed", str(derive_seed(7, "gen3d:g1")),
+                 "--out", str(pool)]) == EXIT_OK
+    assert main(["filter", "--in", str(pool), "--keep", "3"]) == EXIT_OK
+    assert main(["analyze", "--config", str(cfg), "--in", str(pool)]) == EXIT_OK
+    capsys.readouterr()
+
+    stage_pool = run / "gen3d" / "g1"
+    for name in ["manifest.csv"] + [f"iter{i:02d}.{ext}" for i in range(8)
+                                    for ext in ("mesh", "pgm")]:
+        assert (pool / name).read_bytes() == (stage_pool / name).read_bytes(), name
+    assert ((pool / "selected.csv").read_bytes()
+            == (run / "filter" / "g1" / "selected.csv").read_bytes())
+    cli_rows = (pool / "displacements.csv").read_text().splitlines()[1:]
+    stage_rows = (run / "analyze" / "displacements.csv").read_text().splitlines()[1:]
+    assert len(cli_rows) == 3
+    assert ([r.split(",")[1:] for r in cli_rows]
+            == [r.split(",")[3:] for r in stage_rows])
+
 
 def test_seeded_rerun_gives_the_same_manifest_hash(cli_runs):
     dir_a, dir_b = cli_runs
@@ -125,6 +177,28 @@ def test_validation_failures_exit_2(capsys, tmp_path):
     assert main(["gen3d", "--amplitude", "40", "--frequency", "3",
                  "--out", str(tmp_path / "g")]) == EXIT_VALIDATION
     assert "envelope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["units", "--threads", "0"],
+    ["units", "--threads", "-3"],
+    ["sweep2d", "--threads", "0"],
+    ["loads", "--threads", "0"],
+])
+def test_bad_overrides_exit_2(capsys, tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_support_mode_exits_2(capsys, tmp_path):
+    selected = tmp_path / "selected.csv"
+    selected.write_text("iteration,amplitude_mm,frequency,seed,perimeter_m,"
+                        "area_m2,kept,perimeter_tolerance_m,area_tolerance_m2\n"
+                        "0,25.0,6,42,8.1,4.2,1,0.0,0.0\n")
+    code = main(["analyze", "--in", str(selected), "--supports", "edges-only"])
+    assert code == EXIT_VALIDATION
+    assert "unknown support mode 'edges-only'" in capsys.readouterr().err
 
 
 def test_stage_failures_exit_3(capsys, tmp_path):

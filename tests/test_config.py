@@ -95,11 +95,37 @@ def test_syntax_errors_are_config_errors():
     ("[optimizer]\namplitude_cap_m = 3.5\n", "optimizer.amplitude_cap_m"),
     ("[run]\nthreads = 0\n", "threads"),
     ("[loads]\nplan_area_m2 = -1\n", "loads.plan_area_m2"),
+    ("[loads]\nthickness_m = nan\n", "loads.thickness_m"),
+    ("[loads]\nthickness_m = inf\n", "loads.thickness_m"),
+    ("[loads]\nsnow_shape_factor = 1.5\n", "loads.snow_shape_factor"),
+    ("[loads]\nsolid_fraction = 1.5\n", "loads.solid_fraction"),
+    ("[optimizer]\nweight_cms = nan\n", "optimizer.weight_cms"),
+    ("[fem]\nlattice_grid = 1\n", "fem.lattice_grid"),
+    ("[gen3d]\nresolution = 2\n", "gen3d.resolution"),
+    ("[gen3d]\nresolution = 5\n", "gen3d.resolution"),
+    ("[gen3d]\nresolution = 8\n[optimizer]\ncontrol_F = 8\n", "gen3d.resolution"),
+    ("[gen3d]\nspan_mm = 0\n", "gen3d.span_mm"),
+    ("[sweep2d]\nspan_mm = -1\n", "sweep2d.span_mm"),
+    ("[optimizer]\ncontrol_F = 1\n", "optimizer.control_F"),
+    ("[optimizer]\niterations_per_anchor = 0\n", "optimizer.iterations_per_anchor"),
+    ("[optimizer]\namplitude_min_fraction = 1\n", "optimizer.amplitude_min_fraction"),
+    ("[optimizer]\nreduction_tolerance = -0.1\n", "optimizer.reduction_tolerance"),
+    ("[fem]\nelastic_modulus_pa = -1\n", "fem.elastic_modulus_pa"),
+    ("[fem]\nshear_modulus_pa = 0\n", "fem.shear_modulus_pa"),
+    ("[filter]\nperimeter_tolerance_m = -1\n", "filter.perimeter_tolerance_m"),
+    ("[filter]\narea_tolerance_m2 = -1\n", "filter.area_tolerance_m2"),
 ])
 def test_validation_names_the_offending_key(text, key):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key == key
+
+
+def test_resolution_bound_is_the_largest_control_grid():
+    # four groups sample up to 6x6 control points, the optimizer 5x5
+    assert parse_config("[gen3d]\nresolution = 6\n").gen3d.resolution == 6
+    config = parse_config("[gen3d]\nresolution = 9\n[optimizer]\ncontrol_F = 8\n")
+    assert config.optimizer.control_F == 8
 
 
 def test_dump_parse_roundtrip():

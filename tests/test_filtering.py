@@ -9,11 +9,9 @@ import pytest
 from chainshell.errors import ParameterError
 from chainshell.filtering import (
     SurfaceMetrics,
-    auto_tolerance,
     auto_tolerance_from_metrics,
     filter_surfaces,
     measure,
-    select_distinct,
     select_indices,
 )
 from chainshell.shell3d import TriangleMesh
@@ -51,6 +49,20 @@ def test_measure_invariant_under_rigid_motion(pools42):
     assert after.area_a == pytest.approx(before.area_a, rel=1e-9)
 
 
+def test_measure_finds_the_boundary_once(monkeypatch):
+    calls = []
+    find = TriangleMesh.boundary_edges
+
+    def counted(mesh):
+        calls.append(mesh)
+        return find(mesh)
+
+    monkeypatch.setattr(TriangleMesh, "boundary_edges", counted)
+    metrics = measure(flat_surface())
+    assert len(calls) == 1
+    assert metrics.perimeter_P == pytest.approx(8.0, rel=1e-9)
+
+
 def test_select_indices_greedy_with_zero_tolerance():
     # zero tolerances treat any bitwise difference as distinct
     metrics = _metrics([(8.0, 4.0), (8.1, 4.0), (8.2, 4.0), (8.3, 4.0), (8.4, 4.0)])
@@ -71,18 +83,7 @@ def test_select_indices_validation():
     with pytest.raises(ParameterError):
         select_indices(metrics, 0.0, 0.0, k=0)
     with pytest.raises(ParameterError):
-        select_distinct([], 0.0, 0.0, k=1)
-    with pytest.raises(ParameterError):
         filter_surfaces([])
-
-
-def test_select_distinct_returns_subsequence(pools42):
-    surfaces = pools42[4].surfaces
-    kept = select_distinct(surfaces, 0.0005, 0.0003, k=4)
-    positions = [next(i for i, s in enumerate(surfaces) if s is kept_s)
-                 for kept_s in kept]
-    assert positions == sorted(positions)
-    assert all(any(s is kept_s for s in surfaces) for kept_s in kept)
 
 
 def test_auto_tolerance_without_halving_is_two_percent_of_medians():
@@ -98,20 +99,15 @@ def test_auto_tolerance_floors_to_zero_for_identical_pool():
     assert auto_tolerance_from_metrics(metrics, k=4) == (0.0, 0.0)
 
 
-def test_auto_tolerance_needs_at_least_two_surfaces():
-    with pytest.raises(ParameterError):
-        auto_tolerance([flat_surface(F=2, resolution=5)], k=4)
-
-
 def test_filter_identical_pool_keeps_single_surface():
     surfaces = [flat_surface(F=2, resolution=9)] * 20
-    outcome = filter_surfaces(surfaces, k=4)
+    outcome = filter_surfaces([measure(s) for s in surfaces], k=4)
     assert outcome.kept_indices == [0]
     assert (outcome.dP, outcome.da) == (0.0, 0.0)
 
 
 def test_filter_group4_pool_keeps_four_distinct(pools42):
-    outcome = filter_surfaces(pools42[4].surfaces, k=4)
+    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces], k=4)
     assert len(outcome.kept_indices) == 4
     assert outcome.kept_indices == [0, 2, 4, 14]
     kept = [outcome.metrics[i] for i in outcome.kept_indices]
@@ -123,20 +119,21 @@ def test_filter_group4_pool_keeps_four_distinct(pools42):
 
 def test_filter_group1_pool_falls_back_to_zero_tolerance(pools42):
     # frequency-3 fields are nearly identical, so the tolerance bottoms out
-    outcome = filter_surfaces(pools42[1].surfaces, k=4)
+    outcome = filter_surfaces([measure(s) for s in pools42[1].surfaces], k=4)
     assert (outcome.dP, outcome.da) == (0.0, 0.0)
     assert outcome.kept_indices == [0, 1, 2, 3]
 
 
 def test_filter_explicit_tolerances_pass_through(pools42):
-    outcome = filter_surfaces(pools42[4].surfaces, k=4, dP=0.0, da=0.0)
+    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces], k=4,
+                              dP=0.0, da=0.0)
     assert outcome.kept_indices == [0, 1, 2, 3]
     assert (outcome.dP, outcome.da) == (0.0, 0.0)
 
 
 def test_filter_outcome_metrics_cover_whole_pool(pools42):
     surfaces = pools42[3].surfaces
-    outcome = filter_surfaces(surfaces, k=4)
+    outcome = filter_surfaces([measure(s) for s in surfaces], k=4)
     assert len(outcome.metrics) == len(surfaces)
     assert outcome.kept_indices == sorted(outcome.kept_indices)
     assert all(0 <= i < len(surfaces) for i in outcome.kept_indices)

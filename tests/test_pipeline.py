@@ -18,8 +18,10 @@ from chainshell.pipeline import (
     _group_surfaces,
     read_manifest_hash,
     run_pipeline,
+    stage_filter,
+    stage_gen3d,
 )
-from chainshell.shell3d import group_parameters
+from chainshell.shell3d import TriangleMesh, group_parameters
 
 
 def _trimmed_config(**overrides) -> PipelineConfig:
@@ -170,6 +172,19 @@ def test_group_surface_generation_is_seed_derived():
     assert (amplitude, frequency) == group_parameters(2)
     assert seed == derive_seed(config.seed, "gen3d:g2")
     assert len(grids) == len(surfaces) == 3
+
+
+def test_filter_stage_reuses_the_gen3d_metrics(tmp_path, monkeypatch):
+    config = _trimmed_config(gen3d=Gen3dBlock(iterations=3, groups=1))
+    _, gen_carry = stage_gen3d(config, tmp_path)
+
+    def refuse(mesh):
+        raise AssertionError("stage_filter measured a surface again")
+
+    monkeypatch.setattr(TriangleMesh, "boundary_edges", refuse)
+    outputs, carry = stage_filter(config, tmp_path, gen_carry)
+    assert outputs == ["filter/g1/selected.csv"]
+    assert carry[1].metrics == gen_carry[1]["metrics"]
 
 
 def test_manifest_hash_reader_requires_the_hash_line(tmp_path):

@@ -16,6 +16,7 @@ from chainshell.shell3d import (
     generate_iterations,
     group_parameters,
     interpolate_surface,
+    lattice_mesh,
     read_mesh,
     read_pgm,
     write_mesh,
@@ -112,6 +113,21 @@ def test_flat_surface_area_and_perimeter():
     assert surface.mesh.area() == pytest.approx(4.0, rel=1e-9)
     assert surface.mesh.boundary_length() == pytest.approx(8.0, rel=1e-9)
     surface.mesh.require_single_boundary_loop()
+
+
+def test_lattice_mesh_layout():
+    coords = np.array([0.0, 1.0, 3.0])
+    heights = np.arange(9.0).reshape(3, 3)
+    mesh = lattice_mesh(coords, heights)
+    # vertex i * n + j sits at (x_i, y_j, heights[i, j])
+    assert mesh.vertices[5].tolist() == [1.0, 3.0, 5.0]
+    assert len(mesh.faces) == 2 * 2 * 2
+    # counter-clockwise seen from +z: every face normal points up
+    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    normals = np.cross(b - a, c - a)
+    assert (normals[:, 2] > 0).all()
+    assert mesh.boundary_length() == pytest.approx(
+        2 * (np.hypot(1, 1) + np.hypot(2, 1) + np.hypot(1, 3) + np.hypot(2, 3)))
 
 
 def test_interpolation_passes_through_control_points():
