@@ -59,8 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loads", parents=[common],
                        help="load-case table for a shell")
-    p.add_argument("--area", type=float, default=4.0, help="plan area m2")
-    p.add_argument("--thickness", type=float, default=0.08, help="m")
+    p.add_argument("--area", type=float, default=None,
+                   help="plan area m2; overrides [loads] plan_area_m2")
+    p.add_argument("--thickness", type=float, default=None,
+                   help="m; overrides [loads] thickness_m")
     p.add_argument("--surface-area", type=float, default=None,
                    help="deformed surface area m2 (defaults to plan area)")
 
@@ -88,6 +90,10 @@ def _config_from_args(args) -> PipelineConfig:
         config = replace(config, threads=args.threads)
     if getattr(args, "supports", None) is not None:
         config = replace(config, fem=replace(config.fem, supports=args.supports))
+    if getattr(args, "area", None) is not None:
+        config = replace(config, loads=replace(config.loads, plan_area_m2=args.area))
+    if getattr(args, "thickness", None) is not None:
+        config = replace(config, loads=replace(config.loads, thickness_m=args.thickness))
     return validate(config)
 
 
@@ -154,9 +160,9 @@ def cmd_filter(args, config: PipelineConfig) -> int:
 
 
 def cmd_loads(args, config: PipelineConfig) -> int:
-    spec = loads_mod.StructureSpec(plan_area_a=args.area,
-                                   thickness_t=args.thickness)
-    surface_area = args.surface_area if args.surface_area is not None else args.area
+    spec = pipeline.structure_spec(config)
+    surface_area = (args.surface_area if args.surface_area is not None
+                    else spec.plan_area_a)
     case = loads_mod.combine(spec, surface_area)
     limit = loads_mod.deflection_limit(spec.span_L)
     print("DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,deflection_limit_mm")

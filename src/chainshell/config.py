@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
+from .profile2d import FREQUENCY_MIN, default_envelope
+from .units import Shape
 
 _MASK63 = (1 << 63) - 1
 
@@ -138,6 +140,12 @@ def validate(config: PipelineConfig) -> PipelineConfig:
     _require(0 < config.unit.target_ratio < 1, "unit.target_ratio",
              "target ratio must be in (0, 1)")
     _require(config.sweep2d.span_mm > 0, "sweep2d.span_mm", "span must be positive")
+    # sweep_2d needs an envelope entry for every frequency it sweeps
+    f_top = max(default_envelope(Shape.parse(config.sweep2d.shape)).frequencies())
+    _require(FREQUENCY_MIN <= config.sweep2d.frequency_max <= f_top,
+             "sweep2d.frequency_max",
+             f"frequency_max must be in {FREQUENCY_MIN}..{f_top}, "
+             f"got {config.sweep2d.frequency_max}")
     _require(config.gen3d.iterations >= 1, "gen3d.iterations",
              "iterations must be >= 1")
     _require(1 <= config.gen3d.groups <= 5, "gen3d.groups", "groups must be in 1..5")

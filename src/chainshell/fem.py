@@ -12,18 +12,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import GeometryError, MechanismError, ParameterError
-from .loads import LoadCase, deflection_limit
+from .loads import (DEFAULT_ELASTIC_MODULUS_PA, DEFAULT_SHEAR_MODULUS_PA,
+                    LoadCase, StructureSpec, deflection_limit)
 from .shell3d import ShellSurface
 
-DEFAULT_ELASTIC_MODULUS_PA = 2.1e9   # rPET, overridable config default
-DEFAULT_SHEAR_MODULUS_PA = 0.78e9
 DEFAULT_LATTICE_GRID = 10
+MEMBRANE_PRECOMPRESSION_N = 1.0  # total vacuum pre-compression along the normals
 DOF_PER_NODE = 6
 DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
 
@@ -281,16 +281,6 @@ def _tributary_weights(grid: int) -> np.ndarray:
     return np.outer(w, w)
 
 
-def _boundary_node_ids(grid: int) -> List[int]:
-    n = grid + 1
-    ids = []
-    for i in range(n):
-        for j in range(n):
-            if i in (0, grid) or j in (0, grid):
-                ids.append(i * n + j)
-    return ids
-
-
 def default_supports(grid: int, mode: str = "boundary-fixed") -> Dict[int, SupportKind]:
     """Support sets for shell analysis lattices.
 
@@ -299,7 +289,8 @@ def default_supports(grid: int, mode: str = "boundary-fixed") -> Dict[int, Suppo
     """
     n = grid + 1
     if mode == "boundary-fixed":
-        return {i: SupportKind.FIXED for i in _boundary_node_ids(grid)}
+        return {i * n + j: SupportKind.FIXED for i in range(n) for j in range(n)
+                if i in (0, grid) or j in (0, grid)}
     if mode == "corner-pinned":
         corners = (0, grid, grid * n, grid * n + grid)
         return {c: SupportKind.PINNED for c in corners}
@@ -307,16 +298,14 @@ def default_supports(grid: int, mode: str = "boundary-fixed") -> Dict[int, Suppo
 
 
 def frame_from_surface(surface: ShellSurface, grid: int = DEFAULT_LATTICE_GRID,
-                       section: Optional[BeamSection] = None,
-                       material: Optional[Material] = None,
-                       supports: Optional[Dict[int, SupportKind]] = None,
-                       support_mode: str = "boundary-fixed",
-                       thickness: float = 0.08,
-                       solid_fraction: float = 0.08) -> FrameModel:
+                       structure: StructureSpec = StructureSpec(),
+                       supports: Optional[Dict[int, SupportKind]] = None) -> FrameModel:
     """Sample the surface on a (grid+1)^2 lattice and frame it.
 
-    Elements run along lattice rows, columns, and one diagonal per cell.
-    Node ids are row-major: node(i, j) = i * (grid + 1) + j.
+    Elements run along lattice rows, columns, and one diagonal per cell,
+    with the structure's homogenized section and moduli.  Node ids are
+    row-major: node(i, j) = i * (grid + 1) + j.  Supports default to
+    boundary-fixed.
     """
     if grid < 2:
         raise ParameterError("lattice grid must be >= 2")
@@ -327,10 +316,8 @@ def frame_from_surface(surface: ShellSurface, grid: int = DEFAULT_LATTICE_GRID,
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel(), z_mm.ravel() / 1000.0])
 
-    if section is None:
-        section = homogenized_section(span_m / grid, thickness, solid_fraction)
-    if material is None:
-        material = Material()
+    section = homogenized_section(span_m / grid, structure.thickness_t,
+                                  structure.solid_fraction)
 
     n = grid + 1
     node_id = lambda i, j: i * n + j
@@ -346,8 +333,9 @@ def frame_from_surface(surface: ShellSurface, grid: int = DEFAULT_LATTICE_GRID,
 
     model = FrameModel(nodes=nodes, elements=elements,
                        supports=supports if supports is not None
-                       else default_supports(grid, support_mode),
-                       material=material)
+                       else default_supports(grid),
+                       material=Material(structure.elastic_modulus,
+                                         structure.shear_modulus))
     for e in model.elements:
         if np.linalg.norm(model.nodes[e.node_j] - model.nodes[e.node_i]) < 1e-12:
             raise GeometryError("degenerate surface produced a zero-area cell")
@@ -385,47 +373,39 @@ class ShellAnalysis:
         return self.max_displacement_mm <= self.limit_mm
 
 
-def shell_node_loads(surface: ShellSurface, grid: int, total_load_kn: float,
-                     membrane_precompression: float = 1.0) -> np.ndarray:
+def shell_node_loads(surface: ShellSurface, grid: int,
+                     total_load_kn: float) -> np.ndarray:
     """Nodal force vectors (N): gravity share of TL plus normal pre-compression.
 
     The total load is split over lattice nodes by tributary plan area and
-    applied downward.  The membrane pre-compression (default 1 N in total)
-    is applied along the inward surface normal with the same area weights.
+    applied downward.  The membrane pre-compression (1 N in total) is
+    applied along the inward surface normal with the same area weights.
     """
     weights = _tributary_weights(grid)
     coords_mm = np.linspace(0.0, surface.span_mm, grid + 1)
     loads = np.zeros(((grid + 1) ** 2, 3))
     loads[:, 2] = -total_load_kn * 1e3 * weights.ravel()
-    if membrane_precompression:
-        gx = surface.gradient(coords_mm, coords_mm, axis="x")
-        gy = surface.gradient(coords_mm, coords_mm, axis="y")
-        normals = np.column_stack([-gx.ravel(), -gy.ravel(),
-                                   np.ones(weights.size)])
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        loads -= membrane_precompression * weights.ravel()[:, None] * normals
+    gx = surface.gradient(coords_mm, coords_mm, axis="x")
+    gy = surface.gradient(coords_mm, coords_mm, axis="y")
+    normals = np.column_stack([-gx.ravel(), -gy.ravel(), np.ones(weights.size)])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    loads -= MEMBRANE_PRECOMPRESSION_N * weights.ravel()[:, None] * normals
     return loads
 
 
 def analyze_shell(surface: ShellSurface, load_case: LoadCase,
+                  structure: StructureSpec = StructureSpec(),
                   supports: Optional[Dict[int, SupportKind]] = None,
-                  membrane_precompression: float = 1.0,
-                  grid: int = DEFAULT_LATTICE_GRID,
-                  material: Optional[Material] = None,
-                  support_mode: str = "boundary-fixed",
-                  thickness: float = 0.08,
-                  solid_fraction: float = 0.08) -> ShellAnalysis:
+                  grid: int = DEFAULT_LATTICE_GRID) -> ShellAnalysis:
     """Solve one shell under a load case and check span/250.
 
-    TL is distributed by tributary plan area; the membrane pre-compression
-    acts along inward surface normals.
+    The frame takes its section and moduli from the structure; supports
+    default to boundary-fixed.  TL is distributed by tributary plan area;
+    the membrane pre-compression acts along inward surface normals.
     """
-    model = frame_from_surface(surface, grid=grid, material=material,
-                               supports=supports, support_mode=support_mode,
-                               thickness=thickness, solid_fraction=solid_fraction)
+    model = frame_from_surface(surface, grid, structure, supports)
     _require_noncollinear_supports(model)
-    loads = shell_node_loads(surface, grid, load_case.total_TL,
-                             membrane_precompression)
+    loads = shell_node_loads(surface, grid, load_case.total_TL)
     result = solve(model, loads)
     limit = deflection_limit(surface.span_mm / 1000.0)
     return ShellAnalysis(result=result, load_case=load_case, limit_mm=limit)

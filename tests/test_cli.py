@@ -68,6 +68,18 @@ def test_loads_prints_the_load_case(capsys):
     assert limit == 8.0
 
 
+def test_loads_reads_the_config_and_its_overrides(capsys, tmp_path):
+    cfg = tmp_path / "snow.ini"
+    cfg.write_text("[loads]\nsnow_shape_factor = 0.2\n")
+    assert main(["loads", "--config", str(cfg)]) == EXIT_OK
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert (row[1], row[2]) == ("1.6000", "0.7200")
+
+    assert main(["loads", "--config", str(cfg), "--area", "10"]) == EXIT_OK
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert (row[1], row[2]) == ("4.0000", "1.8000")
+
+
 def test_generate_filter_analyze_chain(capsys, tmp_path):
     pool = tmp_path / "pool"
     assert main(["gen3d", "--amplitude", "25", "--frequency", "6",

@@ -106,6 +106,8 @@ def test_syntax_errors_are_config_errors():
     ("[gen3d]\nresolution = 8\n[optimizer]\ncontrol_F = 8\n", "gen3d.resolution"),
     ("[gen3d]\nspan_mm = 0\n", "gen3d.span_mm"),
     ("[sweep2d]\nspan_mm = -1\n", "sweep2d.span_mm"),
+    ("[sweep2d]\nfrequency_max = 12\n", "sweep2d.frequency_max"),
+    ("[sweep2d]\nfrequency_max = 2\n", "sweep2d.frequency_max"),
     ("[optimizer]\ncontrol_F = 1\n", "optimizer.control_F"),
     ("[optimizer]\niterations_per_anchor = 0\n", "optimizer.iterations_per_anchor"),
     ("[optimizer]\namplitude_min_fraction = 1\n", "optimizer.amplitude_min_fraction"),

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chainshell import optimizer
 from chainshell.errors import ParameterError
 from chainshell.filtering import measure
+from chainshell.loads import StructureSpec
 from chainshell.optimizer import (
     AnchorConfig,
     AnchorKind,
+    ColumnSet,
     OptimizeSettings,
     Orientation,
     evaluate_candidate,
@@ -22,9 +26,10 @@ from chainshell.optimizer import (
     shelter_control_grid,
     slope_grid,
     usable_area,
+    _design_solve,
     _fit_supported_surface,
 )
-from chainshell.shell3d import interpolate_surface
+from chainshell.shell3d import TriangleMesh, interpolate_surface
 
 from helpers import dome_surface, flat_surface, grid_from_z, synthetic_candidate
 
@@ -290,11 +295,11 @@ def test_formwork_reactions_cover_every_column():
 
 def test_zero_tolerance_blocks_every_removal():
     design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
-    kept = reduce_formwork(design, design.surface, 0.0, 0.0)
+    kept = reduce_formwork(design, 0.0)
     assert kept.load_bearing == design.columns.load_bearing
     assert len(kept.formwork) == 12
     with pytest.raises(ParameterError):
-        reduce_formwork(design, design.surface, -0.1, 0.0)
+        reduce_formwork(design, -0.1)
 
 
 def test_reduction_respects_its_own_tolerances():
@@ -303,7 +308,7 @@ def test_reduction_respects_its_own_tolerances():
     p_ref, a_ref = _fit_supported_surface(
         design.anchors, list(design.columns.all_columns()), span_m)
     dP, da = 0.02 * p_ref, 0.02 * a_ref
-    kept = reduce_formwork(design, design.surface, dP, da)
+    kept = reduce_formwork(design, 0.02)
     assert kept.load_bearing == design.columns.load_bearing
     original = {id(c) for c in design.columns.formwork}
     assert all(id(c) in original for c in kept.formwork)
@@ -312,6 +317,62 @@ def test_reduction_respects_its_own_tolerances():
         list(kept.load_bearing) + list(kept.formwork), span_m)
     assert abs(p - p_ref) <= dP
     assert abs(a - a_ref) <= da
+
+
+def test_design_solve_follows_the_structure_moduli():
+    # a linear frame with every stiffness halved deflects exactly twice as far
+    design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
+    base = StructureSpec()
+    soft = replace(base, elastic_modulus=base.elastic_modulus / 2,
+                   shear_modulus=base.shear_modulus / 2)
+    stiff = _design_solve(design, design.columns, 10, base).max_displacement_mm
+    halved = _design_solve(design, design.columns, 10, soft).max_displacement_mm
+    assert halved / stiff == pytest.approx(2.0, rel=1e-9)
+
+
+def test_reaction_lookup_clamps_like_the_supports():
+    # a column past the far edge sits on the clamped edge node, not on the
+    # first node of the next lattice row
+    design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
+    moved = design.columns.formwork[-1]
+    assert moved.position == (1.75, 1.25)
+
+    def with_last_column_at(position):
+        col = replace(moved, position=position)
+        columns = ColumnSet(design.columns.load_bearing,
+                            design.columns.formwork[:-1] + (col,))
+        return col, formwork_reactions(replace(design, columns=columns))
+
+    outside, beyond = with_last_column_at((1.75, 2.2))
+    edge, on_edge = with_last_column_at((1.75, 2.0))
+    assert beyond[outside] == on_edge[edge]
+    assert beyond[outside] > 0.0
+
+
+def test_one_reference_fit_per_study(monkeypatch):
+    sizes = []
+    original = optimizer._fit_supported_surface
+
+    def counting(anchors, columns, span_m, *args):
+        sizes.append(len(columns))
+        return original(anchors, columns, span_m, *args)
+
+    monkeypatch.setattr(optimizer, "_fit_supported_surface", counting)
+    optimize(OptimizeSettings(seed=11, iterations_per_anchor=2))
+    assert sizes.count(16) == 1
+    assert len(sizes) > 1  # the trial fits still ran
+
+
+def test_candidate_evaluation_needs_no_boundary(monkeypatch):
+    surface = dome_surface()
+    area = surface.mesh.area()
+
+    def forbidden(self):
+        raise AssertionError("evaluate_candidate walked the mesh boundary")
+
+    monkeypatch.setattr(TriangleMesh, "boundary_edges", forbidden)
+    design = evaluate_candidate("dome", surface, AnchorConfig(AnchorKind.FOUR))
+    assert design.metrics.cms_m2 == area
 
 
 def test_optimize_is_deterministic_across_threads():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -8,20 +9,27 @@ import pytest
 from chainshell.config import (
     FilterBlock,
     Gen3dBlock,
+    LoadsBlock,
     OptimizerBlock,
     PipelineConfig,
     derive_seed,
 )
 from chainshell.errors import ConfigError, StageError
+from chainshell.optimizer import AnchorConfig, AnchorKind, _design_solve, evaluate_candidate
 from chainshell.pipeline import (
     STAGES,
     _group_surfaces,
+    analyze_model,
     read_manifest_hash,
     run_pipeline,
     stage_filter,
     stage_gen3d,
+    stage_optimize,
+    structure_spec,
 )
 from chainshell.shell3d import TriangleMesh, group_parameters
+
+from helpers import dome_surface
 
 
 def _trimmed_config(**overrides) -> PipelineConfig:
@@ -191,3 +199,42 @@ def test_manifest_hash_reader_requires_the_hash_line(tmp_path):
     (tmp_path / "manifest.txt").write_text("[run]\nseed = 7\n")
     with pytest.raises(StageError):
         read_manifest_hash(tmp_path)
+
+
+def _halved(config: PipelineConfig, block: str, key: str) -> PipelineConfig:
+    section = getattr(config, block)
+    return replace(config, **{block: replace(section, **{key: getattr(section, key) / 2})})
+
+
+def test_optimize_stage_uses_the_config_moduli(tmp_path):
+    config = _trimmed_config(optimizer=OptimizerBlock(iterations_per_anchor=4))
+    soft = _halved(_halved(config, "fem", "elastic_modulus_pa"), "fem", "shear_modulus_pa")
+    stage_optimize(config, tmp_path / "default")
+    stage_optimize(soft, tmp_path / "soft")
+    # the ranking does not see the frame; the winner's solve does
+    for rel in ("ranking.csv", "columns.csv"):
+        assert ((tmp_path / "default/optimize" / rel).read_bytes()
+                == (tmp_path / "soft/optimize" / rel).read_bytes())
+    assert ((tmp_path / "default/optimize/winner_displacements.csv").read_bytes()
+            != (tmp_path / "soft/optimize/winner_displacements.csv").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def dome_design():
+    return evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
+
+
+@pytest.mark.parametrize("block,key",
+                         [("loads", f.name) for f in fields(LoadsBlock)]
+                         + [("fem", "elastic_modulus_pa"), ("fem", "shear_modulus_pa")])
+def test_every_structural_key_changes_the_solves(dome_design, block, key):
+    base = PipelineConfig()
+    changed = _halved(base, block, key)
+    surface, area = dome_design.surface, dome_design.metrics.cms_m2
+    assert analyze_model(changed, surface, area) != analyze_model(base, surface, area)
+
+    def design_mm(config):
+        return _design_solve(dome_design, dome_design.columns, config.fem.lattice_grid,
+                             structure_spec(config)).max_displacement_mm
+
+    assert design_mm(changed) != design_mm(base)
