@@ -2,20 +2,23 @@
 
 Shell surfaces are idealized as space frames: lattice rows, columns, and one
 diagonal per cell become 12-degree-of-freedom Euler-Bernoulli beam elements
-with homogenized rectangular sections.  Solves K u = F by dense Cholesky
-after constraint elimination; singular systems raise a mechanism error
-naming the offending degrees of freedom.
+with homogenized rectangular sections (McGuire, Gallagher & Ziemian,
+*Matrix Structural Analysis*, 2000).  The element matrices are built in one
+batch into a sparse K; after constraint elimination K u = F is solved by
+banded Cholesky on the band the node numbering gives (row-major lattices are
+banded already).  Singular systems raise a mechanism error naming the
+offending degrees of freedom.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .errors import GeometryError, MechanismError, ParameterError
 from .loads import (DEFAULT_ELASTIC_MODULUS_PA, DEFAULT_SHEAR_MODULUS_PA,
@@ -124,79 +127,85 @@ class FrameModel:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Displacements (m, rad) per node and support reactions (kN)."""
+    """Displacements (m, rad) per node, support reactions (kN) and the
+    solver's diagnostics."""
 
     displacements: np.ndarray          # (N, 6)
     reactions: Dict[int, np.ndarray]   # node -> (3,) force, kN
     max_translation_mm: float
+    pivot_ratio: float                 # min / max squared Cholesky pivot
+    equilibrium_residual: float        # |K u - F| on free DOFs / max(|F|, 1)
 
     def translation(self, node: int) -> np.ndarray:
         return self.displacements[node, :3]
 
 
-def _local_stiffness(e: FrameElement, length: float, mat: Material) -> np.ndarray:
-    E, G = mat.elastic_modulus, mat.shear_modulus
-    A, Iy, Iz, J = (e.section.area, e.section.inertia_y,
-                    e.section.inertia_z, e.section.torsion_J)
+def _local_stiffness(model: FrameModel, length: np.ndarray) -> np.ndarray:
+    """(m, 12, 12) element stiffness matrices in local axes, one per element."""
+    E, G = model.material.elastic_modulus, model.material.shear_modulus
+    sections = np.array([(e.section.area, e.section.inertia_y,
+                          e.section.inertia_z, e.section.torsion_J)
+                         for e in model.elements]).reshape(-1, 4)
+    A, Iy, Iz, J = sections.T
     l = length
-    k = np.zeros((12, 12))
+    k = np.zeros((len(l), 12, 12))
     ax = E * A / l
     tr = G * J / l
-    k[0, 0] = k[6, 6] = ax
-    k[0, 6] = k[6, 0] = -ax
-    k[3, 3] = k[9, 9] = tr
-    k[3, 9] = k[9, 3] = -tr
+    k[:, 0, 0] = k[:, 6, 6] = ax
+    k[:, 0, 6] = k[:, 6, 0] = -ax
+    k[:, 3, 3] = k[:, 9, 9] = tr
+    k[:, 3, 9] = k[:, 9, 3] = -tr
     # bending in the local x-y plane (deflection v, rotation about z)
     cz = E * Iz / l ** 3
     for (r, c, v) in ((1, 1, 12), (1, 5, 6 * l), (1, 7, -12), (1, 11, 6 * l),
                       (5, 5, 4 * l * l), (5, 7, -6 * l), (5, 11, 2 * l * l),
                       (7, 7, 12), (7, 11, -6 * l), (11, 11, 4 * l * l)):
-        k[r, c] = k[c, r] = cz * v
+        k[:, r, c] = k[:, c, r] = cz * v
     # bending in the local x-z plane (deflection w, rotation about y)
     cy = E * Iy / l ** 3
     for (r, c, v) in ((2, 2, 12), (2, 4, -6 * l), (2, 8, -12), (2, 10, -6 * l),
                       (4, 4, 4 * l * l), (4, 8, 6 * l), (4, 10, 2 * l * l),
                       (8, 8, 12), (8, 10, 6 * l), (10, 10, 4 * l * l)):
-        k[r, c] = k[c, r] = cy * v
+        k[:, r, c] = k[:, c, r] = cy * v
     return k
 
 
-def _rotation(p1: np.ndarray, p2: np.ndarray, length: float) -> np.ndarray:
-    """Local axes as rows: x along the member, z as upward as possible."""
-    d = (p2 - p1) / length
-    horiz = math.hypot(d[0], d[1])
-    if horiz < _VERTICAL_TOL:
-        s = 1.0 if d[2] > 0 else -1.0
-        return np.array([[0.0, 0.0, s],
-                         [0.0, 1.0, 0.0],
-                         [-s, 0.0, 0.0]])
-    y = np.array([-d[1], d[0], 0.0]) / horiz  # horizontal, perpendicular
-    z = np.cross(d, y)
-    return np.array([d, y, z])
+def _rotations(d: np.ndarray) -> np.ndarray:
+    """(m, 3, 3) local axes as rows: x along each unit direction d, z as
+    upward as possible; a vertical member takes y along global y."""
+    horiz = np.hypot(d[:, 0], d[:, 1])
+    vertical = horiz < _VERTICAL_TOL
+    h = np.where(vertical, 1.0, horiz)
+    y = np.column_stack([-d[:, 1] / h, d[:, 0] / h, np.zeros(len(d))])
+    t3 = np.stack([d, y, np.cross(d, y)], axis=1)
+    s = np.where(d[vertical, 2] > 0, 1.0, -1.0)
+    t3[vertical] = 0.0
+    t3[vertical, 0, 2] = s
+    t3[vertical, 1, 1] = 1.0
+    t3[vertical, 2, 0] = -s
+    return t3
 
 
-def _element_stiffness_global(model: FrameModel, e: FrameElement) -> np.ndarray:
-    p1, p2 = model.nodes[e.node_i], model.nodes[e.node_j]
-    length = float(np.linalg.norm(p2 - p1))
-    if length < 1e-12:
+def assemble_stiffness(model: FrameModel) -> sparse.csr_array:
+    """Global stiffness matrix, every element matrix built in one batch."""
+    ends = np.array([(e.node_i, e.node_j) for e in model.elements],
+                    dtype=np.intp).reshape(-1, 2)
+    delta = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
+    length = np.linalg.norm(delta, axis=1)
+    if np.any(length < 1e-12):
         raise GeometryError("zero-length element")
-    k_local = _local_stiffness(e, length, model.material)
-    t3 = _rotation(p1, p2, length)
-    lam = np.zeros((12, 12))
+    lam = np.zeros((len(ends), 12, 12))
+    t3 = _rotations(delta / length[:, None])
     for b in range(4):
-        lam[3 * b:3 * b + 3, 3 * b:3 * b + 3] = t3
-    return lam.T @ k_local @ lam
-
-
-def assemble_stiffness(model: FrameModel) -> np.ndarray:
+        lam[:, 3 * b:3 * b + 3, 3 * b:3 * b + 3] = t3
+    ke = np.einsum("eki,ekl,elj->eij", lam, _local_stiffness(model, length),
+                   lam, optimize=True)
+    dofs = (ends[:, :, None] * DOF_PER_NODE
+            + np.arange(DOF_PER_NODE)).reshape(-1, 12)
+    rows = np.broadcast_to(dofs[:, :, None], ke.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], ke.shape).ravel()
     n = model.dof_count
-    K = np.zeros((n, n))
-    for e in model.elements:
-        ke = _element_stiffness_global(model, e)
-        dofs = np.concatenate([np.arange(e.node_i * 6, e.node_i * 6 + 6),
-                               np.arange(e.node_j * 6, e.node_j * 6 + 6)])
-        K[np.ix_(dofs, dofs)] += ke
-    return K
+    return sparse.coo_array((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
@@ -238,11 +247,26 @@ def _describe_mechanism(K_ff: np.ndarray, free: np.ndarray) -> MechanismError:
         dofs=dofs)
 
 
+def _lower_band(K_ff: sparse.csr_array) -> np.ndarray:
+    """K_ff in LAPACK lower-band storage: ab[i - j, j] = K_ff[i, j], i >= j.
+
+    The band is the widest coupling between the model's own free DOFs, so
+    no node numbering is assumed; a badly numbered model only stores more.
+    """
+    coo = K_ff.tocoo()
+    offset = coo.row - coo.col
+    lower = offset >= 0
+    ab = np.zeros((int(offset.max(initial=0)) + 1, K_ff.shape[0]))
+    ab[offset[lower], coo.col[lower]] = coo.data[lower]
+    return ab
+
+
 def solve(model: FrameModel, nodal_loads) -> SolveResult:
     """Solve K u = F for the constrained frame; loads in newtons.
 
-    Returns nodal displacements, support reactions (kN), and the largest
-    translation magnitude in millimetres.
+    Returns nodal displacements, support reactions (kN), the largest
+    translation magnitude in millimetres, the pivot ratio and the relative
+    equilibrium residual.
     """
     if not model.supports:
         raise MechanismError("frame has no supports", dofs=[])
@@ -252,25 +276,29 @@ def solve(model: FrameModel, nodal_loads) -> SolveResult:
     mask = np.ones(model.dof_count, dtype=bool)
     mask[fixed] = False
     free = np.nonzero(mask)[0]
-    K_ff = K[np.ix_(free, free)]
+    K_ff = K[free][:, free]
     try:
-        factor = cho_factor(K_ff, check_finite=False)
+        factor = cholesky_banded(_lower_band(K_ff), lower=True,
+                                 check_finite=False)
     except LinAlgError:
-        raise _describe_mechanism(K_ff, free) from None
+        raise _describe_mechanism(K_ff.toarray(), free) from None
     # a singular system can slip through the factorization on rounding noise
     # (zero pivot computed as +epsilon); the pivot ratio catches it reliably
-    pivots = np.diag(factor[0]) ** 2
+    pivots = factor[0] ** 2
     if pivots.min() <= 1e-12 * pivots.max():
-        raise _describe_mechanism(K_ff, free)
+        raise _describe_mechanism(K_ff.toarray(), free)
     u = np.zeros(model.dof_count)
-    u[free] = cho_solve(factor, F[free], check_finite=False)
+    u[free] = cho_solve_banded((factor, True), F[free], check_finite=False)
     residual = K @ u - F
     reactions = {node: residual[node * 6:node * 6 + 3] / 1e3
                  for node in sorted(model.supports)}
     disp = u.reshape(len(model.nodes), 6)
     max_mm = float(np.linalg.norm(disp[:, :3], axis=1).max() * 1000.0)
-    return SolveResult(displacements=disp, reactions=reactions,
-                       max_translation_mm=max_mm)
+    return SolveResult(
+        displacements=disp, reactions=reactions, max_translation_mm=max_mm,
+        pivot_ratio=float(pivots.min() / pivots.max()),
+        equilibrium_residual=float(np.linalg.norm(residual[free])
+                                   / max(np.linalg.norm(F), 1.0)))
 
 
 def _tributary_weights(grid: int) -> np.ndarray:
@@ -336,9 +364,9 @@ def frame_from_surface(surface: ShellSurface, grid: int = DEFAULT_LATTICE_GRID,
                        else default_supports(grid),
                        material=Material(structure.elastic_modulus,
                                          structure.shear_modulus))
-    for e in model.elements:
-        if np.linalg.norm(model.nodes[e.node_j] - model.nodes[e.node_i]) < 1e-12:
-            raise GeometryError("degenerate surface produced a zero-area cell")
+    ends = np.array([(e.node_i, e.node_j) for e in elements])
+    if np.linalg.norm(nodes[ends[:, 1]] - nodes[ends[:, 0]], axis=1).min() < 1e-12:
+        raise GeometryError("degenerate surface produced a zero-area cell")
     return model
 
 

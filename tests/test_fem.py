@@ -11,6 +11,7 @@ from chainshell.fem import (
     Material,
     SupportKind,
     analyze_shell,
+    assemble_stiffness,
     default_supports,
     frame_from_surface,
     homogenized_section,
@@ -246,9 +247,12 @@ def test_shell_solution_balances_every_component(pools42):
 def test_refinement_keeps_peak_displacement_stable(pools42):
     surface = pools42[4].surfaces[0]
     case = combine(StructureSpec(), measure(surface).area_a)
-    coarse = analyze_shell(surface, case, grid=10).max_displacement_mm
-    fine = analyze_shell(surface, case, grid=20).max_displacement_mm
-    assert abs(fine - coarse) / coarse < 0.10
+    d10, d20, d40 = (analyze_shell(surface, case, grid=grid).max_displacement_mm
+                     for grid in (10, 20, 40))
+    assert abs(d20 - d10) / d10 < 0.10
+    # the frame stiffens monotonically and the steps shrink at least twofold
+    assert d10 > d20 > d40
+    assert abs(d40 - d20) <= 0.5 * abs(d20 - d10)
 
 
 def test_zero_length_element_is_rejected():
@@ -268,3 +272,96 @@ def test_homogenization_rejects_bad_parameters():
         homogenized_section(0.2, 0.08, 0.0)
     with pytest.raises(ParameterError):
         homogenized_section(0.2, 0.08, 1.5)
+
+
+def _loop_element_stiffness(model, e):
+    """One element's global 12x12 matrix, built entry by entry."""
+    E, G = model.material.elastic_modulus, model.material.shear_modulus
+    sec = e.section
+    p1, p2 = model.nodes[e.node_i], model.nodes[e.node_j]
+    l = float(np.linalg.norm(p2 - p1))
+    k = np.zeros((12, 12))
+    for (r, c, v) in ((0, 0, E * sec.area / l), (0, 6, -E * sec.area / l),
+                      (6, 6, E * sec.area / l), (3, 3, G * sec.torsion_J / l),
+                      (3, 9, -G * sec.torsion_J / l), (9, 9, G * sec.torsion_J / l)):
+        k[r, c] = k[c, r] = v
+    for inertia, table in (
+            (sec.inertia_z, ((1, 1, 12), (1, 5, 6 * l), (1, 7, -12), (1, 11, 6 * l),
+                             (5, 5, 4 * l * l), (5, 7, -6 * l), (5, 11, 2 * l * l),
+                             (7, 7, 12), (7, 11, -6 * l), (11, 11, 4 * l * l))),
+            (sec.inertia_y, ((2, 2, 12), (2, 4, -6 * l), (2, 8, -12), (2, 10, -6 * l),
+                             (4, 4, 4 * l * l), (4, 8, 6 * l), (4, 10, 2 * l * l),
+                             (8, 8, 12), (8, 10, 6 * l), (10, 10, 4 * l * l)))):
+        for (r, c, v) in table:
+            k[r, c] = k[c, r] = E * inertia / l ** 3 * v
+    d = (p2 - p1) / l
+    horiz = np.hypot(d[0], d[1])
+    if horiz < 1e-8:
+        s = 1.0 if d[2] > 0 else -1.0
+        t3 = np.array([[0.0, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, 0.0]])
+    else:
+        y = np.array([-d[1], d[0], 0.0]) / horiz
+        t3 = np.array([d, y, np.cross(d, y)])
+    lam = np.kron(np.eye(4), t3)
+    return lam.T @ k @ lam
+
+
+def test_batched_assembly_matches_element_loop():
+    # inclined, horizontal, upward- and downward-vertical members, two sections
+    nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.3], [1.0, 0.2, 1.3],
+                      [1.0, 0.2, 0.8], [0.0, 1.5, -0.4], [2.0, 0.0, 0.0]])
+    thin = homogenized_section(0.05, 0.02, 0.5)
+    elements = [FrameElement(0, 1, SECTION), FrameElement(1, 2, thin),
+                FrameElement(2, 3, SECTION), FrameElement(3, 4, thin),
+                FrameElement(4, 0, SECTION), FrameElement(1, 5, SECTION),
+                FrameElement(5, 0, thin)]
+    model = FrameModel(nodes=nodes, elements=elements,
+                       supports={0: SupportKind.FIXED},
+                       material=Material(70e9, 26e9))
+    expected = np.zeros((model.dof_count, model.dof_count))
+    for e in elements:
+        dofs = np.r_[e.node_i * 6:e.node_i * 6 + 6, e.node_j * 6:e.node_j * 6 + 6]
+        expected[np.ix_(dofs, dofs)] += _loop_element_stiffness(model, e)
+    K = assemble_stiffness(model).toarray()
+    assert np.allclose(K, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_a05_shell_reports_solver_diagnostics(pools42):
+    surface = pools42[1].surfaces[0]
+    case = combine(StructureSpec(), measure(surface).area_a)
+    model = frame_from_surface(surface, grid=10)
+    result = solve(model, shell_node_loads(surface, 10, case.total_TL))
+    assert result.equilibrium_residual <= 1e-10
+    assert result.pivot_ratio > 1e-12
+    # the same ratio a dense Cholesky of the free block gives
+    free = np.setdiff1d(np.arange(model.dof_count), model.constrained_dof_indices())
+    K_ff = assemble_stiffness(model).toarray()[np.ix_(free, free)]
+    pivots = np.diag(np.linalg.cholesky(K_ff)) ** 2
+    assert result.pivot_ratio == pytest.approx(pivots.min() / pivots.max(), rel=1e-9)
+
+
+def test_renumbered_frame_gives_the_same_displacements(pools42):
+    surface = pools42[2].surfaces[0]
+    model = frame_from_surface(surface, grid=10)
+    loads = shell_node_loads(surface, 10, 5.0)
+    # new_id[old] scatters lattice neighbours across the whole numbering
+    new_id = np.random.default_rng(3).permutation(len(model.nodes))
+    nodes = np.empty_like(model.nodes)
+    nodes[new_id] = model.nodes
+    renumbered = FrameModel(
+        nodes=nodes,
+        elements=[FrameElement(int(new_id[e.node_i]), int(new_id[e.node_j]), e.section)
+                  for e in model.elements],
+        supports={int(new_id[n]): kind for n, kind in model.supports.items()},
+        material=model.material)
+    permuted_loads = np.empty_like(loads)
+    permuted_loads[new_id] = loads
+    expected = solve(model, loads).displacements
+    got = solve(renumbered, permuted_loads).displacements[new_id]
+    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+
+
+def test_degenerate_surface_is_rejected():
+    # a 1e-9 mm span puts every lattice node within 1e-12 m of its neighbours
+    with pytest.raises(GeometryError, match="zero-area cell"):
+        frame_from_surface(flat_surface(span_mm=1e-9, resolution=5), grid=2)
