@@ -183,11 +183,9 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
                  "limit_mm,passed"]
     for r in rows:
         idx = int(r["iteration"])
-        grids = shell3d.generate_iterations(float(r["amplitude_mm"]),
-                                            int(r["frequency"]), n=idx + 1,
-                                            seed=int(r["seed"]),
-                                            span=config.gen3d.span_mm)
-        surface = shell3d.interpolate_surface(grids[idx], config.gen3d.resolution)
+        grid = shell3d.control_grid(float(r["amplitude_mm"]), int(r["frequency"]),
+                                    int(r["seed"]), idx, span=config.gen3d.span_mm)
+        surface = shell3d.interpolate_surface(grid, config.gen3d.resolution)
         out_lines.append(",".join(
             [f"iter{idx:02d}"]
             + pipeline.analyze_model(config, surface, float(r["area_m2"]))))

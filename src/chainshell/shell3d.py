@@ -8,12 +8,15 @@ by a tensor-product cubic spline into a triangle-mesh height field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO
+from typing import List, Optional, TextIO
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import EnvelopeError, GeometryError, ParameterError
 from .profile2d import FeasibilityEnvelope, SPAN_MM
@@ -69,18 +72,15 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def generate_iterations(amplitude: float, frequency: int, n: int = DEFAULT_ITERATIONS,
-                        seed: int = 0, span: float = SPAN_MM,
-                        envelope: Optional[FeasibilityEnvelope] = None,
-                        ) -> List[ControlGrid]:
-    """Generate n seeded control grids for one (A, f) combination.
+def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
+                 span: float = SPAN_MM,
+                 envelope: Optional[FeasibilityEnvelope] = None) -> ControlGrid:
+    """One seeded control grid for (A, f), drawn from its own (seed, iteration) stream.
 
-    Offsets are drawn per control point in row-major order from a stream
-    keyed by (seed, iteration); same inputs give bit-identical grids.
+    Offsets are drawn per control point in row-major order; the same inputs
+    give a bit-identical grid whatever other iterations are generated.
     Boundary points stay anchored at z = 0.
     """
-    if n < 1:
-        raise ParameterError("iteration count must be >= 1")
     if amplitude < 0:
         raise ParameterError("amplitude must be non-negative")
     if envelope is not None and not envelope.is_feasible(amplitude, frequency):
@@ -94,19 +94,26 @@ def generate_iterations(amplitude: float, frequency: int, n: int = DEFAULT_ITERA
         raise ParameterError("frequency must be >= 2 for a control grid")
     coords = np.linspace(0.0, span, m)
     X, Y = np.meshgrid(coords, coords, indexing="ij")
-    base = base_field(X, Y, amplitude, frequency, span)
-    grids = []
-    for i in range(n):
-        rng = _iteration_rng(seed, i)
-        offsets = rng.uniform(0.0, amplitude / Z_RANGE_DIVISOR, size=(m, m))
-        z = base + offsets
-        z[0, :] = 0.0
-        z[-1, :] = 0.0
-        z[:, 0] = 0.0
-        z[:, -1] = 0.0
-        grids.append(ControlGrid(F=m - 1, amplitude_A=amplitude, span_L=span,
-                                 z_values=z, seed=seed, iteration=i))
-    return grids
+    rng = _iteration_rng(seed, iteration)
+    offsets = rng.uniform(0.0, amplitude / Z_RANGE_DIVISOR, size=(m, m))
+    z = base_field(X, Y, amplitude, frequency, span) + offsets
+    z[0, :] = 0.0
+    z[-1, :] = 0.0
+    z[:, 0] = 0.0
+    z[:, -1] = 0.0
+    return ControlGrid(F=m - 1, amplitude_A=amplitude, span_L=span,
+                       z_values=z, seed=seed, iteration=iteration)
+
+
+def generate_iterations(amplitude: float, frequency: int, n: int = DEFAULT_ITERATIONS,
+                        seed: int = 0, span: float = SPAN_MM,
+                        envelope: Optional[FeasibilityEnvelope] = None,
+                        ) -> List[ControlGrid]:
+    """The control grids of iterations 0..n-1 for one (A, f) combination."""
+    if n < 1:
+        raise ParameterError("iteration count must be >= 1")
+    return [control_grid(amplitude, frequency, seed, i, span, envelope)
+            for i in range(n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,22 +124,31 @@ class TriangleMesh:
     faces: np.ndarray     # (M, 3) int
 
     def area(self) -> float:
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
-        cross = np.cross(b - a, c - a)
-        return float(0.5 * np.linalg.norm(cross, axis=1).sum())
+        a, b, c = (self.vertices[self.faces[:, k]] for k in range(3))
+        u, w = b - a, c - a
+        # the components of np.cross(u, w), spelled out: same operations,
+        # same bits, without its per-call axis handling
+        cx = u[:, 1] * w[:, 2] - u[:, 2] * w[:, 1]
+        cy = u[:, 2] * w[:, 0] - u[:, 0] * w[:, 2]
+        cz = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        return float(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz).sum())
 
     def boundary_edges(self) -> np.ndarray:
-        """Edges used by exactly one face, as (K, 2) vertex index pairs."""
-        edges = np.concatenate([
-            self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]],
-        ])
-        canon = np.sort(edges, axis=1)
-        uniq, counts = np.unique(canon, axis=0, return_counts=True)
+        """Edges used by exactly one face, as (K, 2) vertex index pairs.
+
+        Each edge (lo, hi), lo <= hi, is keyed as lo * n + hi with n above
+        every index, so the sorted unique keys list the pairs in
+        lexicographic order.
+        """
+        start = self.faces.astype(np.int64)
+        end = start[:, [1, 2, 0]]
+        lo, hi = np.minimum(start, end), np.maximum(start, end)
+        n = int(hi.max(initial=0)) + 1
+        keys, counts = np.unique((lo * n + hi).ravel(), return_counts=True)
         if (counts > 2).any():
             raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
-        return uniq[counts == 1]
+        boundary = keys[counts == 1]
+        return np.column_stack([boundary // n, boundary % n])
 
     def edge_length(self, edges: np.ndarray) -> float:
         """Summed 3D length of (K, 2) vertex index pairs."""
@@ -147,29 +163,16 @@ class TriangleMesh:
         edges = self.boundary_edges()
         if len(edges) == 0:
             raise GeometryError("mesh has no boundary (expected an open height field)")
-        degree: dict[int, int] = {}
-        for a, b in edges:
-            degree[int(a)] = degree.get(int(a), 0) + 1
-            degree[int(b)] = degree.get(int(b), 0) + 1
-        if any(d != 2 for d in degree.values()):
+        degree = np.bincount(edges.ravel())
+        if ((degree != 0) & (degree != 2)).any():
             raise GeometryError("boundary is not a closed loop (vertex degree != 2)")
-        # walk the cycle; a single loop visits every boundary edge
-        adj: dict[int, list[int]] = {}
-        for a, b in edges:
-            adj.setdefault(int(a), []).append(int(b))
-            adj.setdefault(int(b), []).append(int(a))
-        start = int(edges[0, 0])
-        prev, node = None, start
-        visited = 0
-        while True:
-            nxt = [v for v in adj[node] if v != prev]
-            if not nxt:
-                raise GeometryError("boundary walk terminated early")
-            prev, node = node, nxt[0]
-            visited += 1
-            if node == start:
-                break
-        if visited != len(edges):
+        # every vertex has degree 2, so the edges form disjoint cycles: one
+        # loop exactly when the boundary vertices are one connected component
+        nodes, local = np.unique(edges, return_inverse=True)
+        local = local.reshape(edges.shape)
+        graph = coo_matrix((np.ones(len(edges)), (local[:, 0], local[:, 1])),
+                           shape=(len(nodes), len(nodes)))
+        if connected_components(graph, directed=False, return_labels=False) != 1:
             raise GeometryError("boundary splits into multiple loops")
         return edges
 
@@ -183,15 +186,19 @@ class ShellSurface:
     sample_resolution: int
     heights_mm: np.ndarray  # (res, res) lattice heights, [i, j] = (x_i, y_j)
 
+    @functools.cached_property
+    def spline(self) -> RectBivariateSpline:
+        """The interpolating spline through the control grid, fitted once."""
+        return _fit_spline(self.control)
+
     def evaluate(self, x_mm, y_mm) -> np.ndarray:
         """Spline height (mm) at plan coordinates given in mm (grid query)."""
-        return _fit_spline(self.control)(np.atleast_1d(x_mm), np.atleast_1d(y_mm))
+        return self.spline(np.atleast_1d(x_mm), np.atleast_1d(y_mm))
 
     def gradient(self, x_mm, y_mm, axis: str = "x") -> np.ndarray:
         """Spline slope dz/dx or dz/dy (dimensionless) on the query grid."""
         dx, dy = (1, 0) if axis == "x" else (0, 1)
-        return _fit_spline(self.control)(np.atleast_1d(x_mm), np.atleast_1d(y_mm),
-                                         dx=dx, dy=dy)
+        return self.spline(np.atleast_1d(x_mm), np.atleast_1d(y_mm), dx=dx, dy=dy)
 
     @property
     def span_mm(self) -> float:
@@ -238,8 +245,10 @@ def interpolate_surface(grid: ControlGrid,
     coords = np.linspace(0.0, grid.span_L, resolution)
     heights = spline(coords, coords)  # (res, res), [i, j] = (x_i, y_j)
     mesh = lattice_mesh(coords / 1000.0, heights / 1000.0)
-    return ShellSurface(control=grid, mesh=mesh, sample_resolution=resolution,
-                        heights_mm=heights)
+    surface = ShellSurface(control=grid, mesh=mesh, sample_resolution=resolution,
+                           heights_mm=heights)
+    surface.__dict__["spline"] = spline  # seed the cache: one fit per surface
+    return surface
 
 
 def depth_map(surface: ShellSurface, resolution: int = 256) -> np.ndarray:
@@ -281,21 +290,8 @@ def read_pgm(stream) -> np.ndarray:
 
 def write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
     """ASCII triangle mesh: `v x y z` lines (metres), `f i j k` 1-based."""
-    for v in mesh.vertices:
-        stream.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-    for f in mesh.faces:
-        stream.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-
-
-def read_mesh(stream: TextIO) -> TriangleMesh:
-    vertices, faces = [], []
-    for line in stream:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            vertices.append([float(p) for p in parts[1:4]])
-        elif parts[0] == "f":
-            faces.append([int(p) - 1 for p in parts[1:4]])
-    return TriangleMesh(vertices=np.array(vertices, dtype=float),
-                        faces=np.array(faces, dtype=int))
+    # one %-format per block; '%.9g' formats a float exactly as f"{x:.9g}"
+    v = mesh.vertices
+    stream.write(("v %.9g %.9g %.9g\n" * len(v)) % tuple(v.ravel().tolist()))
+    f = mesh.faces + 1
+    stream.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))

@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import TextIO
 
 import numpy as np
 
+from chainshell.errors import GeometryError
 from chainshell.fem import BeamSection, FrameElement, FrameModel, SupportKind
 from chainshell.optimizer import (AnchorConfig, AnchorKind, CandidateDesign,
                                   ColumnSet, DesignMetrics, SlopeReport)
-from chainshell.shell3d import ControlGrid, ShellSurface, generate_iterations, interpolate_surface
+from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
+                               interpolate_surface)
 from chainshell.units import Shape, UnitCell
 
 BEAM_E = 2.1e9  # default material modulus, Pa
@@ -147,3 +150,44 @@ def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
     z_m = np.maximum(height_m * (1.0 - r2 / radius_m ** 2), 0.0)
     grid = grid_from_z(z_m * 1000.0, span_mm, amplitude=height_m * 1000.0)
     return interpolate_surface(grid, resolution)
+
+
+def read_mesh(stream: TextIO) -> TriangleMesh:
+    """Parse the `v` / `f` lines `shell3d.write_mesh` writes."""
+    vertices, faces = [], []
+    for line in stream:
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            vertices.append([float(p) for p in parts[1:4]])
+        elif parts[0] == "f":
+            faces.append([int(p) - 1 for p in parts[1:4]])
+    return TriangleMesh(vertices=np.array(vertices, dtype=float),
+                        faces=np.array(faces, dtype=int))
+
+
+def unique_rows_boundary_edges(mesh: TriangleMesh) -> np.ndarray:
+    """Reference boundary finder: row-wise np.unique over sorted edge pairs."""
+    edges = np.concatenate([
+        mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]],
+    ])
+    canon = np.sort(edges, axis=1)
+    uniq, counts = np.unique(canon, axis=0, return_counts=True)
+    if (counts > 2).any():
+        raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
+    return uniq[counts == 1]
+
+
+def line_by_line_write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
+    """Reference mesh writer: one f-string per vertex and face line."""
+    for v in mesh.vertices:
+        stream.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+    for f in mesh.faces:
+        stream.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def cross_product_area(mesh: TriangleMesh) -> float:
+    """Reference surface area: half the summed np.cross norms."""
+    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())

@@ -92,6 +92,16 @@ def test_default_run_writes_every_stage(default_run):
         assert top in STAGES or rel == "config.ini"
 
 
+# the published manifest hash of `chainshell run` on the default config
+DEFAULT_MANIFEST_HASH = "b601c715bb9e2dfccf7e05973a6c98740cea595bd3d1485add5ee8226dc93923"
+
+
+def test_default_run_reproduces_the_published_manifest_hash(default_run):
+    config, run_dir = default_run
+    assert (config.seed, config.threads) == (7, 1)
+    assert read_manifest_hash(run_dir) == DEFAULT_MANIFEST_HASH
+
+
 def test_default_run_analyzes_sixteen_models(default_run):
     _, run_dir = default_run
     lines = (run_dir / "analyze" / "displacements.csv").read_text().splitlines()

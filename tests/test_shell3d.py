@@ -12,19 +12,19 @@ from chainshell.shell3d import (
     ControlGrid,
     TriangleMesh,
     base_field,
+    control_grid,
     depth_map,
     generate_iterations,
     group_parameters,
     interpolate_surface,
     lattice_mesh,
-    read_mesh,
     read_pgm,
     write_mesh,
     write_pgm,
 )
 from chainshell.units import Shape
 
-from helpers import flat_surface, grid_from_z
+from helpers import flat_surface, grid_from_z, read_mesh
 
 
 def test_group_parameters_table():
@@ -64,6 +64,18 @@ def test_generate_iterations_streams_independent_of_pool_size():
     long = generate_iterations(25.0, 6, n=5, seed=42)
     short = generate_iterations(25.0, 6, n=4, seed=42)
     assert np.array_equal(long[3].z_values, short[3].z_values)
+
+
+@pytest.mark.parametrize("iteration", [0, 3, 19])
+def test_control_grid_is_one_iteration_of_the_pool(iteration):
+    env = default_envelope(Shape.RECTANGULAR)
+    pool = generate_iterations(25.0, 6, n=20, seed=42, span=1500.0, envelope=env)
+    grid = control_grid(25.0, 6, 42, iteration, span=1500.0, envelope=env)
+    expected = pool[iteration]
+    assert grid.z_values.tobytes() == expected.z_values.tobytes()
+    assert (grid.F, grid.amplitude_A, grid.span_L, grid.seed, grid.iteration) == (
+        expected.F, expected.amplitude_A, expected.span_L, expected.seed,
+        expected.iteration)
 
 
 def test_generate_iterations_offset_bounds_and_anchored_boundary():

@@ -1,0 +1,125 @@
+"""Property tests: the vectorized mesh routines against their reference forms.
+
+The references in `helpers` are the straightforward implementations the
+production code replaced (row-wise unique edges, one f-string per line,
+np.cross area); on every generated mesh the results must match bit for bit.
+"""
+from __future__ import annotations
+
+import io
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from chainshell.errors import GeometryError
+from chainshell.shell3d import TriangleMesh, lattice_mesh, write_mesh
+
+from helpers import cross_product_area, line_by_line_write_mesh, unique_rows_boundary_edges
+
+# reproducible examples, no example database written next to the tests
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def random_lattice(n: int, seed: int) -> TriangleMesh:
+    """Height-field lattice over n x n uneven plan points with random heights."""
+    rng = np.random.default_rng(seed)
+    coords = np.cumsum(rng.uniform(0.01, 1.0, n))
+    heights = rng.normal(0.0, rng.uniform(0.0, 5.0), (n, n))
+    return lattice_mesh(coords, heights)
+
+
+def shuffled(mesh: TriangleMesh, seed: int) -> TriangleMesh:
+    """Same surface with faces reordered and each face's vertices rotated."""
+    rng = np.random.default_rng(seed)
+    faces = mesh.faces[rng.permutation(len(mesh.faces))]
+    shift = rng.integers(0, 3, len(faces))
+    cols = (np.arange(3)[None, :] + shift[:, None]) % 3
+    faces = np.take_along_axis(faces, cols, axis=1)
+    return TriangleMesh(vertices=mesh.vertices, faces=faces)
+
+
+lattices = st.builds(random_lattice, st.integers(2, 40), st.integers(0, 2**32 - 1))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(lattices)
+def test_boundary_edges_match_the_row_unique_reference(mesh):
+    assert np.array_equal(mesh.boundary_edges(), unique_rows_boundary_edges(mesh))
+
+
+@PROPERTY
+@given(lattices, seeds)
+def test_boundary_edges_do_not_depend_on_face_order(mesh, seed):
+    mixed = shuffled(mesh, seed)
+    edges = mixed.boundary_edges()
+    assert np.array_equal(edges, unique_rows_boundary_edges(mixed))
+    assert np.array_equal(edges, mesh.boundary_edges())
+
+
+@PROPERTY
+@given(lattices)
+def test_area_matches_the_cross_product_reference_bitwise(mesh):
+    assert mesh.area() == cross_product_area(mesh)
+
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                  1e-300, 1.7976931348623157e308, -1e300,
+                                  1.0, -3.0, 123456789.0, 2.0**53, 1e15, 0.1])
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | special_floats
+
+
+@st.composite
+def text_meshes(draw):
+    n_vertices = draw(st.integers(0, 40))
+    vertices = draw(hnp.arrays(np.float64, (n_vertices, 3), elements=finite_floats))
+    n_faces = draw(st.integers(0, 40)) if n_vertices else 0
+    faces = draw(hnp.arrays(np.int64, (n_faces, 3),
+                            elements=st.integers(0, max(n_vertices - 1, 0))))
+    return TriangleMesh(vertices=vertices, faces=faces)
+
+
+def first_mismatch(mesh: TriangleMesh):
+    """(line number, written, reference) of the first differing line, or None.
+
+    Comparing line by line keeps a failure report short: a plain string
+    assert would diff two whole mesh files on every shrinking step.
+    """
+    fast, slow = io.StringIO(), io.StringIO()
+    write_mesh(mesh, fast)
+    line_by_line_write_mesh(mesh, slow)
+    pairs = itertools.zip_longest(fast.getvalue().splitlines(keepends=True),
+                                  slow.getvalue().splitlines(keepends=True))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+@PROPERTY
+@given(text_meshes())
+def test_write_mesh_matches_the_line_by_line_reference(mesh):
+    assert first_mismatch(mesh) is None
+
+
+@PROPERTY
+@given(st.integers(2, 40), seeds)
+def test_write_mesh_matches_the_reference_on_lattices(n, seed):
+    assert first_mismatch(random_lattice(n, seed)) is None
+
+
+@PROPERTY
+@given(lattices, seeds)
+def test_single_lattice_has_one_boundary_loop(mesh, seed):
+    edges = shuffled(mesh, seed).require_single_boundary_loop()
+    assert np.array_equal(edges, mesh.boundary_edges())
+
+
+@PROPERTY
+@given(lattices, lattices)
+def test_two_disjoint_lattices_are_rejected(first, second):
+    both = TriangleMesh(
+        vertices=np.vstack([first.vertices, second.vertices + [100.0, 0.0, 0.0]]),
+        faces=np.vstack([first.faces, second.faces + len(first.vertices)]))
+    with pytest.raises(GeometryError, match="multiple loops"):
+        both.require_single_boundary_loop()
