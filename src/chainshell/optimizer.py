@@ -113,9 +113,11 @@ def initial_columns(surface: ShellSurface,
     area = section_side * section_side
     lb, fw = [], []
     ends = (COLUMN_GRID_POSITIONS_M[0], COLUMN_GRID_POSITIONS_M[-1])
-    for x in COLUMN_GRID_POSITIONS_M:
-        for y in COLUMN_GRID_POSITIONS_M:
-            h = float(surface.evaluate(x * 1000.0, y * 1000.0)[0, 0]) / 1000.0
+    positions_mm = np.array(COLUMN_GRID_POSITIONS_M) * 1000.0
+    heights_mm = surface.evaluate(positions_mm, positions_mm)  # [i, j] = (x_i, y_j)
+    for i, x in enumerate(COLUMN_GRID_POSITIONS_M):
+        for j, y in enumerate(COLUMN_GRID_POSITIONS_M):
+            h = float(heights_mm[i, j]) / 1000.0
             col = Column(position=(x, y), height=max(h, 0.0), section_area=area)
             if x in ends and y in ends:
                 lb.append(col)
@@ -201,12 +203,12 @@ def usable_area(surface: ShellSurface, columns: Optional[ColumnSet] = None,
     z_m = np.asarray(surface.evaluate(centres_m * 1000.0, centres_m * 1000.0)) / 1000.0
     obstructed = z_m < headroom
     if columns is not None:
-        X, Y = np.meshgrid(centres_m, centres_m, indexing="ij")
         for col in columns.all_columns():
             half = math.sqrt(col.section_area) / 2.0
             cx, cy = col.position
-            inside = ((np.abs(X - cx) <= half) & (np.abs(Y - cy) <= half))
-            obstructed |= inside
+            # an axis-aligned footprint is the outer AND of its x and y spans
+            obstructed |= np.outer(np.abs(centres_m - cx) <= half,
+                                   np.abs(centres_m - cy) <= half)
     free = int((~obstructed).sum())
     return free * cell * cell
 

@@ -11,6 +11,7 @@ from the hash).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -242,6 +243,24 @@ def _ranking_rows(report) -> List[str]:
     return rows
 
 
+def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> str:
+    """`node,x_m,y_m,ux_mm,uy_mm,uz_mm,translation_mm` lines of a lattice solve.
+
+    Node i * n + j sits at (coords_m[i], coords_m[j]); displacements are
+    the solver's per-node rows in metres, written in mm.
+    """
+    n = len(coords_m)
+    t = displacements[:n * n, :3] * 1000.0
+    i, j = np.divmod(np.arange(n * n), n)
+    # one np.linalg.norm per node row keeps its bits; %.Nf formats a float
+    # exactly as _fmt does
+    norms = [float(np.linalg.norm(row)) for row in t]
+    values = zip(range(n * n), coords_m[i].tolist(), coords_m[j].tolist(),
+                 *t.T.tolist(), norms)
+    return (("%d,%.4f,%.4f,%.6f,%.6f,%.6f,%.6f\n" * (n * n))
+            % tuple(itertools.chain.from_iterable(values)))
+
+
 def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Dict]:
     block = config.optimizer
     settings = OptimizeSettings(
@@ -280,22 +299,16 @@ def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Di
             shell3d.write_mesh(result.winner.surface.mesh, fh)
         outputs.append("optimize/winner.mesh")
 
-        disp = result.winner_analysis.result.displacements
-        n = config.fem.lattice_grid + 1
-        coords = np.linspace(0.0, config.gen3d.span_mm / 1000.0, n)
-        drows = ["node,x_m,y_m,ux_mm,uy_mm,uz_mm,translation_mm"]
-        for node in range(n * n):
-            i, j = divmod(node, n)
-            t = disp[node, :3] * 1000.0
-            drows.append(",".join([
-                str(node), _fmt(coords[i], 4), _fmt(coords[j], 4),
-                _fmt(t[0], 6), _fmt(t[1], 6), _fmt(t[2], 6),
-                _fmt(float(np.linalg.norm(t)), 6)]))
-        drows.append(f"# max_displacement_mm={_fmt(result.winner_analysis.max_displacement_mm, 6)}"
-                     f" limit_mm={_fmt(result.limit_mm, 4)}"
-                     f" passed={'1' if result.winner_analysis.passed else '0'}")
+        analysis = result.winner_analysis
+        coords = np.linspace(0.0, config.gen3d.span_mm / 1000.0,
+                             config.fem.lattice_grid + 1)
+        footer = (f"# max_displacement_mm={_fmt(analysis.max_displacement_mm, 6)}"
+                  f" limit_mm={_fmt(result.limit_mm, 4)}"
+                  f" passed={'1' if analysis.passed else '0'}\n")
         _write_text(run_dir / "optimize" / "winner_displacements.csv",
-                    "\n".join(drows) + "\n")
+                    "node,x_m,y_m,ux_mm,uy_mm,uz_mm,translation_mm\n"
+                    + node_displacement_rows(analysis.result.displacements, coords)
+                    + footer)
         outputs.append("optimize/winner_displacements.csv")
 
         crows = ["role,x_m,y_m,height_m,volume_m3,kept"]

@@ -124,13 +124,15 @@ class TriangleMesh:
     faces: np.ndarray     # (M, 3) int
 
     def area(self) -> float:
-        a, b, c = (self.vertices[self.faces[:, k]] for k in range(3))
-        u, w = b - a, c - a
-        # the components of np.cross(u, w), spelled out: same operations,
-        # same bits, without its per-call axis handling
-        cx = u[:, 1] * w[:, 2] - u[:, 2] * w[:, 1]
-        cy = u[:, 2] * w[:, 0] - u[:, 0] * w[:, 2]
-        cz = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        # edge vectors u = b - a, w = c - a gathered one coordinate column
+        # at a time (no (M, 3) row gathers), then the components of
+        # np.cross(u, w) spelled out: same operations, same bits
+        i0, i1, i2 = self.faces.T
+        (ux, wx), (uy, wy), (uz, wz) = ((p[i1] - p[i0], p[i2] - p[i0])
+                                        for p in self.vertices.T)
+        cx = uy * wz - uz * wy
+        cy = uz * wx - ux * wz
+        cz = ux * wy - uy * wx
         return float(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz).sum())
 
     def boundary_edges(self) -> np.ndarray:
@@ -290,8 +292,25 @@ def read_pgm(stream) -> np.ndarray:
 
 def write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
     """ASCII triangle mesh: `v x y z` lines (metres), `f i j k` 1-based."""
-    # one %-format per block; '%.9g' formats a float exactly as f"{x:.9g}"
     v = mesh.vertices
-    stream.write(("v %.9g %.9g %.9g\n" * len(v)) % tuple(v.ravel().tolist()))
-    f = mesh.faces + 1
-    stream.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
+    # only z changes between the surfaces of one lattice: the x/y text and
+    # the face block are formatted once per distinct (exact-bytes) key
+    xy = v[:, :2].astype(np.float64, copy=False).tobytes()
+    stream.write(_vertex_template(xy) % tuple(v[:, 2].tolist()))
+    stream.write(_face_text(mesh.faces.astype(np.int64, copy=False).tobytes()))
+
+
+# '%.9g' formats a float exactly as f"{x:.9g}".  Bounded: an entry holds
+# one lattice's text, ~0.1 MB for each cache at 64 x 64
+@functools.lru_cache(maxsize=4)
+def _vertex_template(xy: bytes) -> str:
+    """`v <x> <y> %.9g` lines for the float64 (x, y) pairs packed in `xy`."""
+    values = np.frombuffer(xy, dtype=np.float64)
+    return ("v %.9g %.9g %%.9g\n" * (len(values) // 2)) % tuple(values.tolist())
+
+
+@functools.lru_cache(maxsize=4)
+def _face_text(faces: bytes) -> str:
+    """`f i j k` lines, 1-based, for the int64 index triples packed in `faces`."""
+    f = np.frombuffer(faces, dtype=np.int64) + 1
+    return ("f %d %d %d\n" * (len(f) // 3)) % tuple(f.tolist())

@@ -9,8 +9,9 @@ import numpy as np
 
 from chainshell.errors import GeometryError
 from chainshell.fem import BeamSection, FrameElement, FrameModel, SupportKind
-from chainshell.optimizer import (AnchorConfig, AnchorKind, CandidateDesign,
-                                  ColumnSet, DesignMetrics, SlopeReport)
+from chainshell.optimizer import (COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind,
+                                  CandidateDesign, ColumnSet, DesignMetrics,
+                                  SlopeReport)
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
                                interpolate_surface)
 from chainshell.units import Shape, UnitCell
@@ -191,3 +192,40 @@ def cross_product_area(mesh: TriangleMesh) -> float:
     """Reference surface area: half the summed np.cross norms."""
     a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
     return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())
+
+
+def meshgrid_usable_area(surface: ShellSurface, columns: ColumnSet = None,
+                         headroom: float = 1.5, raster: int = 100) -> float:
+    """Reference usable area: each column footprint compared on a full meshgrid."""
+    span_m = surface.span_mm / 1000.0
+    cell = span_m / raster
+    centres_m = (np.arange(raster) + 0.5) * cell
+    z_m = np.asarray(surface.evaluate(centres_m * 1000.0, centres_m * 1000.0)) / 1000.0
+    obstructed = z_m < headroom
+    if columns is not None:
+        X, Y = np.meshgrid(centres_m, centres_m, indexing="ij")
+        for col in columns.all_columns():
+            half = math.sqrt(col.section_area) / 2.0
+            cx, cy = col.position
+            obstructed |= (np.abs(X - cx) <= half) & (np.abs(Y - cy) <= half)
+    return int((~obstructed).sum()) * cell * cell
+
+
+def per_point_column_heights(surface: ShellSurface) -> dict:
+    """Reference column heights (m): one spline evaluation per grid position."""
+    return {(x, y): max(float(surface.evaluate(x * 1000.0, y * 1000.0)[0, 0]) / 1000.0, 0.0)
+            for x in COLUMN_GRID_POSITIONS_M for y in COLUMN_GRID_POSITIONS_M}
+
+
+def per_node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> str:
+    """Reference `winner_displacements.csv` node rows: one f-string per field."""
+    n = len(coords_m)
+    rows = []
+    for node in range(n * n):
+        i, j = divmod(node, n)
+        t = displacements[node, :3] * 1000.0
+        rows.append(",".join([
+            str(node), f"{coords_m[i]:.4f}", f"{coords_m[j]:.4f}",
+            f"{t[0]:.6f}", f"{t[1]:.6f}", f"{t[2]:.6f}",
+            f"{float(np.linalg.norm(t)):.6f}"]) + "\n")
+    return "".join(rows)

@@ -13,6 +13,7 @@ from chainshell.loads import StructureSpec
 from chainshell.optimizer import (
     AnchorConfig,
     AnchorKind,
+    Column,
     ColumnSet,
     OptimizeSettings,
     Orientation,
@@ -31,7 +32,8 @@ from chainshell.optimizer import (
 )
 from chainshell.shell3d import TriangleMesh, interpolate_surface
 
-from helpers import dome_surface, flat_surface, grid_from_z, synthetic_candidate
+from helpers import (dome_surface, flat_surface, grid_from_z, meshgrid_usable_area,
+                     per_point_column_heights, synthetic_candidate)
 
 
 def _incline_surface(rise_per_m: float, span_mm: float = 2000.0):
@@ -112,6 +114,47 @@ def test_usable_area_matches_dome_closed_form():
     expected = math.pi * 0.95 ** 2 * (1.0 - 1.5 / 3.0)
     got = usable_area(surface)
     assert abs(got - expected) / expected < 0.02
+
+
+def _random_shelter_surface(seed: int):
+    """A seeded shelter candidate surface with random settings, plus its rng."""
+    rng = np.random.default_rng(seed)
+    settings = OptimizeSettings(seed=int(rng.integers(2**31)),
+                                control_F=int(rng.integers(2, 7)))
+    kind = list(AnchorKind)[int(rng.integers(len(AnchorKind)))]
+    grid = shelter_control_grid(settings, kind, int(rng.integers(5)),
+                                int(rng.integers(100)))
+    return interpolate_surface(grid, int(rng.integers(8, 65))), rng
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_usable_area_matches_the_meshgrid_reference(seed):
+    surface, rng = _random_shelter_surface(seed)
+    raster = int(rng.integers(10, 121))
+    cell = 2.0 / raster
+    # random footprints, some centred on a raster cell centre with an edge
+    # exactly one or more cells away, where the <= comparison decides
+    columns = [Column(position=(float(x), float(y)), height=1.0,
+                      section_area=float(side) ** 2)
+               for x, y, side in rng.uniform(0.0, 2.0, (12, 3)) * [1.0, 1.0, 0.2]]
+    for k in rng.integers(0, raster, 4):
+        centre = (k + 0.5) * cell
+        columns.append(Column(position=(centre, centre), height=1.0,
+                              section_area=(2 * int(rng.integers(1, 4)) * cell) ** 2))
+    column_set = ColumnSet(load_bearing=tuple(columns[:4]), formwork=tuple(columns[4:]))
+    headroom = float(rng.uniform(0.0, 3.0))
+    assert (usable_area(surface, column_set, headroom, raster)
+            == meshgrid_usable_area(surface, column_set, headroom, raster))
+    assert usable_area(surface, None, headroom, raster) == meshgrid_usable_area(
+        surface, None, headroom, raster)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_column_heights_match_one_spline_call_per_column(seed):
+    surface, _ = _random_shelter_surface(seed)
+    columns = initial_columns(surface)
+    heights = {c.position: c.height for c in columns.all_columns()}
+    assert heights == per_point_column_heights(surface)
 
 
 def test_grade_examples_and_bounds():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chainshell.config import (
@@ -13,6 +15,7 @@ from chainshell.config import (
     OptimizerBlock,
     PipelineConfig,
     derive_seed,
+    load_config,
 )
 from chainshell.errors import ConfigError, StageError
 from chainshell.optimizer import AnchorConfig, AnchorKind, _design_solve, evaluate_candidate
@@ -20,6 +23,7 @@ from chainshell.pipeline import (
     STAGES,
     _group_surfaces,
     analyze_model,
+    node_displacement_rows,
     read_manifest_hash,
     run_pipeline,
     stage_filter,
@@ -29,7 +33,9 @@ from chainshell.pipeline import (
 )
 from chainshell.shell3d import TriangleMesh, group_parameters
 
-from helpers import dome_surface
+from helpers import dome_surface, per_node_displacement_rows
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _trimmed_config(**overrides) -> PipelineConfig:
@@ -100,6 +106,40 @@ def test_default_run_reproduces_the_published_manifest_hash(default_run):
     config, run_dir = default_run
     assert (config.seed, config.threads) == (7, 1)
     assert read_manifest_hash(run_dir) == DEFAULT_MANIFEST_HASH
+
+
+def _outputs_digest(run_dir: Path) -> str:
+    """One hash over every output digest but config.ini's (which records threads)."""
+    outputs = _read_manifest(run_dir)["outputs"]
+    return hashlib.sha256("".join(f"{rel}={outputs[rel]}\n" for rel in sorted(outputs)
+                                  if rel != "config.ini").encode()).hexdigest()
+
+
+# the benchmark's other workloads, checked the way bench/harness.py checks
+# them against the digests stored in bench/references.json
+@pytest.mark.parametrize("name, digest", [("fem-fine", read_manifest_hash),
+                                          ("shelter", _outputs_digest)])
+def test_benchmark_workload_reproduces_its_reference_digest(tmp_path, name, digest):
+    config = load_config(str(BENCH_DIR / "workloads" / f"{name}.ini"))
+    references = json.loads((BENCH_DIR / "references.json").read_text(encoding="utf-8"))
+    run_dir = run_pipeline(config, tmp_path / "run")
+    assert digest(run_dir) == references[name][str(config.seed)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_displacement_rows_match_the_per_node_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    coords = np.linspace(0.0, float(rng.uniform(0.5, 5.0)), n)
+    disp = rng.normal(0.0, 10.0 ** rng.uniform(-9, -1), (n * n, 6))
+    # signed zeros and negatives that round to -0.000000 in mm
+    translations = disp[:, :3]
+    picks = rng.integers(0, translations.size, 3 * n)
+    translations.flat[picks[:n]] = -0.0
+    translations.flat[picks[n:2 * n]] = 0.0
+    translations.flat[picks[2 * n:]] = -rng.uniform(0.0, 5e-10, n)
+    disp[rng.integers(0, n * n), :3] = -0.0
+    assert node_displacement_rows(disp, coords) == per_node_displacement_rows(disp, coords)
 
 
 def test_default_run_analyzes_sixteen_models(default_run):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from chainshell import shell3d
 from chainshell.errors import GeometryError
 from chainshell.shell3d import TriangleMesh, lattice_mesh, write_mesh
 
@@ -106,6 +107,48 @@ def test_write_mesh_matches_the_line_by_line_reference(mesh):
 @given(st.integers(2, 40), seeds)
 def test_write_mesh_matches_the_reference_on_lattices(n, seed):
     assert first_mismatch(random_lattice(n, seed)) is None
+
+
+# write_mesh keeps the x/y and face text of recent meshes; these cases pin
+# that a cached text is only ever reused for exactly the same bytes
+
+
+def test_meshes_sharing_a_lattice_reuse_its_text_and_keep_their_heights():
+    first, second = random_lattice(12, 1), random_lattice(12, 1)
+    second.vertices[:, 2] = np.random.default_rng(2).normal(size=len(second.vertices))
+    assert first_mismatch(first) is None
+    hits = shell3d._vertex_template.cache_info().hits
+    assert first_mismatch(second) is None
+    assert shell3d._vertex_template.cache_info().hits > hits
+
+
+def test_signed_zero_coordinates_do_not_share_text():
+    mesh = random_lattice(5, 3)
+    positive = TriangleMesh(vertices=mesh.vertices.copy(), faces=mesh.faces)
+    negative = TriangleMesh(vertices=mesh.vertices.copy(), faces=mesh.faces)
+    positive.vertices[:, 0] = 0.0
+    negative.vertices[:, 0] = -0.0
+    for m in (positive, negative, positive):
+        assert first_mismatch(m) is None
+    out = io.StringIO()
+    write_mesh(negative, out)
+    assert out.getvalue().startswith("v -0 ")
+
+
+def test_int32_faces_write_like_int64_faces():
+    mesh = random_lattice(7, 4)
+    narrow = TriangleMesh(vertices=mesh.vertices, faces=mesh.faces.astype(np.int32))
+    assert first_mismatch(narrow) is None
+    assert first_mismatch(mesh) is None
+
+
+def test_more_lattices_than_the_cache_holds():
+    held = shell3d._vertex_template.cache_info().maxsize
+    meshes = [random_lattice(n, n) for n in range(3, 3 + 2 * held + 1)]
+    for mesh in meshes + meshes[::-1] + meshes:
+        assert first_mismatch(mesh) is None
+    assert shell3d._vertex_template.cache_info().currsize <= held
+    assert shell3d._face_text.cache_info().currsize <= held
 
 
 @PROPERTY
