@@ -136,21 +136,12 @@ class TriangleMesh:
         return float(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz).sum())
 
     def boundary_edges(self) -> np.ndarray:
-        """Edges used by exactly one face, as (K, 2) vertex index pairs.
+        """Edges used by exactly one face, as read-only (K, 2) vertex index pairs.
 
-        Each edge (lo, hi), lo <= hi, is keyed as lo * n + hi with n above
-        every index, so the sorted unique keys list the pairs in
-        lexicographic order.
+        The edges depend only on the faces, so the search runs once per
+        distinct face array (exact int64 bytes) and its result is shared.
         """
-        start = self.faces.astype(np.int64)
-        end = start[:, [1, 2, 0]]
-        lo, hi = np.minimum(start, end), np.maximum(start, end)
-        n = int(hi.max(initial=0)) + 1
-        keys, counts = np.unique((lo * n + hi).ravel(), return_counts=True)
-        if (counts > 2).any():
-            raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
-        boundary = keys[counts == 1]
-        return np.column_stack([boundary // n, boundary % n])
+        return _boundary_edges(self.faces.astype(np.int64, copy=False).tobytes())
 
     def edge_length(self, edges: np.ndarray) -> float:
         """Summed 3D length of (K, 2) vertex index pairs."""
@@ -163,20 +154,50 @@ class TriangleMesh:
     def require_single_boundary_loop(self) -> np.ndarray:
         """Boundary edges; raises GeometryError unless they form one closed cycle."""
         edges = self.boundary_edges()
-        if len(edges) == 0:
-            raise GeometryError("mesh has no boundary (expected an open height field)")
-        degree = np.bincount(edges.ravel())
-        if ((degree != 0) & (degree != 2)).any():
-            raise GeometryError("boundary is not a closed loop (vertex degree != 2)")
-        # every vertex has degree 2, so the edges form disjoint cycles: one
-        # loop exactly when the boundary vertices are one connected component
-        nodes, local = np.unique(edges, return_inverse=True)
-        local = local.reshape(edges.shape)
-        graph = coo_matrix((np.ones(len(edges)), (local[:, 0], local[:, 1])),
-                           shape=(len(nodes), len(nodes)))
-        if connected_components(graph, directed=False, return_labels=False) != 1:
-            raise GeometryError("boundary splits into multiple loops")
+        _check_single_loop(edges.astype(np.int64, copy=False).tobytes())
         return edges
+
+
+# Bounded like the write_mesh caches: an entry is one lattice's boundary.
+# lru_cache does not keep exceptions, so a rejected mesh raises every time
+@functools.lru_cache(maxsize=4)
+def _boundary_edges(faces: bytes) -> np.ndarray:
+    """Boundary edges of the int64 index triples packed in `faces`.
+
+    Each edge (lo, hi), lo <= hi, is keyed as lo * n + hi with n above
+    every index, so the sorted unique keys list the pairs in
+    lexicographic order.
+    """
+    start = np.frombuffer(faces, dtype=np.int64).reshape(-1, 3)
+    end = start[:, [1, 2, 0]]
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    n = int(hi.max(initial=0)) + 1
+    keys, counts = np.unique((lo * n + hi).ravel(), return_counts=True)
+    if (counts > 2).any():
+        raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
+    boundary = keys[counts == 1]
+    edges = np.column_stack([boundary // n, boundary % n])
+    edges.flags.writeable = False
+    return edges
+
+
+@functools.lru_cache(maxsize=4)
+def _check_single_loop(edges: bytes) -> None:
+    """Raise GeometryError unless the int64 pairs in `edges` form one cycle."""
+    edges = np.frombuffer(edges, dtype=np.int64).reshape(-1, 2)
+    if len(edges) == 0:
+        raise GeometryError("mesh has no boundary (expected an open height field)")
+    degree = np.bincount(edges.ravel())
+    if ((degree != 0) & (degree != 2)).any():
+        raise GeometryError("boundary is not a closed loop (vertex degree != 2)")
+    # every vertex has degree 2, so the edges form disjoint cycles: one
+    # loop exactly when the boundary vertices are one connected component
+    nodes, local = np.unique(edges, return_inverse=True)
+    local = local.reshape(edges.shape)
+    graph = coo_matrix((np.ones(len(edges)), (local[:, 0], local[:, 1])),
+                       shape=(len(nodes), len(nodes)))
+    if connected_components(graph, directed=False, return_labels=False) != 1:
+        raise GeometryError("boundary splits into multiple loops")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,11 +240,17 @@ def lattice_mesh(coords_m: np.ndarray, heights_m: np.ndarray) -> TriangleMesh:
 
     heights_m[i, j] is the height at (x_i, y_j); vertex i * n + j sits
     there.  Each cell is split along its (i, j)-(i+1, j+1) diagonal into
-    two faces, counter-clockwise seen from +z.
+    two faces, counter-clockwise seen from +z.  Every mesh of one lattice
+    size shares one read-only face array.
     """
     X, Y = np.meshgrid(coords_m, coords_m, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), heights_m.ravel()])
-    n = len(coords_m)
+    return TriangleMesh(vertices=vertices, faces=_lattice_faces(len(coords_m)))
+
+
+@functools.lru_cache(maxsize=4)
+def _lattice_faces(n: int) -> np.ndarray:
+    """The (2 (n-1)^2, 3) faces of an n x n lattice, built once and read-only."""
     idx = np.arange(n * n).reshape(n, n)
     v00 = idx[:-1, :-1].ravel()
     v10 = idx[1:, :-1].ravel()
@@ -233,7 +260,8 @@ def lattice_mesh(coords_m: np.ndarray, heights_m: np.ndarray) -> TriangleMesh:
         np.column_stack([v00, v10, v11]),
         np.column_stack([v00, v11, v01]),
     ])
-    return TriangleMesh(vertices=vertices, faces=faces)
+    faces.flags.writeable = False
+    return faces
 
 
 def interpolate_surface(grid: ControlGrid,

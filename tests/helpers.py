@@ -180,6 +180,19 @@ def unique_rows_boundary_edges(mesh: TriangleMesh) -> np.ndarray:
     return uniq[counts == 1]
 
 
+def per_call_lattice_faces(n: int) -> np.ndarray:
+    """Reference lattice faces: the (M, 3) array built afresh for each mesh."""
+    idx = np.arange(n * n).reshape(n, n)
+    v00 = idx[:-1, :-1].ravel()
+    v10 = idx[1:, :-1].ravel()
+    v01 = idx[:-1, 1:].ravel()
+    v11 = idx[1:, 1:].ravel()
+    return np.concatenate([
+        np.column_stack([v00, v10, v11]),
+        np.column_stack([v00, v11, v01]),
+    ])
+
+
 def line_by_line_write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
     """Reference mesh writer: one f-string per vertex and face line."""
     for v in mesh.vertices:

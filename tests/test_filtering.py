@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chainshell import shell3d
 from chainshell.errors import ParameterError
 from chainshell.filtering import (
     SurfaceMetrics,
@@ -61,6 +62,17 @@ def test_measure_finds_the_boundary_once(monkeypatch):
     metrics = measure(flat_surface())
     assert len(calls) == 1
     assert metrics.perimeter_P == pytest.approx(8.0, rel=1e-9)
+
+
+def test_measuring_a_pool_of_one_lattice_searches_its_boundary_once(pools42):
+    pool = pools42[3].surfaces
+    assert len(pool) == 20
+    shell3d._boundary_edges.cache_clear()
+    shell3d._check_single_loop.cache_clear()
+    metrics = [measure(surface) for surface in pool]
+    assert shell3d._boundary_edges.cache_info().misses == 1
+    assert shell3d._check_single_loop.cache_info().misses == 1
+    assert len({m.area_a for m in metrics}) > 1  # each surface its own area
 
 
 def test_select_indices_greedy_with_zero_tolerance():

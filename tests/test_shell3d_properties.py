@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import io
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from hypothesis.extra import numpy as hnp
 
 from chainshell import shell3d
 from chainshell.errors import GeometryError
-from chainshell.shell3d import TriangleMesh, lattice_mesh, write_mesh
+from chainshell.filtering import SurfaceMetrics, measure
+from chainshell.shell3d import TriangleMesh, interpolate_surface, lattice_mesh, write_mesh
 
-from helpers import cross_product_area, line_by_line_write_mesh, unique_rows_boundary_edges
+from helpers import (cross_product_area, grid_from_z, line_by_line_write_mesh,
+                     per_call_lattice_faces, unique_rows_boundary_edges)
 
 # reproducible examples, no example database written next to the tests
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -164,5 +169,71 @@ def test_two_disjoint_lattices_are_rejected(first, second):
     both = TriangleMesh(
         vertices=np.vstack([first.vertices, second.vertices + [100.0, 0.0, 0.0]]),
         faces=np.vstack([first.faces, second.faces + len(first.vertices)]))
-    with pytest.raises(GeometryError, match="multiple loops"):
-        both.require_single_boundary_loop()
+    for _ in range(2):  # a failed check is never cached
+        with pytest.raises(GeometryError, match="multiple loops"):
+            both.require_single_boundary_loop()
+
+
+# lattice faces, boundary edges and the loop check are kept per face array;
+# these cases pin that the shared arrays are read-only and that every mesh
+# is still measured on its own vertices
+
+
+@PROPERTY
+@given(st.integers(2, 40), seeds)
+def test_lattice_meshes_of_one_size_share_one_read_only_face_array(n, seed):
+    first, second = random_lattice(n, seed), random_lattice(n, seed + 1)
+    assert first.faces is second.faces
+    reference = per_call_lattice_faces(n)
+    assert first.faces.dtype == reference.dtype
+    assert np.array_equal(first.faces, reference)
+    with pytest.raises(ValueError):
+        first.faces[0, 0] = 1
+    edges = first.boundary_edges()
+    assert edges is second.boundary_edges()
+    with pytest.raises(ValueError):
+        edges[0, 0] = 1
+
+
+def lattice_surface(n: int, seed: int):
+    """Spline surface sampled on an n x n lattice, random heights on its edges too."""
+    z = np.random.default_rng(seed).uniform(-500.0, 500.0, (4, 4))
+    return interpolate_surface(grid_from_z(z), resolution=n)
+
+
+@PROPERTY
+@given(st.integers(4, 40), seeds)
+def test_measure_depends_on_the_face_values_not_the_face_array(n, seed):
+    surface = lattice_surface(n, seed)
+    expected = measure(surface)
+    faces = surface.mesh.faces
+    for copy in (faces.copy(), faces.astype(np.int32)):
+        mesh = TriangleMesh(vertices=surface.mesh.vertices, faces=copy)
+        assert measure(replace(surface, mesh=mesh)) == expected
+
+
+@PROPERTY
+@given(st.integers(4, 40), seeds, seeds)
+def test_surfaces_sharing_faces_keep_their_own_perimeter_and_area(n, seed_a, seed_b):
+    a, b = lattice_surface(n, seed_a), lattice_surface(n, seed_b)
+    assert a.mesh.faces is b.mesh.faces
+    for surface in (a, b, a):
+        mesh = surface.mesh
+        assert measure(surface) == SurfaceMetrics(
+            perimeter_P=mesh.edge_length(unique_rows_boundary_edges(mesh)),
+            area_a=cross_product_area(mesh))
+
+
+def test_threads_measuring_more_lattices_than_the_caches_hold():
+    held = shell3d._boundary_edges.cache_info().maxsize
+    surfaces = [lattice_surface(n, n) for n in range(4, 4 + 2 * held + 1)]
+    expected = [measure(s) for s in surfaces]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(measure, s) for s in surfaces * 8]
+            measured = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert measured == expected * 8
