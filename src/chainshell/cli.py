@@ -16,8 +16,8 @@ from typing import List, Optional
 
 from . import filtering, loads as loads_mod, pipeline, profile2d, shell3d, units
 from .config import PipelineConfig, derive_seed, load_config, validate
-from .errors import (ChainshellError, ConfigError, EnvelopeError, GeometryError,
-                     InfeasibleError, MechanismError, ParameterError, StageError)
+from .errors import (ChainshellError, ConfigError, EnvelopeError, InfeasibleError,
+                     ParameterError)
 # unused here, but bench/test_bench.py checks that the tracer rebinds
 # chainshell.cli.analyze_shell, so the name stays importable
 from .fem import analyze_shell  # noqa: F401
@@ -33,7 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="configuration file (INI-style)")
     common.add_argument("--seed", type=int, help="override the top-level seed")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--threads", type=int, help="worker threads")
+    common.add_argument("--threads", type=int,
+                        help="validated and recorded in config.ini; "
+                             "nothing runs in parallel")
 
     parser = argparse.ArgumentParser(
         prog="chainshell",
@@ -82,7 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_file(path) -> Path:
+    """A file a command reads; a missing one is bad input, not a stage failure."""
+    path = Path(path)
+    if not path.is_file():
+        raise ParameterError(f"no such file: {path}")
+    return path
+
+
 def _config_from_args(args) -> PipelineConfig:
+    if args.config is not None:
+        _input_file(args.config)
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -136,7 +148,7 @@ def cmd_gen3d(args, config: PipelineConfig) -> int:
 
 
 def _read_csv(path: Path) -> List[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(_input_file(path), "r", encoding="utf-8", newline="") as fh:
         return [row for row in csv.DictReader(fh)
                 if row and not next(iter(row.values()), "").startswith("#")]
 
@@ -268,13 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, ParameterError, EnvelopeError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (StageError, MechanismError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except ChainshellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except OSError as exc:
+    except (ChainshellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

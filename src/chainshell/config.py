@@ -196,8 +196,6 @@ def validate(config: PipelineConfig) -> PipelineConfig:
 
 def _coerce(raw: str, to_type: type, key: str):
     try:
-        if to_type is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return to_type(raw)
     except ValueError:
         raise ConfigError(f"cannot parse {raw!r} as {to_type.__name__}",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.interpolate import RBFInterpolator
 
 from . import fem
+from .config import PipelineConfig
 from .errors import ParameterError
 from .fem import SupportKind
 # unused here, but bench/test_bench.py checks that the tracer rebinds
@@ -32,7 +32,6 @@ MIN_DRAINAGE_SLOPE = 0.02
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
 USABLE_AREA_RASTER = 100     # 100x100 plan raster
 HEADROOM_M = 1.5
-AMPLITUDE_CAP_M = 3.0
 COLUMN_GRID_POSITIONS_M = (0.25, 0.75, 1.25, 1.75)
 DEFAULT_COLUMN_SIDE_M = 0.05
 
@@ -458,56 +457,28 @@ def reduce_formwork(design: CandidateDesign, tolerance: float, grid: int = 10,
                      formwork=tuple(remaining))
 
 
-@dataclass(frozen=True)
-class OptimizeSettings:
-    seed: int = 7
-    iterations_per_anchor: int = 20
-    span_mm: float = 2000.0
-    control_F: int = 4
-    amplitude_cap_m: float = AMPLITUDE_CAP_M
-    amplitude_min_fraction: float = 0.5
-    surface_resolution: int = 64
-    column_section_side: float = DEFAULT_COLUMN_SIDE_M
-    min_slope: float = MIN_DRAINAGE_SLOPE
-    slope_rule: str = "ponding"
-    headroom_m: float = HEADROOM_M
-    fem_grid: int = 10
-    reduction_tolerance: float = 0.02
-    weights: Tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.iterations_per_anchor < 1:
-            raise ParameterError("need at least one iteration per anchor kind")
-        if not 0 < self.amplitude_cap_m <= AMPLITUDE_CAP_M:
-            raise ParameterError("amplitude cap must be in (0, 3] m")
-        if not 0 <= self.amplitude_min_fraction < 1:
-            raise ParameterError("amplitude_min_fraction must be in [0, 1)")
-        if self.control_F < 2:
-            raise ParameterError("control grid F must be >= 2")
-
-
-def shelter_control_grid(settings: OptimizeSettings, kind: AnchorKind,
+def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
                          anchor_index: int, iteration: int) -> ControlGrid:
     """Seeded shelter control grid: random dome heights, anchors at zero.
 
     Heights are drawn uniformly in [0, A_i] metres where the iteration's
-    amplitude A_i is itself drawn within the cap; control points over
-    anchor corners are clamped to the ground.
+    amplitude A_i is itself drawn within the [optimizer] cap; control points
+    over anchor corners are clamped to the ground.
     """
-    rng = _iteration_rng(settings.seed * 5 + anchor_index, iteration)
-    lo = settings.amplitude_min_fraction * settings.amplitude_cap_m
-    amp_m = float(rng.uniform(lo, settings.amplitude_cap_m))
-    m = settings.control_F + 1
+    block = config.optimizer
+    rng = _iteration_rng(seed * 5 + anchor_index, iteration)
+    lo = block.amplitude_min_fraction * block.amplitude_cap_m
+    amp_m = float(rng.uniform(lo, block.amplitude_cap_m))
+    m = block.control_F + 1
     z_mm = rng.uniform(0.0, amp_m * 1000.0, size=(m, m))
     corner_ij = {(0, 0): 0, (m - 1, 0): 1, (m - 1, m - 1): 2, (0, m - 1): 3}
     wanted = set(_ANCHOR_CORNERS[kind])
     for (i, j), corner in corner_ij.items():
         if corner in wanted:
             z_mm[i, j] = 0.0
-    return ControlGrid(F=settings.control_F, amplitude_A=amp_m * 1000.0,
-                       span_L=settings.span_mm, z_values=z_mm,
-                       seed=settings.seed, iteration=iteration)
+    return ControlGrid(F=block.control_F, amplitude_A=amp_m * 1000.0,
+                       span_L=config.gen3d.span_mm, z_values=z_mm,
+                       seed=seed, iteration=iteration)
 
 
 @dataclass(frozen=True)
@@ -519,44 +490,37 @@ class OptimizeResult:
     limit_mm: float
 
 
-def optimize(settings: OptimizeSettings = OptimizeSettings(),
-             structure: StructureSpec = StructureSpec()) -> OptimizeResult:
+def optimize(config: PipelineConfig, structure: StructureSpec,
+             seed: int) -> OptimizeResult:
     """Full shelter study: 5 anchor kinds x N iterations, ranked globally.
 
-    The winner gets formwork reduction and a frame solve; results are
-    deterministic for a given (settings, structure) at any thread count.
+    Reads [optimizer], [gen3d] span_mm and resolution and [fem] lattice_grid
+    from the config.  The winner gets formwork reduction and a frame solve;
+    results are deterministic for a given (config, structure, seed).
     """
-    kinds = list(AnchorKind)
-    jobs = []
-    for ai, kind in enumerate(kinds):
-        anchors = AnchorConfig(kind=kind, span_m=settings.span_mm / 1000.0)
-        for it in range(settings.iterations_per_anchor):
-            jobs.append((ai, kind, anchors, it))
+    block = config.optimizer
+    span_m = config.gen3d.span_mm / 1000.0
+    grid = config.fem.lattice_grid
 
-    def build(job):
-        ai, kind, anchors, it = job
-        grid = shelter_control_grid(settings, kind, ai, it)
-        surface = interpolate_surface(grid, settings.surface_resolution)
-        return evaluate_candidate(f"{kind.value}-{it:02d}", surface, anchors,
-                                  settings.column_section_side,
-                                  settings.min_slope, settings.slope_rule,
-                                  settings.headroom_m)
+    def build(ai: int, kind: AnchorKind, it: int) -> CandidateDesign:
+        control = shelter_control_grid(config, seed, kind, ai, it)
+        surface = interpolate_surface(control, config.gen3d.resolution)
+        return evaluate_candidate(f"{kind.value}-{it:02d}", surface,
+                                  AnchorConfig(kind=kind, span_m=span_m),
+                                  block.column_section_side_m, block.min_slope,
+                                  block.slope_rule, block.headroom_m)
 
-    if settings.threads > 1:
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            candidates = list(pool.map(build, jobs))
-    else:
-        candidates = [build(j) for j in jobs]
-
-    report = rank_designs(candidates, settings.weights)
-    limit = deflection_limit(settings.span_mm / 1000.0)
+    candidates = [build(ai, kind, it)
+                  for ai, kind in enumerate(AnchorKind)
+                  for it in range(block.iterations_per_anchor)]
+    report = rank_designs(candidates, block.weights)
+    limit = deflection_limit(span_m)
     if report.all_rejected:
         return OptimizeResult(report=report, winner=None, reduced_columns=None,
                               winner_analysis=None, limit_mm=limit)
 
     winner = report.winner
-    reduced = reduce_formwork(winner, settings.reduction_tolerance,
-                              settings.fem_grid, structure)
-    analysis = _design_solve(winner, reduced, settings.fem_grid, structure)
+    reduced = reduce_formwork(winner, block.reduction_tolerance, grid, structure)
+    analysis = _design_solve(winner, reduced, grid, structure)
     return OptimizeResult(report=report, winner=winner, reduced_columns=reduced,
                           winner_analysis=analysis, limit_mm=limit)

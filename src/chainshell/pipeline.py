@@ -22,7 +22,7 @@ from . import filtering, loads, profile2d, shell3d, units
 from .config import PipelineConfig, config_hash, derive_seed, dump_config, validate
 from .errors import StageError
 from .fem import analyze_shell, default_supports
-from .optimizer import OptimizeSettings, optimize
+from .optimizer import optimize
 
 STAGES = ("units", "sweep2d", "gen3d", "filter", "analyze", "optimize")
 GROUP_SHAPE = units.Shape.RECTANGULAR  # printed group parameters are rectangular
@@ -262,24 +262,8 @@ def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> s
 
 
 def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Dict]:
-    block = config.optimizer
-    settings = OptimizeSettings(
-        seed=derive_seed(config.seed, "optimize"),
-        iterations_per_anchor=block.iterations_per_anchor,
-        span_mm=config.gen3d.span_mm,
-        control_F=block.control_F,
-        amplitude_cap_m=block.amplitude_cap_m,
-        amplitude_min_fraction=block.amplitude_min_fraction,
-        surface_resolution=config.gen3d.resolution,
-        column_section_side=block.column_section_side_m,
-        min_slope=block.min_slope,
-        slope_rule=block.slope_rule,
-        headroom_m=block.headroom_m,
-        fem_grid=config.fem.lattice_grid,
-        reduction_tolerance=block.reduction_tolerance,
-        weights=block.weights,
-        threads=config.threads)
-    result = optimize(settings, structure_spec(config))
+    result = optimize(config, structure_spec(config),
+                      derive_seed(config.seed, "optimize"))
 
     outputs: List[str] = []
     rows = _ranking_rows(result.report)

@@ -6,8 +6,8 @@ from typing import Dict, List
 import pytest
 
 from chainshell.config import PipelineConfig
-from chainshell.optimizer import OptimizeResult, OptimizeSettings, optimize
-from chainshell.pipeline import run_pipeline
+from chainshell.optimizer import OptimizeResult, optimize
+from chainshell.pipeline import run_pipeline, structure_spec
 from chainshell.shell3d import ShellSurface, group_parameters
 
 from helpers import pool_surfaces
@@ -33,7 +33,8 @@ def pools42() -> Dict[int, GroupPool]:
 
 @pytest.fixture(scope="session")
 def optimize_result() -> OptimizeResult:
-    return optimize(OptimizeSettings(seed=11))
+    config = PipelineConfig()
+    return optimize(config, structure_spec(config), 11)
 
 
 @pytest.fixture(scope="session")

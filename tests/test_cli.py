@@ -203,6 +203,19 @@ def test_bad_overrides_exit_2(capsys, tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config"],
+    ["filter", "--in"],
+    ["analyze", "--in"],
+])
+def test_missing_input_paths_exit_2(capsys, tmp_path, argv):
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "o"
+    assert main(argv + [str(missing), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"no such file: {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_support_mode_exits_2(capsys, tmp_path):
     selected = tmp_path / "selected.csv"
     selected.write_text("iteration,amplitude_mm,frequency,seed,perimeter_m,"

@@ -93,6 +93,7 @@ def test_syntax_errors_are_config_errors():
     ("[fem]\nsupports = edges-only\n", "fem.supports"),
     ("[optimizer]\nslope_rule = loose\n", "optimizer.slope_rule"),
     ("[optimizer]\namplitude_cap_m = 3.5\n", "optimizer.amplitude_cap_m"),
+    ("[optimizer]\namplitude_cap_m = 0\n", "optimizer.amplitude_cap_m"),
     ("[run]\nthreads = 0\n", "threads"),
     ("[loads]\nplan_area_m2 = -1\n", "loads.plan_area_m2"),
     ("[loads]\nthickness_m = nan\n", "loads.thickness_m"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chainshell import optimizer
+from chainshell.config import PipelineConfig
 from chainshell.errors import ParameterError
 from chainshell.filtering import measure
 from chainshell.loads import StructureSpec
@@ -15,7 +16,6 @@ from chainshell.optimizer import (
     AnchorKind,
     Column,
     ColumnSet,
-    OptimizeSettings,
     Orientation,
     evaluate_candidate,
     formwork_reactions,
@@ -30,6 +30,7 @@ from chainshell.optimizer import (
     _design_solve,
     _fit_supported_surface,
 )
+from chainshell.pipeline import structure_spec
 from chainshell.shell3d import TriangleMesh, interpolate_surface
 
 from helpers import (dome_surface, flat_surface, grid_from_z, meshgrid_usable_area,
@@ -116,13 +117,18 @@ def test_usable_area_matches_dome_closed_form():
     assert abs(got - expected) / expected < 0.02
 
 
+def _with_optimizer(**changes) -> PipelineConfig:
+    config = PipelineConfig()
+    return replace(config, optimizer=replace(config.optimizer, **changes))
+
+
 def _random_shelter_surface(seed: int):
     """A seeded shelter candidate surface with random settings, plus its rng."""
     rng = np.random.default_rng(seed)
-    settings = OptimizeSettings(seed=int(rng.integers(2**31)),
-                                control_F=int(rng.integers(2, 7)))
+    study_seed = int(rng.integers(2**31))
+    config = _with_optimizer(control_F=int(rng.integers(2, 7)))
     kind = list(AnchorKind)[int(rng.integers(len(AnchorKind)))]
-    grid = shelter_control_grid(settings, kind, int(rng.integers(5)),
+    grid = shelter_control_grid(config, study_seed, kind, int(rng.integers(5)),
                                 int(rng.integers(100)))
     return interpolate_surface(grid, int(rng.integers(8, 65))), rng
 
@@ -296,23 +302,24 @@ def test_anchor_points_sit_on_base_corners():
 
 
 def test_shelter_grids_are_seeded_and_clamped():
-    settings = OptimizeSettings(seed=11)
-    a = shelter_control_grid(settings, AnchorKind.FOUR, 4, 3)
-    b = shelter_control_grid(settings, AnchorKind.FOUR, 4, 3)
+    config = PipelineConfig()
+    block = config.optimizer
+    a = shelter_control_grid(config, 11, AnchorKind.FOUR, 4, 3)
+    b = shelter_control_grid(config, 11, AnchorKind.FOUR, 4, 3)
     assert np.array_equal(a.z_values, b.z_values)
-    c = shelter_control_grid(settings, AnchorKind.FOUR, 4, 4)
+    c = shelter_control_grid(config, 11, AnchorKind.FOUR, 4, 4)
     assert not np.array_equal(a.z_values, c.z_values)
 
-    m = settings.control_F
+    m = block.control_F
     for (i, j) in ((0, 0), (m, 0), (m, m), (0, m)):
         assert a.z_values[i, j] == 0.0
     assert a.z_values.min() >= 0.0
-    assert a.z_values.max() <= settings.amplitude_cap_m * 1000.0
+    assert a.z_values.max() <= block.amplitude_cap_m * 1000.0
     assert a.z_values.max() <= a.amplitude_A
-    lo = settings.amplitude_min_fraction * settings.amplitude_cap_m * 1000.0
-    assert lo <= a.amplitude_A <= settings.amplitude_cap_m * 1000.0
+    lo = block.amplitude_min_fraction * block.amplitude_cap_m * 1000.0
+    assert lo <= a.amplitude_A <= block.amplitude_cap_m * 1000.0
 
-    single = shelter_control_grid(settings, AnchorKind.ONE, 0, 3)
+    single = shelter_control_grid(config, 11, AnchorKind.ONE, 0, 3)
     assert single.z_values[0, 0] == 0.0
     assert single.z_values[m, m] > 0.0  # unanchored corner stays free
 
@@ -401,7 +408,8 @@ def test_one_reference_fit_per_study(monkeypatch):
         return original(anchors, columns, span_m, *args)
 
     monkeypatch.setattr(optimizer, "_fit_supported_surface", counting)
-    optimize(OptimizeSettings(seed=11, iterations_per_anchor=2))
+    config = _with_optimizer(iterations_per_anchor=2)
+    optimize(config, structure_spec(config), 11)
     assert sizes.count(16) == 1
     assert len(sizes) > 1  # the trial fits still ran
 
@@ -418,20 +426,17 @@ def test_candidate_evaluation_needs_no_boundary(monkeypatch):
     assert design.metrics.cms_m2 == area
 
 
-def test_optimize_is_deterministic_across_threads():
-    settings = OptimizeSettings(seed=11, iterations_per_anchor=4)
-    first = optimize(settings)
-    second = optimize(settings)
-    threaded = optimize(OptimizeSettings(seed=11, iterations_per_anchor=4,
-                                         threads=4))
-    for other in (second, threaded):
-        assert ([c.candidate_id for c in first.report.ranked]
-                == [c.candidate_id for c in other.report.ranked])
-        assert ([c.weighted_score for c in first.report.ranked]
-                == [c.weighted_score for c in other.report.ranked])
-        assert first.winner.candidate_id == other.winner.candidate_id
-        assert ({c.position for c in first.reduced_columns.formwork}
-                == {c.position for c in other.reduced_columns.formwork})
+def test_optimize_is_deterministic_across_reruns():
+    config = _with_optimizer(iterations_per_anchor=4)
+    first = optimize(config, structure_spec(config), 11)
+    second = optimize(config, structure_spec(config), 11)
+    assert ([c.candidate_id for c in first.report.ranked]
+            == [c.candidate_id for c in second.report.ranked])
+    assert ([c.weighted_score for c in first.report.ranked]
+            == [c.weighted_score for c in second.report.ranked])
+    assert first.winner.candidate_id == second.winner.candidate_id
+    assert ({c.position for c in first.reduced_columns.formwork}
+            == {c.position for c in second.reduced_columns.formwork})
 
 
 def test_full_study_outcome(optimize_result):
@@ -451,15 +456,3 @@ def test_full_study_outcome(optimize_result):
     assert result.limit_mm == 8.0
     assert result.winner_analysis.max_displacement_mm <= result.limit_mm
 
-
-def test_settings_validation():
-    with pytest.raises(ParameterError):
-        OptimizeSettings(iterations_per_anchor=0)
-    with pytest.raises(ParameterError):
-        OptimizeSettings(amplitude_cap_m=0.0)
-    with pytest.raises(ParameterError):
-        OptimizeSettings(amplitude_cap_m=3.5)
-    with pytest.raises(ParameterError):
-        OptimizeSettings(amplitude_min_fraction=1.0)
-    with pytest.raises(ParameterError):
-        OptimizeSettings(control_F=1)
