@@ -51,13 +51,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="generate seeded 3D shell iterations")
     p.add_argument("--amplitude", type=float, required=True, help="A in mm")
     p.add_argument("--frequency", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--iterations", type=int, default=None,
+                   help="pool size; overrides [gen3d] iterations")
 
     p = sub.add_parser("filter", parents=[common],
                        help="select distinct surfaces from a generated pool")
     p.add_argument("--in", dest="in_path", required=True,
                    help="directory containing a gen3d manifest.csv")
-    p.add_argument("--keep", type=int, default=4)
+    p.add_argument("--keep", type=int, default=None,
+                   help="surfaces to keep; overrides [filter] keep")
 
     p = sub.add_parser("loads", parents=[common],
                        help="load-case table for a shell")
@@ -100,6 +102,10 @@ def _config_from_args(args) -> PipelineConfig:
         config = replace(config, seed=args.seed)
     if args.threads is not None:
         config = replace(config, threads=args.threads)
+    if getattr(args, "iterations", None) is not None:
+        config = replace(config, gen3d=replace(config.gen3d, iterations=args.iterations))
+    if getattr(args, "keep", None) is not None:
+        config = replace(config, filter=replace(config.filter, keep=args.keep))
     if getattr(args, "supports", None) is not None:
         config = replace(config, fem=replace(config.fem, supports=args.supports))
     if getattr(args, "area", None) is not None:
@@ -137,12 +143,11 @@ def cmd_gen3d(args, config: PipelineConfig) -> int:
     # an explicit --seed keys the pool directly; otherwise derive per stage
     seed = config.seed if args.seed is not None else derive_seed(config.seed, "gen3d")
     grids = shell3d.generate_iterations(args.amplitude, args.frequency,
-                                        n=args.iterations, seed=seed,
+                                        n=config.gen3d.iterations, seed=seed,
                                         span=config.gen3d.span_mm,
                                         envelope=envelope)
-    surfaces = [shell3d.interpolate_surface(g, config.gen3d.resolution)
-                for g in grids]
-    pipeline.write_pool(out, args.amplitude, args.frequency, seed, grids, surfaces)
+    pipeline.write_pool(out, args.amplitude, args.frequency, seed, grids,
+                        config.gen3d.resolution)
     print(f"wrote {len(grids)} iterations to {out}")
     return EXIT_OK
 
@@ -159,10 +164,9 @@ def cmd_filter(args, config: PipelineConfig) -> int:
     rows = _read_csv(manifest)
     if not rows:
         raise ParameterError(f"no iterations found in {manifest}")
-    outcome = filtering.filter_surfaces(
-        [filtering.SurfaceMetrics(perimeter_P=float(r["perimeter_m"]),
-                                  area_a=float(r["area_m2"])) for r in rows],
-        k=args.keep)
+    outcome = pipeline.filter_pool(
+        config, [filtering.SurfaceMetrics(perimeter_P=float(r["perimeter_m"]),
+                                          area_a=float(r["area_m2"])) for r in rows])
     out = Path(args.out) if args.out else manifest.parent
     pipeline.write_selected(out / "selected.csv", float(rows[0]["amplitude_mm"]),
                             int(rows[0]["frequency"]), int(rows[0]["seed"]), outcome)
@@ -197,10 +201,9 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
         idx = int(r["iteration"])
         grid = shell3d.control_grid(float(r["amplitude_mm"]), int(r["frequency"]),
                                     int(r["seed"]), idx, span=config.gen3d.span_mm)
-        surface = shell3d.interpolate_surface(grid, config.gen3d.resolution)
         out_lines.append(",".join(
             [f"iter{idx:02d}"]
-            + pipeline.analyze_model(config, surface, float(r["area_m2"]))))
+            + pipeline.analyze_model(config, grid, float(r["area_m2"]))))
     out = Path(args.out) if args.out else selected.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "displacements.csv").write_text("\n".join(out_lines) + "\n",

@@ -250,10 +250,15 @@ class DesignMetrics:
 
 @dataclass(frozen=True, eq=False)
 class CandidateDesign:
+    """A scored design.  It keeps the control grid and sample resolution
+    that define its surface, not the surface: interpolate_surface rebuilds
+    that surface bit for bit where it is needed."""
+
     candidate_id: str
     anchors: AnchorConfig
     columns: ColumnSet
-    surface: ShellSurface
+    control: ControlGrid
+    resolution: int
     metrics: DesignMetrics
     slope_report: SlopeReport
     grades: Optional[Dict[str, float]] = None
@@ -280,7 +285,8 @@ def evaluate_candidate(candidate_id: str, surface: ShellSurface,
         drainage_pass=report.passed,
     )
     return CandidateDesign(candidate_id=candidate_id, anchors=anchors,
-                           columns=columns, surface=surface, metrics=metrics,
+                           columns=columns, control=surface.control,
+                           resolution=surface.sample_resolution, metrics=metrics,
                            slope_report=report)
 
 
@@ -384,19 +390,21 @@ def _lattice_node(span_m: float, grid: int, x: float, y: float) -> int:
     return i * (grid + 1) + j
 
 
-def _design_solve(design: CandidateDesign, columns: ColumnSet, grid: int,
-                  structure: StructureSpec) -> fem.ShellAnalysis:
+def _design_solve(design: CandidateDesign, surface: ShellSurface, columns: ColumnSet,
+                  grid: int, structure: StructureSpec) -> fem.ShellAnalysis:
     """Frame solve of the design's surface on its anchors and the given columns."""
-    supports = _support_nodes(design.surface, grid, design.anchors, columns)
+    supports = _support_nodes(surface, grid, design.anchors, columns)
     case = combine(structure, design.metrics.cms_m2)
-    return fem.analyze_shell(design.surface, case, structure, supports, grid)
+    return fem.analyze_shell(surface, case, structure, supports, grid)
 
 
-def formwork_reactions(design: CandidateDesign, grid: int = 10,
+def formwork_reactions(design: CandidateDesign, surface: ShellSurface, grid: int = 10,
                        structure: StructureSpec = StructureSpec()) -> Dict[Column, float]:
-    """Vertical FEM reaction magnitude (kN) carried by each formwork column."""
-    reactions = _design_solve(design, design.columns, grid, structure).result.reactions
-    span_m = design.surface.span_mm / 1000.0
+    """Vertical FEM reaction magnitude (kN) carried by each formwork column
+    of `design`, whose surface is `surface`."""
+    reactions = _design_solve(design, surface, design.columns, grid,
+                              structure).result.reactions
+    span_m = surface.span_mm / 1000.0
     # every formwork column is a support node, so each has a reaction
     return {col: abs(float(reactions[_lattice_node(span_m, grid, *col.position)][2]))
             for col in design.columns.formwork}
@@ -418,7 +426,8 @@ def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
     return mesh.boundary_length(), mesh.area()
 
 
-def reduce_formwork(design: CandidateDesign, tolerance: float, grid: int = 10,
+def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: float,
+                    grid: int = 10,
                     structure: StructureSpec = StructureSpec()) -> ColumnSet:
     """Remove formwork columns while the supported shape holds its metrics.
 
@@ -426,17 +435,18 @@ def reduce_formwork(design: CandidateDesign, tolerance: float, grid: int = 10,
     removal sticks iff the thin-plate fit through the anchors and the
     remaining column tops stays within dP = tolerance * P_ref and
     da = tolerance * a_ref of the full 16-column reference fit (P_ref,
-    a_ref).  Load-bearing columns are never touched.
+    a_ref).  Load-bearing columns are never touched.  `surface` is the
+    design's surface, which the reaction solve needs.
     """
     if tolerance < 0:
         raise ParameterError("tolerance must be non-negative")
-    span_m = design.surface.span_mm / 1000.0
+    span_m = surface.span_mm / 1000.0
     all_fw = list(design.columns.formwork)
     p_ref, a_ref = _fit_supported_surface(
         design.anchors, list(design.columns.load_bearing) + all_fw, span_m)
     dP, da = tolerance * p_ref, tolerance * a_ref
 
-    reactions = formwork_reactions(design, grid, structure)
+    reactions = formwork_reactions(design, surface, grid, structure)
     order = sorted(all_fw, key=lambda c: (reactions[c], c.position))
 
     remaining = list(all_fw)
@@ -485,6 +495,7 @@ def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
 class OptimizeResult:
     report: RankingReport
     winner: Optional[CandidateDesign]
+    winner_surface: Optional[ShellSurface]  # the one surface the study keeps
     reduced_columns: Optional[ColumnSet]
     winner_analysis: Optional[fem.ShellAnalysis]
     limit_mm: float
@@ -495,8 +506,9 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     """Full shelter study: 5 anchor kinds x N iterations, ranked globally.
 
     Reads [optimizer], [gen3d] span_mm and resolution and [fem] lattice_grid
-    from the config.  The winner gets formwork reduction and a frame solve;
-    results are deterministic for a given (config, structure, seed).
+    from the config.  Each candidate's surface is scored and dropped; the
+    winner's is rebuilt once for formwork reduction and its frame solve.
+    Results are deterministic for a given (config, structure, seed).
     """
     block = config.optimizer
     span_m = config.gen3d.span_mm / 1000.0
@@ -516,11 +528,15 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     report = rank_designs(candidates, block.weights)
     limit = deflection_limit(span_m)
     if report.all_rejected:
-        return OptimizeResult(report=report, winner=None, reduced_columns=None,
-                              winner_analysis=None, limit_mm=limit)
+        return OptimizeResult(report=report, winner=None, winner_surface=None,
+                              reduced_columns=None, winner_analysis=None,
+                              limit_mm=limit)
 
     winner = report.winner
-    reduced = reduce_formwork(winner, block.reduction_tolerance, grid, structure)
-    analysis = _design_solve(winner, reduced, grid, structure)
-    return OptimizeResult(report=report, winner=winner, reduced_columns=reduced,
-                          winner_analysis=analysis, limit_mm=limit)
+    surface = interpolate_surface(winner.control, winner.resolution)
+    reduced = reduce_formwork(winner, surface, block.reduction_tolerance, grid,
+                              structure)
+    analysis = _design_solve(winner, surface, reduced, grid, structure)
+    return OptimizeResult(report=report, winner=winner, winner_surface=surface,
+                          reduced_columns=reduced, winner_analysis=analysis,
+                          limit_mm=limit)

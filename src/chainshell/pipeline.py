@@ -83,7 +83,7 @@ def stage_sweep2d(config: PipelineConfig, run_dir: Path) -> List[str]:
     return ["sweep2d/sweep2d.csv", "sweep2d/max_feasible.csv"]
 
 
-def _group_surfaces(config: PipelineConfig, group: int):
+def _group_grids(config: PipelineConfig, group: int):
     amplitude, frequency = shell3d.group_parameters(group)
     seed = derive_seed(config.seed, f"gen3d:g{group}")
     envelope = profile2d.default_envelope(GROUP_SHAPE)
@@ -91,19 +91,22 @@ def _group_surfaces(config: PipelineConfig, group: int):
                                         n=config.gen3d.iterations, seed=seed,
                                         span=config.gen3d.span_mm,
                                         envelope=envelope)
-    surfaces = [shell3d.interpolate_surface(g, config.gen3d.resolution)
-                for g in grids]
-    return amplitude, frequency, seed, grids, surfaces
+    return amplitude, frequency, seed, grids
 
 
 def write_pool(pool_dir: Path, amplitude: float, frequency: int, seed: int,
                grids: List[shell3d.ControlGrid],
-               surfaces: List[shell3d.ShellSurface]) -> List[filtering.SurfaceMetrics]:
-    """Write a pool's iterNN.mesh, iterNN.pgm and manifest.csv; return its metrics."""
+               resolution: int) -> List[filtering.SurfaceMetrics]:
+    """Write a pool's iterNN.mesh, iterNN.pgm and manifest.csv; return its metrics.
+
+    Each surface is built from its grid, written, measured and dropped
+    before the next, so one pool surface is alive at a time.
+    """
     rows = ["iteration,amplitude_mm,frequency,seed,min_z_mm,max_z_mm,"
             "area_m2,perimeter_m"]
     metrics = []
-    for i, (grid, surface) in enumerate(zip(grids, surfaces)):
+    for i, grid in enumerate(grids):
+        surface = shell3d.interpolate_surface(grid, resolution)
         with _opened(pool_dir / f"iter{i:02d}.mesh") as fh:
             shell3d.write_mesh(surface.mesh, fh)
         with open(pool_dir / f"iter{i:02d}.pgm", "wb") as fh:
@@ -120,17 +123,18 @@ def write_pool(pool_dir: Path, amplitude: float, frequency: int, seed: int,
 
 
 def stage_gen3d(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Dict]:
+    """Write every group's pool; the carry holds each pool's grids and metrics."""
     outputs: List[str] = []
     carry: Dict[int, Dict] = {}
     for group in range(1, config.gen3d.groups + 1):
-        amplitude, frequency, seed, grids, surfaces = _group_surfaces(config, group)
+        amplitude, frequency, seed, grids = _group_grids(config, group)
         metrics = write_pool(run_dir / "gen3d" / f"g{group}", amplitude, frequency,
-                             seed, grids, surfaces)
+                             seed, grids, config.gen3d.resolution)
         outputs += [f"gen3d/g{group}/iter{i:02d}.{ext}"
                     for i in range(len(grids)) for ext in ("mesh", "pgm")]
         outputs.append(f"gen3d/g{group}/manifest.csv")
         carry[group] = {"amplitude": amplitude, "frequency": frequency,
-                        "seed": seed, "surfaces": surfaces, "metrics": metrics}
+                        "seed": seed, "grids": grids, "metrics": metrics}
     return outputs, carry
 
 
@@ -153,16 +157,22 @@ def write_selected(path: Path, amplitude: float, frequency: int, seed: int,
     _write_text(path, "\n".join(rows) + "\n")
 
 
+def filter_pool(config: PipelineConfig,
+                metrics: List[filtering.SurfaceMetrics]) -> filtering.FilterOutcome:
+    """Select a measured pool's distinct members under the [filter] block."""
+    explicit = config.filter.tolerance_mode == "explicit"
+    return filtering.filter_surfaces(
+        metrics, k=config.filter.keep,
+        dP=config.filter.perimeter_tolerance_m if explicit else None,
+        da=config.filter.area_tolerance_m2 if explicit else None)
+
+
 def stage_filter(config: PipelineConfig, run_dir: Path,
                  gen_carry: Dict) -> Tuple[List[str], Dict]:
     outputs: List[str] = []
     carry: Dict[int, filtering.FilterOutcome] = {}
     for group, info in gen_carry.items():
-        explicit = config.filter.tolerance_mode == "explicit"
-        outcome = filtering.filter_surfaces(
-            info["metrics"], k=config.filter.keep,
-            dP=config.filter.perimeter_tolerance_m if explicit else None,
-            da=config.filter.area_tolerance_m2 if explicit else None)
+        outcome = filter_pool(config, info["metrics"])
         rel = f"filter/g{group}/selected.csv"
         write_selected(run_dir / rel, info["amplitude"], info["frequency"],
                        info["seed"], outcome)
@@ -186,13 +196,16 @@ def structure_spec(config: PipelineConfig) -> loads.StructureSpec:
         shear_modulus=config.fem.shear_modulus_pa)
 
 
-def analyze_model(config: PipelineConfig, surface: shell3d.ShellSurface,
+def analyze_model(config: PipelineConfig, control: shell3d.ControlGrid,
                   area_m2: float) -> List[str]:
     """Load case and frame solve of one model, as displacements.csv columns.
 
+    The model's surface is built here from its control grid at [gen3d]
+    resolution, bit-identical to the one its pool wrote and measured.
     Columns: DL_kN, LL_kN, SL_kN, WL_kN, TL_kN, max_displacement_mm,
     limit_mm, passed.
     """
+    surface = shell3d.interpolate_surface(control, config.gen3d.resolution)
     spec = structure_spec(config)
     grid = config.fem.lattice_grid
     case = loads.combine(spec, area_m2)
@@ -211,7 +224,7 @@ def stage_analyze(config: PipelineConfig, run_dir: Path, gen_carry: Dict,
     for group, info in gen_carry.items():
         outcome = filter_carry[group]
         for idx in outcome.kept_indices:
-            columns = analyze_model(config, info["surfaces"][idx],
+            columns = analyze_model(config, info["grids"][idx],
                                     outcome.metrics[idx].area_a)
             rows.append(",".join([f"g{group}-{idx:02d}", str(group), str(idx)]
                                  + columns))
@@ -280,7 +293,7 @@ def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Di
 
     if result.winner is not None:
         with _opened(run_dir / "optimize" / "winner.mesh") as fh:
-            shell3d.write_mesh(result.winner.surface.mesh, fh)
+            shell3d.write_mesh(result.winner_surface.mesh, fh)
         outputs.append("optimize/winner.mesh")
 
         analysis = result.winner_analysis

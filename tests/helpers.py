@@ -1,19 +1,24 @@
 """Shared fixtures-in-code: independent oracles and cheap model builders."""
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
 from typing import TextIO
 
 import numpy as np
 
+from chainshell import loads, profile2d
+from chainshell.config import PipelineConfig, derive_seed
 from chainshell.errors import GeometryError
-from chainshell.fem import BeamSection, FrameElement, FrameModel, SupportKind
+from chainshell.fem import (BeamSection, FrameElement, FrameModel, SupportKind,
+                            analyze_shell, default_supports)
+from chainshell.filtering import measure
 from chainshell.optimizer import (COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind,
                                   CandidateDesign, ColumnSet, DesignMetrics,
                                   SlopeReport)
+from chainshell.pipeline import GROUP_SHAPE, filter_pool, structure_spec
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
-                               interpolate_surface)
+                               group_parameters, interpolate_surface)
 from chainshell.units import Shape, UnitCell
 
 BEAM_E = 2.1e9  # default material modulus, Pa
@@ -113,11 +118,6 @@ def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:
     return loads
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_flat_surface() -> ShellSurface:
-    return flat_surface(height_mm=1600.0, resolution=17)
-
-
 def synthetic_candidate(cid: str, cms: float, ua: float, lc_vol: float = 0.012,
                         fc_vol: float = 0.036, lc_count: int = 4,
                         fc_count: int = 12, drainage: bool = True) -> CandidateDesign:
@@ -131,8 +131,8 @@ def synthetic_candidate(cid: str, cms: float, ua: float, lc_vol: float = 0.012,
     return CandidateDesign(candidate_id=cid,
                            anchors=AnchorConfig(AnchorKind.FOUR),
                            columns=ColumnSet((), ()),
-                           surface=_shared_flat_surface(),
-                           metrics=metrics, slope_report=report)
+                           control=grid_from_z(np.full((5, 5), 1600.0)),
+                           resolution=17, metrics=metrics, slope_report=report)
 
 
 def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
@@ -242,3 +242,46 @@ def per_node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) 
             f"{t[0]:.6f}", f"{t[1]:.6f}", f"{t[2]:.6f}",
             f"{float(np.linalg.norm(t)):.6f}"]) + "\n")
     return "".join(rows)
+
+
+def carried_surface_displacement_rows(config: PipelineConfig) -> str:
+    """Reference analyze/displacements.csv: every pool surface built once,
+    measured, and carried to the frame solves of the kept models."""
+    spec = structure_spec(config)
+    grid = config.fem.lattice_grid
+    rows = ["model,group,iteration,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,"
+            "max_displacement_mm,limit_mm,passed"]
+    for group in range(1, config.gen3d.groups + 1):
+        amplitude, frequency = group_parameters(group)
+        grids = generate_iterations(amplitude, frequency, n=config.gen3d.iterations,
+                                    seed=derive_seed(config.seed, f"gen3d:g{group}"),
+                                    span=config.gen3d.span_mm,
+                                    envelope=profile2d.default_envelope(GROUP_SHAPE))
+        surfaces = [interpolate_surface(g, config.gen3d.resolution) for g in grids]
+        outcome = filter_pool(config, [measure(s) for s in surfaces])
+        for idx in outcome.kept_indices:
+            case = loads.combine(spec, outcome.metrics[idx].area_a)
+            analysis = analyze_shell(surfaces[idx], case, spec,
+                                     default_supports(grid, config.fem.supports), grid)
+            rows.append(",".join(
+                [f"g{group}-{idx:02d}", str(group), str(idx)]
+                + [f"{v:.4f}" for v in (case.dead_DL, case.live_LL, case.snow_SL,
+                                        case.wind_WL, case.total_TL,
+                                        analysis.max_displacement_mm,
+                                        analysis.limit_mm)]
+                + ["1" if analysis.passed else "0"]))
+    return "\n".join(rows) + "\n"
+
+
+def holds_geometry(obj) -> bool:
+    """Whether obj reaches a ShellSurface or TriangleMesh through dataclass
+    fields, sequences or mappings."""
+    if isinstance(obj, (ShellSurface, TriangleMesh)):
+        return True
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return any(holds_geometry(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return any(holds_geometry(item) for item in obj)
+    if isinstance(obj, dict):
+        return any(holds_geometry(k) or holds_geometry(v) for k, v in obj.items())
+    return False

@@ -157,6 +157,51 @@ def test_cli_chain_reproduces_the_pipeline_pool(capsys, tmp_path):
             == [r.split(",")[3:] for r in stage_rows])
 
 
+def test_gen3d_and_filter_read_their_config_keys(capsys, tmp_path):
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[gen3d]\niterations = 3\n\n[filter]\nkeep = 2\n")
+    pool = tmp_path / "pool"
+    assert main(["gen3d", "--config", str(cfg), "--amplitude", "10",
+                 "--frequency", "3", "--out", str(pool)]) == EXIT_OK
+    assert "wrote 3 iterations" in capsys.readouterr().out
+    assert len(list(pool.glob("iter*.mesh"))) == 3
+    assert len(list(pool.glob("iter*.pgm"))) == 3
+
+    assert main(["filter", "--config", str(cfg), "--in", str(pool)]) == EXIT_OK
+    assert "kept 2 of 3" in capsys.readouterr().out
+    # a flag still overrides its key
+    assert main(["filter", "--config", str(cfg), "--in", str(pool),
+                 "--keep", "1"]) == EXIT_OK
+    assert "kept 1 of 3" in capsys.readouterr().out
+
+
+def test_filter_honours_explicit_tolerances(capsys, tmp_path):
+    pool = tmp_path / "pool"
+    assert main(["gen3d", "--amplitude", "25", "--frequency", "6", "--seed", "42",
+                 "--iterations", "6", "--out", str(pool)]) == EXIT_OK
+    cfg = tmp_path / "explicit.ini"
+    cfg.write_text("[filter]\ntolerance_mode = explicit\n"
+                   "perimeter_tolerance_m = 0.25\narea_tolerance_m2 = 0.125\n")
+    assert main(["filter", "--config", str(cfg), "--in", str(pool)]) == EXIT_OK
+    assert "(dP=0.250000000 m, da=0.125000000 m2)" in capsys.readouterr().out
+    rows = [r.split(",") for r in (pool / "selected.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert {(r[7], r[8]) for r in rows} == {("0.250000000", "0.125000000")}
+    # every surface of the pool lies within these tolerances of the first
+    assert [r[6] for r in rows] == ["1", "0", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["filter", "--in", "pool", "--keep", "0"], "keep must be >= 1"),
+    (["gen3d", "--amplitude", "10", "--frequency", "3", "--iterations", "0"],
+     "iterations must be >= 1"),
+])
+def test_bad_pool_overrides_exit_2(capsys, tmp_path, argv, key):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seeded_rerun_gives_the_same_manifest_hash(cli_runs):
     dir_a, dir_b = cli_runs
     assert read_manifest_hash(dir_a) == read_manifest_hash(dir_b)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -33,8 +35,9 @@ from chainshell.optimizer import (
 from chainshell.pipeline import structure_spec
 from chainshell.shell3d import TriangleMesh, interpolate_surface
 
-from helpers import (dome_surface, flat_surface, grid_from_z, meshgrid_usable_area,
-                     per_point_column_heights, synthetic_candidate)
+from helpers import (dome_surface, flat_surface, grid_from_z, holds_geometry,
+                     meshgrid_usable_area, per_point_column_heights,
+                     synthetic_candidate)
 
 
 def _incline_surface(rise_per_m: float, span_mm: float = 2000.0):
@@ -337,28 +340,31 @@ def test_evaluate_candidate_collects_consistent_metrics():
 
 
 def test_formwork_reactions_cover_every_column():
-    design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
-    reactions = formwork_reactions(design)
+    surface = dome_surface()
+    design = evaluate_candidate("dome", surface, AnchorConfig(AnchorKind.FOUR))
+    reactions = formwork_reactions(design, surface)
     assert set(reactions) == set(design.columns.formwork)
     assert all(r >= 0.0 for r in reactions.values())
 
 
 def test_zero_tolerance_blocks_every_removal():
-    design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
-    kept = reduce_formwork(design, 0.0)
+    surface = dome_surface()
+    design = evaluate_candidate("dome", surface, AnchorConfig(AnchorKind.FOUR))
+    kept = reduce_formwork(design, surface, 0.0)
     assert kept.load_bearing == design.columns.load_bearing
     assert len(kept.formwork) == 12
     with pytest.raises(ParameterError):
-        reduce_formwork(design, -0.1)
+        reduce_formwork(design, surface, -0.1)
 
 
 def test_reduction_respects_its_own_tolerances():
-    design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
-    span_m = design.surface.span_mm / 1000.0
+    surface = dome_surface()
+    design = evaluate_candidate("dome", surface, AnchorConfig(AnchorKind.FOUR))
+    span_m = surface.span_mm / 1000.0
     p_ref, a_ref = _fit_supported_surface(
         design.anchors, list(design.columns.all_columns()), span_m)
     dP, da = 0.02 * p_ref, 0.02 * a_ref
-    kept = reduce_formwork(design, 0.02)
+    kept = reduce_formwork(design, surface, 0.02)
     assert kept.load_bearing == design.columns.load_bearing
     original = {id(c) for c in design.columns.formwork}
     assert all(id(c) in original for c in kept.formwork)
@@ -371,19 +377,21 @@ def test_reduction_respects_its_own_tolerances():
 
 def test_design_solve_follows_the_structure_moduli():
     # a linear frame with every stiffness halved deflects exactly twice as far
-    design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
+    surface = dome_surface()
+    design = evaluate_candidate("dome", surface, AnchorConfig(AnchorKind.FOUR))
     base = StructureSpec()
     soft = replace(base, elastic_modulus=base.elastic_modulus / 2,
                    shear_modulus=base.shear_modulus / 2)
-    stiff = _design_solve(design, design.columns, 10, base).max_displacement_mm
-    halved = _design_solve(design, design.columns, 10, soft).max_displacement_mm
+    stiff = _design_solve(design, surface, design.columns, 10, base).max_displacement_mm
+    halved = _design_solve(design, surface, design.columns, 10, soft).max_displacement_mm
     assert halved / stiff == pytest.approx(2.0, rel=1e-9)
 
 
 def test_reaction_lookup_clamps_like_the_supports():
     # a column past the far edge sits on the clamped edge node, not on the
     # first node of the next lattice row
-    design = evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
+    surface = dome_surface()
+    design = evaluate_candidate("dome", surface, AnchorConfig(AnchorKind.FOUR))
     moved = design.columns.formwork[-1]
     assert moved.position == (1.75, 1.25)
 
@@ -391,7 +399,7 @@ def test_reaction_lookup_clamps_like_the_supports():
         col = replace(moved, position=position)
         columns = ColumnSet(design.columns.load_bearing,
                             design.columns.formwork[:-1] + (col,))
-        return col, formwork_reactions(replace(design, columns=columns))
+        return col, formwork_reactions(replace(design, columns=columns), surface)
 
     outside, beyond = with_last_column_at((1.75, 2.2))
     edge, on_edge = with_last_column_at((1.75, 2.0))
@@ -456,3 +464,33 @@ def test_full_study_outcome(optimize_result):
     assert result.limit_mm == 8.0
     assert result.winner_analysis.max_displacement_mm <= result.limit_mm
 
+
+def test_study_keeps_only_the_winner_surface(monkeypatch):
+    built = []
+    original = optimizer.interpolate_surface
+
+    def tracking(control, resolution):
+        surface = original(control, resolution)
+        built.append(weakref.ref(surface))
+        return surface
+
+    monkeypatch.setattr(optimizer, "interpolate_surface", tracking)
+    config = _with_optimizer(iterations_per_anchor=2)
+    result = optimize(config, structure_spec(config), 11)
+    gc.collect()
+    # ten candidates scored, then the winner rebuilt once
+    assert len(built) == 11
+    alive = [ref() for ref in built if ref() is not None]
+    assert len(alive) == 1 and alive[0] is result.winner_surface
+    assert result.winner_surface.control is result.winner.control
+    # no candidate, the winner included, holds a surface or a mesh
+    assert not holds_geometry(result.report)
+
+
+def test_winner_rebuild_is_bit_exact(optimize_result):
+    winner, surface = optimize_result.winner, optimize_result.winner_surface
+    assert surface.sample_resolution == winner.resolution
+    assert surface.mesh.area() == winner.metrics.cms_m2
+    again = interpolate_surface(winner.control, winner.resolution)
+    assert again.heights_mm.tobytes() == surface.heights_mm.tobytes()
+    assert again.mesh.vertices.tobytes() == surface.mesh.vertices.tobytes()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,11 +19,12 @@ from chainshell.config import (
     derive_seed,
     load_config,
 )
+from chainshell import shell3d
 from chainshell.errors import ConfigError, StageError
 from chainshell.optimizer import AnchorConfig, AnchorKind, _design_solve, evaluate_candidate
 from chainshell.pipeline import (
     STAGES,
-    _group_surfaces,
+    _group_grids,
     analyze_model,
     node_displacement_rows,
     read_manifest_hash,
@@ -31,9 +34,10 @@ from chainshell.pipeline import (
     stage_optimize,
     structure_spec,
 )
-from chainshell.shell3d import TriangleMesh, group_parameters
+from chainshell.shell3d import TriangleMesh, group_parameters, interpolate_surface
 
-from helpers import dome_surface, per_node_displacement_rows
+from helpers import (carried_surface_displacement_rows, dome_surface, holds_geometry,
+                     per_node_displacement_rows)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -226,10 +230,37 @@ def test_stage_failure_keeps_prior_outputs(tmp_path):
 
 def test_group_surface_generation_is_seed_derived():
     config = _trimmed_config()
-    amplitude, frequency, seed, grids, surfaces = _group_surfaces(config, 2)
+    amplitude, frequency, seed, grids = _group_grids(config, 2)
     assert (amplitude, frequency) == group_parameters(2)
     assert seed == derive_seed(config.seed, "gen3d:g2")
-    assert len(grids) == len(surfaces) == 3
+    assert len(grids) == 3
+    assert [g.seed for g in grids] == [seed] * 3
+    assert [g.iteration for g in grids] == [0, 1, 2]
+
+
+def test_gen3d_carry_holds_grids_and_metrics_only(tmp_path, monkeypatch):
+    built = []
+    original = shell3d.interpolate_surface
+
+    def tracking(control, resolution):
+        surface = original(control, resolution)
+        built.append(weakref.ref(surface))
+        return surface
+
+    monkeypatch.setattr(shell3d, "interpolate_surface", tracking)
+    config = _trimmed_config(gen3d=Gen3dBlock(iterations=3, groups=2))
+    _, carry = stage_gen3d(config, tmp_path)
+    gc.collect()
+    assert len(built) == 6
+    assert all(ref() is None for ref in built)
+    assert not holds_geometry(carry)
+    assert [len(info["grids"]) for info in carry.values()] == [3, 3]
+
+
+def test_analyze_rows_match_the_carried_surface_reference(default_run):
+    config, run_dir = default_run
+    assert ((run_dir / "analyze" / "displacements.csv").read_bytes()
+            == carried_surface_displacement_rows(config).encode())
 
 
 def test_filter_stage_reuses_the_gen3d_metrics(tmp_path, monkeypatch):
@@ -280,11 +311,13 @@ def dome_design():
 def test_every_structural_key_changes_the_solves(dome_design, block, key):
     base = PipelineConfig()
     changed = _halved(base, block, key)
-    surface, area = dome_design.surface, dome_design.metrics.cms_m2
-    assert analyze_model(changed, surface, area) != analyze_model(base, surface, area)
+    control, area = dome_design.control, dome_design.metrics.cms_m2
+    assert analyze_model(changed, control, area) != analyze_model(base, control, area)
+    surface = interpolate_surface(control, dome_design.resolution)
 
     def design_mm(config):
-        return _design_solve(dome_design, dome_design.columns, config.fem.lattice_grid,
+        return _design_solve(dome_design, surface, dome_design.columns,
+                             config.fem.lattice_grid,
                              structure_spec(config)).max_displacement_mm
 
     assert design_mm(changed) != design_mm(base)
