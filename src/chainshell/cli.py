@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import filtering, loads as loads_mod, pipeline, profile2d, shell3d, units
 from .config import PipelineConfig, derive_seed, load_config, validate
@@ -152,24 +153,57 @@ def cmd_gen3d(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: Path) -> List[dict]:
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# what each converter accepts, for the error message
+_KINDS = {_number: "a number", int: "an integer", str: "text"}
+
+
+def _read_csv(path: Path, columns: Dict[str, Callable[[str], object]]) -> List[dict]:
+    """The rows of a CSV file, each named column present and converted.
+
+    Rows whose first cell starts with '#' are skipped.  A missing column,
+    or a cell its converter rejects, is bad input: ParameterError.
+    """
     with open(_input_file(path), "r", encoding="utf-8", newline="") as fh:
-        return [row for row in csv.DictReader(fh)
-                if row and not next(iter(row.values()), "").startswith("#")]
+        reader = csv.DictReader(fh)
+        for name in columns:
+            if name not in (reader.fieldnames or ()):
+                raise ParameterError(f"{path}: missing column {name!r}")
+        rows = []
+        for row in reader:
+            if next(iter(row.values()), "").startswith("#"):
+                continue
+            for name, convert in columns.items():
+                try:
+                    row[name] = convert(row[name])
+                except (TypeError, ValueError):
+                    raise ParameterError(
+                        f"{path}, line {reader.line_num}: {name} {row[name]!r} "
+                        f"is not {_KINDS[convert]}") from None
+            rows.append(row)
+    return rows
 
 
 def cmd_filter(args, config: PipelineConfig) -> int:
     in_dir = Path(args.in_path)
     manifest = in_dir / "manifest.csv" if in_dir.is_dir() else in_dir
-    rows = _read_csv(manifest)
+    rows = _read_csv(manifest, {"amplitude_mm": _number, "frequency": int,
+                                "seed": int, "perimeter_m": _number,
+                                "area_m2": _number})
     if not rows:
         raise ParameterError(f"no iterations found in {manifest}")
     outcome = pipeline.filter_pool(
-        config, [filtering.SurfaceMetrics(perimeter_P=float(r["perimeter_m"]),
-                                          area_a=float(r["area_m2"])) for r in rows])
+        config, [filtering.SurfaceMetrics(perimeter_P=r["perimeter_m"],
+                                          area_a=r["area_m2"]) for r in rows])
     out = Path(args.out) if args.out else manifest.parent
-    pipeline.write_selected(out / "selected.csv", float(rows[0]["amplitude_mm"]),
-                            int(rows[0]["frequency"]), int(rows[0]["seed"]), outcome)
+    pipeline.write_selected(out / "selected.csv", rows[0]["amplitude_mm"],
+                            rows[0]["frequency"], rows[0]["seed"], outcome)
     print(f"kept {len(outcome.kept_indices)} of {len(rows)} "
           f"(dP={outcome.dP:.9f} m, da={outcome.da:.9f} m2)")
     return EXIT_OK
@@ -192,18 +226,20 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     selected = Path(args.in_path)
     if selected.is_dir():
         selected = selected / "selected.csv"
-    rows = [r for r in _read_csv(selected) if r["kept"] == "1"]
+    rows = _read_csv(selected, {"iteration": int, "amplitude_mm": _number,
+                                "frequency": int, "seed": int, "area_m2": _number,
+                                "kept": str})
+    rows = [r for r in rows if r["kept"] == "1"]
     if not rows:
         raise ParameterError(f"no kept surfaces in {selected}")
     out_lines = ["model,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,max_displacement_mm,"
                  "limit_mm,passed"]
     for r in rows:
-        idx = int(r["iteration"])
-        grid = shell3d.control_grid(float(r["amplitude_mm"]), int(r["frequency"]),
-                                    int(r["seed"]), idx, span=config.gen3d.span_mm)
+        idx = r["iteration"]
+        grid = shell3d.control_grid(r["amplitude_mm"], r["frequency"], r["seed"],
+                                    idx, span=config.gen3d.span_mm)
         out_lines.append(",".join(
-            [f"iter{idx:02d}"]
-            + pipeline.analyze_model(config, grid, float(r["area_m2"]))))
+            [f"iter{idx:02d}"] + pipeline.analyze_model(config, grid, r["area_m2"])))
     out = Path(args.out) if args.out else selected.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "displacements.csv").write_text("\n".join(out_lines) + "\n",
@@ -239,14 +275,16 @@ def cmd_report(args, config: PipelineConfig) -> int:
             print(f"  {line}")
     sweep = run_dir / "sweep2d" / "max_feasible.csv"
     if sweep.exists():
-        rows = _read_csv(sweep)
+        rows = _read_csv(sweep, dict.fromkeys(
+            ("shape", "max_amplitude_mm", "max_frequency"), str))
         if rows:
             r = rows[0]
             print(f"2D sweep maximum: {r['shape']} A={r['max_amplitude_mm']} mm "
                   f"f={r['max_frequency']}")
     disp = run_dir / "analyze" / "displacements.csv"
     if disp.exists():
-        rows = _read_csv(disp)
+        rows = _read_csv(disp, dict.fromkeys(
+            ("model", "TL_kN", "max_displacement_mm", "limit_mm", "passed"), str))
         print(f"analysis: {len(rows)} models, "
               f"{sum(1 for r in rows if r['passed'] == '1')} within the limit")
         for r in rows:
@@ -254,7 +292,9 @@ def cmd_report(args, config: PipelineConfig) -> int:
                   f"max={r['max_displacement_mm']} mm (limit {r['limit_mm']})")
     ranking = run_dir / "optimize" / "ranking.csv"
     if ranking.exists():
-        rows = [r for r in _read_csv(ranking) if r["rank"]]
+        rows = [r for r in _read_csv(ranking, dict.fromkeys(
+            ("rank", "candidate", "weighted_score", "CMS_m2", "UA_m2"), str))
+                if r["rank"]]
         print(f"shelter ranking: {len(rows)} candidates")
         for r in rows[:5]:
             print(f"  #{r['rank']} {r['candidate']}: score={r['weighted_score']} "

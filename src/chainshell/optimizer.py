@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator
 
 from . import fem
 from .config import PipelineConfig
@@ -27,6 +26,7 @@ from .filtering import measure  # noqa: F401
 from .loads import StructureSpec, combine, deflection_limit
 from .shell3d import (ControlGrid, ShellSurface, _iteration_rng,
                       interpolate_surface, lattice_mesh)
+from .spline import thin_plate_grid
 
 MIN_DRAINAGE_SLOPE = 0.02
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
@@ -417,10 +417,8 @@ def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
     pts += [(c.position[0], c.position[1], c.height) for c in columns]
     xy = np.array([(p[0], p[1]) for p in pts])
     z = np.array([p[2] for p in pts])
-    rbf = RBFInterpolator(xy, z, kernel="thin_plate_spline")
     coords = np.linspace(0.0, span_m, resolution)
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    Z = rbf(np.column_stack([X.ravel(), Y.ravel()])).reshape(resolution, resolution)
+    Z = thin_plate_grid(xy, z, coords)
     # mesh the fit directly for perimeter/area comparison
     mesh = lattice_mesh(coords, Z)
     return mesh.boundary_length(), mesh.area()

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EnvelopeError, GeometryError, ParameterError
 from .profile2d import FeasibilityEnvelope, SPAN_MM
+from .spline import GridSpline
 
 DEFAULT_ITERATIONS = 20
 DEFAULT_RESOLUTION = 64  # sample points per axis
@@ -190,13 +188,19 @@ def _check_single_loop(edges: bytes) -> None:
     degree = np.bincount(edges.ravel())
     if ((degree != 0) & (degree != 2)).any():
         raise GeometryError("boundary is not a closed loop (vertex degree != 2)")
-    # every vertex has degree 2, so the edges form disjoint cycles: one
-    # loop exactly when the boundary vertices are one connected component
-    nodes, local = np.unique(edges, return_inverse=True)
-    local = local.reshape(edges.shape)
-    graph = coo_matrix((np.ones(len(edges)), (local[:, 0], local[:, 1])),
-                       shape=(len(nodes), len(nodes)))
-    if connected_components(graph, directed=False, return_labels=False) != 1:
+    # every vertex has degree 2, so the edges form disjoint cycles: walk
+    # the cycle through the first edge and see whether it uses them all
+    neighbours = {}
+    for a, b in edges.tolist():
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    start, here = edges[0].tolist()
+    prev, walked = start, 1
+    while here != start:
+        a, b = neighbours[here]
+        prev, here = here, (b if a == prev else a)
+        walked += 1
+    if walked != len(edges):
         raise GeometryError("boundary splits into multiple loops")
 
 
@@ -210,29 +214,30 @@ class ShellSurface:
     heights_mm: np.ndarray  # (res, res) lattice heights, [i, j] = (x_i, y_j)
 
     @functools.cached_property
-    def spline(self) -> RectBivariateSpline:
+    def spline(self) -> GridSpline:
         """The interpolating spline through the control grid, fitted once."""
         return _fit_spline(self.control)
 
     def evaluate(self, x_mm, y_mm) -> np.ndarray:
-        """Spline height (mm) at plan coordinates given in mm (grid query)."""
-        return self.spline(np.atleast_1d(x_mm), np.atleast_1d(y_mm))
+        """Spline height (mm) on the grid of increasing plan coordinates (mm)."""
+        return self.spline(x_mm, y_mm)
 
     def gradient(self, x_mm, y_mm, axis: str = "x") -> np.ndarray:
-        """Spline slope dz/dx or dz/dy (dimensionless) on the query grid."""
+        """Spline slope dz/dx (axis "x") or dz/dy (axis "y") on the query grid."""
+        if axis not in ("x", "y"):
+            raise ParameterError(f"gradient axis must be 'x' or 'y', got {axis!r}")
         dx, dy = (1, 0) if axis == "x" else (0, 1)
-        return self.spline(np.atleast_1d(x_mm), np.atleast_1d(y_mm), dx=dx, dy=dy)
+        return self.spline(x_mm, y_mm, dx, dy)
 
     @property
     def span_mm(self) -> float:
         return self.control.span_L
 
 
-def _fit_spline(grid: ControlGrid) -> RectBivariateSpline:
+def _fit_spline(grid: ControlGrid) -> GridSpline:
     coords = grid.coordinates()
     # interpolating tensor-product spline (s=0); cubic once the grid allows it
-    k = min(3, grid.F)
-    return RectBivariateSpline(coords, coords, grid.z_values, kx=k, ky=k, s=0)
+    return GridSpline(coords, coords, grid.z_values, k=min(3, grid.F))
 
 
 def lattice_mesh(coords_m: np.ndarray, heights_m: np.ndarray) -> TriangleMesh:

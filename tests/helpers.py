@@ -6,6 +6,8 @@ import math
 from typing import TextIO
 
 import numpy as np
+from hypothesis import settings
+from scipy.interpolate import RBFInterpolator, RectBivariateSpline
 
 from chainshell import loads, profile2d
 from chainshell.config import PipelineConfig, derive_seed
@@ -20,6 +22,9 @@ from chainshell.pipeline import GROUP_SHAPE, filter_pool, structure_spec
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
                                group_parameters, interpolate_surface)
 from chainshell.units import Shape, UnitCell
+
+# reproducible property examples, no example database written next to the tests
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 BEAM_E = 2.1e9  # default material modulus, Pa
 BEAM_SECTION = BeamSection(area=1e-3, inertia_y=2e-6, inertia_z=3e-6,
@@ -68,6 +73,20 @@ def grid_from_z(z_mm: np.ndarray, span_mm: float = 2000.0,
     z = np.asarray(z_mm, dtype=float)
     return ControlGrid(F=z.shape[0] - 1, amplitude_A=amplitude, span_L=span_mm,
                        z_values=z, seed=0, iteration=0)
+
+
+def fitpack_spline(grid: ControlGrid) -> RectBivariateSpline:
+    """FITPACK's interpolating spline through a control grid (the GridSpline oracle)."""
+    coords = grid.coordinates()
+    k = min(3, grid.F)
+    return RectBivariateSpline(coords, coords, grid.z_values, kx=k, ky=k, s=0)
+
+
+def rbf_thin_plate(xy: np.ndarray, z: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """RBFInterpolator's thin-plate fit sampled on coords x coords, [i, j] = (x_i, y_j)."""
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    rbf = RBFInterpolator(xy, z, kernel="thin_plate_spline")
+    return rbf(np.column_stack([X.ravel(), Y.ravel()])).reshape(len(coords), len(coords))
 
 
 def flat_surface(height_mm: float = 0.0, span_mm: float = 2000.0,

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import chainshell
 from chainshell.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from chainshell.config import derive_seed
 from chainshell.pipeline import read_manifest_hash
@@ -261,6 +267,27 @@ def test_missing_input_paths_exit_2(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("filter", "iteration,amplitude_mm,frequency,seed,area_m2\n0,10.0,3,42,4.1\n",
+     "missing column 'perimeter_m'"),
+    ("analyze", "amplitude_mm,frequency,seed,area_m2,kept\n10.0,3,42,4.1,1\n",
+     "missing column 'iteration'"),
+    ("filter", "iteration,amplitude_mm,frequency,seed,area_m2,perimeter_m\n"
+               "0,10.0,3,42,4.1,8.0\n1,10.0,3,42,big,8.0\n",
+     "line 3: area_m2 'big' is not a number"),
+    ("analyze", "iteration,amplitude_mm,frequency,seed,area_m2,kept\n"
+                "0,10.0,3.5,42,4.1,1\n",
+     "line 2: frequency '3.5' is not an integer"),
+])
+def test_malformed_csv_input_exits_2(capsys, tmp_path, command, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--in", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_support_mode_exits_2(capsys, tmp_path):
     selected = tmp_path / "selected.csv"
     selected.write_text("iteration,amplitude_mm,frequency,seed,perimeter_m,"
@@ -283,3 +310,17 @@ def test_stage_failures_exit_3(capsys, tmp_path):
 def test_report_requires_a_manifest(capsys, tmp_path):
     assert main(["report", "--in", str(tmp_path)]) == EXIT_VALIDATION
     assert "manifest" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_modules():
+    # a fresh interpreter: the import is what every command pays first
+    heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.spatial",
+             "scipy.sparse.csgraph")
+    src = str(Path(chainshell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, chainshell.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=120).stdout
+    assert loaded.strip() == ""

@@ -190,6 +190,25 @@ def test_interpolate_surface_rejects_too_coarse_resolution():
         interpolate_surface(grid_from_z(z), resolution=4)
 
 
+def test_spline_queries_keep_fitpacks_input_contract():
+    z = np.zeros((4, 4))
+    z[1:3, 1:3] = 10.0
+    surface = interpolate_surface(grid_from_z(z), resolution=9)
+    coords = np.linspace(0.0, 2000.0, 5)
+    for axis in ("z", "X", ""):
+        with pytest.raises(ParameterError, match="axis must be 'x' or 'y'"):
+            surface.gradient(coords, coords, axis=axis)
+    with pytest.raises(ParameterError, match="increasing order"):
+        surface.evaluate(coords[::-1], coords)
+    with pytest.raises(ParameterError, match="increasing order"):
+        surface.gradient(coords, coords[::-1], axis="y")
+    linear = interpolate_surface(grid_from_z(np.zeros((2, 2))), resolution=4)
+    for axis in ("x", "y"):
+        with pytest.raises(ParameterError, match="degree-1 spline"):
+            linear.gradient(coords, coords, axis=axis)
+    assert linear.evaluate(coords, coords).shape == (5, 5)
+
+
 def test_mesh_boundary_edge_and_loop_errors():
     # one edge shared by three faces is not a manifold surface
     vertices = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],

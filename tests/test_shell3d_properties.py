@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chainshell import shell3d
@@ -22,11 +22,8 @@ from chainshell.errors import GeometryError
 from chainshell.filtering import SurfaceMetrics, measure
 from chainshell.shell3d import TriangleMesh, interpolate_surface, lattice_mesh, write_mesh
 
-from helpers import (cross_product_area, grid_from_z, line_by_line_write_mesh,
+from helpers import (PROPERTY, cross_product_area, grid_from_z, line_by_line_write_mesh,
                      per_call_lattice_faces, unique_rows_boundary_edges)
-
-# reproducible examples, no example database written next to the tests
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def random_lattice(n: int, seed: int) -> TriangleMesh:
