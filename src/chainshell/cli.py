@@ -116,8 +116,9 @@ def _config_from_args(args) -> PipelineConfig:
     return validate(config)
 
 
-def _out_dir(args, default: str) -> Path:
-    return Path(args.out) if args.out else Path(default)
+def _out_dir(args, default) -> pipeline.RunDir:
+    """The run directory outputs are written under: --out, else `default`."""
+    return pipeline.RunDir.create(args.out or default)
 
 
 def _cat(path: Path) -> None:
@@ -127,19 +128,18 @@ def _cat(path: Path) -> None:
 def cmd_units(args, config: PipelineConfig) -> int:
     out = _out_dir(args, "runs/units")
     pipeline.stage_units(config, out)
-    _cat(out / "units" / "units.csv")
+    _cat(out.path / "units" / "units.csv")
     return EXIT_OK
 
 
 def cmd_sweep2d(args, config: PipelineConfig) -> int:
     out = _out_dir(args, "runs/sweep2d")
     pipeline.stage_sweep2d(config, out)
-    _cat(out / "sweep2d" / "max_feasible.csv")
+    _cat(out.path / "sweep2d" / "max_feasible.csv")
     return EXIT_OK
 
 
 def cmd_gen3d(args, config: PipelineConfig) -> int:
-    out = _out_dir(args, "runs/gen3d")
     envelope = profile2d.default_envelope(units.Shape.parse(config.sweep2d.shape))
     # an explicit --seed keys the pool directly; otherwise derive per stage
     seed = config.seed if args.seed is not None else derive_seed(config.seed, "gen3d")
@@ -147,9 +147,10 @@ def cmd_gen3d(args, config: PipelineConfig) -> int:
                                         n=config.gen3d.iterations, seed=seed,
                                         span=config.gen3d.span_mm,
                                         envelope=envelope)
-    pipeline.write_pool(out, args.amplitude, args.frequency, seed, grids,
+    out = _out_dir(args, "runs/gen3d")
+    pipeline.write_pool(out, "", args.amplitude, args.frequency, seed, grids,
                         config.gen3d.resolution)
-    print(f"wrote {len(grids)} iterations to {out}")
+    print(f"wrote {len(grids)} iterations to {out.path}")
     return EXIT_OK
 
 
@@ -201,9 +202,9 @@ def cmd_filter(args, config: PipelineConfig) -> int:
     outcome = pipeline.filter_pool(
         config, [filtering.SurfaceMetrics(perimeter_P=r["perimeter_m"],
                                           area_a=r["area_m2"]) for r in rows])
-    out = Path(args.out) if args.out else manifest.parent
-    pipeline.write_selected(out / "selected.csv", rows[0]["amplitude_mm"],
-                            rows[0]["frequency"], rows[0]["seed"], outcome)
+    pipeline.write_selected(_out_dir(args, manifest.parent), "selected.csv",
+                            rows[0]["amplitude_mm"], rows[0]["frequency"],
+                            rows[0]["seed"], outcome)
     print(f"kept {len(outcome.kept_indices)} of {len(rows)} "
           f"(dP={outcome.dP:.9f} m, da={outcome.da:.9f} m2)")
     return EXIT_OK
@@ -232,6 +233,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     rows = [r for r in rows if r["kept"] == "1"]
     if not rows:
         raise ParameterError(f"no kept surfaces in {selected}")
+    out = _out_dir(args, selected.parent)
     out_lines = ["model,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,max_displacement_mm,"
                  "limit_mm,passed"]
     for r in rows:
@@ -240,24 +242,21 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
                                     idx, span=config.gen3d.span_mm)
         out_lines.append(",".join(
             [f"iter{idx:02d}"] + pipeline.analyze_model(config, grid, r["area_m2"])))
-    out = Path(args.out) if args.out else selected.parent
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "displacements.csv").write_text("\n".join(out_lines) + "\n",
-                                           encoding="utf-8")
-    sys.stdout.write("\n".join(out_lines) + "\n")
+    text = "\n".join(out_lines) + "\n"
+    pipeline.write_output(out, "displacements.csv", text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_optimize(args, config: PipelineConfig) -> int:
     out = _out_dir(args, "runs/shelter")
     pipeline.stage_optimize(config, out)
-    _cat(out / "optimize" / "ranking.csv")
+    _cat(out.path / "optimize" / "ranking.csv")
     return EXIT_OK
 
 
 def cmd_run(args, config: PipelineConfig) -> int:
-    out = _out_dir(args, f"runs/run-seed{config.seed}")
-    run_dir = pipeline.run_pipeline(config, out)
+    run_dir = pipeline.run_pipeline(config, args.out or f"runs/run-seed{config.seed}")
     print(f"run complete: {run_dir}")
     print(f"manifest hash: {pipeline.read_manifest_hash(run_dir)}")
     return EXIT_OK

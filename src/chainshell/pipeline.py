@@ -2,8 +2,9 @@
 structural analysis, shelter optimization.
 
 Every stage writes CSV/mesh/image outputs into its own subdirectory of the
-run directory; a manifest records the config hash, seed, per-stage wall
-times, and output digests.  Identical config and seed reproduce
+run directory through `write_output`, which records each file's sha256 as
+it writes it; a manifest records the config hash, seed, per-stage wall
+times, and those digests.  Identical config and seed reproduce
 byte-identical CSVs and the same manifest hash (wall times are excluded
 from the hash).
 """
@@ -13,14 +14,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import filtering, loads, profile2d, shell3d, units
 from .config import PipelineConfig, config_hash, derive_seed, dump_config, validate
-from .errors import StageError
+from .errors import ParameterError, StageError
 from .fem import analyze_shell, default_supports
 from .optimizer import optimize
 
@@ -32,21 +35,43 @@ def _fmt(value: float, nd: int = 6) -> str:
     return f"{value:.{nd}f}"
 
 
-def _write_text(path: Path, text: str) -> None:
+@dataclass
+class RunDir:
+    """A directory outputs are written under, and the sha256 of each
+    output written so far, keyed by its '/'-separated relative path."""
+    path: Path
+    digests: Dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def create(cls, path) -> "RunDir":
+        """Make the directory; a file in the way is bad input, not a stage failure."""
+        path = Path(path)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ParameterError(f"not a directory: {path}") from None
+        return cls(path)
+
+
+def write_output(out: RunDir, rel: str, data) -> None:
+    """Write text (UTF-8, as given) or bytes to `rel` under the run
+    directory, making its parent, and record the sha256 of the bytes."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path = out.path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    path.write_bytes(data)
+    out.digests[rel] = hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _rendered(write, value, empty):
+    """What `write(value, stream)` writes, joined onto `empty` ("" or b"")."""
+    parts: list = []
+    write(value, SimpleNamespace(write=parts.append))
+    return empty.join(parts)
 
 
-def stage_units(config: PipelineConfig, run_dir: Path) -> List[str]:
+def stage_units(config: PipelineConfig, out: RunDir) -> None:
     rows = ["shape,member_length_mm,rod_diameter_mm,pitch_mm,solid_to_gap_ratio,"
             "centreline_mm,moment_of_inertia,unit_volume_mm3,unit_weight_g"]
     for shape in units.Shape:
@@ -60,11 +85,10 @@ def stage_units(config: PipelineConfig, run_dir: Path) -> List[str]:
             _fmt(ratio, 6), _fmt(cell.centreline_length(), 3),
             _fmt(units.moment_of_inertia(cell), 6), _fmt(volume, 6),
             _fmt(weight, 6)]))
-    _write_text(run_dir / "units" / "units.csv", "\n".join(rows) + "\n")
-    return ["units/units.csv"]
+    write_output(out, "units/units.csv", "\n".join(rows) + "\n")
 
 
-def stage_sweep2d(config: PipelineConfig, run_dir: Path) -> List[str]:
+def stage_sweep2d(config: PipelineConfig, out: RunDir) -> None:
     shape = units.Shape.parse(config.sweep2d.shape)
     envelope = profile2d.default_envelope(shape)
     report = profile2d.sweep_2d(shape, envelope,
@@ -76,11 +100,10 @@ def stage_sweep2d(config: PipelineConfig, run_dir: Path) -> List[str]:
             shape.value, _fmt(cell.amplitude_A, 1), str(cell.frequency_f),
             "1" if cell.feasible else "0", _fmt(cell.peak_curvature, 9)]))
     best_a, best_f = report.max_feasible_cell
-    _write_text(run_dir / "sweep2d" / "sweep2d.csv", "\n".join(rows) + "\n")
-    summary = ("shape,max_amplitude_mm,max_frequency\n"
-               f"{shape.value},{_fmt(best_a, 1)},{best_f}\n")
-    _write_text(run_dir / "sweep2d" / "max_feasible.csv", summary)
-    return ["sweep2d/sweep2d.csv", "sweep2d/max_feasible.csv"]
+    write_output(out, "sweep2d/sweep2d.csv", "\n".join(rows) + "\n")
+    write_output(out, "sweep2d/max_feasible.csv",
+                 "shape,max_amplitude_mm,max_frequency\n"
+                 f"{shape.value},{_fmt(best_a, 1)},{best_f}\n")
 
 
 def _group_grids(config: PipelineConfig, group: int):
@@ -94,10 +117,11 @@ def _group_grids(config: PipelineConfig, group: int):
     return amplitude, frequency, seed, grids
 
 
-def write_pool(pool_dir: Path, amplitude: float, frequency: int, seed: int,
-               grids: List[shell3d.ControlGrid],
+def write_pool(out: RunDir, prefix: str, amplitude: float, frequency: int,
+               seed: int, grids: List[shell3d.ControlGrid],
                resolution: int) -> List[filtering.SurfaceMetrics]:
-    """Write a pool's iterNN.mesh, iterNN.pgm and manifest.csv; return its metrics.
+    """Write a pool's iterNN.mesh, iterNN.pgm and manifest.csv under
+    `prefix` (a relative directory ending in '/', or ''); return its metrics.
 
     Each surface is built from its grid, written, measured and dropped
     before the next, so one pool surface is alive at a time.
@@ -107,10 +131,10 @@ def write_pool(pool_dir: Path, amplitude: float, frequency: int, seed: int,
     metrics = []
     for i, grid in enumerate(grids):
         surface = shell3d.interpolate_surface(grid, resolution)
-        with _opened(pool_dir / f"iter{i:02d}.mesh") as fh:
-            shell3d.write_mesh(surface.mesh, fh)
-        with open(pool_dir / f"iter{i:02d}.pgm", "wb") as fh:
-            shell3d.write_pgm(shell3d.depth_map(surface, 128), fh)
+        write_output(out, f"{prefix}iter{i:02d}.mesh",
+                     _rendered(shell3d.write_mesh, surface.mesh, ""))
+        write_output(out, f"{prefix}iter{i:02d}.pgm",
+                     _rendered(shell3d.write_pgm, shell3d.depth_map(surface, 128), b""))
         m = filtering.measure(surface)
         rows.append(",".join([
             str(i), _fmt(amplitude, 1), str(frequency), str(seed),
@@ -118,34 +142,25 @@ def write_pool(pool_dir: Path, amplitude: float, frequency: int, seed: int,
             _fmt(float(grid.z_values.max()), 6),
             _fmt(m.area_a, 9), _fmt(m.perimeter_P, 9)]))
         metrics.append(m)
-    _write_text(pool_dir / "manifest.csv", "\n".join(rows) + "\n")
+    write_output(out, f"{prefix}manifest.csv", "\n".join(rows) + "\n")
     return metrics
 
 
-def stage_gen3d(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Dict]:
+def stage_gen3d(config: PipelineConfig, out: RunDir) -> Dict:
     """Write every group's pool; the carry holds each pool's grids and metrics."""
-    outputs: List[str] = []
     carry: Dict[int, Dict] = {}
     for group in range(1, config.gen3d.groups + 1):
         amplitude, frequency, seed, grids = _group_grids(config, group)
-        metrics = write_pool(run_dir / "gen3d" / f"g{group}", amplitude, frequency,
+        metrics = write_pool(out, f"gen3d/g{group}/", amplitude, frequency,
                              seed, grids, config.gen3d.resolution)
-        outputs += [f"gen3d/g{group}/iter{i:02d}.{ext}"
-                    for i in range(len(grids)) for ext in ("mesh", "pgm")]
-        outputs.append(f"gen3d/g{group}/manifest.csv")
         carry[group] = {"amplitude": amplitude, "frequency": frequency,
                         "seed": seed, "grids": grids, "metrics": metrics}
-    return outputs, carry
+    return carry
 
 
-def _opened(path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def write_selected(path: Path, amplitude: float, frequency: int, seed: int,
-                   outcome: filtering.FilterOutcome) -> None:
-    """Write a pool's selected.csv: every member's metrics and kept flag."""
+def write_selected(out: RunDir, rel: str, amplitude: float, frequency: int,
+                   seed: int, outcome: filtering.FilterOutcome) -> None:
+    """Write a pool's selected.csv to `rel`: every member's metrics and kept flag."""
     rows = ["iteration,amplitude_mm,frequency,seed,perimeter_m,area_m2,"
             "kept,perimeter_tolerance_m,area_tolerance_m2"]
     for i, m in enumerate(outcome.metrics):
@@ -154,7 +169,7 @@ def write_selected(path: Path, amplitude: float, frequency: int, seed: int,
             _fmt(m.perimeter_P, 9), _fmt(m.area_a, 9),
             "1" if i in outcome.kept_indices else "0",
             _fmt(outcome.dP, 9), _fmt(outcome.da, 9)]))
-    _write_text(path, "\n".join(rows) + "\n")
+    write_output(out, rel, "\n".join(rows) + "\n")
 
 
 def filter_pool(config: PipelineConfig,
@@ -167,18 +182,14 @@ def filter_pool(config: PipelineConfig,
         da=config.filter.area_tolerance_m2 if explicit else None)
 
 
-def stage_filter(config: PipelineConfig, run_dir: Path,
-                 gen_carry: Dict) -> Tuple[List[str], Dict]:
-    outputs: List[str] = []
+def stage_filter(config: PipelineConfig, out: RunDir, gen_carry: Dict) -> Dict:
     carry: Dict[int, filtering.FilterOutcome] = {}
     for group, info in gen_carry.items():
         outcome = filter_pool(config, info["metrics"])
-        rel = f"filter/g{group}/selected.csv"
-        write_selected(run_dir / rel, info["amplitude"], info["frequency"],
-                       info["seed"], outcome)
-        outputs.append(rel)
+        write_selected(out, f"filter/g{group}/selected.csv", info["amplitude"],
+                       info["frequency"], info["seed"], outcome)
         carry[group] = outcome
-    return outputs, carry
+    return carry
 
 
 def structure_spec(config: PipelineConfig) -> loads.StructureSpec:
@@ -217,8 +228,8 @@ def analyze_model(config: PipelineConfig, control: shell3d.ControlGrid,
             "1" if analysis.passed else "0"]
 
 
-def stage_analyze(config: PipelineConfig, run_dir: Path, gen_carry: Dict,
-                  filter_carry: Dict) -> List[str]:
+def stage_analyze(config: PipelineConfig, out: RunDir, gen_carry: Dict,
+                  filter_carry: Dict) -> None:
     rows = ["model,group,iteration,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,"
             "max_displacement_mm,limit_mm,passed"]
     for group, info in gen_carry.items():
@@ -228,8 +239,7 @@ def stage_analyze(config: PipelineConfig, run_dir: Path, gen_carry: Dict,
                                     outcome.metrics[idx].area_a)
             rows.append(",".join([f"g{group}-{idx:02d}", str(group), str(idx)]
                                  + columns))
-    _write_text(run_dir / "analyze" / "displacements.csv", "\n".join(rows) + "\n")
-    return ["analyze/displacements.csv"]
+    write_output(out, "analyze/displacements.csv", "\n".join(rows) + "\n")
 
 
 def _ranking_rows(report) -> List[str]:
@@ -274,27 +284,22 @@ def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> s
             % tuple(itertools.chain.from_iterable(values)))
 
 
-def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Dict]:
+def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
     result = optimize(config, structure_spec(config),
                       derive_seed(config.seed, "optimize"))
 
-    outputs: List[str] = []
     rows = _ranking_rows(result.report)
-    _write_text(run_dir / "optimize" / "ranking.csv", "\n".join(rows) + "\n")
-    outputs.append("optimize/ranking.csv")
+    write_output(out, "optimize/ranking.csv", "\n".join(rows) + "\n")
 
     marker_rows = ["candidate,x_m,y_m"]
     for c in tuple(result.report.ranked) + tuple(result.report.rejected):
         for (x, y) in c.slope_report.failing_points:
             marker_rows.append(f"{c.candidate_id},{_fmt(x, 4)},{_fmt(y, 4)}")
-    _write_text(run_dir / "optimize" / "slope_failures.csv",
-                "\n".join(marker_rows) + "\n")
-    outputs.append("optimize/slope_failures.csv")
+    write_output(out, "optimize/slope_failures.csv", "\n".join(marker_rows) + "\n")
 
     if result.winner is not None:
-        with _opened(run_dir / "optimize" / "winner.mesh") as fh:
-            shell3d.write_mesh(result.winner_surface.mesh, fh)
-        outputs.append("optimize/winner.mesh")
+        write_output(out, "optimize/winner.mesh",
+                     _rendered(shell3d.write_mesh, result.winner_surface.mesh, ""))
 
         analysis = result.winner_analysis
         coords = np.linspace(0.0, config.gen3d.span_mm / 1000.0,
@@ -302,11 +307,10 @@ def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Di
         footer = (f"# max_displacement_mm={_fmt(analysis.max_displacement_mm, 6)}"
                   f" limit_mm={_fmt(result.limit_mm, 4)}"
                   f" passed={'1' if analysis.passed else '0'}\n")
-        _write_text(run_dir / "optimize" / "winner_displacements.csv",
-                    "node,x_m,y_m,ux_mm,uy_mm,uz_mm,translation_mm\n"
-                    + node_displacement_rows(analysis.result.displacements, coords)
-                    + footer)
-        outputs.append("optimize/winner_displacements.csv")
+        write_output(out, "optimize/winner_displacements.csv",
+                     "node,x_m,y_m,ux_mm,uy_mm,uz_mm,translation_mm\n"
+                     + node_displacement_rows(analysis.result.displacements, coords)
+                     + footer)
 
         crows = ["role,x_m,y_m,height_m,volume_m3,kept"]
         kept_fw = set(result.reduced_columns.formwork)
@@ -318,9 +322,7 @@ def stage_optimize(config: PipelineConfig, run_dir: Path) -> Tuple[List[str], Di
             crows.append(f"formwork,{_fmt(col.position[0], 4)},"
                          f"{_fmt(col.position[1], 4)},{_fmt(col.height, 6)},"
                          f"{_fmt(col.volume, 9)},{'1' if col in kept_fw else '0'}")
-        _write_text(run_dir / "optimize" / "columns.csv", "\n".join(crows) + "\n")
-        outputs.append("optimize/columns.csv")
-    return outputs, {"result": result}
+        write_output(out, "optimize/columns.csv", "\n".join(crows) + "\n")
 
 
 def _manifest_hash(cfg_hash: str, seed: int, status: str,
@@ -332,13 +334,13 @@ def _manifest_hash(cfg_hash: str, seed: int, status: str,
     return h.hexdigest()
 
 
-def _write_manifest(run_dir: Path, config: PipelineConfig, status: str,
-                    timings: Dict[str, float], outputs: List[str],
+def _write_manifest(out: RunDir, config: PipelineConfig, status: str,
+                    timings: Dict[str, float],
                     failed_stage: Optional[str] = None,
                     error: Optional[str] = None) -> None:
+    """Write manifest.txt, listing every output written so far with its digest."""
     cfg_hash = config_hash(config)
-    hashes = {rel: _sha256_file(run_dir / rel) for rel in outputs}
-    mhash = _manifest_hash(cfg_hash, config.seed, status, hashes)
+    mhash = _manifest_hash(cfg_hash, config.seed, status, out.digests)
     lines = ["[run]",
              f"seed = {config.seed}",
              f"config_hash = {cfg_hash}",
@@ -354,9 +356,9 @@ def _write_manifest(run_dir: Path, config: PipelineConfig, status: str,
         lines.append(f"{stage}_s = {seconds:.3f}")
     lines.append("")
     lines.append("[outputs]")
-    for rel in sorted(hashes):
-        lines.append(f"{rel} = {hashes[rel]}")
-    _write_text(run_dir / "manifest.txt", "\n".join(lines) + "\n")
+    for rel in sorted(out.digests):
+        lines.append(f"{rel} = {out.digests[rel]}")
+    (out.path / "manifest.txt").write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest_hash(run_dir: Path) -> str:
@@ -370,15 +372,13 @@ def run_pipeline(config: PipelineConfig, out_dir) -> Path:
     """Execute all stages in order; returns the run directory.
 
     A stage failure halts the pipeline, preserves prior outputs, and writes
-    an incomplete manifest naming the stage and cause before re-raising as
-    a stage error.
+    an incomplete manifest naming the stage and cause, and listing every
+    file written before it failed, before re-raising as a stage error.
     """
     config = validate(config)
-    run_dir = Path(out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(run_dir / "config.ini", dump_config(config))
+    out = RunDir.create(out_dir)
+    write_output(out, "config.ini", dump_config(config))
 
-    outputs: List[str] = ["config.ini"]
     timings: Dict[str, float] = {}
     gen_carry: Dict = {}
     filter_carry: Dict = {}
@@ -387,24 +387,21 @@ def run_pipeline(config: PipelineConfig, out_dir) -> Path:
         for stage in STAGES:
             t0 = time.perf_counter()
             if stage == "units":
-                outputs += stage_units(config, run_dir)
+                stage_units(config, out)
             elif stage == "sweep2d":
-                outputs += stage_sweep2d(config, run_dir)
+                stage_sweep2d(config, out)
             elif stage == "gen3d":
-                new, gen_carry = stage_gen3d(config, run_dir)
-                outputs += new
+                gen_carry = stage_gen3d(config, out)
             elif stage == "filter":
-                new, filter_carry = stage_filter(config, run_dir, gen_carry)
-                outputs += new
+                filter_carry = stage_filter(config, out, gen_carry)
             elif stage == "analyze":
-                outputs += stage_analyze(config, run_dir, gen_carry, filter_carry)
+                stage_analyze(config, out, gen_carry, filter_carry)
             elif stage == "optimize":
-                new, _ = stage_optimize(config, run_dir)
-                outputs += new
+                stage_optimize(config, out)
             timings[stage] = time.perf_counter() - t0
     except Exception as exc:
-        _write_manifest(run_dir, config, "incomplete", timings, outputs,
+        _write_manifest(out, config, "incomplete", timings,
                         failed_stage=stage, error=str(exc))
         raise StageError(stage, exc) from exc
-    _write_manifest(run_dir, config, "complete", timings, outputs)
-    return run_dir
+    _write_manifest(out, config, "complete", timings)
+    return out.path

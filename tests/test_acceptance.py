@@ -32,7 +32,7 @@ from chainshell.loads import (
     wind_load,
 )
 from chainshell.optimizer import rank_designs
-from chainshell.pipeline import stage_optimize
+from chainshell.pipeline import RunDir, stage_optimize
 from chainshell.profile2d import default_envelope, sweep_2d
 from chainshell.shell3d import depth_map, group_parameters, interpolate_surface
 from chainshell.units import (
@@ -210,7 +210,7 @@ def test_a08_ranking_csv_determinism(tmp_path):
     runs = {}
     for name, threads in (("a", 1), ("b", 1), ("c", 4)):
         config = replace(PipelineConfig(), threads=threads)
-        stage_optimize(config, tmp_path / name)
+        stage_optimize(config, RunDir.create(tmp_path / name))
         runs[name] = (tmp_path / name / "optimize" / "ranking.csv").read_bytes()
     ok = runs["a"] == runs["b"] == runs["c"]
     _report("A08", ok,

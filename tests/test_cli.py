@@ -267,6 +267,21 @@ def test_missing_input_paths_exit_2(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, below", [
+    (["run"], ""),
+    (["units"], ""),
+    (["gen3d", "--amplitude", "10", "--frequency", "3", "--iterations", "1"], "sub"),
+])
+def test_out_naming_a_file_exits_2(capsys, tmp_path, argv, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out = blocker / below if below else blocker
+    assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+    assert f"not a directory: {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("filter", "iteration,amplitude_mm,frequency,seed,area_m2\n0,10.0,3,42,4.1\n",
      "missing column 'perimeter_m'"),

@@ -24,6 +24,7 @@ from chainshell.errors import ConfigError, StageError
 from chainshell.optimizer import AnchorConfig, AnchorKind, _design_solve, evaluate_candidate
 from chainshell.pipeline import (
     STAGES,
+    RunDir,
     _group_grids,
     analyze_model,
     node_displacement_rows,
@@ -100,6 +101,10 @@ def test_default_run_writes_every_stage(default_run):
         assert _sha256(run_dir / rel) == digest
         top = rel.split("/", 1)[0]
         assert top in STAGES or rel == "config.ini"
+    # and the manifest lists exactly the files the run wrote
+    on_disk = {p.relative_to(run_dir).as_posix()
+               for p in run_dir.rglob("*") if p.is_file()}
+    assert on_disk - {"manifest.txt"} == set(outputs)
 
 
 # the published manifest hash of `chainshell run` on the default config
@@ -223,8 +228,10 @@ def test_stage_failure_keeps_prior_outputs(tmp_path):
     for rel in ("config.ini", "units/units.csv", "sweep2d/sweep2d.csv"):
         assert (out / rel).is_file()
         assert rel in manifest["outputs"]
-    # groups 1-4 were generated before the failure and stay on disk
-    assert (out / "gen3d/g1/manifest.csv").is_file()
+    # groups 1-4 were generated before the failure: they stay on disk and
+    # the manifest lists them with their digests
+    rel = "gen3d/g1/manifest.csv"
+    assert manifest["outputs"][rel] == _sha256(out / rel)
     assert not (out / "analyze").exists()
 
 
@@ -249,7 +256,7 @@ def test_gen3d_carry_holds_grids_and_metrics_only(tmp_path, monkeypatch):
 
     monkeypatch.setattr(shell3d, "interpolate_surface", tracking)
     config = _trimmed_config(gen3d=Gen3dBlock(iterations=3, groups=2))
-    _, carry = stage_gen3d(config, tmp_path)
+    carry = stage_gen3d(config, RunDir.create(tmp_path))
     gc.collect()
     assert len(built) == 6
     assert all(ref() is None for ref in built)
@@ -265,14 +272,16 @@ def test_analyze_rows_match_the_carried_surface_reference(default_run):
 
 def test_filter_stage_reuses_the_gen3d_metrics(tmp_path, monkeypatch):
     config = _trimmed_config(gen3d=Gen3dBlock(iterations=3, groups=1))
-    _, gen_carry = stage_gen3d(config, tmp_path)
+    out = RunDir.create(tmp_path)
+    gen_carry = stage_gen3d(config, out)
+    gen3d_outputs = set(out.digests)
 
     def refuse(mesh):
         raise AssertionError("stage_filter measured a surface again")
 
     monkeypatch.setattr(TriangleMesh, "boundary_edges", refuse)
-    outputs, carry = stage_filter(config, tmp_path, gen_carry)
-    assert outputs == ["filter/g1/selected.csv"]
+    carry = stage_filter(config, out, gen_carry)
+    assert set(out.digests) - gen3d_outputs == {"filter/g1/selected.csv"}
     assert carry[1].metrics == gen_carry[1]["metrics"]
 
 
@@ -290,8 +299,8 @@ def _halved(config: PipelineConfig, block: str, key: str) -> PipelineConfig:
 def test_optimize_stage_uses_the_config_moduli(tmp_path):
     config = _trimmed_config(optimizer=OptimizerBlock(iterations_per_anchor=4))
     soft = _halved(_halved(config, "fem", "elastic_modulus_pa"), "fem", "shear_modulus_pa")
-    stage_optimize(config, tmp_path / "default")
-    stage_optimize(soft, tmp_path / "soft")
+    stage_optimize(config, RunDir.create(tmp_path / "default"))
+    stage_optimize(soft, RunDir.create(tmp_path / "soft"))
     # the ranking does not see the frame; the winner's solve does
     for rel in ("ranking.csv", "columns.csv"):
         assert ((tmp_path / "default/optimize" / rel).read_bytes()
