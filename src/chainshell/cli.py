@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -318,7 +319,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _config_from_args(args))
+        code = _COMMANDS[args.command](args, _config_from_args(args))
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`report | head -1`); devnull keeps the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ConfigError, ParameterError, EnvelopeError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -4,10 +4,10 @@ Shell surfaces are idealized as space frames: lattice rows, columns, and one
 diagonal per cell become 12-degree-of-freedom Euler-Bernoulli beam elements
 with homogenized rectangular sections (McGuire, Gallagher & Ziemian,
 *Matrix Structural Analysis*, 2000).  The element matrices are built in one
-batch into a sparse K; after constraint elimination K u = F is solved by
-banded Cholesky on the band the node numbering gives (row-major lattices are
-banded already).  Singular systems raise a mechanism error naming the
-offending degrees of freedom.
+batch; band assembly sums their free-DOF entries straight into the LAPACK
+band of K_ff, which banded Cholesky factors on the band the node numbering
+gives (row-major lattices are banded already).  Singular systems raise a
+mechanism error naming the offending degrees of freedom.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded
 
 from .errors import GeometryError, MechanismError, ParameterError
 from .loads import (DEFAULT_ELASTIC_MODULUS_PA, DEFAULT_SHEAR_MODULUS_PA,
@@ -89,27 +88,20 @@ class SupportKind(enum.Enum):
         return (2,)  # sliding base: vertical translation only
 
 
-@dataclass(frozen=True)
-class FrameElement:
-    node_i: int
-    node_j: int
-    section: BeamSection
-
-
 @dataclass(frozen=True, eq=False)
 class FrameModel:
     nodes: np.ndarray  # (N, 3) metres
-    elements: List[FrameElement]
+    ends: np.ndarray   # (m, 2) node ids: element e runs from ends[e, 0] to ends[e, 1]
+    section: BeamSection  # shared by every element
     supports: Dict[int, SupportKind]
     material: Material = field(default_factory=Material)
 
     def __post_init__(self):
         n = len(self.nodes)
-        for e in self.elements:
-            if e.node_i == e.node_j:
-                raise GeometryError("element connects a node to itself")
-            if not (0 <= e.node_i < n and 0 <= e.node_j < n):
-                raise GeometryError("element references a missing node")
+        if np.any(self.ends[:, 0] == self.ends[:, 1]):
+            raise GeometryError("element connects a node to itself")
+        if np.any((self.ends < 0) | (self.ends >= n)):
+            raise GeometryError("element references a missing node")
         for node in self.supports:
             if not 0 <= node < n:
                 raise ParameterError(f"support on missing node {node}")
@@ -143,10 +135,8 @@ class SolveResult:
 def _local_stiffness(model: FrameModel, length: np.ndarray) -> np.ndarray:
     """(m, 12, 12) element stiffness matrices in local axes, one per element."""
     E, G = model.material.elastic_modulus, model.material.shear_modulus
-    sections = np.array([(e.section.area, e.section.inertia_y,
-                          e.section.inertia_z, e.section.torsion_J)
-                         for e in model.elements]).reshape(-1, 4)
-    A, Iy, Iz, J = sections.T
+    sec = model.section
+    A, Iy, Iz, J = sec.area, sec.inertia_y, sec.inertia_z, sec.torsion_J
     l = length
     k = np.zeros((len(l), 12, 12))
     ax = E * A / l
@@ -186,10 +176,10 @@ def _rotations(d: np.ndarray) -> np.ndarray:
     return t3
 
 
-def assemble_stiffness(model: FrameModel) -> sparse.csr_array:
-    """Global stiffness matrix, every element matrix built in one batch."""
-    ends = np.array([(e.node_i, e.node_j) for e in model.elements],
-                    dtype=np.intp).reshape(-1, 2)
+def assemble_stiffness(model: FrameModel) -> Tuple[np.ndarray, np.ndarray]:
+    """Element stiffness matrices in global axes, (m, 12, 12), built in one
+    batch, and the global DOF of each of their rows, (m, 12)."""
+    ends = model.ends
     delta = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
     length = np.linalg.norm(delta, axis=1)
     if np.any(length < 1e-12):
@@ -202,10 +192,21 @@ def assemble_stiffness(model: FrameModel) -> sparse.csr_array:
                    lam, optimize=True)
     dofs = (ends[:, :, None] * DOF_PER_NODE
             + np.arange(DOF_PER_NODE)).reshape(-1, 12)
-    rows = np.broadcast_to(dofs[:, :, None], ke.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], ke.shape).ravel()
-    n = model.dof_count
-    return sparse.coo_array((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return ke, dofs
+
+
+def _free_band(ke: np.ndarray, pos: np.ndarray, n_free: int) -> np.ndarray:
+    """K_ff in LAPACK lower-band storage, ab[i - j, j] = K_ff[i, j] for i >= j,
+    summed from the blocks ke in element order; pos is the free-DOF index of
+    each block row, -1 if fixed.  The band is the widest coupling between free
+    DOFs, so no node numbering is assumed; a bad one only stores more."""
+    col = np.broadcast_to(pos[:, None, :], ke.shape)
+    offset = pos[:, :, None] - col
+    lower = (offset >= 0) & (col >= 0)
+    offset, col = offset[lower], col[lower]
+    height = int(offset.max(initial=0)) + 1
+    return np.bincount(offset * n_free + col, weights=ke[lower],
+                       minlength=height * n_free).reshape(height, n_free)
 
 
 def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
@@ -228,8 +229,8 @@ def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
     return F
 
 
-def _describe_mechanism(K_ff: np.ndarray, free: np.ndarray) -> MechanismError:
-    vals, vecs = eigh(K_ff)
+def _describe_mechanism(ab: np.ndarray, free: np.ndarray) -> MechanismError:
+    vals, vecs = eig_banded(ab, lower=True)
     scale = max(abs(vals[-1]), 1.0)
     dofs: List[Tuple[int, str]] = []
     for mode in range(len(vals)):
@@ -247,20 +248,6 @@ def _describe_mechanism(K_ff: np.ndarray, free: np.ndarray) -> MechanismError:
         dofs=dofs)
 
 
-def _lower_band(K_ff: sparse.csr_array) -> np.ndarray:
-    """K_ff in LAPACK lower-band storage: ab[i - j, j] = K_ff[i, j], i >= j.
-
-    The band is the widest coupling between the model's own free DOFs, so
-    no node numbering is assumed; a badly numbered model only stores more.
-    """
-    coo = K_ff.tocoo()
-    offset = coo.row - coo.col
-    lower = offset >= 0
-    ab = np.zeros((int(offset.max(initial=0)) + 1, K_ff.shape[0]))
-    ab[offset[lower], coo.col[lower]] = coo.data[lower]
-    return ab
-
-
 def solve(model: FrameModel, nodal_loads) -> SolveResult:
     """Solve K u = F for the constrained frame; loads in newtons.
 
@@ -270,26 +257,27 @@ def solve(model: FrameModel, nodal_loads) -> SolveResult:
     """
     if not model.supports:
         raise MechanismError("frame has no supports", dofs=[])
-    K = assemble_stiffness(model)
+    ke, dofs = assemble_stiffness(model)
     F = _load_vector(model, nodal_loads)
-    fixed = model.constrained_dof_indices()
-    mask = np.ones(model.dof_count, dtype=bool)
-    mask[fixed] = False
-    free = np.nonzero(mask)[0]
-    K_ff = K[free][:, free]
+    pos = np.zeros(model.dof_count, dtype=np.intp)
+    pos[model.constrained_dof_indices()] = -1
+    free = np.nonzero(pos == 0)[0]
+    pos[free] = np.arange(len(free))
+    ab = _free_band(ke, pos[dofs], len(free))
     try:
-        factor = cholesky_banded(_lower_band(K_ff), lower=True,
-                                 check_finite=False)
+        factor = cholesky_banded(ab, lower=True, check_finite=False)
     except LinAlgError:
-        raise _describe_mechanism(K_ff.toarray(), free) from None
+        raise _describe_mechanism(ab, free) from None
     # a singular system can slip through the factorization on rounding noise
     # (zero pivot computed as +epsilon); the pivot ratio catches it reliably
     pivots = factor[0] ** 2
     if pivots.min() <= 1e-12 * pivots.max():
-        raise _describe_mechanism(K_ff.toarray(), free)
+        raise _describe_mechanism(ab, free)
     u = np.zeros(model.dof_count)
     u[free] = cho_solve_banded((factor, True), F[free], check_finite=False)
-    residual = K @ u - F
+    ku = np.einsum("eij,ej->ei", ke, u[dofs])
+    residual = np.bincount(dofs.ravel(), weights=ku.ravel(),
+                           minlength=model.dof_count) - F
     reactions = {node: residual[node * 6:node * 6 + 3] / 1e3
                  for node in sorted(model.supports)}
     disp = u.reshape(len(model.nodes), 6)
@@ -347,24 +335,22 @@ def frame_from_surface(surface: ShellSurface, grid: int = DEFAULT_LATTICE_GRID,
     section = homogenized_section(span_m / grid, structure.thickness_t,
                                   structure.solid_fraction)
 
+    # per node (i, j), row-major: to (i+1, j), to (i, j+1), to (i+1, j+1);
+    # -1 marks the members that would leave the lattice
     n = grid + 1
-    node_id = lambda i, j: i * n + j
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            if i < grid:
-                elements.append(FrameElement(node_id(i, j), node_id(i + 1, j), section))
-            if j < grid:
-                elements.append(FrameElement(node_id(i, j), node_id(i, j + 1), section))
-            if i < grid and j < grid:
-                elements.append(FrameElement(node_id(i, j), node_id(i + 1, j + 1), section))
+    node_id = np.arange(n * n).reshape(n, n)
+    pairs = np.full((n, n, 3, 2), -1)
+    pairs[..., 0] = node_id[..., None]
+    pairs[:-1, :, 0, 1] = node_id[1:, :]
+    pairs[:, :-1, 1, 1] = node_id[:, 1:]
+    pairs[:-1, :-1, 2, 1] = node_id[1:, 1:]
+    ends = pairs[pairs[..., 1] >= 0]
 
-    model = FrameModel(nodes=nodes, elements=elements,
+    model = FrameModel(nodes=nodes, ends=ends, section=section,
                        supports=supports if supports is not None
                        else default_supports(grid),
                        material=Material(structure.elastic_modulus,
                                          structure.shear_modulus))
-    ends = np.array([(e.node_i, e.node_j) for e in elements])
     if np.linalg.norm(nodes[ends[:, 1]] - nodes[ends[:, 0]], axis=1).min() < 1e-12:
         raise GeometryError("degenerate surface produced a zero-area cell")
     return model

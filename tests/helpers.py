@@ -12,8 +12,8 @@ from scipy.interpolate import RBFInterpolator, RectBivariateSpline
 from chainshell import loads, profile2d
 from chainshell.config import PipelineConfig, derive_seed
 from chainshell.errors import GeometryError
-from chainshell.fem import (BeamSection, FrameElement, FrameModel, SupportKind,
-                            analyze_shell, default_supports)
+from chainshell.fem import (BeamSection, FrameModel, SupportKind, analyze_shell,
+                            assemble_stiffness, default_supports)
 from chainshell.filtering import measure
 from chainshell.optimizer import (COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind,
                                   CandidateDesign, ColumnSet, DesignMetrics,
@@ -101,12 +101,24 @@ def pool_surfaces(amplitude: float, frequency: int, n: int = 20, seed: int = 42,
     return [interpolate_surface(g, resolution) for g in grids]
 
 
+def chain_ends(n_elems: int) -> np.ndarray:
+    """Ends of the elements joining nodes 0, 1, ..., n_elems in a chain."""
+    return np.column_stack([np.arange(n_elems), np.arange(1, n_elems + 1)])
+
+
+def dense_stiffness(model: FrameModel) -> np.ndarray:
+    """Dense global K, each element block added at its DOFs with np.add.at."""
+    ke, dofs = assemble_stiffness(model)
+    K = np.zeros((model.dof_count, model.dof_count))
+    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), ke)
+    return K
+
+
 def cantilever_model(n_elems: int = 6, length: float = 1.5) -> FrameModel:
     """Horizontal beam along x, fully fixed at node 0."""
     xs = np.linspace(0.0, length, n_elems + 1)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-    elements = [FrameElement(i, i + 1, BEAM_SECTION) for i in range(n_elems)]
-    return FrameModel(nodes=nodes, elements=elements,
+    return FrameModel(nodes=nodes, ends=chain_ends(n_elems), section=BEAM_SECTION,
                       supports={0: SupportKind.FIXED})
 
 
@@ -120,12 +132,10 @@ def simply_supported_model(n_elems: int = 16, span: float = 2.0) -> FrameModel:
     xs = np.linspace(0.0, span, n_elems + 1)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
     nodes = np.vstack([nodes, [0.0, 0.25, 0.0], [span, 0.25, 0.0]])
-    elements = [FrameElement(i, i + 1, BEAM_SECTION) for i in range(n_elems)]
-    elements.append(FrameElement(0, n_elems + 1, BEAM_SECTION))
-    elements.append(FrameElement(n_elems, n_elems + 2, BEAM_SECTION))
+    ends = np.vstack([chain_ends(n_elems), [(0, n_elems + 1), (n_elems, n_elems + 2)]])
     supports = {0: SupportKind.PINNED, n_elems: SupportKind.PINNED,
                 n_elems + 1: SupportKind.PINNED, n_elems + 2: SupportKind.PINNED}
-    return FrameModel(nodes=nodes, elements=elements, supports=supports)
+    return FrameModel(nodes=nodes, ends=ends, section=BEAM_SECTION, supports=supports)
 
 
 def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:

@@ -24,6 +24,13 @@ iterations_per_anchor = 2
 """
 
 
+def _fresh_interpreter_env() -> dict:
+    """os.environ with this chainshell first on PYTHONPATH."""
+    src = str(Path(chainshell.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def trimmed_cfg(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "small.ini"
@@ -322,6 +329,24 @@ def test_stage_failures_exit_3(capsys, tmp_path):
     assert "stage 'gen3d' failed" in err
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_report_into_a_closed_pipe_exits_quietly(cli_runs, buffered):
+    dir_a, _ = cli_runs
+    env = _fresh_interpreter_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "chainshell.cli", "report",
+                               "--in", str(dir_a)], stdout=write_end, env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+
+
 def test_report_requires_a_manifest(capsys, tmp_path):
     assert main(["report", "--in", str(tmp_path)]) == EXIT_VALIDATION
     assert "manifest" in capsys.readouterr().err
@@ -330,10 +355,8 @@ def test_report_requires_a_manifest(capsys, tmp_path):
 def test_importing_the_cli_loads_no_heavy_scipy_modules():
     # a fresh interpreter: the import is what every command pays first
     heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.spatial",
-             "scipy.sparse.csgraph")
-    src = str(Path(chainshell.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+             "scipy.sparse.csgraph", "scipy.sparse")
+    env = _fresh_interpreter_env()
     code = ("import sys, chainshell.cli; "
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,

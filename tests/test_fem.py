@@ -6,12 +6,10 @@ import pytest
 from chainshell.errors import GeometryError, MechanismError, ParameterError
 from chainshell.fem import (
     BeamSection,
-    FrameElement,
     FrameModel,
     Material,
     SupportKind,
     analyze_shell,
-    assemble_stiffness,
     default_supports,
     frame_from_surface,
     homogenized_section,
@@ -26,6 +24,8 @@ from helpers import (
     BEAM_E as E,
     BEAM_SECTION as SECTION,
     cantilever_model,
+    chain_ends,
+    dense_stiffness,
     flat_surface,
     simply_supported_model,
     uniform_beam_loads,
@@ -50,8 +50,7 @@ def test_cantilever_tip_deflection_both_bending_planes():
 def test_vertical_cantilever_uses_rotated_local_axes():
     zs = np.linspace(0.0, 1.5, 7)
     nodes = np.column_stack([np.zeros_like(zs), np.zeros_like(zs), zs])
-    elements = [FrameElement(i, i + 1, SECTION) for i in range(6)]
-    model = FrameModel(nodes=nodes, elements=elements,
+    model = FrameModel(nodes=nodes, ends=chain_ends(6), section=SECTION,
                        supports={0: SupportKind.FIXED})
     result = solve(model, {6: (800.0, 0.0, 0.0)})
     expected = 800.0 * 1.5 ** 3 / (3.0 * E * SECTION.inertia_y)
@@ -114,8 +113,7 @@ def test_unrestrained_torsion_chain_is_reported_as_mechanism():
     # a bare pin-pin chain of collinear beams can spin about its own axis
     xs = np.linspace(0.0, 2.0, 9)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-    elements = [FrameElement(i, i + 1, SECTION) for i in range(8)]
-    model = FrameModel(nodes=nodes, elements=elements,
+    model = FrameModel(nodes=nodes, ends=chain_ends(8), section=SECTION,
                        supports={0: SupportKind.PINNED, 8: SupportKind.PINNED})
     with pytest.raises(MechanismError) as err:
         solve(model, {4: (0.0, 0.0, -100.0)})
@@ -129,17 +127,15 @@ def test_near_mechanism_square_is_detected():
                          torsion_J=1e-30)
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-    elements = [FrameElement(0, 1, floppy), FrameElement(1, 2, floppy),
-                FrameElement(2, 3, floppy), FrameElement(3, 0, floppy)]
-    model = FrameModel(nodes=nodes, elements=elements,
-                       supports={0: SupportKind.PINNED, 1: SupportKind.PINNED})
+    model = FrameModel(nodes=nodes, ends=np.array([(0, 1), (1, 2), (2, 3), (3, 0)]),
+                       section=floppy, supports={0: SupportKind.PINNED, 1: SupportKind.PINNED})
     with pytest.raises(MechanismError):
         solve(model, {2: (100.0, 0.0, 0.0)})
 
 
 def test_no_supports_is_a_mechanism():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    model = FrameModel(nodes=nodes, elements=[FrameElement(0, 1, SECTION)],
+    model = FrameModel(nodes=nodes, ends=chain_ends(1), section=SECTION,
                        supports={})
     with pytest.raises(MechanismError) as err:
         solve(model, {1: (0.0, 0.0, -1.0)})
@@ -171,11 +167,11 @@ def test_section_and_material_validation():
 def test_frame_model_validation():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(GeometryError):
-        FrameModel(nodes=nodes, elements=[FrameElement(0, 0, SECTION)], supports={})
+        FrameModel(nodes=nodes, ends=np.array([(0, 0)]), section=SECTION, supports={})
     with pytest.raises(GeometryError):
-        FrameModel(nodes=nodes, elements=[FrameElement(0, 5, SECTION)], supports={})
+        FrameModel(nodes=nodes, ends=np.array([(0, 5)]), section=SECTION, supports={})
     with pytest.raises(ParameterError):
-        FrameModel(nodes=nodes, elements=[FrameElement(0, 1, SECTION)],
+        FrameModel(nodes=nodes, ends=chain_ends(1), section=SECTION,
                    supports={7: SupportKind.PINNED})
 
 
@@ -211,7 +207,7 @@ def test_frame_from_surface_lattice_shape():
     model = frame_from_surface(flat_surface(F=2, resolution=5), grid=2)
     assert len(model.nodes) == 9
     # 2 rows x 3 lines + 2 cols x 3 lines + 4 cell diagonals
-    assert len(model.elements) == 16
+    assert len(model.ends) == 16
     with pytest.raises(ParameterError):
         frame_from_surface(flat_surface(F=2, resolution=5), grid=1)
 
@@ -257,9 +253,7 @@ def test_refinement_keeps_peak_displacement_stable(pools42):
 
 def test_zero_length_element_is_rejected():
     nodes = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    model = FrameModel(nodes=nodes,
-                       elements=[FrameElement(0, 1, SECTION),
-                                 FrameElement(1, 2, SECTION)],
+    model = FrameModel(nodes=nodes, ends=chain_ends(2), section=SECTION,
                        supports={0: SupportKind.FIXED})
     with pytest.raises(GeometryError):
         solve(model, {2: (0.0, 0.0, -1.0)})
@@ -274,11 +268,11 @@ def test_homogenization_rejects_bad_parameters():
         homogenized_section(0.2, 0.08, 1.5)
 
 
-def _loop_element_stiffness(model, e):
+def _loop_element_stiffness(model, node_i, node_j):
     """One element's global 12x12 matrix, built entry by entry."""
     E, G = model.material.elastic_modulus, model.material.shear_modulus
-    sec = e.section
-    p1, p2 = model.nodes[e.node_i], model.nodes[e.node_j]
+    sec = model.section
+    p1, p2 = model.nodes[node_i], model.nodes[node_j]
     l = float(np.linalg.norm(p2 - p1))
     k = np.zeros((12, 12))
     for (r, c, v) in ((0, 0, E * sec.area / l), (0, 6, -E * sec.area / l),
@@ -307,22 +301,18 @@ def _loop_element_stiffness(model, e):
 
 
 def test_batched_assembly_matches_element_loop():
-    # inclined, horizontal, upward- and downward-vertical members, two sections
+    # inclined, horizontal, upward- and downward-vertical members
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.3], [1.0, 0.2, 1.3],
                       [1.0, 0.2, 0.8], [0.0, 1.5, -0.4], [2.0, 0.0, 0.0]])
-    thin = homogenized_section(0.05, 0.02, 0.5)
-    elements = [FrameElement(0, 1, SECTION), FrameElement(1, 2, thin),
-                FrameElement(2, 3, SECTION), FrameElement(3, 4, thin),
-                FrameElement(4, 0, SECTION), FrameElement(1, 5, SECTION),
-                FrameElement(5, 0, thin)]
-    model = FrameModel(nodes=nodes, elements=elements,
+    ends = np.array([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 5), (5, 0)])
+    model = FrameModel(nodes=nodes, ends=ends, section=SECTION,
                        supports={0: SupportKind.FIXED},
                        material=Material(70e9, 26e9))
     expected = np.zeros((model.dof_count, model.dof_count))
-    for e in elements:
-        dofs = np.r_[e.node_i * 6:e.node_i * 6 + 6, e.node_j * 6:e.node_j * 6 + 6]
-        expected[np.ix_(dofs, dofs)] += _loop_element_stiffness(model, e)
-    K = assemble_stiffness(model).toarray()
+    for i, j in ends:
+        dofs = np.r_[i * 6:i * 6 + 6, j * 6:j * 6 + 6]
+        expected[np.ix_(dofs, dofs)] += _loop_element_stiffness(model, i, j)
+    K = dense_stiffness(model)
     assert np.allclose(K, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -335,7 +325,7 @@ def test_a05_shell_reports_solver_diagnostics(pools42):
     assert result.pivot_ratio > 1e-12
     # the same ratio a dense Cholesky of the free block gives
     free = np.setdiff1d(np.arange(model.dof_count), model.constrained_dof_indices())
-    K_ff = assemble_stiffness(model).toarray()[np.ix_(free, free)]
+    K_ff = dense_stiffness(model)[np.ix_(free, free)]
     pivots = np.diag(np.linalg.cholesky(K_ff)) ** 2
     assert result.pivot_ratio == pytest.approx(pivots.min() / pivots.max(), rel=1e-9)
 
@@ -349,9 +339,7 @@ def test_renumbered_frame_gives_the_same_displacements(pools42):
     nodes = np.empty_like(model.nodes)
     nodes[new_id] = model.nodes
     renumbered = FrameModel(
-        nodes=nodes,
-        elements=[FrameElement(int(new_id[e.node_i]), int(new_id[e.node_j]), e.section)
-                  for e in model.elements],
+        nodes=nodes, ends=new_id[model.ends], section=model.section,
         supports={int(new_id[n]): kind for n, kind in model.supports.items()},
         material=model.material)
     permuted_loads = np.empty_like(loads)
