@@ -199,14 +199,15 @@ def _free_band(ke: np.ndarray, pos: np.ndarray, n_free: int) -> np.ndarray:
     """K_ff in LAPACK lower-band storage, ab[i - j, j] = K_ff[i, j] for i >= j,
     summed from the blocks ke in element order; pos is the free-DOF index of
     each block row, -1 if fixed.  The band is the widest coupling between free
-    DOFs, so no node numbering is assumed; a bad one only stores more."""
+    DOFs, so no node numbering is assumed; a bad one only stores more.  It is
+    Fortran-ordered, so LAPACK can factor it in place."""
     col = np.broadcast_to(pos[:, None, :], ke.shape)
     offset = pos[:, :, None] - col
     lower = (offset >= 0) & (col >= 0)
     offset, col = offset[lower], col[lower]
     height = int(offset.max(initial=0)) + 1
-    return np.bincount(offset * n_free + col, weights=ke[lower],
-                       minlength=height * n_free).reshape(height, n_free)
+    return np.bincount(col * height + offset, weights=ke[lower],
+                       minlength=n_free * height).reshape(n_free, height).T
 
 
 def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
@@ -263,16 +264,18 @@ def solve(model: FrameModel, nodal_loads) -> SolveResult:
     pos[model.constrained_dof_indices()] = -1
     free = np.nonzero(pos == 0)[0]
     pos[free] = np.arange(len(free))
-    ab = _free_band(ke, pos[dofs], len(free))
+    # the band is factored in place, so a mechanism is described from a rebuilt one
+    band = (ke, pos[dofs], len(free))
     try:
-        factor = cholesky_banded(ab, lower=True, check_finite=False)
+        factor = cholesky_banded(_free_band(*band), lower=True, overwrite_ab=True,
+                                 check_finite=False)
     except LinAlgError:
-        raise _describe_mechanism(ab, free) from None
+        raise _describe_mechanism(_free_band(*band), free) from None
     # a singular system can slip through the factorization on rounding noise
     # (zero pivot computed as +epsilon); the pivot ratio catches it reliably
     pivots = factor[0] ** 2
     if pivots.min() <= 1e-12 * pivots.max():
-        raise _describe_mechanism(ab, free)
+        raise _describe_mechanism(_free_band(*band), free)
     u = np.zeros(model.dof_count)
     u[free] = cho_solve_banded((factor, True), F[free], check_finite=False)
     ku = np.einsum("eij,ej->ei", ke, u[dofs])

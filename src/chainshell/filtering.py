@@ -29,8 +29,7 @@ class SurfaceMetrics:
 def measure(surface: ShellSurface) -> SurfaceMetrics:
     """Boundary-loop length and total triangle area of the surface mesh."""
     mesh = surface.mesh
-    edges = mesh.require_single_boundary_loop()
-    return SurfaceMetrics(perimeter_P=mesh.edge_length(edges), area_a=mesh.area())
+    return SurfaceMetrics(perimeter_P=mesh.boundary_length(), area_a=mesh.area())
 
 
 def _distinct(m1: SurfaceMetrics, m2: SurfaceMetrics,

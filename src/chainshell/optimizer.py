@@ -10,6 +10,7 @@ winner while the supported shape stays within perimeter/area tolerances.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,8 +25,8 @@ from .fem import SupportKind
 # chainshell.optimizer.measure, so the name stays importable
 from .filtering import measure  # noqa: F401
 from .loads import StructureSpec, combine, deflection_limit
-from .shell3d import (ControlGrid, ShellSurface, _iteration_rng,
-                      interpolate_surface, lattice_mesh)
+from .shell3d import (ControlGrid, ShellSurface, TriangleMesh, _iteration_rng,
+                      interpolate_surface)
 from .spline import thin_plate_grid
 
 MIN_DRAINAGE_SLOPE = 0.02
@@ -202,14 +203,27 @@ def usable_area(surface: ShellSurface, columns: Optional[ColumnSet] = None,
     z_m = np.asarray(surface.evaluate(centres_m * 1000.0, centres_m * 1000.0)) / 1000.0
     obstructed = z_m < headroom
     if columns is not None:
-        for col in columns.all_columns():
-            half = math.sqrt(col.section_area) / 2.0
-            cx, cy = col.position
-            # an axis-aligned footprint is the outer AND of its x and y spans
-            obstructed |= np.outer(np.abs(centres_m - cx) <= half,
-                                   np.abs(centres_m - cy) <= half)
+        # candidates differ in column heights, not in where the columns stand
+        obstructed |= _footprints(span_m, raster, tuple(
+            (c.position, c.section_area) for c in columns.all_columns()))
     free = int((~obstructed).sum())
     return free * cell * cell
+
+
+@functools.lru_cache(maxsize=4)
+def _footprints(span_m: float, raster: int,
+                columns: Tuple[Tuple[Tuple[float, float], float], ...]) -> np.ndarray:
+    """Read-only mask of the raster cells inside any ((x, y), section area)
+    column footprint."""
+    centres_m = (np.arange(raster) + 0.5) * (span_m / raster)
+    mask = np.zeros((raster, raster), dtype=bool)
+    for (cx, cy), section_area in columns:
+        half = math.sqrt(section_area) / 2.0
+        # an axis-aligned footprint is the outer AND of its x and y spans
+        mask |= np.outer(np.abs(centres_m - cx) <= half,
+                         np.abs(centres_m - cy) <= half)
+    mask.flags.writeable = False
+    return mask
 
 
 class Orientation(enum.Enum):
@@ -420,7 +434,7 @@ def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
     coords = np.linspace(0.0, span_m, resolution)
     Z = thin_plate_grid(xy, z, coords)
     # mesh the fit directly for perimeter/area comparison
-    mesh = lattice_mesh(coords, Z)
+    mesh = TriangleMesh(coords_m=coords, heights_m=Z)
     return mesh.boundary_length(), mesh.area()
 
 

@@ -15,7 +15,7 @@ from typing import List, Optional, TextIO
 
 import numpy as np
 
-from .errors import EnvelopeError, GeometryError, ParameterError
+from .errors import EnvelopeError, ParameterError
 from .profile2d import FeasibilityEnvelope, SPAN_MM
 from .spline import GridSpline
 
@@ -116,92 +116,71 @@ def generate_iterations(amplitude: float, frequency: int, n: int = DEFAULT_ITERA
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Vertices in metres, counter-clockwise faces (0-based indices)."""
+    """Height field over the n x n plan lattice coords_m x coords_m, metres.
 
-    vertices: np.ndarray  # (N, 3)
-    faces: np.ndarray     # (M, 3) int
+    Vertex i * n + j sits at (x_i, y_j, heights_m[i, j]).  Each cell is
+    split along its (i, j)-(i+1, j+1) diagonal into a lower face (v00, v10,
+    v11) and an upper face (v00, v11, v01), counter-clockwise seen from +z.
+    """
+
+    coords_m: np.ndarray   # (n,) plan coordinates along either axis
+    heights_m: np.ndarray  # (n, n), [i, j] = (x_i, y_j)
 
     def area(self) -> float:
-        # edge vectors u = b - a, w = c - a gathered one coordinate column
-        # at a time (no (M, 3) row gathers), then the components of
-        # np.cross(u, w) spelled out: same operations, same bits
-        i0, i1, i2 = self.faces.T
-        (ux, wx), (uy, wy), (uz, wz) = ((p[i1] - p[i0], p[i2] - p[i0])
-                                        for p in self.vertices.T)
-        cx = uy * wz - uz * wy
-        cy = uz * wx - ux * wz
-        cz = ux * wy - uy * wx
-        return float(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz).sum())
+        # each face's (b - a) x (c - a), component by component as np.cross
+        # forms it.  An edge's x or y part that is +0.0 can only change the
+        # sign of a zero, which squaring drops, so it is left out; the plan
+        # steps and (dx dy)^2 are cached per lattice.  Lower faces
+        # row-major, then upper faces, summed once: a general mesh's bits
+        h = self.heights_m
+        dx, dy, czcz = _plan_steps(self.coords_m.astype(np.float64, copy=False).tobytes())
+        d10 = h[1:, :-1] - h[:-1, :-1]
+        d11 = h[1:, 1:] - h[:-1, :-1]
+        d01 = h[:-1, 1:] - h[:-1, :-1]
+        sq = np.empty((2,) + d11.shape)
+        cx, cy = d10 * dy, d10 * dx - dx * d11  # lower face
+        sq[0] = cx * cx + cy * cy + czcz
+        cx, cy = dy * d01 - d11 * dy, dx * d01  # upper face
+        sq[1] = cx * cx + cy * cy + czcz
+        return float(0.5 * np.sqrt(sq.ravel()).sum())
 
     def boundary_edges(self) -> np.ndarray:
-        """Edges used by exactly one face, as read-only (K, 2) vertex index pairs.
-
-        The edges depend only on the faces, so the search runs once per
-        distinct face array (exact int64 bytes) and its result is shared.
-        """
-        return _boundary_edges(self.faces.astype(np.int64, copy=False).tobytes())
-
-    def edge_length(self, edges: np.ndarray) -> float:
-        """Summed 3D length of (K, 2) vertex index pairs."""
-        seg = self.vertices[edges[:, 0]] - self.vertices[edges[:, 1]]
-        return float(np.linalg.norm(seg, axis=1).sum())
+        """The 4 (n - 1) perimeter edges as read-only (lo, hi) vertex index
+        pairs in lexicographic order, one shared array per lattice size."""
+        return _perimeter_edges(len(self.coords_m))
 
     def boundary_length(self) -> float:
-        return self.edge_length(self.boundary_edges())
-
-    def require_single_boundary_loop(self) -> np.ndarray:
-        """Boundary edges; raises GeometryError unless they form one closed cycle."""
-        edges = self.boundary_edges()
-        _check_single_loop(edges.astype(np.int64, copy=False).tobytes())
-        return edges
+        """Summed 3D length of the boundary edges, lo - hi, in their order."""
+        (ilo, ihi), (jlo, jhi) = np.divmod(self.boundary_edges().T, len(self.coords_m))
+        x, h = self.coords_m, self.heights_m
+        seg = np.column_stack([x[ilo] - x[ihi], x[jlo] - x[jhi], h[ilo, jlo] - h[ihi, jhi]])
+        return float(np.linalg.norm(seg, axis=1).sum())
 
 
-# Bounded like the write_mesh caches: an entry is one lattice's boundary.
-# lru_cache does not keep exceptions, so a rejected mesh raises every time
+# Bounded like the write_mesh caches: an entry is one lattice's plan data
 @functools.lru_cache(maxsize=4)
-def _boundary_edges(faces: bytes) -> np.ndarray:
-    """Boundary edges of the int64 index triples packed in `faces`.
+def _plan_steps(coords: bytes):
+    """Steps dx (column) and dy (row) of the float64 lattice coordinates
+    packed in `coords`, and each cell's squared cross-product z part,
+    (dx dy)^2, which is the same for both of its faces."""
+    step = np.diff(np.frombuffer(coords, dtype=np.float64))
+    step.flags.writeable = False  # shared by every mesh of the lattice
+    dx, dy = step[:, None], step[None, :]
+    cz = dx * dy
+    czcz = cz * cz
+    czcz.flags.writeable = False
+    return dx, dy, czcz
 
-    Each edge (lo, hi), lo <= hi, is keyed as lo * n + hi with n above
-    every index, so the sorted unique keys list the pairs in
-    lexicographic order.
-    """
-    start = np.frombuffer(faces, dtype=np.int64).reshape(-1, 3)
-    end = start[:, [1, 2, 0]]
-    lo, hi = np.minimum(start, end), np.maximum(start, end)
-    n = int(hi.max(initial=0)) + 1
-    keys, counts = np.unique((lo * n + hi).ravel(), return_counts=True)
-    if (counts > 2).any():
-        raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
-    boundary = keys[counts == 1]
-    edges = np.column_stack([boundary // n, boundary % n])
+
+@functools.lru_cache(maxsize=4)
+def _perimeter_edges(n: int) -> np.ndarray:
+    """The perimeter edges of an n x n lattice, (lo, hi) sorted, read-only."""
+    idx = np.arange(n * n).reshape(n, n)
+    sides = (idx[0], idx[-1], idx[:, 0], idx[:, -1])
+    edges = np.concatenate([np.column_stack([s[:-1], s[1:]]) for s in sides])
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     edges.flags.writeable = False
     return edges
-
-
-@functools.lru_cache(maxsize=4)
-def _check_single_loop(edges: bytes) -> None:
-    """Raise GeometryError unless the int64 pairs in `edges` form one cycle."""
-    edges = np.frombuffer(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges) == 0:
-        raise GeometryError("mesh has no boundary (expected an open height field)")
-    degree = np.bincount(edges.ravel())
-    if ((degree != 0) & (degree != 2)).any():
-        raise GeometryError("boundary is not a closed loop (vertex degree != 2)")
-    # every vertex has degree 2, so the edges form disjoint cycles: walk
-    # the cycle through the first edge and see whether it uses them all
-    neighbours = {}
-    for a, b in edges.tolist():
-        neighbours.setdefault(a, []).append(b)
-        neighbours.setdefault(b, []).append(a)
-    start, here = edges[0].tolist()
-    prev, walked = start, 1
-    while here != start:
-        a, b = neighbours[here]
-        prev, here = here, (b if a == prev else a)
-        walked += 1
-    if walked != len(edges):
-        raise GeometryError("boundary splits into multiple loops")
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,35 +219,6 @@ def _fit_spline(grid: ControlGrid) -> GridSpline:
     return GridSpline(coords, coords, grid.z_values, k=min(3, grid.F))
 
 
-def lattice_mesh(coords_m: np.ndarray, heights_m: np.ndarray) -> TriangleMesh:
-    """Height-field mesh over the plan lattice coords_m x coords_m, metres.
-
-    heights_m[i, j] is the height at (x_i, y_j); vertex i * n + j sits
-    there.  Each cell is split along its (i, j)-(i+1, j+1) diagonal into
-    two faces, counter-clockwise seen from +z.  Every mesh of one lattice
-    size shares one read-only face array.
-    """
-    X, Y = np.meshgrid(coords_m, coords_m, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel(), heights_m.ravel()])
-    return TriangleMesh(vertices=vertices, faces=_lattice_faces(len(coords_m)))
-
-
-@functools.lru_cache(maxsize=4)
-def _lattice_faces(n: int) -> np.ndarray:
-    """The (2 (n-1)^2, 3) faces of an n x n lattice, built once and read-only."""
-    idx = np.arange(n * n).reshape(n, n)
-    v00 = idx[:-1, :-1].ravel()
-    v10 = idx[1:, :-1].ravel()
-    v01 = idx[:-1, 1:].ravel()
-    v11 = idx[1:, 1:].ravel()
-    faces = np.concatenate([
-        np.column_stack([v00, v10, v11]),
-        np.column_stack([v00, v11, v01]),
-    ])
-    faces.flags.writeable = False
-    return faces
-
-
 def interpolate_surface(grid: ControlGrid,
                         resolution: int = DEFAULT_RESOLUTION) -> ShellSurface:
     """Sample the interpolating spline on a resolution^2 lattice and mesh it."""
@@ -279,7 +229,7 @@ def interpolate_surface(grid: ControlGrid,
     spline = _fit_spline(grid)
     coords = np.linspace(0.0, grid.span_L, resolution)
     heights = spline(coords, coords)  # (res, res), [i, j] = (x_i, y_j)
-    mesh = lattice_mesh(coords / 1000.0, heights / 1000.0)
+    mesh = TriangleMesh(coords_m=coords / 1000.0, heights_m=heights / 1000.0)
     surface = ShellSurface(control=grid, mesh=mesh, sample_resolution=resolution,
                            heights_mm=heights)
     surface.__dict__["spline"] = spline  # seed the cache: one fit per surface
@@ -324,26 +274,33 @@ def read_pgm(stream) -> np.ndarray:
 
 
 def write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
-    """ASCII triangle mesh: `v x y z` lines (metres), `f i j k` 1-based."""
-    v = mesh.vertices
-    # only z changes between the surfaces of one lattice: the x/y text and
-    # the face block are formatted once per distinct (exact-bytes) key
-    xy = v[:, :2].astype(np.float64, copy=False).tobytes()
-    stream.write(_vertex_template(xy) % tuple(v[:, 2].tolist()))
-    stream.write(_face_text(mesh.faces.astype(np.int64, copy=False).tobytes()))
+    """ASCII triangle mesh: `v x y z` lines (metres), `f i j k` 1-based.
+
+    Vertex lines run i * n + j; the faces are every cell's lower face,
+    row-major, then every upper face.
+    """
+    # only z changes between the surfaces of one lattice: the x/y text is
+    # formatted once per distinct (exact-bytes) coordinate vector, the face
+    # block once per lattice size
+    xy = _vertex_template(mesh.coords_m.astype(np.float64, copy=False).tobytes())
+    stream.write(xy % tuple(mesh.heights_m.ravel().tolist()))
+    stream.write(_face_text(len(mesh.coords_m)))
 
 
 # '%.9g' formats a float exactly as f"{x:.9g}".  Bounded: an entry holds
 # one lattice's text, ~0.1 MB for each cache at 64 x 64
 @functools.lru_cache(maxsize=4)
-def _vertex_template(xy: bytes) -> str:
-    """`v <x> <y> %.9g` lines for the float64 (x, y) pairs packed in `xy`."""
-    values = np.frombuffer(xy, dtype=np.float64)
-    return ("v %.9g %.9g %%.9g\n" * (len(values) // 2)) % tuple(values.tolist())
+def _vertex_template(coords: bytes) -> str:
+    """`v <x_i> <y_j> %.9g` lines over the float64 coordinates packed in `coords`."""
+    text = ["%.9g" % c for c in np.frombuffer(coords, dtype=np.float64).tolist()]
+    return "".join(f"v {x} {y} %.9g\n" for x in text for y in text)
 
 
 @functools.lru_cache(maxsize=4)
-def _face_text(faces: bytes) -> str:
-    """`f i j k` lines, 1-based, for the int64 index triples packed in `faces`."""
-    f = np.frombuffer(faces, dtype=np.int64) + 1
-    return ("f %d %d %d\n" * (len(f) // 3)) % tuple(f.tolist())
+def _face_text(n: int) -> str:
+    """`f i j k` lines, 1-based, of the lower then the upper faces of an n x n lattice."""
+    idx = np.arange(1, n * n + 1).reshape(n, n)
+    v00, v10, v01, v11 = idx[:-1, :-1], idx[1:, :-1], idx[:-1, 1:], idx[1:, 1:]
+    faces = np.stack([np.stack([v00, v10, v11], axis=-1),
+                      np.stack([v00, v11, v01], axis=-1)])
+    return ("f %d %d %d\n" * (faces.size // 3)) % tuple(faces.ravel().tolist())

@@ -182,8 +182,8 @@ def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
     return interpolate_surface(grid, resolution)
 
 
-def read_mesh(stream: TextIO) -> TriangleMesh:
-    """Parse the `v` / `f` lines `shell3d.write_mesh` writes."""
+def read_mesh(stream: TextIO):
+    """Parse the `v` / `f` lines `shell3d.write_mesh` writes: (vertices, faces)."""
     vertices, faces = [], []
     for line in stream:
         parts = line.split()
@@ -193,24 +193,23 @@ def read_mesh(stream: TextIO) -> TriangleMesh:
             vertices.append([float(p) for p in parts[1:4]])
         elif parts[0] == "f":
             faces.append([int(p) - 1 for p in parts[1:4]])
-    return TriangleMesh(vertices=np.array(vertices, dtype=float),
-                        faces=np.array(faces, dtype=int))
+    return np.array(vertices, dtype=float), np.array(faces, dtype=int)
 
 
-def unique_rows_boundary_edges(mesh: TriangleMesh) -> np.ndarray:
-    """Reference boundary finder: row-wise np.unique over sorted edge pairs."""
-    edges = np.concatenate([
-        mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]],
-    ])
-    canon = np.sort(edges, axis=1)
-    uniq, counts = np.unique(canon, axis=0, return_counts=True)
-    if (counts > 2).any():
-        raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
-    return uniq[counts == 1]
+# The general triangle-mesh routines the lattice height field replaced, kept
+# as oracles: a lattice mesh is spelled out as its (n^2, 3) vertex array and
+# (2 (n-1)^2, 3) face array, and measured the way any mesh would be
+
+
+def lattice_vertices(mesh: TriangleMesh) -> np.ndarray:
+    """Reference vertex array: vertex i * n + j at (x_i, y_j, heights_m[i, j])."""
+    X, Y = np.meshgrid(mesh.coords_m, mesh.coords_m, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel(), mesh.heights_m.ravel()])
 
 
 def per_call_lattice_faces(n: int) -> np.ndarray:
-    """Reference lattice faces: the (M, 3) array built afresh for each mesh."""
+    """Reference lattice faces: every cell's lower face (v00, v10, v11), row-major,
+    then every upper face (v00, v11, v01)."""
     idx = np.arange(n * n).reshape(n, n)
     v00 = idx[:-1, :-1].ravel()
     v10 = idx[1:, :-1].ravel()
@@ -222,18 +221,88 @@ def per_call_lattice_faces(n: int) -> np.ndarray:
     ])
 
 
-def line_by_line_write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
-    """Reference mesh writer: one f-string per vertex and face line."""
-    for v in mesh.vertices:
-        stream.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-    for f in mesh.faces:
-        stream.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+def gather_area(vertices: np.ndarray, faces: np.ndarray) -> float:
+    """Reference surface area: edge vectors gathered one coordinate column at
+    a time, the components of np.cross spelled out."""
+    i0, i1, i2 = faces.T
+    (ux, wx), (uy, wy), (uz, wz) = ((p[i1] - p[i0], p[i2] - p[i0])
+                                    for p in vertices.T)
+    cx = uy * wz - uz * wy
+    cy = uz * wx - ux * wz
+    cz = ux * wy - uy * wx
+    return float(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz).sum())
 
 
-def cross_product_area(mesh: TriangleMesh) -> float:
+def cross_product_area(vertices: np.ndarray, faces: np.ndarray) -> float:
     """Reference surface area: half the summed np.cross norms."""
-    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
     return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())
+
+
+def search_boundary_edges(faces: np.ndarray) -> np.ndarray:
+    """Reference boundary finder: edges used by exactly one face, (lo, hi).
+
+    Each edge is keyed as lo * n + hi with n above every index, so the
+    sorted unique keys list the pairs in lexicographic order.
+    """
+    start = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    end = start[:, [1, 2, 0]]
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    n = int(hi.max(initial=0)) + 1
+    keys, counts = np.unique((lo * n + hi).ravel(), return_counts=True)
+    if (counts > 2).any():
+        raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
+    boundary = keys[counts == 1]
+    return np.column_stack([boundary // n, boundary % n])
+
+
+def unique_rows_boundary_edges(faces: np.ndarray) -> np.ndarray:
+    """Reference boundary finder: row-wise np.unique over sorted edge pairs."""
+    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    canon = np.sort(edges, axis=1)
+    uniq, counts = np.unique(canon, axis=0, return_counts=True)
+    if (counts > 2).any():
+        raise GeometryError("non-manifold mesh: an edge is shared by >2 faces")
+    return uniq[counts == 1]
+
+
+def check_single_loop(edges: np.ndarray) -> None:
+    """Raise GeometryError unless the (K, 2) index pairs form one closed cycle."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if len(edges) == 0:
+        raise GeometryError("mesh has no boundary (expected an open height field)")
+    degree = np.bincount(edges.ravel())
+    if ((degree != 0) & (degree != 2)).any():
+        raise GeometryError("boundary is not a closed loop (vertex degree != 2)")
+    # every vertex has degree 2, so the edges form disjoint cycles: walk
+    # the cycle through the first edge and see whether it uses them all
+    neighbours = {}
+    for a, b in edges.tolist():
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    start, here = edges[0].tolist()
+    prev, walked = start, 1
+    while here != start:
+        a, b = neighbours[here]
+        prev, here = here, (b if a == prev else a)
+        walked += 1
+    if walked != len(edges):
+        raise GeometryError("boundary splits into multiple loops")
+
+
+def edge_length(vertices: np.ndarray, edges: np.ndarray) -> float:
+    """Reference summed 3D length of (K, 2) vertex index pairs."""
+    seg = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+    return float(np.linalg.norm(seg, axis=1).sum())
+
+
+def line_by_line_write_mesh(vertices: np.ndarray, faces: np.ndarray,
+                            stream: TextIO) -> None:
+    """Reference mesh writer: one f-string per vertex and face line."""
+    for v in vertices:
+        stream.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+    for f in faces:
+        stream.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
 def meshgrid_usable_area(surface: ShellSurface, columns: ColumnSet = None,

@@ -10,11 +10,13 @@ from chainshell.fem import (
     Material,
     SupportKind,
     analyze_shell,
+    assemble_stiffness,
     default_supports,
     frame_from_surface,
     homogenized_section,
     shell_node_loads,
     solve,
+    _free_band,
     _tributary_weights,
 )
 from chainshell.loads import StructureSpec, combine
@@ -353,3 +355,55 @@ def test_degenerate_surface_is_rejected():
     # a 1e-9 mm span puts every lattice node within 1e-12 m of its neighbours
     with pytest.raises(GeometryError, match="zero-area cell"):
         frame_from_surface(flat_surface(span_mm=1e-9, resolution=5), grid=2)
+
+
+def test_free_band_is_the_fortran_ordered_lower_band_of_k_ff(pools42):
+    model = frame_from_surface(pools42[2].surfaces[0], grid=6,
+                               supports=default_supports(6, "corner-pinned"))
+    ke, dofs = assemble_stiffness(model)
+    pos = np.zeros(model.dof_count, dtype=np.intp)
+    pos[model.constrained_dof_indices()] = -1
+    free = np.nonzero(pos == 0)[0]
+    pos[free] = np.arange(len(free))
+    ab = _free_band(ke, pos[dofs], len(free))
+    # F order lets LAPACK factor the band in place instead of copying it
+    assert ab.flags.f_contiguous
+    K_ff = dense_stiffness(model)[np.ix_(free, free)]
+    expected = np.zeros_like(ab)
+    for offset in range(len(ab)):
+        expected[offset, :len(free) - offset] = np.diagonal(K_ff, -offset)
+    assert np.allclose(ab, expected, rtol=0.0, atol=1e-12 * np.abs(K_ff).max())
+    assert not np.tril(K_ff, -len(ab)).any()  # nothing couples beyond the band
+
+
+def _flat_shell_case():
+    surface = flat_surface(height_mm=800.0)
+    return surface, combine(StructureSpec(), measure(surface).area_a)
+
+
+@pytest.mark.parametrize("nodes", [[], [0], [0, 120]])
+def test_fewer_than_three_supports_are_rejected(nodes):
+    surface, case = _flat_shell_case()
+    supports = {n: SupportKind.PINNED for n in nodes}
+    with pytest.raises(ParameterError, match="at least 3 supported nodes"):
+        analyze_shell(surface, case, StructureSpec(), supports, grid=10)
+
+
+# node i * 11 + j of the 11 x 11 lattice sits at (x_i, y_j)
+@pytest.mark.parametrize("nodes", [range(0, 11),             # the row i = 0
+                                   range(10, 121, 11),       # the column j = 10
+                                   range(0, 121, 12),        # the diagonal
+                                   [55, 57, 59, 62, 65]])    # part of the row i = 5
+def test_supports_on_one_line_are_rejected(nodes):
+    surface, case = _flat_shell_case()
+    supports = {n: SupportKind.FIXED for n in nodes}
+    with pytest.raises(ParameterError, match="collinear"):
+        analyze_shell(surface, case, StructureSpec(), supports, grid=10)
+
+
+def test_three_noncollinear_supports_are_accepted():
+    surface, case = _flat_shell_case()
+    supports = {0: SupportKind.PINNED, 10: SupportKind.PINNED, 120: SupportKind.PINNED}
+    analysis = analyze_shell(surface, case, StructureSpec(), supports, grid=10)
+    assert analysis.result.equilibrium_residual <= 1e-10
+    assert sorted(analysis.result.reactions) == [0, 10, 120]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from chainshell.filtering import (
 )
 from chainshell.shell3d import TriangleMesh
 
-from helpers import flat_surface
+from helpers import (edge_length, flat_surface, gather_area, lattice_vertices,
+                     per_call_lattice_faces, search_boundary_edges)
 
 
 def _metrics(pairs):
@@ -43,11 +43,16 @@ def test_measure_invariant_under_rigid_motion(pools42):
     rot = np.array([[math.cos(angle), -math.sin(angle), 0.0],
                     [math.sin(angle), math.cos(angle), 0.0],
                     [0.0, 0.0, 1.0]])
-    moved = surface.mesh.vertices @ rot.T + np.array([3.0, -2.0, 5.0])
-    moved_surface = replace(surface, mesh=TriangleMesh(moved, surface.mesh.faces))
-    after = measure(moved_surface)
-    assert after.perimeter_P == pytest.approx(before.perimeter_P, rel=1e-9)
-    assert after.area_a == pytest.approx(before.area_a, rel=1e-9)
+    # a moved lattice is no longer a height field over the plan: measure
+    # it with the general-mesh oracles, which match measure bit for bit
+    vertices = lattice_vertices(surface.mesh)
+    faces = per_call_lattice_faces(surface.sample_resolution)
+    edges = search_boundary_edges(faces)
+    assert (edge_length(vertices, edges), gather_area(vertices, faces)) == (
+        before.perimeter_P, before.area_a)
+    moved = vertices @ rot.T + np.array([3.0, -2.0, 5.0])
+    assert edge_length(moved, edges) == pytest.approx(before.perimeter_P, rel=1e-9)
+    assert gather_area(moved, faces) == pytest.approx(before.area_a, rel=1e-9)
 
 
 def test_measure_finds_the_boundary_once(monkeypatch):
@@ -67,11 +72,11 @@ def test_measure_finds_the_boundary_once(monkeypatch):
 def test_measuring_a_pool_of_one_lattice_searches_its_boundary_once(pools42):
     pool = pools42[3].surfaces
     assert len(pool) == 20
-    shell3d._boundary_edges.cache_clear()
-    shell3d._check_single_loop.cache_clear()
+    shell3d._perimeter_edges.cache_clear()
+    shell3d._plan_steps.cache_clear()
     metrics = [measure(surface) for surface in pool]
-    assert shell3d._boundary_edges.cache_info().misses == 1
-    assert shell3d._check_single_loop.cache_info().misses == 1
+    assert shell3d._perimeter_edges.cache_info().misses == 1
+    assert shell3d._plan_steps.cache_info().misses == 1
     assert len({m.area_a for m in metrics}) > 1  # each surface its own area
 
 

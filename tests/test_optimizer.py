@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chainshell import optimizer
 from chainshell.config import PipelineConfig
@@ -35,7 +36,7 @@ from chainshell.optimizer import (
 from chainshell.pipeline import structure_spec
 from chainshell.shell3d import TriangleMesh, interpolate_surface
 
-from helpers import (dome_surface, flat_surface, grid_from_z, holds_geometry,
+from helpers import (PROPERTY, dome_surface, flat_surface, grid_from_z, holds_geometry,
                      meshgrid_usable_area, per_point_column_heights,
                      synthetic_candidate)
 
@@ -156,6 +157,35 @@ def test_usable_area_matches_the_meshgrid_reference(seed):
             == meshgrid_usable_area(surface, column_set, headroom, raster))
     assert usable_area(surface, None, headroom, raster) == meshgrid_usable_area(
         surface, None, headroom, raster)
+
+
+def _random_layout(rng, raster: int) -> ColumnSet:
+    """16 columns at random plan points with random square sections, some on
+    a raster cell centre with an edge exactly whole cells away."""
+    cell = 2.0 / raster
+    xy = rng.uniform(0.0, 2.0, (16, 2))
+    xy[:4] = ((rng.integers(0, raster, (4, 2)) + 0.5) * cell)
+    sides = rng.uniform(0.0, 0.2, 16)
+    sides[:4] = 2 * rng.integers(1, 4, 4) * cell
+    columns = tuple(Column(position=(float(x), float(y)), height=1.0,
+                           section_area=float(side) ** 2)
+                    for (x, y), side in zip(xy, sides))
+    return ColumnSet(load_bearing=columns[:4], formwork=columns[4:])
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_usable_area_serves_each_column_layout_its_own_footprints(seed):
+    surface, rng = _random_shelter_surface(seed)
+    raster = int(rng.integers(10, 121))
+    headroom = float(rng.uniform(0.0, 3.0))
+    first, second = (_random_layout(rng, raster) for _ in range(2))
+    # the same plan layout on taller columns shares the first one's mask
+    taller = ColumnSet(*(tuple(replace(c, height=2.5) for c in cols)
+                         for cols in (first.load_bearing, first.formwork)))
+    for columns in (first, second, initial_columns(surface), taller, second, first):
+        assert (usable_area(surface, columns, headroom, raster)
+                == meshgrid_usable_area(surface, columns, headroom, raster))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -493,4 +523,5 @@ def test_winner_rebuild_is_bit_exact(optimize_result):
     assert surface.mesh.area() == winner.metrics.cms_m2
     again = interpolate_surface(winner.control, winner.resolution)
     assert again.heights_mm.tobytes() == surface.heights_mm.tobytes()
-    assert again.mesh.vertices.tobytes() == surface.mesh.vertices.tobytes()
+    assert again.mesh.coords_m.tobytes() == surface.mesh.coords_m.tobytes()
+    assert again.mesh.heights_m.tobytes() == surface.mesh.heights_m.tobytes()

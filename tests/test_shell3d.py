@@ -17,14 +17,15 @@ from chainshell.shell3d import (
     generate_iterations,
     group_parameters,
     interpolate_surface,
-    lattice_mesh,
     read_pgm,
     write_mesh,
     write_pgm,
 )
 from chainshell.units import Shape
 
-from helpers import flat_surface, grid_from_z, read_mesh
+from helpers import (check_single_loop, flat_surface, grid_from_z, lattice_vertices,
+                     per_call_lattice_faces, read_mesh, search_boundary_edges,
+                     unique_rows_boundary_edges)
 
 
 def test_group_parameters_table():
@@ -124,18 +125,22 @@ def test_flat_surface_area_and_perimeter():
     surface = flat_surface()
     assert surface.mesh.area() == pytest.approx(4.0, rel=1e-9)
     assert surface.mesh.boundary_length() == pytest.approx(8.0, rel=1e-9)
-    surface.mesh.require_single_boundary_loop()
+    check_single_loop(surface.mesh.boundary_edges())
 
 
 def test_lattice_mesh_layout():
     coords = np.array([0.0, 1.0, 3.0])
     heights = np.arange(9.0).reshape(3, 3)
-    mesh = lattice_mesh(coords, heights)
+    mesh = TriangleMesh(coords_m=coords, heights_m=heights)
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    buf.seek(0)
+    vertices, faces = read_mesh(buf)
     # vertex i * n + j sits at (x_i, y_j, heights[i, j])
-    assert mesh.vertices[5].tolist() == [1.0, 3.0, 5.0]
-    assert len(mesh.faces) == 2 * 2 * 2
+    assert vertices[5].tolist() == [1.0, 3.0, 5.0]
+    assert len(faces) == 2 * 2 * 2
     # counter-clockwise seen from +z: every face normal points up
-    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
     normals = np.cross(b - a, c - a)
     assert (normals[:, 2] > 0).all()
     assert mesh.boundary_length() == pytest.approx(
@@ -172,7 +177,7 @@ def test_surface_area_at_least_plan_area(pools42):
     for pool in pools42.values():
         for surface in pool.surfaces[:3]:
             assert surface.mesh.area() > 4.0
-            surface.mesh.require_single_boundary_loop()
+            check_single_loop(surface.mesh.boundary_edges())
 
 
 def test_area_converges_under_resolution_doubling():
@@ -210,29 +215,27 @@ def test_spline_queries_keep_fitpacks_input_contract():
 
 
 def test_mesh_boundary_edge_and_loop_errors():
-    # one edge shared by three faces is not a manifold surface
-    vertices = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],
-                         [0, 0, 1.0], [1.0, 1.0, 1.0]])
-    faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-    # each check runs twice: a rejection is never cached as a pass
-    for _ in range(2):
-        with pytest.raises(GeometryError, match="non-manifold"):
-            TriangleMesh(vertices, faces).boundary_edges()
+    # the general-mesh oracles that vouch for every lattice's boundary must
+    # reject what is not one open sheet: one edge shared by three faces is
+    # not a manifold surface
+    with pytest.raises(GeometryError, match="non-manifold"):
+        search_boundary_edges(np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+    with pytest.raises(GeometryError, match="non-manifold"):
+        unique_rows_boundary_edges(np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
 
     # a closed tetrahedron has no boundary loop at all
-    tet_v = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
     tet_f = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
-    for _ in range(2):
-        with pytest.raises(GeometryError, match="no boundary"):
-            TriangleMesh(tet_v, tet_f).require_single_boundary_loop()
+    with pytest.raises(GeometryError, match="no boundary"):
+        check_single_loop(search_boundary_edges(tet_f))
 
     # two disjoint triangles form two separate loops
-    two_v = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0],
-                      [5.0, 0, 0], [6.0, 0, 0], [5.0, 1.0, 0]])
     two_f = np.array([[0, 1, 2], [3, 4, 5]])
-    for _ in range(2):
-        with pytest.raises(GeometryError, match="multiple loops"):
-            TriangleMesh(two_v, two_f).require_single_boundary_loop()
+    with pytest.raises(GeometryError, match="multiple loops"):
+        check_single_loop(search_boundary_edges(two_f))
+
+    # a bow tie (two triangles sharing one vertex) is not a simple loop
+    with pytest.raises(GeometryError, match="degree"):
+        check_single_loop(search_boundary_edges(np.array([[0, 1, 2], [0, 3, 4]])))
 
 
 def test_depth_map_flat_is_uniform_white():
@@ -265,9 +268,9 @@ def test_mesh_roundtrip_through_text():
     buf = io.StringIO()
     write_mesh(surface.mesh, buf)
     buf.seek(0)
-    loaded = read_mesh(buf)
-    assert np.allclose(loaded.vertices, surface.mesh.vertices, rtol=1e-9, atol=1e-12)
-    assert np.array_equal(loaded.faces, surface.mesh.faces)
+    vertices, faces = read_mesh(buf)
+    assert np.allclose(vertices, lattice_vertices(surface.mesh), rtol=1e-9, atol=1e-12)
+    assert np.array_equal(faces, per_call_lattice_faces(5))
 
 
 def test_pgm_roundtrip_is_exact():
