@@ -130,6 +130,9 @@ def validate(config: PipelineConfig) -> PipelineConfig:
             if isinstance(value, float):
                 _require(math.isfinite(value), f"{name}.{f.name}",
                          f"{f.name} must be finite, got {value}")
+    for key in ("weight_cms", "weight_ua", "weight_lc", "weight_fc"):
+        _require(getattr(config.optimizer, key) >= 0, f"optimizer.{key}",
+                 "criterion weights must be non-negative")
     w = config.optimizer.weights
     _require(abs(sum(w) - 1.0) <= 1e-9, "optimizer.weight_cms",
              f"criterion weights must sum to 1.0, got {sum(w)}")
@@ -139,6 +142,8 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              f"unknown shape {config.sweep2d.shape!r}")
     _require(0 < config.unit.target_ratio < 1, "unit.target_ratio",
              "target ratio must be in (0, 1)")
+    _require(config.unit.density_g_cm3 > 0, "unit.density_g_cm3",
+             "density must be positive")
     _require(config.sweep2d.span_mm > 0, "sweep2d.span_mm", "span must be positive")
     # sweep_2d needs an envelope entry for every frequency it sweeps
     f_top = max(default_envelope(Shape.parse(config.sweep2d.shape)).frequencies())
@@ -188,6 +193,12 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              "control grid F must be >= 2")
     _require(block.slope_rule in ("ponding", "strict"), "optimizer.slope_rule",
              f"unknown slope rule {block.slope_rule!r}")
+    _require(block.min_slope >= 0, "optimizer.min_slope",
+             "min slope must be non-negative")
+    _require(block.headroom_m >= 0, "optimizer.headroom_m",
+             "headroom must be non-negative")
+    _require(block.column_section_side_m > 0, "optimizer.column_section_side_m",
+             "column section side must be positive")
     _require(block.reduction_tolerance >= 0, "optimizer.reduction_tolerance",
              "reduction tolerance must be non-negative")
     _require(config.threads >= 1, "threads", "threads must be >= 1")

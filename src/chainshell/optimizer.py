@@ -18,28 +18,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fem
-from .config import PipelineConfig
+from .config import OptimizerBlock, PipelineConfig
 from .errors import ParameterError
 from .fem import SupportKind
 # unused here, but bench/test_bench.py checks that the tracer rebinds
 # chainshell.optimizer.measure, so the name stays importable
 from .filtering import measure  # noqa: F401
-from .loads import StructureSpec, combine, deflection_limit
+from .loads import StructureSpec, combine
 from .shell3d import (ControlGrid, ShellSurface, TriangleMesh, _iteration_rng,
                       interpolate_surface)
 from .spline import thin_plate_grid
 
-MIN_DRAINAGE_SLOPE = 0.02
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
 USABLE_AREA_RASTER = 100     # 100x100 plan raster
-HEADROOM_M = 1.5
 COLUMN_GRID_POSITIONS_M = (0.25, 0.75, 1.25, 1.75)
-DEFAULT_COLUMN_SIDE_M = 0.05
-
-WEIGHT_CMS = 0.4
-WEIGHT_UA = 0.4
-WEIGHT_LC = 0.1
-WEIGHT_FC = 0.1
 
 
 class AnchorKind(enum.Enum):
@@ -64,7 +56,7 @@ _ANCHOR_CORNERS = {
 @dataclass(frozen=True)
 class AnchorConfig:
     kind: AnchorKind
-    span_m: float = 2.0
+    span_m: float
 
     @property
     def points(self) -> Tuple[Tuple[float, float], ...]:
@@ -102,8 +94,7 @@ class ColumnSet:
         return self.load_bearing + self.formwork
 
 
-def initial_columns(surface: ShellSurface,
-                    section_side: float = DEFAULT_COLUMN_SIDE_M) -> ColumnSet:
+def initial_columns(surface: ShellSurface, section_side: float) -> ColumnSet:
     """16 columns on the 4x4 grid at 0.5 m spacing.
 
     The four corner-most columns are permanent load-bearing supports; the
@@ -145,12 +136,11 @@ class SlopeReport:
                 and self.failing_points == other.failing_points)
 
 
-def slope_grid(surface: ShellSurface, min_slope: float = MIN_DRAINAGE_SLOPE,
-               rule: str = "ponding") -> SlopeReport:
+def slope_grid(surface: ShellSurface, min_slope: float, rule: str) -> SlopeReport:
     """Drainage check on a 10x10 grid of surface points.
 
     Slope between 4-neighbours is |dh| / horizontal distance.  Under the
-    default ponding rule a point fails iff all its neighbour slopes are
+    ponding rule a point fails iff all its neighbour slopes are
     below the threshold (no direction drains); the strict rule fails a
     point when any neighbour slope is below it.
     """
@@ -189,8 +179,7 @@ def slope_grid(surface: ShellSurface, min_slope: float = MIN_DRAINAGE_SLOPE,
                        failing_points=tuple(pts))
 
 
-def usable_area(surface: ShellSurface, columns: Optional[ColumnSet] = None,
-                headroom: float = HEADROOM_M,
+def usable_area(surface: ShellSurface, columns: Optional[ColumnSet], headroom: float,
                 raster: int = USABLE_AREA_RASTER) -> float:
     """UA = A_T - A_O on a plan raster of cell centres.
 
@@ -250,77 +239,54 @@ def grade(values: Sequence[float],
     return list(1.0 + 99.0 * t)
 
 
-@dataclass(frozen=True)
-class DesignMetrics:
-    cms_m2: float
-    ua_m2: float
-    lc_volume_m3: float
-    lc_count: int
-    fc_volume_m3: float
-    fc_count: int
-    min_slope_S: float
-    drainage_pass: bool
-
-
 @dataclass(frozen=True, eq=False)
 class CandidateDesign:
-    """A scored design.  It keeps the control grid and sample resolution
-    that define its surface, not the surface: interpolate_surface rebuilds
-    that surface bit for bit where it is needed."""
+    """A scored design: its chainmail and usable areas here, its column
+    volumes and counts in `columns`, its drainage verdict in `slope_report`.
+    It keeps the control grid and sample resolution that define its
+    surface, not the surface: interpolate_surface rebuilds that surface bit
+    for bit where it is needed."""
 
     candidate_id: str
     anchors: AnchorConfig
     columns: ColumnSet
     control: ControlGrid
     resolution: int
-    metrics: DesignMetrics
+    cms_m2: float
+    ua_m2: float
     slope_report: SlopeReport
     grades: Optional[Dict[str, float]] = None
     weighted_score: Optional[float] = None
-    rank: Optional[int] = None
 
 
 def evaluate_candidate(candidate_id: str, surface: ShellSurface,
-                       anchors: AnchorConfig,
-                       section_side: float = DEFAULT_COLUMN_SIDE_M,
-                       min_slope: float = MIN_DRAINAGE_SLOPE,
-                       slope_rule: str = "ponding",
-                       headroom: float = HEADROOM_M) -> CandidateDesign:
-    columns = initial_columns(surface, section_side)
-    report = slope_grid(surface, min_slope, slope_rule)
-    metrics = DesignMetrics(
-        cms_m2=surface.mesh.area(),
-        ua_m2=usable_area(surface, columns, headroom),
-        lc_volume_m3=columns.lc_volume,
-        lc_count=len(columns.load_bearing),
-        fc_volume_m3=columns.fc_volume,
-        fc_count=len(columns.formwork),
-        min_slope_S=report.min_slope_S,
-        drainage_pass=report.passed,
-    )
+                       anchors: AnchorConfig, block: OptimizerBlock) -> CandidateDesign:
+    """Columns, drainage, CMS and UA of one surface under the [optimizer] block."""
+    columns = initial_columns(surface, block.column_section_side_m)
+    report = slope_grid(surface, block.min_slope, block.slope_rule)
     return CandidateDesign(candidate_id=candidate_id, anchors=anchors,
                            columns=columns, control=surface.control,
-                           resolution=surface.sample_resolution, metrics=metrics,
+                           resolution=surface.sample_resolution,
+                           cms_m2=surface.mesh.area(),
+                           ua_m2=usable_area(surface, columns, block.headroom_m),
                            slope_report=report)
 
 
 @dataclass(frozen=True)
 class RankingReport:
+    """Survivors best first (a candidate's rank is its 1-based position),
+    then the drainage rejects in input order."""
+
     ranked: Tuple[CandidateDesign, ...]
     rejected: Tuple[CandidateDesign, ...]
-    all_rejected: bool
 
     @property
     def winner(self) -> Optional[CandidateDesign]:
         return self.ranked[0] if self.ranked else None
 
 
-DEFAULT_WEIGHTS = (WEIGHT_CMS, WEIGHT_UA, WEIGHT_LC, WEIGHT_FC)
-
-
 def rank_designs(candidates: Sequence[CandidateDesign],
-                 weights: Tuple[float, float, float, float] = DEFAULT_WEIGHTS,
-                 ) -> RankingReport:
+                 weights: Tuple[float, float, float, float]) -> RankingReport:
     """Drainage-gate, grade survivors per criterion, sort by weighted score.
 
     Rejected candidates never enter any grading cohort.  Ties break on
@@ -330,10 +296,10 @@ def rank_designs(candidates: Sequence[CandidateDesign],
         raise ParameterError("no candidates to rank")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ParameterError("criterion weights must sum to 1.0")
-    survivors = [c for c in candidates if c.metrics.drainage_pass]
-    rejected = tuple(c for c in candidates if not c.metrics.drainage_pass)
+    survivors = [c for c in candidates if c.slope_report.passed]
+    rejected = tuple(c for c in candidates if not c.slope_report.passed)
     if not survivors:
-        return RankingReport(ranked=(), rejected=rejected, all_rejected=True)
+        return RankingReport(ranked=(), rejected=rejected)
 
     def column_scalar(volumes: List[float], counts: List[int]) -> List[float]:
         # minimize by volume, by count only when every volume ties
@@ -341,13 +307,13 @@ def rank_designs(candidates: Sequence[CandidateDesign],
             return volumes
         return [float(c) for c in counts]
 
-    g_cms = grade([c.metrics.cms_m2 for c in survivors], Orientation.MINIMIZE_BEST)
-    g_ua = grade([c.metrics.ua_m2 for c in survivors], Orientation.MAXIMIZE_BEST)
-    g_lc = grade(column_scalar([c.metrics.lc_volume_m3 for c in survivors],
-                               [c.metrics.lc_count for c in survivors]),
+    g_cms = grade([c.cms_m2 for c in survivors], Orientation.MINIMIZE_BEST)
+    g_ua = grade([c.ua_m2 for c in survivors], Orientation.MAXIMIZE_BEST)
+    g_lc = grade(column_scalar([c.columns.lc_volume for c in survivors],
+                               [len(c.columns.load_bearing) for c in survivors]),
                  Orientation.MINIMIZE_BEST)
-    g_fc = grade(column_scalar([c.metrics.fc_volume_m3 for c in survivors],
-                               [c.metrics.fc_count for c in survivors]),
+    g_fc = grade(column_scalar([c.columns.fc_volume for c in survivors],
+                               [len(c.columns.formwork) for c in survivors]),
                  Orientation.MINIMIZE_BEST)
 
     w_cms, w_ua, w_lc, w_fc = weights
@@ -359,17 +325,12 @@ def rank_designs(candidates: Sequence[CandidateDesign],
         scored.append(replace(c, grades=grades, weighted_score=score))
 
     order = sorted(range(len(scored)),
-                   key=lambda i: (-scored[i].weighted_score,
-                                  scored[i].metrics.cms_m2,
-                                  -scored[i].metrics.ua_m2,
-                                  i))
-    ranked = tuple(replace(scored[i], rank=pos + 1)
-                   for pos, i in enumerate(order))
-    return RankingReport(ranked=ranked, rejected=rejected, all_rejected=False)
+                   key=lambda i: (-scored[i].weighted_score, scored[i].cms_m2,
+                                  -scored[i].ua_m2, i))
+    return RankingReport(ranked=tuple(scored[i] for i in order), rejected=rejected)
 
 
-def _support_nodes(surface: ShellSurface, grid: int,
-                   anchors: AnchorConfig,
+def _support_nodes(grid: int, anchors: AnchorConfig,
                    columns: ColumnSet) -> Dict[int, SupportKind]:
     """Map anchors and column tops to nearest lattice nodes.
 
@@ -377,7 +338,7 @@ def _support_nodes(surface: ShellSurface, grid: int,
     top) restrain translation; formwork columns (sliding base) restrain
     only the vertical direction.  Stronger kinds win collisions.
     """
-    span_m = surface.span_mm / 1000.0
+    span_m = anchors.span_m
     strength = {SupportKind.FIXED: 3, SupportKind.PINNED: 2,
                 SupportKind.SLIDING_BASE: 1}
     supports: Dict[int, SupportKind] = {}
@@ -407,18 +368,18 @@ def _lattice_node(span_m: float, grid: int, x: float, y: float) -> int:
 def _design_solve(design: CandidateDesign, surface: ShellSurface, columns: ColumnSet,
                   grid: int, structure: StructureSpec) -> fem.ShellAnalysis:
     """Frame solve of the design's surface on its anchors and the given columns."""
-    supports = _support_nodes(surface, grid, design.anchors, columns)
-    case = combine(structure, design.metrics.cms_m2)
+    supports = _support_nodes(grid, design.anchors, columns)
+    case = combine(structure, design.cms_m2)
     return fem.analyze_shell(surface, case, structure, supports, grid)
 
 
-def formwork_reactions(design: CandidateDesign, surface: ShellSurface, grid: int = 10,
-                       structure: StructureSpec = StructureSpec()) -> Dict[Column, float]:
+def formwork_reactions(design: CandidateDesign, surface: ShellSurface, grid: int,
+                       structure: StructureSpec) -> Dict[Column, float]:
     """Vertical FEM reaction magnitude (kN) carried by each formwork column
     of `design`, whose surface is `surface`."""
     reactions = _design_solve(design, surface, design.columns, grid,
                               structure).result.reactions
-    span_m = surface.span_mm / 1000.0
+    span_m = design.anchors.span_m
     # every formwork column is a support node, so each has a reaction
     return {col: abs(float(reactions[_lattice_node(span_m, grid, *col.position)][2]))
             for col in design.columns.formwork}
@@ -439,8 +400,7 @@ def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
 
 
 def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: float,
-                    grid: int = 10,
-                    structure: StructureSpec = StructureSpec()) -> ColumnSet:
+                    grid: int, structure: StructureSpec) -> ColumnSet:
     """Remove formwork columns while the supported shape holds its metrics.
 
     Candidates are tried in ascending order of FEM vertical reaction; a
@@ -452,7 +412,7 @@ def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: f
     """
     if tolerance < 0:
         raise ParameterError("tolerance must be non-negative")
-    span_m = surface.span_mm / 1000.0
+    span_m = design.anchors.span_m
     all_fw = list(design.columns.formwork)
     p_ref, a_ref = _fit_supported_surface(
         design.anchors, list(design.columns.load_bearing) + all_fw, span_m)
@@ -505,12 +465,13 @@ def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The ranking, and for its winner (report.winner, None when every
+    candidate is rejected) the surface, reduced columns and frame solve."""
+
     report: RankingReport
-    winner: Optional[CandidateDesign]
     winner_surface: Optional[ShellSurface]  # the one surface the study keeps
     reduced_columns: Optional[ColumnSet]
     winner_analysis: Optional[fem.ShellAnalysis]
-    limit_mm: float
 
 
 def optimize(config: PipelineConfig, structure: StructureSpec,
@@ -530,25 +491,20 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
         control = shelter_control_grid(config, seed, kind, ai, it)
         surface = interpolate_surface(control, config.gen3d.resolution)
         return evaluate_candidate(f"{kind.value}-{it:02d}", surface,
-                                  AnchorConfig(kind=kind, span_m=span_m),
-                                  block.column_section_side_m, block.min_slope,
-                                  block.slope_rule, block.headroom_m)
+                                  AnchorConfig(kind=kind, span_m=span_m), block)
 
     candidates = [build(ai, kind, it)
                   for ai, kind in enumerate(AnchorKind)
                   for it in range(block.iterations_per_anchor)]
     report = rank_designs(candidates, block.weights)
-    limit = deflection_limit(span_m)
-    if report.all_rejected:
-        return OptimizeResult(report=report, winner=None, winner_surface=None,
-                              reduced_columns=None, winner_analysis=None,
-                              limit_mm=limit)
-
     winner = report.winner
+    if winner is None:
+        return OptimizeResult(report=report, winner_surface=None,
+                              reduced_columns=None, winner_analysis=None)
+
     surface = interpolate_surface(winner.control, winner.resolution)
     reduced = reduce_formwork(winner, surface, block.reduction_tolerance, grid,
                               structure)
     analysis = _design_solve(winner, surface, reduced, grid, structure)
-    return OptimizeResult(report=report, winner=winner, winner_surface=surface,
-                          reduced_columns=reduced, winner_analysis=analysis,
-                          limit_mm=limit)
+    return OptimizeResult(report=report, winner_surface=surface,
+                          reduced_columns=reduced, winner_analysis=analysis)

@@ -243,26 +243,22 @@ def stage_analyze(config: PipelineConfig, out: RunDir, gen_carry: Dict,
 
 
 def _ranking_rows(report) -> List[str]:
+    """Ranked candidates by rank, then the rejected ones with rank and
+    grades left blank."""
     rows = ["candidate,anchor_kind,rank,CMS_m2,UA_m2,LC_volume_m3,LC_count,"
             "FC_volume_m3,FC_count,min_slope,drainage_pass,grade_CMS,grade_UA,"
             "grade_LC,grade_FC,weighted_score"]
-    for c in report.ranked:
-        m = c.metrics
+    for rank, c in enumerate(report.ranked + report.rejected, start=1):
+        graded = c.grades is not None
+        columns, slopes = c.columns, c.slope_report
+        scores = ([_fmt(c.grades[k], 6) for k in ("CMS", "UA", "LC", "FC")]
+                  + [_fmt(c.weighted_score, 6)]) if graded else [""] * 5
         rows.append(",".join([
-            c.candidate_id, c.anchors.kind.value, str(c.rank),
-            _fmt(m.cms_m2, 6), _fmt(m.ua_m2, 6), _fmt(m.lc_volume_m3, 9),
-            str(m.lc_count), _fmt(m.fc_volume_m3, 9), str(m.fc_count),
-            _fmt(m.min_slope_S, 6), "1",
-            _fmt(c.grades["CMS"], 6), _fmt(c.grades["UA"], 6),
-            _fmt(c.grades["LC"], 6), _fmt(c.grades["FC"], 6),
-            _fmt(c.weighted_score, 6)]))
-    for c in report.rejected:
-        m = c.metrics
-        rows.append(",".join([
-            c.candidate_id, c.anchors.kind.value, "", _fmt(m.cms_m2, 6),
-            _fmt(m.ua_m2, 6), _fmt(m.lc_volume_m3, 9), str(m.lc_count),
-            _fmt(m.fc_volume_m3, 9), str(m.fc_count), _fmt(m.min_slope_S, 6),
-            "0", "", "", "", "", ""]))
+            c.candidate_id, c.anchors.kind.value, str(rank) if graded else "",
+            _fmt(c.cms_m2, 6), _fmt(c.ua_m2, 6),
+            _fmt(columns.lc_volume, 9), str(len(columns.load_bearing)),
+            _fmt(columns.fc_volume, 9), str(len(columns.formwork)),
+            _fmt(slopes.min_slope_S, 6), "1" if slopes.passed else "0"] + scores))
     return rows
 
 
@@ -287,17 +283,18 @@ def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> s
 def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
     result = optimize(config, structure_spec(config),
                       derive_seed(config.seed, "optimize"))
+    report = result.report
 
-    rows = _ranking_rows(result.report)
+    rows = _ranking_rows(report)
     write_output(out, "optimize/ranking.csv", "\n".join(rows) + "\n")
 
     marker_rows = ["candidate,x_m,y_m"]
-    for c in tuple(result.report.ranked) + tuple(result.report.rejected):
+    for c in report.ranked + report.rejected:
         for (x, y) in c.slope_report.failing_points:
             marker_rows.append(f"{c.candidate_id},{_fmt(x, 4)},{_fmt(y, 4)}")
     write_output(out, "optimize/slope_failures.csv", "\n".join(marker_rows) + "\n")
 
-    if result.winner is not None:
+    if report.winner is not None:
         write_output(out, "optimize/winner.mesh",
                      _rendered(shell3d.write_mesh, result.winner_surface.mesh, ""))
 
@@ -305,7 +302,7 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
         coords = np.linspace(0.0, config.gen3d.span_mm / 1000.0,
                              config.fem.lattice_grid + 1)
         footer = (f"# max_displacement_mm={_fmt(analysis.max_displacement_mm, 6)}"
-                  f" limit_mm={_fmt(result.limit_mm, 4)}"
+                  f" limit_mm={_fmt(analysis.limit_mm, 4)}"
                   f" passed={'1' if analysis.passed else '0'}\n")
         write_output(out, "optimize/winner_displacements.csv",
                      "node,x_m,y_m,ux_mm,uy_mm,uz_mm,translation_mm\n"
@@ -313,15 +310,12 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
                      + footer)
 
         crows = ["role,x_m,y_m,height_m,volume_m3,kept"]
-        kept_fw = set(result.reduced_columns.formwork)
-        for col in result.winner.columns.load_bearing:
-            crows.append(f"load-bearing,{_fmt(col.position[0], 4)},"
+        columns, kept = report.winner.columns, set(result.reduced_columns.all_columns())
+        for role, col in ([("load-bearing", c) for c in columns.load_bearing]
+                          + [("formwork", c) for c in columns.formwork]):
+            crows.append(f"{role},{_fmt(col.position[0], 4)},"
                          f"{_fmt(col.position[1], 4)},{_fmt(col.height, 6)},"
-                         f"{_fmt(col.volume, 9)},1")
-        for col in result.winner.columns.formwork:
-            crows.append(f"formwork,{_fmt(col.position[0], 4)},"
-                         f"{_fmt(col.position[1], 4)},{_fmt(col.height, 6)},"
-                         f"{_fmt(col.volume, 9)},{'1' if col in kept_fw else '0'}")
+                         f"{_fmt(col.volume, 9)},{'1' if col in kept else '0'}")
         write_output(out, "optimize/columns.csv", "\n".join(crows) + "\n")
 
 
@@ -361,21 +355,45 @@ def _write_manifest(out: RunDir, config: PipelineConfig, status: str,
     (out.path / "manifest.txt").write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _manifest_value(run_dir: Path, key: str) -> Optional[str]:
+    """The value of `key = value` in a run directory's manifest.txt, or None."""
+    text = (Path(run_dir) / "manifest.txt").read_text(encoding="utf-8", errors="replace")
+    for line in text.splitlines():
+        name, sep, value = line.partition("=")
+        if sep and name.strip() == key:
+            return value.strip()
+    return None
+
+
 def read_manifest_hash(run_dir: Path) -> str:
-    for line in (Path(run_dir) / "manifest.txt").read_text().splitlines():
-        if line.startswith("manifest_hash"):
-            return line.split("=", 1)[1].strip()
-    raise StageError("manifest", "manifest_hash missing")
+    value = _manifest_value(run_dir, "manifest_hash")
+    if value is None:
+        raise StageError("manifest", "manifest_hash missing")
+    return value
+
+
+def _refuse_foreign_run(out_dir: Path, cfg_hash: str) -> None:
+    """A directory holding another config's run would keep that run's
+    stale files next to this one's: bad input, refused before any write."""
+    if (out_dir / "manifest.txt").is_file():
+        theirs = _manifest_value(out_dir, "config_hash")
+        if theirs != cfg_hash:
+            raise ParameterError(
+                f"{out_dir} holds a run of another config (config_hash {theirs}, "
+                f"this run's is {cfg_hash}); write it to another directory")
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> Path:
     """Execute all stages in order; returns the run directory.
 
-    A stage failure halts the pipeline, preserves prior outputs, and writes
-    an incomplete manifest naming the stage and cause, and listing every
-    file written before it failed, before re-raising as a stage error.
+    A directory whose manifest.txt records another config_hash is refused
+    with ParameterError before anything is written.  A stage failure halts
+    the pipeline, preserves prior outputs, and writes an incomplete
+    manifest naming the stage and cause, and listing every file written
+    before it failed, before re-raising as a stage error.
     """
     config = validate(config)
+    _refuse_foreign_run(Path(out_dir), config_hash(config))
     out = RunDir.create(out_dir)
     write_output(out, "config.ini", dump_config(config))
 

@@ -185,12 +185,11 @@ def _perimeter_edges(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ShellSurface:
-    """Interpolated surface: control grid, sampled heights, and mesh."""
+    """Interpolated surface: control grid and the mesh of its sampled lattice."""
 
     control: ControlGrid
     mesh: TriangleMesh
     sample_resolution: int
-    heights_mm: np.ndarray  # (res, res) lattice heights, [i, j] = (x_i, y_j)
 
     @functools.cached_property
     def spline(self) -> GridSpline:
@@ -230,8 +229,7 @@ def interpolate_surface(grid: ControlGrid,
     coords = np.linspace(0.0, grid.span_L, resolution)
     heights = spline(coords, coords)  # (res, res), [i, j] = (x_i, y_j)
     mesh = TriangleMesh(coords_m=coords / 1000.0, heights_m=heights / 1000.0)
-    surface = ShellSurface(control=grid, mesh=mesh, sample_resolution=resolution,
-                           heights_mm=heights)
+    surface = ShellSurface(control=grid, mesh=mesh, sample_resolution=resolution)
     surface.__dict__["spline"] = spline  # seed the cache: one fit per surface
     return surface
 

@@ -16,8 +16,7 @@ from chainshell.fem import (BeamSection, FrameModel, SupportKind, analyze_shell,
                             assemble_stiffness, default_supports)
 from chainshell.filtering import measure
 from chainshell.optimizer import (COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind,
-                                  CandidateDesign, ColumnSet, DesignMetrics,
-                                  SlopeReport)
+                                  CandidateDesign, Column, ColumnSet, SlopeReport)
 from chainshell.pipeline import GROUP_SHAPE, filter_pool, structure_spec
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
                                group_parameters, interpolate_surface)
@@ -150,18 +149,23 @@ def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:
 def synthetic_candidate(cid: str, cms: float, ua: float, lc_vol: float = 0.012,
                         fc_vol: float = 0.036, lc_count: int = 4,
                         fc_count: int = 12, drainage: bool = True) -> CandidateDesign:
-    """Hand-built design for exercising the ranking rules in isolation."""
-    metrics = DesignMetrics(cms_m2=cms, ua_m2=ua, lc_volume_m3=lc_vol,
-                            lc_count=lc_count, fc_volume_m3=fc_vol,
-                            fc_count=fc_count, min_slope_S=0.05,
-                            drainage_pass=drainage)
+    """Hand-built design for exercising the ranking rules in isolation.
+
+    Each column group is one column holding the whole volume plus empty
+    ones up to the count, so its volume sums to exactly `lc_vol` or `fc_vol`.
+    """
+    def columns(volume: float, count: int) -> tuple:
+        return ((Column((0.0, 0.0), height=1.0, section_area=volume),)
+                + (Column((0.0, 0.0), height=0.0, section_area=0.0),) * (count - 1))
+
     report = SlopeReport(slopes=np.full((10, 10), 0.05), passed=drainage,
                          failing_points=())
     return CandidateDesign(candidate_id=cid,
-                           anchors=AnchorConfig(AnchorKind.FOUR),
-                           columns=ColumnSet((), ()),
+                           anchors=AnchorConfig(AnchorKind.FOUR, span_m=2.0),
+                           columns=ColumnSet(columns(lc_vol, lc_count),
+                                             columns(fc_vol, fc_count)),
                            control=grid_from_z(np.full((5, 5), 1600.0)),
-                           resolution=17, metrics=metrics, slope_report=report)
+                           resolution=17, cms_m2=cms, ua_m2=ua, slope_report=report)
 
 
 def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
@@ -305,8 +309,8 @@ def line_by_line_write_mesh(vertices: np.ndarray, faces: np.ndarray,
         stream.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
-def meshgrid_usable_area(surface: ShellSurface, columns: ColumnSet = None,
-                         headroom: float = 1.5, raster: int = 100) -> float:
+def meshgrid_usable_area(surface: ShellSurface, columns: ColumnSet, headroom: float,
+                         raster: int) -> float:
     """Reference usable area: each column footprint compared on a full meshgrid."""
     span_m = surface.span_mm / 1000.0
     cell = span_m / raster

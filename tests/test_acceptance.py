@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from chainshell.config import PipelineConfig
+from chainshell.config import OptimizerBlock, PipelineConfig
 from chainshell.fem import analyze_shell, frame_from_surface, shell_node_loads, solve
 from chainshell.filtering import filter_surfaces, measure
 from chainshell.loads import (
@@ -224,20 +224,19 @@ def test_a09_ranking_correctness(optimize_result):
             synthetic_candidate("mid", 4.5, 3.0),
             synthetic_candidate("low", 5.0, 2.2, lc_vol=0.014, fc_vol=0.040),
             synthetic_candidate("swamp", 0.1, 4.0, drainage=False)]
-    report = rank_designs(pool)
+    weights = OptimizerBlock().weights
+    report = rank_designs(pool, weights)
     gate_ok = ([c.candidate_id for c in report.rejected] == ["swamp"]
-               and all(c.metrics.drainage_pass for c in report.ranked))
+               and all(c.slope_report.passed for c in report.ranked))
 
-    rescaled = [synthetic_candidate(c.candidate_id,
-                                    2.5 * c.metrics.cms_m2 + 3.0,
-                                    c.metrics.ua_m2,
-                                    lc_vol=c.metrics.lc_volume_m3,
-                                    fc_vol=c.metrics.fc_volume_m3,
-                                    drainage=c.metrics.drainage_pass)
+    rescaled = [synthetic_candidate(c.candidate_id, 2.5 * c.cms_m2 + 3.0, c.ua_m2,
+                                    lc_vol=c.columns.lc_volume,
+                                    fc_vol=c.columns.fc_volume,
+                                    drainage=c.slope_report.passed)
                 for c in pool]
     affine_ok = True
-    for before, after in zip(rank_designs(pool).ranked,
-                             rank_designs(rescaled).ranked):
+    for before, after in zip(rank_designs(pool, weights).ranked,
+                             rank_designs(rescaled, weights).ranked):
         if before.candidate_id != after.candidate_id:
             affine_ok = False
             continue
@@ -248,16 +247,16 @@ def test_a09_ranking_correctness(optimize_result):
     dominant_ok = report.winner.candidate_id == "top" \
         and report.winner.weighted_score == 100.0
 
-    gated_live = all(c.metrics.drainage_pass
-                     for c in optimize_result.report.ranked)
+    gated_live = all(c.slope_report.passed for c in optimize_result.report.ranked)
     disp = optimize_result.winner_analysis.max_displacement_mm
-    bound_ok = disp <= optimize_result.limit_mm
+    limit = optimize_result.winner_analysis.limit_mm
+    bound_ok = disp <= limit
 
     ok = gate_ok and affine_ok and dominant_ok and gated_live and bound_ok
     _report("A09", ok,
             f"drainage gate: {gate_ok and gated_live}, grade affine-invariance: "
             f"{affine_ok}, dominating score 100: {dominant_ok}, winner "
-            f"{disp:.3f} mm <= {optimize_result.limit_mm} mm: {bound_ok}")
+            f"{disp:.3f} mm <= {limit} mm: {bound_ok}")
     assert ok
 
 

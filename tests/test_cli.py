@@ -9,7 +9,7 @@ import pytest
 
 import chainshell
 from chainshell.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
-from chainshell.config import derive_seed
+from chainshell.config import config_hash, derive_seed, load_config
 from chainshell.pipeline import read_manifest_hash
 
 TRIMMED = """\
@@ -247,6 +247,19 @@ def test_validation_failures_exit_2(capsys, tmp_path):
     assert main(["gen3d", "--amplitude", "40", "--frequency", "3",
                  "--out", str(tmp_path / "g")]) == EXIT_VALIDATION
     assert "envelope" in capsys.readouterr().err
+
+
+def test_a_foreign_run_directory_exits_2(capsys, tmp_path, trimmed_cfg):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.txt").write_text("[run]\nseed = 7\nconfig_hash = 0123abcd\n"
+                                      "status = complete\n")
+    assert main(["run", "--config", trimmed_cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "config_hash 0123abcd" in err
+    assert config_hash(load_config(trimmed_cfg)) in err
+    assert not (out / "config.ini").exists()
+    assert [p.name for p in out.iterdir()] == ["manifest.txt"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -113,6 +113,20 @@ def test_syntax_errors_are_config_errors():
     ("[optimizer]\niterations_per_anchor = 0\n", "optimizer.iterations_per_anchor"),
     ("[optimizer]\namplitude_min_fraction = 1\n", "optimizer.amplitude_min_fraction"),
     ("[optimizer]\nreduction_tolerance = -0.1\n", "optimizer.reduction_tolerance"),
+    ("[unit]\ndensity_g_cm3 = 0\n", "unit.density_g_cm3"),
+    ("[unit]\ndensity_g_cm3 = -1.38\n", "unit.density_g_cm3"),
+    ("[optimizer]\ncolumn_section_side_m = 0\n", "optimizer.column_section_side_m"),
+    ("[optimizer]\ncolumn_section_side_m = -0.05\n", "optimizer.column_section_side_m"),
+    ("[optimizer]\nheadroom_m = -0.1\n", "optimizer.headroom_m"),
+    ("[optimizer]\nmin_slope = -0.02\n", "optimizer.min_slope"),
+    ("[optimizer]\nweight_cms = 0.6\nweight_ua = 0.6\nweight_lc = -0.1\nweight_fc = -0.1\n",
+     "optimizer.weight_lc"),
+    ("[optimizer]\nweight_cms = 0.5\nweight_ua = 0.6\nweight_lc = 0\nweight_fc = -0.1\n",
+     "optimizer.weight_fc"),
+    ("[optimizer]\nweight_cms = -0.1\nweight_ua = 0.9\nweight_lc = 0.1\nweight_fc = 0.1\n",
+     "optimizer.weight_cms"),
+    ("[optimizer]\nweight_cms = 0.9\nweight_ua = -0.1\nweight_lc = 0.1\nweight_fc = 0.1\n",
+     "optimizer.weight_ua"),
     ("[fem]\nelastic_modulus_pa = -1\n", "fem.elastic_modulus_pa"),
     ("[fem]\nshear_modulus_pa = 0\n", "fem.shear_modulus_pa"),
     ("[filter]\nperimeter_tolerance_m = -1\n", "filter.perimeter_tolerance_m"),
@@ -122,6 +136,12 @@ def test_validation_names_the_offending_key(text, key):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key == key
+
+
+def test_zero_headroom_slope_and_weight_are_accepted():
+    block = parse_config("[optimizer]\nheadroom_m = 0\nmin_slope = 0\n"
+                         "weight_lc = 0\nweight_fc = 0.2\n").optimizer
+    assert (block.headroom_m, block.min_slope, block.weight_lc) == (0.0, 0.0, 0.0)
 
 
 def test_resolution_bound_is_the_largest_control_grid():

@@ -16,8 +16,10 @@ from chainshell.config import (
     LoadsBlock,
     OptimizerBlock,
     PipelineConfig,
+    config_hash,
     derive_seed,
     load_config,
+    validate,
 )
 from chainshell import shell3d
 from chainshell.errors import ConfigError, StageError
@@ -285,6 +287,15 @@ def test_filter_stage_reuses_the_gen3d_metrics(tmp_path, monkeypatch):
     assert carry[1].metrics == gen_carry[1]["metrics"]
 
 
+def test_a_rerun_into_its_own_run_directory_is_allowed(tmp_path):
+    config = _trimmed_config()
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.txt").write_text(f"[run]\nconfig_hash = {config_hash(config)}\n")
+    run_pipeline(config, out)
+    assert _read_manifest(out)["run"]["status"] == "complete"
+
+
 def test_manifest_hash_reader_requires_the_hash_line(tmp_path):
     (tmp_path / "manifest.txt").write_text("[run]\nseed = 7\n")
     with pytest.raises(StageError):
@@ -311,7 +322,8 @@ def test_optimize_stage_uses_the_config_moduli(tmp_path):
 
 @pytest.fixture(scope="module")
 def dome_design():
-    return evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR))
+    return evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR, span_m=2.0),
+                              OptimizerBlock())
 
 
 @pytest.mark.parametrize("block,key",
@@ -320,7 +332,7 @@ def dome_design():
 def test_every_structural_key_changes_the_solves(dome_design, block, key):
     base = PipelineConfig()
     changed = _halved(base, block, key)
-    control, area = dome_design.control, dome_design.metrics.cms_m2
+    control, area = dome_design.control, dome_design.cms_m2
     assert analyze_model(changed, control, area) != analyze_model(base, control, area)
     surface = interpolate_surface(control, dome_design.resolution)
 
@@ -330,3 +342,41 @@ def test_every_structural_key_changes_the_solves(dome_design, block, key):
                              structure_spec(config)).max_displacement_mm
 
     assert design_mm(changed) != design_mm(base)
+
+
+# one changed, valid value per [optimizer] key; weights move in pairs that
+# keep their sum at 1
+_OPTIMIZER_CHANGES = {
+    "iterations_per_anchor": {"iterations_per_anchor": 3},
+    "amplitude_cap_m": {"amplitude_cap_m": 2.5},
+    "amplitude_min_fraction": {"amplitude_min_fraction": 0.3},
+    "control_F": {"control_F": 3},
+    "weight_cms": {"weight_cms": 0.5, "weight_ua": 0.3},
+    "weight_ua": {"weight_ua": 0.5, "weight_cms": 0.3},
+    "weight_lc": {"weight_lc": 0.2, "weight_fc": 0.0},
+    "weight_fc": {"weight_fc": 0.2, "weight_lc": 0.0},
+    "min_slope": {"min_slope": 0.5},
+    "slope_rule": {"slope_rule": "strict"},
+    "headroom_m": {"headroom_m": 1.0},
+    "column_section_side_m": {"column_section_side_m": 0.08},
+    "reduction_tolerance": {"reduction_tolerance": 0.0},
+}
+
+
+def _study_digests(block: OptimizerBlock, path: Path) -> dict:
+    out = RunDir.create(path)
+    stage_optimize(validate(_trimmed_config(optimizer=block)), out)
+    return out.digests
+
+
+@pytest.fixture(scope="module")
+def base_study_digests(tmp_path_factory):
+    return _study_digests(OptimizerBlock(iterations_per_anchor=2),
+                          tmp_path_factory.mktemp("study-base"))
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(OptimizerBlock)])
+def test_every_optimizer_key_reaches_the_study(base_study_digests, tmp_path, key):
+    assert key in _OPTIMIZER_CHANGES, f"no changed value for [optimizer] {key}"
+    block = replace(OptimizerBlock(iterations_per_anchor=2), **_OPTIMIZER_CHANGES[key])
+    assert _study_digests(block, tmp_path) != base_study_digests

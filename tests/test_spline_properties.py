@@ -93,7 +93,10 @@ def test_surfaces_evaluate_and_slope_like_fitpack(case):
         return
     surface = shell3d.interpolate_surface(grid, resolution=grid.F + 1)
     oracle = fitpack_spline(grid)
-    assert same_bits(surface.heights_mm, oracle(grid.coordinates(), grid.coordinates()))
+    # at resolution F + 1 the sampled lattice is the control grid
+    lattice = oracle(grid.coordinates(), grid.coordinates())
+    assert same_bits(surface.evaluate(grid.coordinates(), grid.coordinates()), lattice)
+    assert same_bits(surface.mesh.heights_m, lattice / 1000.0)
     assert same_bits(surface.evaluate(qx, qy), oracle(qx, qy))
     assert same_bits(surface.gradient(qx, qy, axis="x"), oracle(qx, qy, dx=1))
     assert same_bits(surface.gradient(qx, qy, axis="y"), oracle(qx, qy, dy=1))
