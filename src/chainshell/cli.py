@@ -11,12 +11,13 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from . import filtering, loads as loads_mod, pipeline, profile2d, shell3d, units
+from . import filtering, loads as loads_mod, pipeline, shell3d
 from .config import PipelineConfig, derive_seed, load_config, validate
 from .errors import (ChainshellError, ConfigError, EnvelopeError, InfeasibleError,
                      ParameterError)
@@ -140,15 +141,26 @@ def cmd_sweep2d(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _refuse_stale_pool(out_dir: Path, size: int) -> None:
+    """An iterNN file at or past the pool size would be left beside a
+    manifest.csv that does not list it: bad input, refused before any write."""
+    if not out_dir.is_dir():
+        return
+    for path in sorted(out_dir.iterdir()):
+        match = re.fullmatch(r"iter(\d+)\.(mesh|pgm)", path.name)
+        if match and int(match.group(1)) >= size:
+            raise ParameterError(
+                f"{path} is not part of a {size}-iteration pool; "
+                f"write the pool to another directory")
+
+
 def cmd_gen3d(args, config: PipelineConfig) -> int:
-    envelope = profile2d.default_envelope(units.Shape.parse(config.sweep2d.shape))
     # an explicit --seed keys the pool directly; otherwise derive per stage
     seed = config.seed if args.seed is not None else derive_seed(config.seed, "gen3d")
-    grids = shell3d.generate_iterations(args.amplitude, args.frequency,
-                                        n=config.gen3d.iterations, seed=seed,
-                                        span=config.gen3d.span_mm,
-                                        envelope=envelope)
-    out = _out_dir(args, "runs/gen3d")
+    grids = pipeline.pool_grids(config, args.amplitude, args.frequency, seed)
+    out_dir = Path(args.out or "runs/gen3d")
+    _refuse_stale_pool(out_dir, len(grids))
+    out = pipeline.RunDir.create(out_dir)
     pipeline.write_pool(out, "", args.amplitude, args.frequency, seed, grids,
                         config.gen3d.resolution)
     print(f"wrote {len(grids)} iterations to {out.path}")

@@ -13,18 +13,16 @@ mechanism error naming the offending degrees of freedom.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded
 
 from .errors import GeometryError, MechanismError, ParameterError
-from .loads import (DEFAULT_ELASTIC_MODULUS_PA, DEFAULT_SHEAR_MODULUS_PA,
-                    LoadCase, StructureSpec, deflection_limit)
+from .loads import LoadCase, StructureSpec, deflection_limit
 from .shell3d import ShellSurface
 
-DEFAULT_LATTICE_GRID = 10
 MEMBRANE_PRECOMPRESSION_N = 1.0  # total vacuum pre-compression along the normals
 DOF_PER_NODE = 6
 DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
@@ -34,8 +32,8 @@ _VERTICAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Material:
-    elastic_modulus: float = DEFAULT_ELASTIC_MODULUS_PA  # Pa
-    shear_modulus: float = DEFAULT_SHEAR_MODULUS_PA      # Pa
+    elastic_modulus: float  # Pa
+    shear_modulus: float    # Pa
 
     def __post_init__(self):
         if self.elastic_modulus <= 0 or self.shear_modulus <= 0:
@@ -94,7 +92,7 @@ class FrameModel:
     ends: np.ndarray   # (m, 2) node ids: element e runs from ends[e, 0] to ends[e, 1]
     section: BeamSection  # shared by every element
     supports: Dict[int, SupportKind]
-    material: Material = field(default_factory=Material)
+    material: Material
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -300,7 +298,7 @@ def _tributary_weights(grid: int) -> np.ndarray:
     return np.outer(w, w)
 
 
-def default_supports(grid: int, mode: str = "boundary-fixed") -> Dict[int, SupportKind]:
+def default_supports(grid: int, mode: str) -> Dict[int, SupportKind]:
     """Support sets for shell analysis lattices.
 
     boundary-fixed clamps every edge node (the sealed membrane edge);
@@ -316,15 +314,13 @@ def default_supports(grid: int, mode: str = "boundary-fixed") -> Dict[int, Suppo
     raise ParameterError(f"unknown support mode {mode!r}")
 
 
-def frame_from_surface(surface: ShellSurface, grid: int = DEFAULT_LATTICE_GRID,
-                       structure: StructureSpec = StructureSpec(),
-                       supports: Optional[Dict[int, SupportKind]] = None) -> FrameModel:
+def frame_from_surface(surface: ShellSurface, grid: int, structure: StructureSpec,
+                       supports: Dict[int, SupportKind]) -> FrameModel:
     """Sample the surface on a (grid+1)^2 lattice and frame it.
 
     Elements run along lattice rows, columns, and one diagonal per cell,
     with the structure's homogenized section and moduli.  Node ids are
-    row-major: node(i, j) = i * (grid + 1) + j.  Supports default to
-    boundary-fixed.
+    row-major: node(i, j) = i * (grid + 1) + j.
     """
     if grid < 2:
         raise ParameterError("lattice grid must be >= 2")
@@ -350,8 +346,7 @@ def frame_from_surface(surface: ShellSurface, grid: int = DEFAULT_LATTICE_GRID,
     ends = pairs[pairs[..., 1] >= 0]
 
     model = FrameModel(nodes=nodes, ends=ends, section=section,
-                       supports=supports if supports is not None
-                       else default_supports(grid),
+                       supports=supports,
                        material=Material(structure.elastic_modulus,
                                          structure.shear_modulus))
     if np.linalg.norm(nodes[ends[:, 1]] - nodes[ends[:, 0]], axis=1).min() < 1e-12:
@@ -411,14 +406,13 @@ def shell_node_loads(surface: ShellSurface, grid: int,
 
 
 def analyze_shell(surface: ShellSurface, load_case: LoadCase,
-                  structure: StructureSpec = StructureSpec(),
-                  supports: Optional[Dict[int, SupportKind]] = None,
-                  grid: int = DEFAULT_LATTICE_GRID) -> ShellAnalysis:
+                  structure: StructureSpec, supports: Dict[int, SupportKind],
+                  grid: int) -> ShellAnalysis:
     """Solve one shell under a load case and check span/250.
 
-    The frame takes its section and moduli from the structure; supports
-    default to boundary-fixed.  TL is distributed by tributary plan area;
-    the membrane pre-compression acts along inward surface normals.
+    The frame takes its section and moduli from the structure.  TL is
+    distributed by tributary plan area; the membrane pre-compression acts
+    along inward surface normals.
     """
     model = frame_from_surface(surface, grid, structure, supports)
     _require_noncollinear_supports(model)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ParameterError
 from .shell3d import ShellSurface
 
-DEFAULT_KEEP = 4
 TOLERANCE_FRACTION = 0.02   # first-pass tolerance: 2% of the pool median
 MAX_HALVINGS = 10
 
@@ -39,7 +38,7 @@ def _distinct(m1: SurfaceMetrics, m2: SurfaceMetrics,
 
 
 def select_indices(metrics: Sequence[SurfaceMetrics], dP: float, da: float,
-                   k: int = DEFAULT_KEEP) -> List[int]:
+                   k: int) -> List[int]:
     """Greedy scan in input order; kept iff distinct from every kept so far."""
     if dP < 0 or da < 0:
         raise ParameterError("tolerances must be non-negative")
@@ -55,7 +54,7 @@ def select_indices(metrics: Sequence[SurfaceMetrics], dP: float, da: float,
 
 
 def auto_tolerance_from_metrics(metrics: Sequence[SurfaceMetrics],
-                                k: int = DEFAULT_KEEP) -> Tuple[float, float]:
+                                k: int) -> Tuple[float, float]:
     """Tolerances that yield k distinct surfaces from this pool's metrics.
 
     Starts at 2% of the median perimeter and median area; halves both
@@ -85,7 +84,7 @@ class FilterOutcome:
     da: float
 
 
-def filter_surfaces(metrics: Sequence[SurfaceMetrics], k: int = DEFAULT_KEEP,
+def filter_surfaces(metrics: Sequence[SurfaceMetrics], k: int,
                     dP: Optional[float] = None,
                     da: Optional[float] = None) -> FilterOutcome:
     """Select k distinct members of a measured pool.

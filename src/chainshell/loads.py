@@ -14,23 +14,12 @@ from .errors import ParameterError
 LIVE_INTENSITY_KN_M2 = 0.4
 SNOW_INTENSITY_KN_M2 = 0.9
 WIND_INTENSITY_KN_M2 = 1.07
-DEFAULT_SNOW_SHAPE_FACTOR = 0.8
-DEFAULT_WIND_SHAPE_FACTOR = 0.75
 DEFLECTION_LIMIT_DIVISOR = 250.0
 
-DEFAULT_UNIT_WEIGHT_KN_M3 = 1.13
-DEFAULT_THICKNESS_M = 0.08
-DEFAULT_PLAN_AREA_M2 = 4.0
-DEFAULT_SPAN_M = 2.0
-DEFAULT_SOLID_FRACTION = 0.08
-DEFAULT_ELASTIC_MODULUS_PA = 2.1e9   # rPET
-DEFAULT_SHEAR_MODULUS_PA = 0.78e9
-
 # anchors dead_load(flat 4 m2 surface) at the reported 0.10 kN; the printed
-# unit weight and dimensions do not reproduce that value under any plain
-# volume model, so the constant is explicit and overridable
-DEAD_LOAD_CALIBRATION = 0.10 / (DEFAULT_UNIT_WEIGHT_KN_M3 * DEFAULT_SOLID_FRACTION
-                                * DEFAULT_PLAN_AREA_M2 * DEFAULT_THICKNESS_M)
+# unit weight 1.13 kN/m3, solid fraction 0.08 and thickness 0.08 m do not
+# reproduce that value under any plain volume model, so the constant is explicit
+DEAD_LOAD_CALIBRATION = 0.10 / (1.13 * 0.08 * 4.0 * 0.08)
 
 
 @dataclass(frozen=True)
@@ -42,15 +31,15 @@ class StructureSpec:
     the moduli; every field but span_L and the moduli enters the load case.
     """
 
-    plan_area_a: float = DEFAULT_PLAN_AREA_M2     # m2
-    thickness_t: float = DEFAULT_THICKNESS_M      # m
-    span_L: float = DEFAULT_SPAN_M                # m
-    unit_weight_rho: float = DEFAULT_UNIT_WEIGHT_KN_M3  # kN/m3
-    solid_fraction: float = DEFAULT_SOLID_FRACTION
-    snow_shape_factor: float = DEFAULT_SNOW_SHAPE_FACTOR
-    wind_shape_factor: float = DEFAULT_WIND_SHAPE_FACTOR
-    elastic_modulus: float = DEFAULT_ELASTIC_MODULUS_PA  # Pa
-    shear_modulus: float = DEFAULT_SHEAR_MODULUS_PA      # Pa
+    plan_area_a: float        # m2
+    thickness_t: float        # m
+    span_L: float             # m
+    unit_weight_rho: float    # kN/m3
+    solid_fraction: float
+    snow_shape_factor: float
+    wind_shape_factor: float
+    elastic_modulus: float    # Pa
+    shear_modulus: float      # Pa
 
     def __post_init__(self):
         for name in ("plan_area_a", "thickness_t", "span_L",
@@ -83,39 +72,40 @@ def live_load(spec: StructureSpec) -> float:
     return LIVE_INTENSITY_KN_M2 * spec.plan_area_a
 
 
-def snow_load(spec: StructureSpec, mu: float = DEFAULT_SNOW_SHAPE_FACTOR) -> float:
+def snow_load(spec: StructureSpec) -> float:
     """SL = mu * 0.9 kN/m2 * plan area, 0 < mu <= 1."""
+    mu = spec.snow_shape_factor
     if not 0.0 < mu <= 1.0:
         raise ParameterError("snow shape factor must satisfy 0 < mu <= 1")
     return mu * SNOW_INTENSITY_KN_M2 * spec.plan_area_a
 
 
-def wind_load(spec: StructureSpec, c_p: float = DEFAULT_WIND_SHAPE_FACTOR) -> float:
+def wind_load(spec: StructureSpec) -> float:
     """WL = C_p * 1.07 kN/m2 * plan area, C_p > 0."""
+    c_p = spec.wind_shape_factor
     if c_p <= 0.0:
         raise ParameterError("wind shape factor must be positive")
     return c_p * WIND_INTENSITY_KN_M2 * spec.plan_area_a
 
 
-def dead_load(spec: StructureSpec, surface_area: float,
-              calibration: float = DEAD_LOAD_CALIBRATION) -> float:
-    """DL = rho * solid_fraction * surface_area * t * calibration.
+def dead_load(spec: StructureSpec, surface_area: float) -> float:
+    """DL = rho * solid_fraction * surface_area * t * DEAD_LOAD_CALIBRATION.
 
-    Increases with surface area; the default calibration maps a flat
-    4 m2 shell to 0.10 kN.
+    Increases with surface area; the calibration maps a flat 4 m2 shell
+    of the paper's section to 0.10 kN.
     """
     if surface_area < spec.plan_area_a:
         raise ParameterError("surface area cannot be below the plan area")
     return (spec.unit_weight_rho * spec.solid_fraction * surface_area
-            * spec.thickness_t * calibration)
+            * spec.thickness_t * DEAD_LOAD_CALIBRATION)
 
 
 def combine(spec: StructureSpec, surface_area: float) -> LoadCase:
     """All components for a shell of the given deformed surface area."""
     return LoadCase(dead_DL=dead_load(spec, surface_area),
                     live_LL=live_load(spec),
-                    snow_SL=snow_load(spec, spec.snow_shape_factor),
-                    wind_WL=wind_load(spec, spec.wind_shape_factor))
+                    snow_SL=snow_load(spec),
+                    wind_WL=wind_load(spec))
 
 
 def deflection_limit(span_L: float) -> float:

@@ -106,15 +106,20 @@ def stage_sweep2d(config: PipelineConfig, out: RunDir) -> None:
                  f"{shape.value},{_fmt(best_a, 1)},{best_f}\n")
 
 
+def pool_grids(config: PipelineConfig, amplitude: float, frequency: int,
+               seed: int) -> List[shell3d.ControlGrid]:
+    """The control grids of one gen3d pool: [gen3d] iterations over
+    [gen3d] span_mm, checked against the rectangular envelope the study
+    groups are printed in, whatever [sweep2d] shape the sweep charts."""
+    return shell3d.generate_iterations(amplitude, frequency, config.gen3d.iterations,
+                                       seed, config.gen3d.span_mm,
+                                       profile2d.default_envelope(GROUP_SHAPE))
+
+
 def _group_grids(config: PipelineConfig, group: int):
     amplitude, frequency = shell3d.group_parameters(group)
     seed = derive_seed(config.seed, f"gen3d:g{group}")
-    envelope = profile2d.default_envelope(GROUP_SHAPE)
-    grids = shell3d.generate_iterations(amplitude, frequency,
-                                        n=config.gen3d.iterations, seed=seed,
-                                        span=config.gen3d.span_mm,
-                                        envelope=envelope)
-    return amplitude, frequency, seed, grids
+    return amplitude, frequency, seed, pool_grids(config, amplitude, frequency, seed)
 
 
 def write_pool(out: RunDir, prefix: str, amplitude: float, frequency: int,
@@ -386,13 +391,21 @@ def _refuse_foreign_run(out_dir: Path, cfg_hash: str) -> None:
 def run_pipeline(config: PipelineConfig, out_dir) -> Path:
     """Execute all stages in order; returns the run directory.
 
-    A directory whose manifest.txt records another config_hash is refused
-    with ParameterError before anything is written.  A stage failure halts
+    A plan area larger than the span's square plan, or a directory whose
+    manifest.txt records another config_hash, is refused with
+    ParameterError before anything is written.  A stage failure halts
     the pipeline, preserves prior outputs, and writes an incomplete
     manifest naming the stage and cause, and listing every file written
     before it failed, before re-raising as a stage error.
     """
     config = validate(config)
+    # dead_load refuses a surface smaller than the plan area; a flat shell
+    # over the span has (span_mm / 1000)^2
+    plan_m2 = (config.gen3d.span_mm / 1000.0) ** 2
+    if config.loads.plan_area_m2 > plan_m2:
+        raise ParameterError(
+            f"loads.plan_area_m2 = {config.loads.plan_area_m2} exceeds the "
+            f"{plan_m2} m2 plan of gen3d.span_mm = {config.gen3d.span_mm}")
     _refuse_foreign_run(Path(out_dir), config_hash(config))
     out = RunDir.create(out_dir)
     write_output(out, "config.ini", dump_config(config))

@@ -1,6 +1,6 @@
 """2D sectional deformation sweep.
 
-Section profiles are sinusoids y(x) = A sin(2 pi f x / L) over a 2 m span;
+Section profiles are sinusoids y(x) = A sin(2 pi f x / L) over a span L;
 frequency f is the integer grid count dividing the span.  Feasibility per
 (shape, f) comes from a data-driven envelope of maximum bendable amplitudes,
 standing in for physical bend tests.
@@ -15,13 +15,9 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import ParameterError
 from .units import Shape
 
-SPAN_MM = 2000.0
-MODEL_SCALE = 1.0 / 20.0  # metadata only; all computation at real-world scale
-
 AMPLITUDE_STEP_MM = 5.0
 AMPLITUDE_MAX_MM = 40.0
 FREQUENCY_MIN = 3
-FREQUENCY_MAX = 10
 
 # Maximum bendable amplitude (mm) per frequency.  The rectangular entry is
 # anchored at (35 mm, f=9); triangular and circular peak strictly lower.
@@ -40,8 +36,7 @@ class SectionProfile:
 
     amplitude_A: float
     frequency_f: int
-    span_L: float = SPAN_MM
-    model_scale: float = MODEL_SCALE
+    span_L: float
 
     def __post_init__(self):
         if self.span_L <= 0:
@@ -134,7 +129,7 @@ class SweepReport:
 
 
 def sweep_2d(shape: Shape, envelope: FeasibilityEnvelope,
-             f_max: int = FREQUENCY_MAX, span_L: float = SPAN_MM) -> SweepReport:
+             f_max: int, span_L: float) -> SweepReport:
     """Enumerate A in {0, 5, .., 40} x f in {3, .., f_max} against the envelope.
 
     Cells are ordered by (A, f); a cell is feasible iff A does not exceed the

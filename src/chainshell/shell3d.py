@@ -16,11 +16,9 @@ from typing import List, Optional, TextIO
 import numpy as np
 
 from .errors import EnvelopeError, ParameterError
-from .profile2d import FeasibilityEnvelope, SPAN_MM
+from .profile2d import FeasibilityEnvelope
 from .spline import GridSpline
 
-DEFAULT_ITERATIONS = 20
-DEFAULT_RESOLUTION = 64  # sample points per axis
 Z_RANGE_DIVISOR = 5.0    # perturbation range is [0, A/5]
 
 _MASK64 = (1 << 64) - 1
@@ -33,7 +31,7 @@ def group_parameters(group: int) -> tuple[float, int]:
     return 5.0 * (group + 1), group + 2
 
 
-def base_field(x, y, amplitude: float, frequency: int, span: float = SPAN_MM):
+def base_field(x, y, amplitude: float, frequency: int, span: float):
     """Deformation field A sin(2 pi f x / L) cos(2 pi f y / L); array-friendly."""
     k = 2.0 * math.pi * frequency / span
     return amplitude * np.sin(k * np.asarray(x)) * np.cos(k * np.asarray(y))
@@ -71,8 +69,7 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 
 
 def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
-                 span: float = SPAN_MM,
-                 envelope: Optional[FeasibilityEnvelope] = None) -> ControlGrid:
+                 span: float, envelope: Optional[FeasibilityEnvelope] = None) -> ControlGrid:
     """One seeded control grid for (A, f), drawn from its own (seed, iteration) stream.
 
     Offsets are drawn per control point in row-major order; the same inputs
@@ -103,9 +100,8 @@ def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
                        z_values=z, seed=seed, iteration=iteration)
 
 
-def generate_iterations(amplitude: float, frequency: int, n: int = DEFAULT_ITERATIONS,
-                        seed: int = 0, span: float = SPAN_MM,
-                        envelope: Optional[FeasibilityEnvelope] = None,
+def generate_iterations(amplitude: float, frequency: int, n: int, seed: int,
+                        span: float, envelope: Optional[FeasibilityEnvelope] = None,
                         ) -> List[ControlGrid]:
     """The control grids of iterations 0..n-1 for one (A, f) combination."""
     if n < 1:
@@ -218,8 +214,7 @@ def _fit_spline(grid: ControlGrid) -> GridSpline:
     return GridSpline(coords, coords, grid.z_values, k=min(3, grid.F))
 
 
-def interpolate_surface(grid: ControlGrid,
-                        resolution: int = DEFAULT_RESOLUTION) -> ShellSurface:
+def interpolate_surface(grid: ControlGrid, resolution: int) -> ShellSurface:
     """Sample the interpolating spline on a resolution^2 lattice and mesh it."""
     if resolution < grid.F + 1:
         raise ParameterError(

@@ -15,11 +15,6 @@ from typing import Optional
 
 from .errors import InfeasibleError, ParameterError
 
-# Virgin-PET-like default.  Printed sample weights also depend on infill and
-# material, so grams from this density are a solid-rod estimate, not a
-# reproduction of any measured sample.
-DEFAULT_DENSITY_G_CM3 = 1.38
-
 # Standard ring catalog: side 7.5 mm triangle, 11 mm circumference circle,
 # 11 mm square, all at 1 mm rod.
 STANDARD_DIMENSIONS = {
@@ -27,8 +22,6 @@ STANDARD_DIMENSIONS = {
     "circular": (11.0, 1.0),
     "rectangular": (11.0, 1.0),
 }
-
-DEFAULT_SOLID_FRACTION = 0.08
 
 
 class Shape(Enum):
@@ -112,7 +105,7 @@ def solid_to_gap_ratio(cell: UnitCell) -> float:
     return solid / total
 
 
-def calibrate_pitch(cell: UnitCell, target_ratio: float = DEFAULT_SOLID_FRACTION,
+def calibrate_pitch(cell: UnitCell, target_ratio: float,
                     tol: float = 1e-6) -> float:
     """Find the pitch at which the solid fraction equals ``target_ratio``.
 
@@ -169,12 +162,13 @@ def moment_of_inertia(cell: UnitCell) -> float:
 
 @dataclass(frozen=True)
 class SheetSpec:
-    """A rows x cols sheet of one unit, with print material density in g/cm^3."""
+    """A rows x cols sheet of one unit, with print material density in g/cm^3;
+    its grams are a solid-rod estimate, not a measured sample weight."""
 
     unit: UnitCell
     grid_rows: int
     grid_cols: int
-    material_density: float = DEFAULT_DENSITY_G_CM3
+    material_density: float
 
     def __post_init__(self):
         if self.grid_rows < 0 or self.grid_cols < 0:
@@ -201,8 +195,8 @@ def sheet_weight(spec: SheetSpec) -> float:
     return count * volume_mm3 * spec.material_density * 1e-3
 
 
-def standard_cell(shape: Shape, pitch: Optional[float] = None,
-                  target_ratio: float = DEFAULT_SOLID_FRACTION) -> UnitCell:
+def standard_cell(shape: Shape, target_ratio: float,
+                  pitch: Optional[float] = None) -> UnitCell:
     """Catalog cell for a shape; pitch calibrated to ``target_ratio`` if not given."""
     L, d = STANDARD_DIMENSIONS[shape.value]
     cell = UnitCell(shape, L, d)

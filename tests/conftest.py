@@ -22,12 +22,12 @@ class GroupPool:
 
 @pytest.fixture(scope="session")
 def pools42() -> Dict[int, GroupPool]:
-    """Twenty seeded iterations per group, interpolated once for the session."""
+    """A default-size pool per group at seed 42, interpolated once for the session."""
     pools = {}
     for group in range(1, 5):
         amplitude, frequency = group_parameters(group)
         pools[group] = GroupPool(amplitude, frequency,
-                                 pool_surfaces(amplitude, frequency, n=20, seed=42))
+                                 pool_surfaces(amplitude, frequency, seed=42))
     return pools
 
 

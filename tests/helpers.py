@@ -12,8 +12,8 @@ from scipy.interpolate import RBFInterpolator, RectBivariateSpline
 from chainshell import loads, profile2d
 from chainshell.config import PipelineConfig, derive_seed
 from chainshell.errors import GeometryError
-from chainshell.fem import (BeamSection, FrameModel, SupportKind, analyze_shell,
-                            assemble_stiffness, default_supports)
+from chainshell.fem import (BeamSection, FrameModel, Material, SupportKind, analyze_shell,
+                            assemble_stiffness, default_supports, frame_from_surface)
 from chainshell.filtering import measure
 from chainshell.optimizer import (COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind,
                                   CandidateDesign, Column, ColumnSet, SlopeReport)
@@ -25,7 +25,11 @@ from chainshell.units import Shape, UnitCell
 # reproducible property examples, no example database written next to the tests
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-BEAM_E = 2.1e9  # default material modulus, Pa
+# the default config and what the pipeline reads from it
+CONFIG = PipelineConfig()
+SPEC = structure_spec(CONFIG)
+MATERIAL = Material(SPEC.elastic_modulus, SPEC.shear_modulus)
+BEAM_E = MATERIAL.elastic_modulus  # Pa
 BEAM_SECTION = BeamSection(area=1e-3, inertia_y=2e-6, inertia_z=3e-6,
                            torsion_J=5e-6)
 
@@ -67,7 +71,7 @@ def raster_solid_fraction(cell: UnitCell, resolution: int = 2048) -> float:
     return float(solid.sum()) / float(resolution * resolution)
 
 
-def grid_from_z(z_mm: np.ndarray, span_mm: float = 2000.0,
+def grid_from_z(z_mm: np.ndarray, span_mm: float = CONFIG.gen3d.span_mm,
                 amplitude: float = 0.0) -> ControlGrid:
     z = np.asarray(z_mm, dtype=float)
     return ControlGrid(F=z.shape[0] - 1, amplitude_A=amplitude, span_L=span_mm,
@@ -88,16 +92,29 @@ def rbf_thin_plate(xy: np.ndarray, z: np.ndarray, coords: np.ndarray) -> np.ndar
     return rbf(np.column_stack([X.ravel(), Y.ravel()])).reshape(len(coords), len(coords))
 
 
-def flat_surface(height_mm: float = 0.0, span_mm: float = 2000.0,
+def flat_surface(height_mm: float = 0.0, span_mm: float = CONFIG.gen3d.span_mm,
                  F: int = 4, resolution: int = 33) -> ShellSurface:
     z = np.full((F + 1, F + 1), float(height_mm))
     return interpolate_surface(grid_from_z(z, span_mm), resolution)
 
 
-def pool_surfaces(amplitude: float, frequency: int, n: int = 20, seed: int = 42,
-                  resolution: int = 64) -> list:
-    grids = generate_iterations(amplitude, frequency, n=n, seed=seed)
-    return [interpolate_surface(g, resolution) for g in grids]
+def pool_surfaces(amplitude: float, frequency: int, seed: int = 42) -> list:
+    """A default-config pool's surfaces for (A, f), keyed by `seed`."""
+    gen3d = CONFIG.gen3d
+    grids = generate_iterations(amplitude, frequency, gen3d.iterations, seed, gen3d.span_mm)
+    return [interpolate_surface(g, gen3d.resolution) for g in grids]
+
+
+def default_frame(surface: ShellSurface, grid: int = CONFIG.fem.lattice_grid) -> FrameModel:
+    """The frame the default config builds for a surface."""
+    return frame_from_surface(surface, grid, SPEC, default_supports(grid, CONFIG.fem.supports))
+
+
+def default_analysis(surface: ShellSurface, case: loads.LoadCase,
+                     grid: int = CONFIG.fem.lattice_grid):
+    """The shell analysis the default config makes of a surface."""
+    return analyze_shell(surface, case, SPEC, default_supports(grid, CONFIG.fem.supports),
+                         grid)
 
 
 def chain_ends(n_elems: int) -> np.ndarray:
@@ -118,7 +135,7 @@ def cantilever_model(n_elems: int = 6, length: float = 1.5) -> FrameModel:
     xs = np.linspace(0.0, length, n_elems + 1)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
     return FrameModel(nodes=nodes, ends=chain_ends(n_elems), section=BEAM_SECTION,
-                      supports={0: SupportKind.FIXED})
+                      supports={0: SupportKind.FIXED}, material=MATERIAL)
 
 
 def simply_supported_model(n_elems: int = 16, span: float = 2.0) -> FrameModel:
@@ -134,7 +151,8 @@ def simply_supported_model(n_elems: int = 16, span: float = 2.0) -> FrameModel:
     ends = np.vstack([chain_ends(n_elems), [(0, n_elems + 1), (n_elems, n_elems + 2)]])
     supports = {0: SupportKind.PINNED, n_elems: SupportKind.PINNED,
                 n_elems + 1: SupportKind.PINNED, n_elems + 2: SupportKind.PINNED}
-    return FrameModel(nodes=nodes, ends=ends, section=BEAM_SECTION, supports=supports)
+    return FrameModel(nodes=nodes, ends=ends, section=BEAM_SECTION, supports=supports,
+                      material=MATERIAL)
 
 
 def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:
@@ -169,8 +187,8 @@ def synthetic_candidate(cid: str, cms: float, ua: float, lc_vol: float = 0.012,
 
 
 def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
-                 span_mm: float = 2000.0, F: int = 16,
-                 resolution: int = 64) -> ShellSurface:
+                 span_mm: float = CONFIG.gen3d.span_mm, F: int = 16,
+                 resolution: int = CONFIG.gen3d.resolution) -> ShellSurface:
     """Clipped paraboloid dome centred on the plan; closed-form clear area.
 
     z(r) = H (1 - r^2 / R^2) above the rim, 0 outside, so the plan region

@@ -21,10 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from chainshell.config import OptimizerBlock, PipelineConfig
-from chainshell.fem import analyze_shell, frame_from_surface, shell_node_loads, solve
+from chainshell.fem import shell_node_loads, solve
 from chainshell.filtering import filter_surfaces, measure
 from chainshell.loads import (
-    StructureSpec,
     combine,
     deflection_limit,
     live_load,
@@ -46,7 +45,11 @@ from chainshell.units import (
 )
 
 from helpers import (
+    CONFIG,
+    SPEC,
     cantilever_model,
+    default_analysis,
+    default_frame,
     dome_surface,
     flat_surface,
     grid_from_z,
@@ -76,12 +79,12 @@ def _force_balance(model, nodal_loads, result) -> float:
 
 
 def test_a01_load_table_values():
-    spec = StructureSpec(plan_area_a=4.0)
+    spec = replace(SPEC, plan_area_a=4.0, snow_shape_factor=0.8, wind_shape_factor=0.75)
     live_load(spec)  # warm up before timing
     t0 = time.perf_counter()
     ll = live_load(spec)
-    sl = snow_load(spec, mu=0.8)
-    wl = wind_load(spec, c_p=0.75)
+    sl = snow_load(spec)
+    wl = wind_load(spec)
     elapsed = time.perf_counter() - t0
     ok = (abs(ll - 1.60) <= 1e-9 and abs(sl - 2.88) <= 1e-9
           and abs(wl - 3.21) <= 1e-9 and elapsed < 1e-3)
@@ -116,7 +119,7 @@ def test_a04_solid_to_gap_ratio_with_raster_oracle():
     rows = []
     ok = True
     for shape in Shape:
-        cell = standard_cell(shape)
+        cell = standard_cell(shape, CONFIG.unit.target_ratio)
         model = solid_to_gap_ratio(cell)
         raster = raster_solid_fraction(cell, resolution=2048)
         ok &= abs(model - 0.08) <= 0.005 and abs(raster - 0.08) <= 0.005
@@ -144,9 +147,9 @@ def test_a05_beam_theory_and_solver_hygiene(pools42):
     mid_err = abs(ss_res.displacements[8, 2] - exact_mid) / abs(exact_mid)
 
     surface = pools42[1].surfaces[0]
-    case = combine(StructureSpec(), measure(surface).area_a)
-    shell_model = frame_from_surface(surface, grid=10)
-    shell_loads = shell_node_loads(surface, 10, case.total_TL)
+    case = combine(SPEC, measure(surface).area_a)
+    shell_model = default_frame(surface)
+    shell_loads = shell_node_loads(surface, CONFIG.fem.lattice_grid, case.total_TL)
     t0 = time.perf_counter()
     shell_res = solve(shell_model, shell_loads)
     shell_time = time.perf_counter() - t0
@@ -164,17 +167,16 @@ def test_a05_beam_theory_and_solver_hygiene(pools42):
 
 def test_a06_group_compliance_and_trend():
     t0 = time.perf_counter()
-    structure = StructureSpec()
     means = []
     overall_max = 0.0
     for group in range(1, 5):
         amplitude, frequency = group_parameters(group)
-        surfaces = pool_surfaces(amplitude, frequency, n=20, seed=42)
-        outcome = filter_surfaces([measure(s) for s in surfaces], k=4)
+        surfaces = pool_surfaces(amplitude, frequency, seed=42)
+        outcome = filter_surfaces([measure(s) for s in surfaces], k=CONFIG.filter.keep)
         peaks = []
         for idx in outcome.kept_indices:
-            case = combine(structure, outcome.metrics[idx].area_a)
-            analysis = analyze_shell(surfaces[idx], case)
+            case = combine(SPEC, outcome.metrics[idx].area_a)
+            analysis = default_analysis(surfaces[idx], case)
             peaks.append(analysis.max_displacement_mm)
         means.append(sum(peaks) / len(peaks))
         overall_max = max(overall_max, max(peaks))
@@ -189,7 +191,8 @@ def test_a06_group_compliance_and_trend():
 
 
 def test_a07_group4_filter_distinctness(pools42):
-    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces], k=4)
+    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces],
+                              k=CONFIG.filter.keep)
     kept = outcome.kept_indices
     distinct = True
     for a in range(len(kept)):
@@ -267,10 +270,10 @@ def test_a10_sheet_weight_shape_ordering():
     grams = {}
     ok = True
     for shape in Shape:
-        cell = standard_cell(shape)
+        cell = standard_cell(shape, CONFIG.unit.target_ratio)
         d = cell.rod_diameter_d
         band_mm2 = raster_solid_fraction(cell, resolution=2048) * cell.cell_pitch ** 2
-        spec = SheetSpec(cell, 10, 10)
+        spec = SheetSpec(cell, 10, 10, CONFIG.unit.density_g_cm3)
         oracle = (spec.grid_rows * spec.grid_cols * band_mm2 * math.pi * d / 4.0
                   * spec.material_density * 1e-3)
         model = sheet_weight(spec)
@@ -291,7 +294,8 @@ def test_a10_sheet_weight_shape_ordering():
 
 def test_a11_sweep_maximum():
     t0 = time.perf_counter()
-    report = sweep_2d(Shape.RECTANGULAR, default_envelope(Shape.RECTANGULAR))
+    report = sweep_2d(Shape.RECTANGULAR, default_envelope(Shape.RECTANGULAR),
+                      CONFIG.sweep2d.frequency_max, CONFIG.sweep2d.span_mm)
     elapsed = time.perf_counter() - t0
     best = report.max_feasible_cell
     ok = best == (35.0, 9) and elapsed < 1.0

@@ -143,6 +143,27 @@ iterations_per_anchor = 2
 """
 
 
+def _same_pool(pool: Path, stage_pool: Path, size: int) -> None:
+    for name in ["manifest.csv"] + [f"iter{i:02d}.{ext}" for i in range(size)
+                                    for ext in ("mesh", "pgm")]:
+        assert (pool / name).read_bytes() == (stage_pool / name).read_bytes(), name
+
+
+TRIANGULAR = """\
+[sweep2d]
+shape = triangular
+
+[gen3d]
+iterations = 2
+
+[filter]
+keep = 1
+
+[optimizer]
+iterations_per_anchor = 1
+"""
+
+
 def test_cli_chain_reproduces_the_pipeline_pool(capsys, tmp_path):
     cfg = tmp_path / "group1.ini"
     cfg.write_text(GROUP1)
@@ -157,10 +178,7 @@ def test_cli_chain_reproduces_the_pipeline_pool(capsys, tmp_path):
     assert main(["analyze", "--config", str(cfg), "--in", str(pool)]) == EXIT_OK
     capsys.readouterr()
 
-    stage_pool = run / "gen3d" / "g1"
-    for name in ["manifest.csv"] + [f"iter{i:02d}.{ext}" for i in range(8)
-                                    for ext in ("mesh", "pgm")]:
-        assert (pool / name).read_bytes() == (stage_pool / name).read_bytes(), name
+    _same_pool(pool, run / "gen3d" / "g1", 8)
     assert ((pool / "selected.csv").read_bytes()
             == (run / "filter" / "g1" / "selected.csv").read_bytes())
     cli_rows = (pool / "displacements.csv").read_text().splitlines()[1:]
@@ -168,6 +186,18 @@ def test_cli_chain_reproduces_the_pipeline_pool(capsys, tmp_path):
     assert len(cli_rows) == 3
     assert ([r.split(",")[1:] for r in cli_rows]
             == [r.split(",")[3:] for r in stage_rows])
+
+    # group 4 (A = 25 mm, f = 6) lies outside the triangular envelope; both
+    # paths check the rectangular one the groups are printed in
+    cfg = tmp_path / "triangular.ini"
+    cfg.write_text(TRIANGULAR)
+    run = tmp_path / "triangular-run"
+    assert main(["run", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+    pool = tmp_path / "g4"
+    assert main(["gen3d", "--config", str(cfg), "--amplitude", "25",
+                 "--frequency", "6", "--seed", str(derive_seed(7, "gen3d:g4")),
+                 "--out", str(pool)]) == EXIT_OK
+    _same_pool(pool, run / "gen3d" / "g4", 2)
 
 
 def test_gen3d_and_filter_read_their_config_keys(capsys, tmp_path):
@@ -340,6 +370,29 @@ def test_stage_failures_exit_3(capsys, tmp_path):
     assert code == EXIT_STAGE
     err = capsys.readouterr().err
     assert "stage 'gen3d' failed" in err
+
+
+def test_gen3d_refuses_a_stale_pool_directory(capsys, tmp_path):
+    pool = tmp_path / "pool"
+    argv = ["gen3d", "--amplitude", "10", "--frequency", "3", "--out", str(pool)]
+    assert main(argv + ["--iterations", "3"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in pool.iterdir()}
+    assert main(argv + ["--iterations", "2"]) == EXIT_VALIDATION
+    assert "iter02.mesh" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in pool.iterdir()} == before
+    # the same size, or a larger one, overwrites in place
+    assert main(argv + ["--iterations", "3"]) == EXIT_OK
+    assert main(argv + ["--iterations", "4"]) == EXIT_OK
+    assert len(list(pool.glob("iter*.mesh"))) == 4
+
+
+def test_a_plan_area_beyond_the_span_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "small-span.ini"
+    cfg.write_text("[gen3d]\nspan_mm = 1000\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "loads.plan_area_m2" in capsys.readouterr().err
+    assert not (out / "config.ini").exists()
 
 
 @pytest.mark.parametrize("buffered", [True, False])

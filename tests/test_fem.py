@@ -19,14 +19,19 @@ from chainshell.fem import (
     _free_band,
     _tributary_weights,
 )
-from chainshell.loads import StructureSpec, combine
+from chainshell.loads import combine
 from chainshell.filtering import measure
 
 from helpers import (
     BEAM_E as E,
     BEAM_SECTION as SECTION,
+    CONFIG,
+    MATERIAL,
+    SPEC,
     cantilever_model,
     chain_ends,
+    default_analysis,
+    default_frame,
     dense_stiffness,
     flat_surface,
     simply_supported_model,
@@ -53,7 +58,7 @@ def test_vertical_cantilever_uses_rotated_local_axes():
     zs = np.linspace(0.0, 1.5, 7)
     nodes = np.column_stack([np.zeros_like(zs), np.zeros_like(zs), zs])
     model = FrameModel(nodes=nodes, ends=chain_ends(6), section=SECTION,
-                       supports={0: SupportKind.FIXED})
+                       supports={0: SupportKind.FIXED}, material=MATERIAL)
     result = solve(model, {6: (800.0, 0.0, 0.0)})
     expected = 800.0 * 1.5 ** 3 / (3.0 * E * SECTION.inertia_y)
     assert result.displacements[6, 0] == pytest.approx(expected, rel=1e-9)
@@ -116,7 +121,8 @@ def test_unrestrained_torsion_chain_is_reported_as_mechanism():
     xs = np.linspace(0.0, 2.0, 9)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
     model = FrameModel(nodes=nodes, ends=chain_ends(8), section=SECTION,
-                       supports={0: SupportKind.PINNED, 8: SupportKind.PINNED})
+                       supports={0: SupportKind.PINNED, 8: SupportKind.PINNED},
+                       material=MATERIAL)
     with pytest.raises(MechanismError) as err:
         solve(model, {4: (0.0, 0.0, -100.0)})
     assert any(name == "rx" for _, name in err.value.dofs)
@@ -130,7 +136,8 @@ def test_near_mechanism_square_is_detected():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     model = FrameModel(nodes=nodes, ends=np.array([(0, 1), (1, 2), (2, 3), (3, 0)]),
-                       section=floppy, supports={0: SupportKind.PINNED, 1: SupportKind.PINNED})
+                       section=floppy, supports={0: SupportKind.PINNED, 1: SupportKind.PINNED},
+                       material=MATERIAL)
     with pytest.raises(MechanismError):
         solve(model, {2: (100.0, 0.0, 0.0)})
 
@@ -138,7 +145,7 @@ def test_near_mechanism_square_is_detected():
 def test_no_supports_is_a_mechanism():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     model = FrameModel(nodes=nodes, ends=chain_ends(1), section=SECTION,
-                       supports={})
+                       supports={}, material=MATERIAL)
     with pytest.raises(MechanismError) as err:
         solve(model, {1: (0.0, 0.0, -1.0)})
     assert err.value.dofs == []
@@ -163,18 +170,20 @@ def test_section_and_material_validation():
     with pytest.raises(ParameterError):
         BeamSection(area=1e-3, inertia_y=-1e-6, inertia_z=1e-6, torsion_J=1e-6)
     with pytest.raises(ParameterError):
-        Material(elastic_modulus=0.0)
+        Material(0.0, MATERIAL.shear_modulus)
 
 
 def test_frame_model_validation():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(GeometryError):
-        FrameModel(nodes=nodes, ends=np.array([(0, 0)]), section=SECTION, supports={})
+        FrameModel(nodes=nodes, ends=np.array([(0, 0)]), section=SECTION, supports={},
+                   material=MATERIAL)
     with pytest.raises(GeometryError):
-        FrameModel(nodes=nodes, ends=np.array([(0, 5)]), section=SECTION, supports={})
+        FrameModel(nodes=nodes, ends=np.array([(0, 5)]), section=SECTION, supports={},
+                   material=MATERIAL)
     with pytest.raises(ParameterError):
         FrameModel(nodes=nodes, ends=chain_ends(1), section=SECTION,
-                   supports={7: SupportKind.PINNED})
+                   supports={7: SupportKind.PINNED}, material=MATERIAL)
 
 
 def test_homogenized_section_dimensions():
@@ -206,18 +215,18 @@ def test_default_supports_counts():
 
 
 def test_frame_from_surface_lattice_shape():
-    model = frame_from_surface(flat_surface(F=2, resolution=5), grid=2)
+    model = default_frame(flat_surface(F=2, resolution=5), grid=2)
     assert len(model.nodes) == 9
     # 2 rows x 3 lines + 2 cols x 3 lines + 4 cell diagonals
     assert len(model.ends) == 16
     with pytest.raises(ParameterError):
-        frame_from_surface(flat_surface(F=2, resolution=5), grid=1)
+        default_frame(flat_surface(F=2, resolution=5), grid=1)
 
 
 def test_flat_plate_response_is_symmetric_and_downward():
     surface = flat_surface()
     corners = {c: SupportKind.FIXED for c in (0, 10, 110, 120)}
-    model = frame_from_surface(surface, grid=10, supports=corners)
+    model = frame_from_surface(surface, 10, SPEC, corners)
     loads = np.zeros((121, 3))
     loads[:, 2] = -50.0
     result = solve(model, loads)
@@ -230,9 +239,9 @@ def test_flat_plate_response_is_symmetric_and_downward():
 
 def test_shell_solution_balances_every_component(pools42):
     surface = pools42[4].surfaces[0]
-    case = combine(StructureSpec(), measure(surface).area_a)
-    loads = shell_node_loads(surface, 10, case.total_TL)
-    analysis = analyze_shell(surface, case)
+    case = combine(SPEC, measure(surface).area_a)
+    loads = shell_node_loads(surface, CONFIG.fem.lattice_grid, case.total_TL)
+    analysis = default_analysis(surface, case)
     applied = loads.sum(axis=0)
     reacted = np.sum([r for r in analysis.result.reactions.values()], axis=0) * 1e3
     for axis in range(3):
@@ -244,8 +253,8 @@ def test_shell_solution_balances_every_component(pools42):
 
 def test_refinement_keeps_peak_displacement_stable(pools42):
     surface = pools42[4].surfaces[0]
-    case = combine(StructureSpec(), measure(surface).area_a)
-    d10, d20, d40 = (analyze_shell(surface, case, grid=grid).max_displacement_mm
+    case = combine(SPEC, measure(surface).area_a)
+    d10, d20, d40 = (default_analysis(surface, case, grid).max_displacement_mm
                      for grid in (10, 20, 40))
     assert abs(d20 - d10) / d10 < 0.10
     # the frame stiffens monotonically and the steps shrink at least twofold
@@ -256,7 +265,7 @@ def test_refinement_keeps_peak_displacement_stable(pools42):
 def test_zero_length_element_is_rejected():
     nodes = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     model = FrameModel(nodes=nodes, ends=chain_ends(2), section=SECTION,
-                       supports={0: SupportKind.FIXED})
+                       supports={0: SupportKind.FIXED}, material=MATERIAL)
     with pytest.raises(GeometryError):
         solve(model, {2: (0.0, 0.0, -1.0)})
 
@@ -320,9 +329,10 @@ def test_batched_assembly_matches_element_loop():
 
 def test_a05_shell_reports_solver_diagnostics(pools42):
     surface = pools42[1].surfaces[0]
-    case = combine(StructureSpec(), measure(surface).area_a)
-    model = frame_from_surface(surface, grid=10)
-    result = solve(model, shell_node_loads(surface, 10, case.total_TL))
+    case = combine(SPEC, measure(surface).area_a)
+    model = default_frame(surface)
+    result = solve(model, shell_node_loads(surface, CONFIG.fem.lattice_grid,
+                                           case.total_TL))
     assert result.equilibrium_residual <= 1e-10
     assert result.pivot_ratio > 1e-12
     # the same ratio a dense Cholesky of the free block gives
@@ -334,8 +344,8 @@ def test_a05_shell_reports_solver_diagnostics(pools42):
 
 def test_renumbered_frame_gives_the_same_displacements(pools42):
     surface = pools42[2].surfaces[0]
-    model = frame_from_surface(surface, grid=10)
-    loads = shell_node_loads(surface, 10, 5.0)
+    model = default_frame(surface)
+    loads = shell_node_loads(surface, CONFIG.fem.lattice_grid, 5.0)
     # new_id[old] scatters lattice neighbours across the whole numbering
     new_id = np.random.default_rng(3).permutation(len(model.nodes))
     nodes = np.empty_like(model.nodes)
@@ -354,12 +364,12 @@ def test_renumbered_frame_gives_the_same_displacements(pools42):
 def test_degenerate_surface_is_rejected():
     # a 1e-9 mm span puts every lattice node within 1e-12 m of its neighbours
     with pytest.raises(GeometryError, match="zero-area cell"):
-        frame_from_surface(flat_surface(span_mm=1e-9, resolution=5), grid=2)
+        default_frame(flat_surface(span_mm=1e-9, resolution=5), grid=2)
 
 
 def test_free_band_is_the_fortran_ordered_lower_band_of_k_ff(pools42):
-    model = frame_from_surface(pools42[2].surfaces[0], grid=6,
-                               supports=default_supports(6, "corner-pinned"))
+    model = frame_from_surface(pools42[2].surfaces[0], 6, SPEC,
+                               default_supports(6, "corner-pinned"))
     ke, dofs = assemble_stiffness(model)
     pos = np.zeros(model.dof_count, dtype=np.intp)
     pos[model.constrained_dof_indices()] = -1
@@ -378,7 +388,7 @@ def test_free_band_is_the_fortran_ordered_lower_band_of_k_ff(pools42):
 
 def _flat_shell_case():
     surface = flat_surface(height_mm=800.0)
-    return surface, combine(StructureSpec(), measure(surface).area_a)
+    return surface, combine(SPEC, measure(surface).area_a)
 
 
 @pytest.mark.parametrize("nodes", [[], [0], [0, 120]])
@@ -386,7 +396,7 @@ def test_fewer_than_three_supports_are_rejected(nodes):
     surface, case = _flat_shell_case()
     supports = {n: SupportKind.PINNED for n in nodes}
     with pytest.raises(ParameterError, match="at least 3 supported nodes"):
-        analyze_shell(surface, case, StructureSpec(), supports, grid=10)
+        analyze_shell(surface, case, SPEC, supports, 10)
 
 
 # node i * 11 + j of the 11 x 11 lattice sits at (x_i, y_j)
@@ -398,12 +408,12 @@ def test_supports_on_one_line_are_rejected(nodes):
     surface, case = _flat_shell_case()
     supports = {n: SupportKind.FIXED for n in nodes}
     with pytest.raises(ParameterError, match="collinear"):
-        analyze_shell(surface, case, StructureSpec(), supports, grid=10)
+        analyze_shell(surface, case, SPEC, supports, 10)
 
 
 def test_three_noncollinear_supports_are_accepted():
     surface, case = _flat_shell_case()
     supports = {0: SupportKind.PINNED, 10: SupportKind.PINNED, 120: SupportKind.PINNED}
-    analysis = analyze_shell(surface, case, StructureSpec(), supports, grid=10)
+    analysis = analyze_shell(surface, case, SPEC, supports, 10)
     assert analysis.result.equilibrium_residual <= 1e-10
     assert sorted(analysis.result.reactions) == [0, 10, 120]

@@ -100,7 +100,7 @@ def test_select_indices_validation():
     with pytest.raises(ParameterError):
         select_indices(metrics, 0.0, 0.0, k=0)
     with pytest.raises(ParameterError):
-        filter_surfaces([])
+        filter_surfaces([], k=1)
 
 
 def test_auto_tolerance_without_halving_is_two_percent_of_medians():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from chainshell.config import PipelineConfig
 from chainshell.errors import ParameterError
 from chainshell.filtering import measure
 from chainshell.loads import (
+    DEAD_LOAD_CALIBRATION,
     LoadCase,
-    StructureSpec,
     combine,
     dead_load,
     deflection_limit,
@@ -14,41 +17,44 @@ from chainshell.loads import (
     snow_load,
     wind_load,
 )
+from chainshell.pipeline import structure_spec
+
+SPEC = structure_spec(PipelineConfig())
 
 
 def test_load_table_values():
-    spec = StructureSpec()
-    assert abs(live_load(spec) - 1.60) <= 1e-9
-    assert abs(snow_load(spec, mu=0.8) - 2.88) <= 1e-9
-    assert abs(wind_load(spec, c_p=0.75) - 3.21) <= 1e-9
+    assert (SPEC.plan_area_a, SPEC.snow_shape_factor, SPEC.wind_shape_factor) == (
+        4.0, 0.8, 0.75)
+    assert abs(live_load(SPEC) - 1.60) <= 1e-9
+    assert abs(snow_load(SPEC) - 2.88) <= 1e-9
+    assert abs(wind_load(SPEC) - 3.21) <= 1e-9
 
 
 def test_loads_scale_linearly_with_plan_area():
-    small = StructureSpec(plan_area_a=4.0)
-    large = StructureSpec(plan_area_a=10.0)
+    small = replace(SPEC, plan_area_a=4.0)
+    large = replace(SPEC, plan_area_a=10.0)
     assert live_load(large) == pytest.approx(4.0, rel=1e-12)
     assert live_load(large) == pytest.approx(2.5 * live_load(small), rel=1e-12)
-    assert snow_load(large, mu=0.8) == pytest.approx(2.5 * snow_load(small, mu=0.8),
-                                                     rel=1e-12)
-    assert wind_load(large, c_p=0.75) == pytest.approx(2.5 * wind_load(small, c_p=0.75),
-                                                       rel=1e-12)
+    assert snow_load(large) == pytest.approx(2.5 * snow_load(small), rel=1e-12)
+    assert wind_load(large) == pytest.approx(2.5 * wind_load(small), rel=1e-12)
 
 
 def test_shape_factor_variants():
-    spec = StructureSpec()
-    assert snow_load(spec, mu=0.5) == pytest.approx(1.80, rel=1e-12)
-    assert wind_load(spec, c_p=0.5) == pytest.approx(2.14, rel=1e-12)
+    assert snow_load(replace(SPEC, snow_shape_factor=0.5)) == pytest.approx(
+        1.80, rel=1e-12)
+    assert wind_load(replace(SPEC, wind_shape_factor=0.5)) == pytest.approx(
+        2.14, rel=1e-12)
 
 
 def test_shape_factor_bounds():
-    spec = StructureSpec()
     with pytest.raises(ParameterError):
-        snow_load(spec, mu=0.0)
+        snow_load(replace(SPEC, snow_shape_factor=0.0))
     with pytest.raises(ParameterError):
-        snow_load(spec, mu=1.2)
+        snow_load(replace(SPEC, snow_shape_factor=1.2))
     with pytest.raises(ParameterError):
-        wind_load(spec, c_p=0.0)
-    assert snow_load(spec, mu=1.0) == pytest.approx(3.6, rel=1e-12)
+        wind_load(replace(SPEC, wind_shape_factor=0.0))
+    assert snow_load(replace(SPEC, snow_shape_factor=1.0)) == pytest.approx(
+        3.6, rel=1e-12)
 
 
 def test_total_is_exact_component_sum():
@@ -61,29 +67,28 @@ def test_load_case_rejects_negative_components():
         LoadCase(dead_DL=-0.1, live_LL=1.6, snow_SL=2.88, wind_WL=3.21)
 
 
+def test_dead_load_calibration_keeps_its_bits():
+    # the product order of the value computed from the paper's section
+    assert DEAD_LOAD_CALIBRATION == 0.10 / (1.13 * 0.08 * 4.0 * 0.08)
+    assert DEAD_LOAD_CALIBRATION.hex() == "0x1.ba7a5616a7a57p+1"
+
+
 def test_dead_load_calibrated_to_flat_reference():
-    spec = StructureSpec()
-    assert dead_load(spec, surface_area=4.0) == pytest.approx(0.10, rel=1e-12)
+    assert dead_load(SPEC, surface_area=4.0) == pytest.approx(0.10, rel=1e-12)
     # a more deformed (larger) surface carries more self-weight
-    assert dead_load(spec, surface_area=5.0) > dead_load(spec, surface_area=4.0)
+    assert dead_load(SPEC, surface_area=5.0) > dead_load(SPEC, surface_area=4.0)
 
 
 def test_dead_load_rejects_surface_smaller_than_plan():
     with pytest.raises(ParameterError):
-        dead_load(StructureSpec(), surface_area=3.9)
+        dead_load(SPEC, surface_area=3.9)
 
 
 def test_structure_spec_validation():
-    with pytest.raises(ParameterError):
-        StructureSpec(plan_area_a=0.0)
-    with pytest.raises(ParameterError):
-        StructureSpec(thickness_t=-0.01)
-    with pytest.raises(ParameterError):
-        StructureSpec(span_L=0.0)
-    with pytest.raises(ParameterError):
-        StructureSpec(unit_weight_rho=0.0)
-    with pytest.raises(ParameterError):
-        StructureSpec(solid_fraction=0.0)
+    for name, value in (("plan_area_a", 0.0), ("thickness_t", -0.01), ("span_L", 0.0),
+                        ("unit_weight_rho", 0.0), ("solid_fraction", 0.0)):
+        with pytest.raises(ParameterError):
+            replace(SPEC, **{name: value})
 
 
 def test_deflection_limit_values():
@@ -95,11 +100,10 @@ def test_deflection_limit_values():
 
 
 def test_combined_case_for_group_surfaces(pools42):
-    spec = StructureSpec()
     dead_loads = {}
     for group, pool in pools42.items():
         area = measure(pool.surfaces[0]).area_a
-        case = combine(spec, area)
+        case = combine(SPEC, area)
         variable = case.live_LL + case.snow_SL + case.wind_WL
         assert variable == pytest.approx(7.69, abs=1e-9)
         assert 7.79 <= case.total_TL <= 7.85

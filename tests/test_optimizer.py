@@ -13,7 +13,6 @@ from chainshell import optimizer
 from chainshell.config import OptimizerBlock, PipelineConfig
 from chainshell.errors import ParameterError
 from chainshell.filtering import measure
-from chainshell.loads import StructureSpec
 from chainshell.optimizer import (
     AnchorConfig,
     AnchorKind,
@@ -36,17 +35,18 @@ from chainshell.optimizer import (
 from chainshell.pipeline import structure_spec
 from chainshell.shell3d import TriangleMesh, interpolate_surface
 
-from helpers import (PROPERTY, dome_surface, flat_surface, grid_from_z, holds_geometry,
-                     meshgrid_usable_area, per_point_column_heights,
+from helpers import (CONFIG, PROPERTY, SPEC, dome_surface, flat_surface, grid_from_z,
+                     holds_geometry, meshgrid_usable_area, per_point_column_heights,
                      synthetic_candidate)
 
 # the [optimizer] defaults, read where the study reads them
 BLOCK = OptimizerBlock()
 SIDE, HEADROOM = BLOCK.column_section_side_m, BLOCK.headroom_m
 FOUR = AnchorConfig(AnchorKind.FOUR, span_m=2.0)
+GRID = CONFIG.fem.lattice_grid
 
 
-def _incline_surface(rise_per_m: float, span_mm: float = 2000.0):
+def _incline_surface(rise_per_m: float, span_mm: float = CONFIG.gen3d.span_mm):
     coords = np.linspace(0.0, span_mm, 5)
     z = np.outer(rise_per_m * coords, np.ones(5))  # z grows along x only
     return interpolate_surface(grid_from_z(z, span_mm), 33)
@@ -401,7 +401,7 @@ def test_evaluate_candidate_reads_the_block():
 def test_formwork_reactions_cover_every_column():
     surface = dome_surface()
     design = _dome_design(surface)
-    reactions = formwork_reactions(design, surface, 10, StructureSpec())
+    reactions = formwork_reactions(design, surface, GRID, SPEC)
     assert set(reactions) == set(design.columns.formwork)
     assert all(r >= 0.0 for r in reactions.values())
 
@@ -409,11 +409,11 @@ def test_formwork_reactions_cover_every_column():
 def test_zero_tolerance_blocks_every_removal():
     surface = dome_surface()
     design = _dome_design(surface)
-    kept = reduce_formwork(design, surface, 0.0, 10, StructureSpec())
+    kept = reduce_formwork(design, surface, 0.0, GRID, SPEC)
     assert kept.load_bearing == design.columns.load_bearing
     assert len(kept.formwork) == 12
     with pytest.raises(ParameterError):
-        reduce_formwork(design, surface, -0.1, 10, StructureSpec())
+        reduce_formwork(design, surface, -0.1, GRID, SPEC)
 
 
 def test_reduction_respects_its_own_tolerances():
@@ -423,7 +423,7 @@ def test_reduction_respects_its_own_tolerances():
     p_ref, a_ref = _fit_supported_surface(
         design.anchors, list(design.columns.all_columns()), span_m)
     dP, da = 0.02 * p_ref, 0.02 * a_ref
-    kept = reduce_formwork(design, surface, 0.02, 10, StructureSpec())
+    kept = reduce_formwork(design, surface, 0.02, GRID, SPEC)
     assert kept.load_bearing == design.columns.load_bearing
     original = {id(c) for c in design.columns.formwork}
     assert all(id(c) in original for c in kept.formwork)
@@ -438,11 +438,11 @@ def test_design_solve_follows_the_structure_moduli():
     # a linear frame with every stiffness halved deflects exactly twice as far
     surface = dome_surface()
     design = _dome_design(surface)
-    base = StructureSpec()
+    base = SPEC
     soft = replace(base, elastic_modulus=base.elastic_modulus / 2,
                    shear_modulus=base.shear_modulus / 2)
-    stiff = _design_solve(design, surface, design.columns, 10, base).max_displacement_mm
-    halved = _design_solve(design, surface, design.columns, 10, soft).max_displacement_mm
+    stiff = _design_solve(design, surface, design.columns, GRID, base).max_displacement_mm
+    halved = _design_solve(design, surface, design.columns, GRID, soft).max_displacement_mm
     assert halved / stiff == pytest.approx(2.0, rel=1e-9)
 
 
@@ -458,8 +458,7 @@ def test_reaction_lookup_clamps_like_the_supports():
         col = replace(moved, position=position)
         columns = ColumnSet(design.columns.load_bearing,
                             design.columns.formwork[:-1] + (col,))
-        return col, formwork_reactions(replace(design, columns=columns), surface, 10,
-                                       StructureSpec())
+        return col, formwork_reactions(replace(design, columns=columns), surface, GRID, SPEC)
 
     outside, beyond = with_last_column_at((1.75, 2.2))
     edge, on_edge = with_last_column_at((1.75, 2.0))

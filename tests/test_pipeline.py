@@ -11,35 +11,31 @@ import numpy as np
 import pytest
 
 from chainshell.config import (
+    _BLOCK_NAMES,
     FilterBlock,
     Gen3dBlock,
-    LoadsBlock,
     OptimizerBlock,
     PipelineConfig,
     config_hash,
     derive_seed,
     load_config,
-    validate,
 )
 from chainshell import shell3d
 from chainshell.errors import ConfigError, StageError
-from chainshell.optimizer import AnchorConfig, AnchorKind, _design_solve, evaluate_candidate
 from chainshell.pipeline import (
     STAGES,
     RunDir,
     _group_grids,
-    analyze_model,
     node_displacement_rows,
     read_manifest_hash,
     run_pipeline,
     stage_filter,
     stage_gen3d,
     stage_optimize,
-    structure_spec,
 )
-from chainshell.shell3d import TriangleMesh, group_parameters, interpolate_surface
+from chainshell.shell3d import TriangleMesh, group_parameters
 
-from helpers import (carried_surface_displacement_rows, dome_surface, holds_geometry,
+from helpers import (carried_surface_displacement_rows, holds_geometry,
                      per_node_displacement_rows)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -320,63 +316,139 @@ def test_optimize_stage_uses_the_config_moduli(tmp_path):
             != (tmp_path / "soft/optimize/winner_displacements.csv").read_bytes())
 
 
-@pytest.fixture(scope="module")
-def dome_design():
-    return evaluate_candidate("dome", dome_surface(), AnchorConfig(AnchorKind.FOUR, span_m=2.0),
-                              OptimizerBlock())
-
-
-@pytest.mark.parametrize("block,key",
-                         [("loads", f.name) for f in fields(LoadsBlock)]
-                         + [("fem", "elastic_modulus_pa"), ("fem", "shear_modulus_pa")])
-def test_every_structural_key_changes_the_solves(dome_design, block, key):
-    base = PipelineConfig()
-    changed = _halved(base, block, key)
-    control, area = dome_design.control, dome_design.cms_m2
-    assert analyze_model(changed, control, area) != analyze_model(base, control, area)
-    surface = interpolate_surface(control, dome_design.resolution)
-
-    def design_mm(config):
-        return _design_solve(dome_design, surface, dome_design.columns,
-                             config.fem.lattice_grid,
-                             structure_spec(config)).max_displacement_mm
-
-    assert design_mm(changed) != design_mm(base)
-
-
-# one changed, valid value per [optimizer] key; weights move in pairs that
-# keep their sum at 1
-_OPTIMIZER_CHANGES = {
-    "iterations_per_anchor": {"iterations_per_anchor": 3},
-    "amplitude_cap_m": {"amplitude_cap_m": 2.5},
-    "amplitude_min_fraction": {"amplitude_min_fraction": 0.3},
-    "control_F": {"control_F": 3},
-    "weight_cms": {"weight_cms": 0.5, "weight_ua": 0.3},
-    "weight_ua": {"weight_ua": 0.5, "weight_cms": 0.3},
-    "weight_lc": {"weight_lc": 0.2, "weight_fc": 0.0},
-    "weight_fc": {"weight_fc": 0.2, "weight_lc": 0.0},
-    "min_slope": {"min_slope": 0.5},
-    "slope_rule": {"slope_rule": "strict"},
-    "headroom_m": {"headroom_m": 1.0},
-    "column_section_side_m": {"column_section_side_m": 0.08},
-    "reduction_tolerance": {"reduction_tolerance": 0.0},
+# One changed, valid value per config key.  Weights move in pairs that keep
+# their sum at 1; the explicit tolerances change against a base that uses
+# them; gen3d.span_mm grows, since a plan smaller than the plan area is refused.
+_CHANGES = {
+    "unit.shape": {"shape": "circular"},
+    "unit.member_length_mm": {"member_length_mm": 12.0},
+    "unit.rod_diameter_mm": {"rod_diameter_mm": 1.2},
+    "unit.target_ratio": {"target_ratio": 0.1},
+    "unit.density_g_cm3": {"density_g_cm3": 1.2},
+    "sweep2d.shape": {"shape": "circular"},
+    "sweep2d.amplitude_step_mm": {"amplitude_step_mm": 10.0},
+    "sweep2d.frequency_start": {"frequency_start": 4},
+    "sweep2d.frequency_max": {"frequency_max": 9},
+    "sweep2d.span_mm": {"span_mm": 1000.0},
+    "gen3d.iterations": {"iterations": 4},
+    "gen3d.groups": {"groups": 3},
+    "gen3d.span_mm": {"span_mm": 2500.0},
+    "gen3d.resolution": {"resolution": 48},
+    "filter.keep": {"keep": 3},
+    "filter.tolerance_mode": {"tolerance_mode": "explicit"},
+    "filter.perimeter_tolerance_m": {"perimeter_tolerance_m": 0.01},
+    "filter.area_tolerance_m2": {"area_tolerance_m2": 0.01},
+    "loads.plan_area_m2": {"plan_area_m2": 2.0},
+    "loads.thickness_m": {"thickness_m": 0.04},
+    "loads.unit_weight_kn_m3": {"unit_weight_kn_m3": 0.565},
+    "loads.snow_shape_factor": {"snow_shape_factor": 0.4},
+    "loads.wind_shape_factor": {"wind_shape_factor": 0.375},
+    "loads.solid_fraction": {"solid_fraction": 0.04},
+    "fem.elastic_modulus_pa": {"elastic_modulus_pa": 1.05e9},
+    "fem.shear_modulus_pa": {"shear_modulus_pa": 0.39e9},
+    "fem.lattice_grid": {"lattice_grid": 12},
+    "fem.supports": {"supports": "corner-pinned"},
+    "optimizer.iterations_per_anchor": {"iterations_per_anchor": 3},
+    "optimizer.amplitude_cap_m": {"amplitude_cap_m": 2.5},
+    "optimizer.amplitude_min_fraction": {"amplitude_min_fraction": 0.3},
+    "optimizer.control_F": {"control_F": 3},
+    "optimizer.weight_cms": {"weight_cms": 0.5, "weight_ua": 0.3},
+    "optimizer.weight_ua": {"weight_ua": 0.5, "weight_cms": 0.3},
+    "optimizer.weight_lc": {"weight_lc": 0.2, "weight_fc": 0.0},
+    "optimizer.weight_fc": {"weight_fc": 0.2, "weight_lc": 0.0},
+    "optimizer.min_slope": {"min_slope": 0.5},
+    "optimizer.slope_rule": {"slope_rule": "strict"},
+    "optimizer.headroom_m": {"headroom_m": 1.0},
+    "optimizer.column_section_side_m": {"column_section_side_m": 0.08},
+    "optimizer.reduction_tolerance": {"reduction_tolerance": 0.0},
+    "run.threads": {"threads": 2},
 }
 
+# Keys that change no output but config.ini.  Each must keep changing
+# nothing; wiring a key to its result or deleting it takes it off this list.
+_DEAD_KEYS = {"unit.shape", "unit.member_length_mm", "unit.rod_diameter_mm",
+              "sweep2d.amplitude_step_mm", "sweep2d.frequency_start", "run.threads"}
 
-def _study_digests(block: OptimizerBlock, path: Path) -> dict:
-    out = RunDir.create(path)
-    stage_optimize(validate(_trimmed_config(optimizer=block)), out)
-    return out.digests
+# the stage directories a key of each block must change
+_BLOCK_STAGES = {"unit": {"units"}, "sweep2d": {"sweep2d"}, "gen3d": {"gen3d"},
+                 "filter": {"filter"}, "loads": {"analyze", "optimize"},
+                 "fem": {"analyze", "optimize"}, "optimizer": {"optimize"}}
+# the shelter study frames its candidates on their own supports
+_KEY_STAGES = {"fem.supports": {"analyze"}}
+
+_CONFIG_KEYS = ([f"{block}.{f.name}" for block in _BLOCK_NAMES
+                 for f in fields(getattr(PipelineConfig(), block))]
+                + ["run.threads"])
+
+_EXPLICIT_KEYS = ("filter.perimeter_tolerance_m", "filter.area_tolerance_m2")
+
+
+def _key_base(explicit: bool) -> PipelineConfig:
+    """A trimmed run every stage executes, with explicit tolerances or auto ones."""
+    base = _trimmed_config(gen3d=Gen3dBlock(iterations=3, groups=2),
+                           optimizer=OptimizerBlock(iterations_per_anchor=1))
+    if explicit:
+        base = replace(base, filter=replace(base.filter, tolerance_mode="explicit"))
+    return base
+
+
+def _with_change(config: PipelineConfig, name: str) -> PipelineConfig:
+    block, _ = name.split(".")
+    if block == "run":
+        return replace(config, **_CHANGES[name])
+    return replace(config, **{block: replace(getattr(config, block), **_CHANGES[name])})
+
+
+def _stage_digests(config: PipelineConfig, path: Path) -> dict:
+    """One digest per stage directory over its outputs' digests; config.ini left out."""
+    outputs = _read_manifest(run_pipeline(config, path))["outputs"]
+    lines: dict = {}
+    for rel in sorted(outputs):
+        if rel != "config.ini":
+            lines.setdefault(rel.split("/", 1)[0], []).append(f"{rel}={outputs[rel]}\n")
+    return {stage: hashlib.sha256("".join(rows).encode()).hexdigest()
+            for stage, rows in lines.items()}
 
 
 @pytest.fixture(scope="module")
-def base_study_digests(tmp_path_factory):
-    return _study_digests(OptimizerBlock(iterations_per_anchor=2),
-                          tmp_path_factory.mktemp("study-base"))
+def key_base_digests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("key-base")
+    return {explicit: _stage_digests(_key_base(explicit), root / str(explicit))
+            for explicit in (False, True)}
+
+
+def test_the_key_table_names_every_config_key_and_no_other():
+    assert sorted(_CHANGES) == sorted(_CONFIG_KEYS)
+    assert _DEAD_KEYS <= set(_CONFIG_KEYS)
+
+
+def _check_key(key_base_digests, tmp_path, name: str) -> None:
+    assert name in _CHANGES, f"no changed value for {name}"
+    explicit = name in _EXPLICIT_KEYS
+    before = key_base_digests[explicit]
+    after = _stage_digests(_with_change(_key_base(explicit), name), tmp_path / "run")
+    moved = {stage for stage in set(before) | set(after)
+             if before.get(stage) != after.get(stage)}
+    if name in _DEAD_KEYS:
+        assert not moved, f"{name} is listed as dead but changes {sorted(moved)}"
+        return
+    expected = _KEY_STAGES.get(name, _BLOCK_STAGES[name.split(".")[0]])
+    assert expected <= moved, f"{name} changes {sorted(moved)}, not {sorted(expected)}"
+
+
+# one check for every key, grouped by block
+@pytest.mark.parametrize("name", [n for n in _CONFIG_KEYS
+                                  if n.split(".")[0] not in ("loads", "fem", "optimizer")])
+def test_every_config_key_changes_its_stage(key_base_digests, tmp_path, name):
+    _check_key(key_base_digests, tmp_path, name)
+
+
+@pytest.mark.parametrize("block,key", [tuple(n.split(".")) for n in _CONFIG_KEYS
+                                       if n.split(".")[0] in ("loads", "fem")])
+def test_every_structural_key_changes_the_solves(key_base_digests, tmp_path, block, key):
+    _check_key(key_base_digests, tmp_path, f"{block}.{key}")
 
 
 @pytest.mark.parametrize("key", [f.name for f in fields(OptimizerBlock)])
-def test_every_optimizer_key_reaches_the_study(base_study_digests, tmp_path, key):
-    assert key in _OPTIMIZER_CHANGES, f"no changed value for [optimizer] {key}"
-    block = replace(OptimizerBlock(iterations_per_anchor=2), **_OPTIMIZER_CHANGES[key])
-    assert _study_digests(block, tmp_path) != base_study_digests
+def test_every_optimizer_key_reaches_the_study(key_base_digests, tmp_path, key):
+    _check_key(key_base_digests, tmp_path, f"optimizer.{key}")

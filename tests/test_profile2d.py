@@ -18,20 +18,28 @@ from chainshell.profile2d import (
     profile_height,
     sweep_2d,
 )
+from chainshell.config import Sweep2dBlock
 from chainshell.units import Shape
+
+SPAN, F_MAX = Sweep2dBlock().span_mm, Sweep2dBlock().frequency_max
+
+
+def _sweep(shape: Shape, envelope=None):
+    """The sweep under the [sweep2d] frequency_max and span_mm defaults."""
+    return sweep_2d(shape, envelope or default_envelope(shape), F_MAX, SPAN)
 
 
 def test_profile_height_examples():
-    p = SectionProfile(amplitude_A=35.0, frequency_f=9)
+    p = SectionProfile(amplitude_A=35.0, frequency_f=9, span_L=SPAN)
     assert profile_height(0.0, p) == 0.0
-    crest = 2000.0 / (4 * 9)
+    crest = SPAN / (4 * 9)
     assert profile_height(crest, p) == pytest.approx(35.0, rel=1e-12)
-    assert profile_height(100.0, p) == pytest.approx(
+    assert profile_height(SPAN / 20, p) == pytest.approx(
         35.0 * math.sin(0.9 * math.pi), rel=1e-12)
 
 
 def test_profile_height_is_periodic_in_span_over_frequency():
-    p = SectionProfile(amplitude_A=20.0, frequency_f=5)
+    p = SectionProfile(amplitude_A=20.0, frequency_f=5, span_L=SPAN)
     period = p.span_L / p.frequency_f
     for x in (13.0, 150.0, 333.3, 777.7):
         assert profile_height(x + period, p) == pytest.approx(
@@ -41,24 +49,24 @@ def test_profile_height_is_periodic_in_span_over_frequency():
 
 
 def test_curvature_zero_for_flat_profile():
-    p = SectionProfile(amplitude_A=0.0, frequency_f=4)
+    p = SectionProfile(amplitude_A=0.0, frequency_f=4, span_L=SPAN)
     assert profile_curvature(500.0, p) == 0.0
     assert peak_curvature(p) == 0.0
 
 
 def test_peak_curvature_closed_form():
-    p = SectionProfile(amplitude_A=35.0, frequency_f=9)
-    k = 2.0 * math.pi * 9 / 2000.0
+    p = SectionProfile(amplitude_A=35.0, frequency_f=9, span_L=SPAN)
+    k = 2.0 * math.pi * 9 / SPAN
     assert peak_curvature(p) == pytest.approx(35.0 * k * k, rel=1e-12)
     # the crest has zero slope, so the full expression collapses to A k^2
-    crest = 2000.0 / (4 * 9)
+    crest = SPAN / (4 * 9)
     assert profile_curvature(crest, p) == pytest.approx(peak_curvature(p), rel=1e-9)
 
 
 def test_curvature_matches_finite_differences():
     # central differences of the height profile, pushed through the same
     # curvature expression; h = 1e-3 mm keeps truncation below 1e-6 relative
-    p = SectionProfile(amplitude_A=35.0, frequency_f=9)
+    p = SectionProfile(amplitude_A=35.0, frequency_f=9, span_L=SPAN)
     h = 1e-3
     period = p.span_L / p.frequency_f
     for phase in (1 / 8, 1 / 6, 1 / 4, 1 / 3, 0.45):
@@ -74,22 +82,22 @@ def test_curvature_matches_finite_differences():
 
 
 def test_profile_rejects_out_of_range_inputs():
-    p = SectionProfile(amplitude_A=10.0, frequency_f=3)
+    p = SectionProfile(amplitude_A=10.0, frequency_f=3, span_L=SPAN)
     with pytest.raises(ParameterError):
         profile_height(-1.0, p)
     with pytest.raises(ParameterError):
-        profile_height(2000.1, p)
+        profile_height(SPAN + 0.1, p)
     with pytest.raises(ParameterError):
         profile_curvature(-0.5, p)
 
 
 def test_section_profile_validation():
     with pytest.raises(ParameterError):
-        SectionProfile(amplitude_A=45.0, frequency_f=5)
+        SectionProfile(amplitude_A=45.0, frequency_f=5, span_L=SPAN)
     with pytest.raises(ParameterError):
-        SectionProfile(amplitude_A=-1.0, frequency_f=5)
+        SectionProfile(amplitude_A=-1.0, frequency_f=5, span_L=SPAN)
     with pytest.raises(ParameterError):
-        SectionProfile(amplitude_A=10.0, frequency_f=2)
+        SectionProfile(amplitude_A=10.0, frequency_f=2, span_L=SPAN)
     with pytest.raises(ParameterError):
         SectionProfile(amplitude_A=10.0, frequency_f=5, span_L=0.0)
 
@@ -109,11 +117,11 @@ def test_envelope_missing_frequency_raises():
     with pytest.raises(ParameterError):
         env.max_amplitude(9)
     with pytest.raises(ParameterError):
-        sweep_2d(Shape.RECTANGULAR, env)
+        _sweep(Shape.RECTANGULAR, env)
 
 
 def test_sweep_dimensions_and_ordering():
-    report = sweep_2d(Shape.RECTANGULAR, default_envelope(Shape.RECTANGULAR))
+    report = _sweep(Shape.RECTANGULAR)
     # 9 amplitude steps (0..40 by 5) by 8 frequencies (3..10)
     assert len(report.cells) == 72
     amplitudes = sorted({c.amplitude_A for c in report.cells})
@@ -124,30 +132,27 @@ def test_sweep_dimensions_and_ordering():
 
 def test_sweep_feasibility_matches_envelope_table():
     table = DEFAULT_ENVELOPE_TABLE[Shape.RECTANGULAR]
-    report = sweep_2d(Shape.RECTANGULAR, default_envelope(Shape.RECTANGULAR))
+    report = _sweep(Shape.RECTANGULAR)
     for cell in report.cells:
         assert cell.feasible == (cell.amplitude_A <= table[cell.frequency_f])
 
 
 def test_sweep_maximum_per_shape():
-    assert sweep_2d(Shape.RECTANGULAR,
-                    default_envelope(Shape.RECTANGULAR)).max_feasible_cell == (35.0, 9)
-    assert sweep_2d(Shape.CIRCULAR,
-                    default_envelope(Shape.CIRCULAR)).max_feasible_cell == (25.0, 9)
-    assert sweep_2d(Shape.TRIANGULAR,
-                    default_envelope(Shape.TRIANGULAR)).max_feasible_cell == (20.0, 9)
+    assert _sweep(Shape.RECTANGULAR).max_feasible_cell == (35.0, 9)
+    assert _sweep(Shape.CIRCULAR).max_feasible_cell == (25.0, 9)
+    assert _sweep(Shape.TRIANGULAR).max_feasible_cell == (20.0, 9)
 
 
 def test_sweep_runs_under_a_second():
     start = time.perf_counter()
-    sweep_2d(Shape.RECTANGULAR, default_envelope(Shape.RECTANGULAR))
+    _sweep(Shape.RECTANGULAR)
     assert time.perf_counter() - start < 1.0
 
 
 def test_all_zero_envelope_leaves_only_flat_profiles():
     env = FeasibilityEnvelope(Shape.CIRCULAR,
                               tuple((f, 0.0) for f in range(3, 11)))
-    report = sweep_2d(Shape.CIRCULAR, env)
+    report = _sweep(Shape.CIRCULAR, env)
     assert all(c.feasible == (c.amplitude_A == 0.0) for c in report.cells)
     assert report.max_feasible_cell == (0.0, 10)
 

@@ -23,9 +23,11 @@ from chainshell.shell3d import (
 )
 from chainshell.units import Shape
 
-from helpers import (check_single_loop, flat_surface, grid_from_z, lattice_vertices,
+from helpers import (CONFIG, check_single_loop, flat_surface, grid_from_z, lattice_vertices,
                      per_call_lattice_faces, read_mesh, search_boundary_edges,
                      unique_rows_boundary_edges)
+
+SPAN = CONFIG.gen3d.span_mm
 
 
 def test_group_parameters_table():
@@ -38,32 +40,33 @@ def test_group_parameters_table():
 
 
 def test_base_field_hand_values():
-    assert base_field(0.0, 0.0, 20.0, 2) == pytest.approx(0.0, abs=1e-12)
+    assert base_field(0.0, 0.0, 20.0, 2, SPAN) == pytest.approx(0.0, abs=1e-12)
     # crest of the sine at x = L/(4f), cosine still 1 at y = 0
-    assert base_field(250.0, 0.0, 20.0, 2) == pytest.approx(20.0, rel=1e-12)
+    assert base_field(SPAN / 8, 0.0, 20.0, 2, SPAN) == pytest.approx(20.0, rel=1e-12)
     expected = 20.0 * math.sin(math.pi / 2) * math.cos(math.pi / 4)
-    assert base_field(250.0, 125.0, 20.0, 2) == pytest.approx(expected, rel=1e-12)
+    assert base_field(SPAN / 8, SPAN / 16, 20.0, 2, SPAN) == pytest.approx(expected,
+                                                                           rel=1e-12)
 
 
 def test_base_field_cosine_symmetry_in_y():
-    xs = np.linspace(0.0, 2000.0, 17)
+    xs = np.linspace(0.0, SPAN, 17)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    a = base_field(X, Y, 25.0, 6)
-    b = base_field(X, 2000.0 - Y, 25.0, 6)
+    a = base_field(X, Y, 25.0, 6, SPAN)
+    b = base_field(X, SPAN - Y, 25.0, 6, SPAN)
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_generate_iterations_bit_identical_reruns():
-    first = generate_iterations(25.0, 6, n=5, seed=42)
-    second = generate_iterations(25.0, 6, n=5, seed=42)
+    first = generate_iterations(25.0, 6, n=5, seed=42, span=SPAN)
+    second = generate_iterations(25.0, 6, n=5, seed=42, span=SPAN)
     for g1, g2 in zip(first, second):
         assert np.array_equal(g1.z_values, g2.z_values)
 
 
 def test_generate_iterations_streams_independent_of_pool_size():
     # iteration k is keyed by (seed, k), not by how many others were drawn
-    long = generate_iterations(25.0, 6, n=5, seed=42)
-    short = generate_iterations(25.0, 6, n=4, seed=42)
+    long = generate_iterations(25.0, 6, n=5, seed=42, span=SPAN)
+    short = generate_iterations(25.0, 6, n=4, seed=42, span=SPAN)
     assert np.array_equal(long[3].z_values, short[3].z_values)
 
 
@@ -80,10 +83,10 @@ def test_control_grid_is_one_iteration_of_the_pool(iteration):
 
 
 def test_generate_iterations_offset_bounds_and_anchored_boundary():
-    grids = generate_iterations(25.0, 6, n=20, seed=42)
-    coords = np.linspace(0.0, 2000.0, 6)
+    grids = generate_iterations(25.0, 6, n=20, seed=42, span=SPAN)
+    coords = np.linspace(0.0, SPAN, 6)
     X, Y = np.meshgrid(coords, coords, indexing="ij")
-    base = base_field(X, Y, 25.0, 6)
+    base = base_field(X, Y, 25.0, 6, SPAN)
     for grid in grids:
         assert grid.z_values.shape == (6, 6)
         assert grid.F == 5
@@ -96,20 +99,20 @@ def test_generate_iterations_offset_bounds_and_anchored_boundary():
 
 
 def test_generate_iterations_zero_amplitude_is_flat():
-    grid = generate_iterations(0.0, 4, n=1, seed=7)[0]
+    grid = generate_iterations(0.0, 4, n=1, seed=7, span=SPAN)[0]
     assert np.all(grid.z_values == 0.0)
 
 
 def test_generate_iterations_envelope_and_parameter_errors():
     env = default_envelope(Shape.RECTANGULAR)
     with pytest.raises(EnvelopeError):
-        generate_iterations(40.0, 3, n=1, envelope=env)
+        generate_iterations(40.0, 3, n=1, seed=0, span=SPAN, envelope=env)
     with pytest.raises(ParameterError):
-        generate_iterations(25.0, 6, n=0)
+        generate_iterations(25.0, 6, n=0, seed=0, span=SPAN)
     with pytest.raises(ParameterError):
-        generate_iterations(-1.0, 6, n=1)
+        generate_iterations(-1.0, 6, n=1, seed=0, span=SPAN)
     with pytest.raises(ParameterError):
-        generate_iterations(10.0, 1, n=1)
+        generate_iterations(10.0, 1, n=1, seed=0, span=SPAN)
 
 
 def test_control_grid_validation():
@@ -159,14 +162,14 @@ def test_dense_control_grid_tracks_analytic_field():
     # sampling the field itself onto control grids of rising density must
     # converge on it at the cubic-spline rate; at 97x97 the worst error
     # sits under the 0.5 mm print tolerance everywhere
-    fine = np.linspace(0.0, 2000.0, 321)
+    fine = np.linspace(0.0, SPAN, 321)
     FX, FY = np.meshgrid(fine, fine, indexing="ij")
-    exact = base_field(FX, FY, 35.0, 9)
+    exact = base_field(FX, FY, 35.0, 9, SPAN)
     errs = {}
     for n in (49, 97):
-        coords = np.linspace(0.0, 2000.0, n)
+        coords = np.linspace(0.0, SPAN, n)
         X, Y = np.meshgrid(coords, coords, indexing="ij")
-        grid = grid_from_z(base_field(X, Y, 35.0, 9), amplitude=35.0)
+        grid = grid_from_z(base_field(X, Y, 35.0, 9, SPAN), SPAN, amplitude=35.0)
         surface = interpolate_surface(grid, resolution=97)
         errs[n] = np.max(np.abs(surface.evaluate(fine, fine) - exact))
     assert errs[97] < 0.5
@@ -183,7 +186,7 @@ def test_surface_area_at_least_plan_area(pools42):
 def test_area_converges_under_resolution_doubling():
     for group in (1, 2, 3, 4):
         amplitude, frequency = group_parameters(group)
-        grid = generate_iterations(amplitude, frequency, n=1, seed=42)[0]
+        grid = generate_iterations(amplitude, frequency, n=1, seed=42, span=SPAN)[0]
         coarse = interpolate_surface(grid, resolution=64).mesh.area()
         fine = interpolate_surface(grid, resolution=128).mesh.area()
         assert abs(fine - coarse) / coarse < 0.002

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from chainshell.config import UnitBlock
 from chainshell.errors import InfeasibleError, ParameterError
 from chainshell.units import (
     STANDARD_DIMENSIONS,
@@ -19,6 +20,8 @@ from chainshell.units import (
 )
 
 from helpers import raster_solid_fraction
+
+RATIO, DENSITY = UnitBlock().target_ratio, UnitBlock().density_g_cm3
 
 
 def test_shape_parse_accepts_common_aliases():
@@ -71,15 +74,15 @@ def test_solid_to_gap_ratio_strictly_decreases_with_pitch():
 def test_calibrate_pitch_matches_closed_forms():
     # ratio = solid / pitch^2, so the target pitch is sqrt(solid / ratio)
     rect = UnitCell(Shape.RECTANGULAR, 11.0, 1.0)
-    assert calibrate_pitch(rect) == pytest.approx(math.sqrt(44.0 / 0.08), abs=1e-3)
+    assert calibrate_pitch(rect, RATIO) == pytest.approx(math.sqrt(44.0 / RATIO), abs=1e-3)
     tri = UnitCell(Shape.TRIANGULAR, 7.5, 1.0)
-    assert calibrate_pitch(tri) == pytest.approx(math.sqrt(22.5 / 0.08), abs=1e-3)
+    assert calibrate_pitch(tri, RATIO) == pytest.approx(math.sqrt(22.5 / RATIO), abs=1e-3)
     circ = UnitCell(Shape.CIRCULAR, 11.0, 1.0)
-    assert calibrate_pitch(circ) == pytest.approx(math.sqrt(11.0 / 0.08), abs=1e-3)
+    assert calibrate_pitch(circ, RATIO) == pytest.approx(math.sqrt(11.0 / RATIO), abs=1e-3)
 
 
 def test_calibrate_pitch_roundtrip_across_dimension_range():
-    # slender rings (large L, thin rod) cannot reach 0.08 at any legal
+    # slender rings (large L, thin rod) cannot reach the ratio at any legal
     # pitch; those combinations must refuse instead of returning junk
     for shape in Shape:
         for L in (5.0, 11.0, 20.0):
@@ -89,13 +92,13 @@ def test_calibrate_pitch_roundtrip_across_dimension_range():
                 cell = UnitCell(shape, L, d)
                 ceiling = solid_to_gap_ratio(
                     cell.with_pitch(cell.footprint_extent()))
-                if ceiling < 0.08:
+                if ceiling < RATIO:
                     with pytest.raises(InfeasibleError):
-                        calibrate_pitch(cell)
+                        calibrate_pitch(cell, RATIO)
                     continue
-                pitch = calibrate_pitch(cell)
+                pitch = calibrate_pitch(cell, RATIO)
                 ratio = solid_to_gap_ratio(cell.with_pitch(pitch))
-                assert abs(ratio - 0.08) <= 1e-6
+                assert abs(ratio - RATIO) <= 1e-6
 
 
 def test_calibrate_pitch_rejects_unreachable_targets():
@@ -111,7 +114,7 @@ def test_calibrate_pitch_rejects_unreachable_targets():
 
 def test_calibrated_ratio_agrees_with_raster_oracle():
     for shape in Shape:
-        cell = standard_cell(shape)
+        cell = standard_cell(shape, RATIO)
         model = solid_to_gap_ratio(cell)
         raster = raster_solid_fraction(cell, resolution=2048)
         assert abs(model - raster) <= 0.005, shape
@@ -144,25 +147,25 @@ def test_unit_solid_volume_is_centreline_times_rod_section():
 
 def test_sheet_weight_hand_value():
     cell = UnitCell(Shape.RECTANGULAR, 11.0, 1.0)
-    spec = SheetSpec(cell, grid_rows=3, grid_cols=3)
-    expected = 9 * 44.0 * math.pi * 0.25 * 1.38e-3
+    spec = SheetSpec(cell, grid_rows=3, grid_cols=3, material_density=DENSITY)
+    expected = 9 * 44.0 * math.pi * 0.25 * DENSITY * 1e-3
     assert sheet_weight(spec) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sheet_weight_linear_in_count_and_density():
     cell = UnitCell(Shape.CIRCULAR, 11.0, 1.0)
-    base = sheet_weight(SheetSpec(cell, 2, 5))
-    assert sheet_weight(SheetSpec(cell, 4, 5)) == pytest.approx(2 * base, rel=1e-12)
-    assert sheet_weight(SheetSpec(cell, 2, 5, material_density=2.76)) == pytest.approx(
+    base = sheet_weight(SheetSpec(cell, 2, 5, DENSITY))
+    assert sheet_weight(SheetSpec(cell, 4, 5, DENSITY)) == pytest.approx(2 * base, rel=1e-12)
+    assert sheet_weight(SheetSpec(cell, 2, 5, material_density=2 * DENSITY)) == pytest.approx(
         2 * base, rel=1e-12)
-    assert sheet_weight(SheetSpec(cell, 0, 5)) == 0.0
+    assert sheet_weight(SheetSpec(cell, 0, 5, DENSITY)) == 0.0
 
 
 def test_sheet_weight_tracks_centreline_length():
     # equal rod diameter and density, so grams order by loop length:
     # one 11 mm circumference < three 7.5 mm sides < four 11 mm sides
     weights = {shape: sheet_weight(SheetSpec(
-        UnitCell(shape, *STANDARD_DIMENSIONS[shape.value]), 10, 10))
+        UnitCell(shape, *STANDARD_DIMENSIONS[shape.value]), 10, 10, DENSITY))
         for shape in Shape}
     assert weights[Shape.CIRCULAR] < weights[Shape.TRIANGULAR] < weights[Shape.RECTANGULAR]
 
@@ -170,14 +173,14 @@ def test_sheet_weight_tracks_centreline_length():
 def test_sheet_spec_validation():
     cell = UnitCell(Shape.CIRCULAR, 11.0, 1.0)
     with pytest.raises(ParameterError):
-        SheetSpec(cell, -1, 3)
+        SheetSpec(cell, -1, 3, DENSITY)
     with pytest.raises(ParameterError):
         SheetSpec(cell, 3, 3, material_density=0.0)
 
 
 def test_standard_cell_calibrates_when_pitch_omitted():
-    cell = standard_cell(Shape.TRIANGULAR)
+    cell = standard_cell(Shape.TRIANGULAR, RATIO)
     assert cell.cell_pitch is not None
-    assert solid_to_gap_ratio(cell) == pytest.approx(0.08, abs=1e-6)
-    fixed = standard_cell(Shape.TRIANGULAR, pitch=20.0)
+    assert solid_to_gap_ratio(cell) == pytest.approx(RATIO, abs=1e-6)
+    fixed = standard_cell(Shape.TRIANGULAR, RATIO, pitch=20.0)
     assert fixed.cell_pitch == 20.0
