@@ -5,9 +5,12 @@ diagonal per cell become 12-degree-of-freedom Euler-Bernoulli beam elements
 with homogenized rectangular sections (McGuire, Gallagher & Ziemian,
 *Matrix Structural Analysis*, 2000).  The element matrices are built in one
 batch; band assembly sums their free-DOF entries straight into the LAPACK
-band of K_ff, which banded Cholesky factors on the band the node numbering
-gives (row-major lattices are banded already).  Singular systems raise a
-mechanism error naming the offending degrees of freedom.
+band of K_ff, which LAPACK's banded Cholesky (dpbtrf, dpbtrs) factors and
+solves on the band the node numbering gives (row-major lattices are banded
+already).  Singular systems raise a mechanism error naming the offending
+degrees of freedom, found from the eigenvectors of the band (dsbevd), so
+K_ff is never formed dense.  The routines come from scipy's f2py LAPACK
+module (`chainshell.lapack`); `scipy.linalg` itself is not imported.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded
 
 from .errors import GeometryError, MechanismError, ParameterError
+from .lapack import flapack
 from .loads import LoadCase, StructureSpec, deflection_limit
 from .shell3d import ShellSurface
 
@@ -229,7 +232,9 @@ def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
 
 
 def _describe_mechanism(ab: np.ndarray, free: np.ndarray) -> MechanismError:
-    vals, vecs = eig_banded(ab, lower=True)
+    vals, vecs, info = flapack().dsbevd(ab, compute_v=1, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsbevd failed to converge (info {info})")
     scale = max(abs(vals[-1]), 1.0)
     dofs: List[Tuple[int, str]] = []
     for mode in range(len(vals)):
@@ -264,18 +269,18 @@ def solve(model: FrameModel, nodal_loads) -> SolveResult:
     pos[free] = np.arange(len(free))
     # the band is factored in place, so a mechanism is described from a rebuilt one
     band = (ke, pos[dofs], len(free))
-    try:
-        factor = cholesky_banded(_free_band(*band), lower=True, overwrite_ab=True,
-                                 check_finite=False)
-    except LinAlgError:
-        raise _describe_mechanism(_free_band(*band), free) from None
+    factor, info = flapack().dpbtrf(_free_band(*band), lower=1, overwrite_ab=1)
+    if info > 0:  # a leading minor is not positive definite
+        raise _describe_mechanism(_free_band(*band), free)
     # a singular system can slip through the factorization on rounding noise
     # (zero pivot computed as +epsilon); the pivot ratio catches it reliably
     pivots = factor[0] ** 2
     if pivots.min() <= 1e-12 * pivots.max():
         raise _describe_mechanism(_free_band(*band), free)
     u = np.zeros(model.dof_count)
-    u[free] = cho_solve_banded((factor, True), F[free], check_finite=False)
+    u[free], info = flapack().dpbtrs(factor, F[free], lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbtrs failed (info {info})")
     ku = np.einsum("eij,ej->ei", ke, u[dofs])
     residual = np.bincount(dofs.ravel(), weights=ku.ravel(),
                            minlength=model.dof_count) - F

@@ -53,6 +53,14 @@ def select_indices(metrics: Sequence[SurfaceMetrics], dP: float, da: float,
     return kept
 
 
+def _median(values: Sequence[float]) -> float:
+    """np.median of finite floats, bit for bit, without its numpy.ma import:
+    np.mean of the middle one or two values of the sorted list."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(np.mean(ordered[mid - 1 + len(ordered) % 2:mid + 1]))
+
+
 def auto_tolerance_from_metrics(metrics: Sequence[SurfaceMetrics],
                                 k: int) -> Tuple[float, float]:
     """Tolerances that yield k distinct surfaces from this pool's metrics.
@@ -61,8 +69,8 @@ def auto_tolerance_from_metrics(metrics: Sequence[SurfaceMetrics],
     (at most 10 times) while the greedy selection comes up short, then
     bottoms out at zero where any bitwise metric difference is distinct.
     """
-    dP = TOLERANCE_FRACTION * float(np.median([m.perimeter_P for m in metrics]))
-    da = TOLERANCE_FRACTION * float(np.median([m.area_a for m in metrics]))
+    dP = TOLERANCE_FRACTION * _median([m.perimeter_P for m in metrics])
+    da = TOLERANCE_FRACTION * _median([m.area_a for m in metrics])
     for _ in range(MAX_HALVINGS):
         if len(select_indices(metrics, dP, da, k)) >= k:
             return dP, da

@@ -79,7 +79,8 @@ def stage_units(config: PipelineConfig, out: RunDir) -> None:
         cell = units.standard_cell(shape, target_ratio=config.unit.target_ratio)
         ratio = units.solid_to_gap_ratio(cell)
         volume = units.unit_solid_volume(cell)
-        weight = volume * config.unit.density_g_cm3 * 1e-3
+        weight = units.sheet_weight(
+            units.SheetSpec(cell, 1, 1, config.unit.density_g_cm3))
         rows.append(",".join([
             shape.value, _fmt(L, 3), _fmt(d, 3), _fmt(cell.cell_pitch, 6),
             _fmt(ratio, 6), _fmt(cell.centreline_length(), 3),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
 import numpy as np
+import numpy.random  # noqa: F401  seeds every surface; numpy loads it lazily
 
 from .errors import EnvelopeError, ParameterError
 from .profile2d import FeasibilityEnvelope

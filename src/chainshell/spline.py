@@ -8,7 +8,8 @@ for bit (Dierckx, *Curve and Surface Fitting with Splines*, 1993).
 
 `thin_plate_grid` is the thin-plate interpolant r^2 log r plus a degree-1
 polynomial that scipy's RBFInterpolator builds: the same shift and scale,
-the same LAPACK dgesv on the same matrices and the same final product.
+the same LAPACK dgesv (scipy's own, through `chainshell.lapack`) on the
+same matrices and the same final product.
 
 Everything that does not depend on the data values (knots, Givens
 rotations, basis rows, interval offsets, kernel columns) is computed once
@@ -22,9 +23,9 @@ import math
 from typing import List, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import GeometryError, ParameterError
+from .lapack import flapack
 
 # query grids up to this size are summed as one block of terms (_grid_sum)
 _BLOCK_POINTS = 4096
@@ -298,7 +299,7 @@ def thin_plate_grid(points: np.ndarray, values: np.ndarray,
     lhs[p:, :p] = poly.T
     rhs = np.zeros((p + 3, 1), order="F")
     rhs[:p, 0] = d
-    _, _, coeffs, info = dgesv(lhs, rhs, overwrite_a=True, overwrite_b=True)
+    _, _, coeffs, info = flapack().dgesv(lhs, rhs, overwrite_a=True, overwrite_b=True)
     if info != 0:
         raise GeometryError("thin-plate fit is singular: the points are collinear")
 

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 from hypothesis import settings
 from scipy.interpolate import RBFInterpolator, RectBivariateSpline
 
+import chainshell
 from chainshell import loads, profile2d
 from chainshell.config import PipelineConfig, derive_seed
 from chainshell.errors import GeometryError
@@ -24,6 +27,14 @@ from chainshell.units import Shape, UnitCell
 
 # reproducible property examples, no example database written next to the tests
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+def fresh_interpreter_env() -> dict:
+    """os.environ with this chainshell first on PYTHONPATH, for a child
+    interpreter."""
+    src = str(Path(chainshell.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
 
 # the default config and what the pipeline reads from it
 CONFIG = PipelineConfig()

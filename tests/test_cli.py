@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-import chainshell
 from chainshell.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from chainshell.config import config_hash, derive_seed, load_config
 from chainshell.pipeline import read_manifest_hash
+
+from helpers import fresh_interpreter_env
 
 TRIMMED = """\
 [gen3d]
@@ -22,13 +23,6 @@ keep = 2
 [optimizer]
 iterations_per_anchor = 2
 """
-
-
-def _fresh_interpreter_env() -> dict:
-    """os.environ with this chainshell first on PYTHONPATH."""
-    src = str(Path(chainshell.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="module")
@@ -398,7 +392,7 @@ def test_a_plan_area_beyond_the_span_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("buffered", [True, False])
 def test_report_into_a_closed_pipe_exits_quietly(cli_runs, buffered):
     dir_a, _ = cli_runs
-    env = _fresh_interpreter_env()
+    env = fresh_interpreter_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -418,13 +412,26 @@ def test_report_requires_a_manifest(capsys, tmp_path):
     assert "manifest" in capsys.readouterr().err
 
 
+def _loaded_modules(code: str) -> list:
+    """Names in sys.modules that start with scipy or are numpy.ma, after
+    `code` ran in a fresh interpreter."""
+    code += ("\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m.split('.')[:2] == ['numpy', 'ma']))")
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    return out.splitlines()[-1].split()
+
+
 def test_importing_the_cli_loads_no_heavy_scipy_modules():
-    # a fresh interpreter: the import is what every command pays first
-    heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.spatial",
-             "scipy.sparse.csgraph", "scipy.sparse")
-    env = _fresh_interpreter_env()
-    code = ("import sys, chainshell.cli; "
-            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True, timeout=120).stdout
-    assert loaded.strip() == ""
+    # a fresh interpreter: the import is what every command pays first, and
+    # scipy's f2py LAPACK module is the only part of scipy it loads
+    assert _loaded_modules("import chainshell.cli") == ["scipy.linalg._flapack"]
+
+
+def test_a_run_loads_no_scipy_linalg_and_no_numpy_ma(tmp_path, trimmed_cfg):
+    # every stage runs, the filter's auto tolerances (two medians) included;
+    # np.median would load numpy.ma, and a scipy.linalg routine its package
+    code = ("from chainshell.cli import main\n"
+            f"assert main(['run', '--config', {trimmed_cfg!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}]) == 0")
+    assert _loaded_modules(code) == ["scipy.linalg._flapack"]

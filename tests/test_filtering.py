@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chainshell import shell3d
 from chainshell.errors import ParameterError
 from chainshell.filtering import (
     SurfaceMetrics,
+    _median,
     auto_tolerance_from_metrics,
     filter_surfaces,
     measure,
@@ -16,7 +18,7 @@ from chainshell.filtering import (
 )
 from chainshell.shell3d import TriangleMesh
 
-from helpers import (edge_length, flat_surface, gather_area, lattice_vertices,
+from helpers import (PROPERTY, edge_length, flat_surface, gather_area, lattice_vertices,
                      per_call_lattice_faces, search_boundary_edges)
 
 
@@ -109,6 +111,17 @@ def test_auto_tolerance_without_halving_is_two_percent_of_medians():
     dP, da = auto_tolerance_from_metrics(metrics, k=3)
     assert dP == pytest.approx(0.02 * 25.0, rel=1e-12)
     assert da == pytest.approx(0.02 * 12.5, rel=1e-12)
+
+
+# finite values from a small pool, so lists repeat values (signed zeros too)
+@PROPERTY
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, 2.0, 1e308]),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=12))
+def test_median_equals_numpy_median_bitwise(values):
+    with np.errstate(over="ignore"):  # two values near the float maximum
+        ours, oracle = _median(values), float(np.median(values))
+    assert ours == oracle and math.copysign(1.0, ours) == math.copysign(1.0, oracle)
 
 
 def test_auto_tolerance_floors_to_zero_for_identical_pool():
