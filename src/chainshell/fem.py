@@ -3,14 +3,16 @@
 Shell surfaces are idealized as space frames: lattice rows, columns, and one
 diagonal per cell become 12-degree-of-freedom Euler-Bernoulli beam elements
 with homogenized rectangular sections (McGuire, Gallagher & Ziemian,
-*Matrix Structural Analysis*, 2000).  The element matrices are built in one
-batch; band assembly sums their free-DOF entries straight into the LAPACK
-band of K_ff, which LAPACK's banded Cholesky (dpbtrf, dpbtrs) factors and
-solves on the band the node numbering gives (row-major lattices are banded
-already).  Singular systems raise a mechanism error naming the offending
-degrees of freedom, found from the eigenvectors of the band (dsbevd), so
-K_ff is never formed dense.  The routines come from scipy's f2py LAPACK
-module (`chainshell.lapack`); `scipy.linalg` itself is not imported.
+*Matrix Structural Analysis*, 2000).  The element matrices are built in
+blocks of at most a fixed number of elements; each block's free-DOF entries
+are summed straight into the LAPACK band of K_ff, which LAPACK's banded
+Cholesky (dpbtrf, dpbtrs) factors and solves on the band the node numbering
+gives (row-major lattices are banded already).  Singular systems raise a
+mechanism error naming the offending degrees of freedom, read from the null
+vector of the leading minor where the factorization failed (one banded
+triangular solve, dtbtrs, on the factor), so neither K_ff nor any other
+n x n array is formed.  The routines come from scipy's f2py LAPACK module
+(`chainshell.lapack`); `scipy.linalg` itself is not imported.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ DOF_PER_NODE = 6
 DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
 
 _VERTICAL_TOL = 1e-8
+# the most elements in one assembly block: each (block, 12, 12) temporary
+# is at most ~0.3 MB
+_BLOCK_ELEMENTS = 256
+# the contraction order np.einsum's optimizer picks for the element batch at
+# every batch size, given so that no block pays for the search again
+_EINSUM_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -177,10 +185,17 @@ def _rotations(d: np.ndarray) -> np.ndarray:
     return t3
 
 
-def assemble_stiffness(model: FrameModel) -> Tuple[np.ndarray, np.ndarray]:
-    """Element stiffness matrices in global axes, (m, 12, 12), built in one
-    batch, and the global DOF of each of their rows, (m, 12)."""
-    ends = model.ends
+def _element_dofs(ends: np.ndarray) -> np.ndarray:
+    """The global DOF of each row of the elements' 12 x 12 blocks, (m, 12)."""
+    return (ends[:, :, None] * DOF_PER_NODE + np.arange(DOF_PER_NODE)).reshape(-1, 12)
+
+
+def assemble_stiffness(model: FrameModel, block: slice = slice(None),
+                       out: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Element stiffness matrices in global axes, (b, 12, 12), of the elements
+    in block (every element by default), written into out if it is given,
+    and the global DOF of each of their rows, (b, 12)."""
+    ends = model.ends[block]
     delta = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
     length = np.linalg.norm(delta, axis=1)
     if np.any(length < 1e-12):
@@ -190,25 +205,48 @@ def assemble_stiffness(model: FrameModel) -> Tuple[np.ndarray, np.ndarray]:
     for b in range(4):
         lam[:, 3 * b:3 * b + 3, 3 * b:3 * b + 3] = t3
     ke = np.einsum("eki,ekl,elj->eij", lam, _local_stiffness(model, length),
-                   lam, optimize=True)
-    dofs = (ends[:, :, None] * DOF_PER_NODE
-            + np.arange(DOF_PER_NODE)).reshape(-1, 12)
-    return ke, dofs
+                   lam, out=out, optimize=_EINSUM_PATH)
+    return ke, _element_dofs(ends)
 
 
-def _free_band(ke: np.ndarray, pos: np.ndarray, n_free: int) -> np.ndarray:
+def _free_positions(model: FrameModel) -> Tuple[np.ndarray, np.ndarray]:
+    """pos, the free-DOF index of each global DOF (-1 if fixed), and the free
+    DOFs in order."""
+    pos = np.zeros(model.dof_count, dtype=np.intp)
+    pos[model.constrained_dof_indices()] = -1
+    free = np.nonzero(pos == 0)[0]
+    pos[free] = np.arange(len(free))
+    return pos, free
+
+
+def _free_band(model: FrameModel, pos: np.ndarray,
+               n_free: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K_ff in LAPACK lower-band storage, ab[i - j, j] = K_ff[i, j] for i >= j,
-    summed from the blocks ke in element order; pos is the free-DOF index of
-    each block row, -1 if fixed.  The band is the widest coupling between free
-    DOFs, so no node numbering is assumed; a bad one only stores more.  It is
+    and the element blocks ke with their DOFs; pos is the free-DOF index of
+    each global DOF, -1 if fixed.
+
+    The elements are assembled into one ke in blocks of at most
+    _BLOCK_ELEMENTS, and each block's lower free entries are added into the
+    band in element order, as one sum over all elements would add them.
+    The band is the widest coupling between free DOFs of any element, so no
+    node numbering is assumed; a bad one only stores more.  It is
     Fortran-ordered, so LAPACK can factor it in place."""
-    col = np.broadcast_to(pos[:, None, :], ke.shape)
-    offset = pos[:, :, None] - col
-    lower = (offset >= 0) & (col >= 0)
-    offset, col = offset[lower], col[lower]
-    height = int(offset.max(initial=0)) + 1
-    return np.bincount(col * height + offset, weights=ke[lower],
-                       minlength=n_free * height).reshape(n_free, height).T
+    dofs = _element_dofs(model.ends)
+    p = pos[dofs]
+    lowest = np.where(p >= 0, p, n_free).min(axis=1)
+    height = int((p.max(axis=1) - lowest).max(initial=0)) + 1
+    flat = np.zeros(n_free * height)  # column j of the band at flat[j * height:]
+    ke = np.empty((len(dofs), 12, 12))
+    # blocks of equal size: a last block of a few elements would cost a whole
+    # block's fixed overhead
+    bounds = np.linspace(0, len(dofs), -(-len(dofs) // _BLOCK_ELEMENTS) + 1).astype(int)
+    for block in map(slice, bounds[:-1], bounds[1:]):
+        assemble_stiffness(model, block, out=ke[block])
+        rows, cols = p[block, :, None], p[block, None, :]
+        lower = (rows >= cols) & (cols >= 0)
+        # K_ff[row, col] sits at flat[col * height + row - col]
+        np.add.at(flat, (cols * (height - 1) + rows)[lower], ke[block][lower])
+    return flat.reshape(n_free, height).T, ke, dofs
 
 
 def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
@@ -217,6 +255,11 @@ def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
     if isinstance(nodal_loads, Mapping):
         for node, vec in nodal_loads.items():
             vec = np.asarray(vec, dtype=float)
+            if not 0 <= node < n_nodes:
+                raise ParameterError(f"load on missing node {node}")
+            if vec.ndim != 1 or len(vec) > DOF_PER_NODE:
+                raise ParameterError(f"load on node {node} must be a vector of "
+                                     f"at most {DOF_PER_NODE} components")
             F[node * 6:node * 6 + len(vec)] = vec
         return F
     arr = np.asarray(nodal_loads, dtype=float)
@@ -231,21 +274,29 @@ def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
     return F
 
 
-def _describe_mechanism(ab: np.ndarray, free: np.ndarray) -> MechanismError:
-    vals, vecs, info = flapack().dsbevd(ab, compute_v=1, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsbevd failed to converge (info {info})")
-    scale = max(abs(vals[-1]), 1.0)
-    dofs: List[Tuple[int, str]] = []
-    for mode in range(len(vals)):
-        if vals[mode] > 1e-10 * scale:
-            break
-        vec = np.abs(vecs[:, mode])
-        for k in np.nonzero(vec > 0.5 * vec.max())[0]:
-            g = int(free[k])
-            entry = (g // DOF_PER_NODE, DOF_NAMES[g % DOF_PER_NODE])
-            if entry not in dofs:
-                dofs.append(entry)
+def _describe_mechanism(factor: np.ndarray, j: int, free: np.ndarray) -> MechanismError:
+    """Name the free DOFs of a mechanism from the banded Cholesky factor of
+    K_ff whose column j failed (or gave a vanishing pivot).
+
+    Columns 0..j-1 of the factor, L11, and row j of L, l12, are complete, so
+    the leading (j+1) minor of K_ff has the null vector x = [-L11^-T l12, 1]
+    up to the failed pivot; one banded triangular solve (dtbtrs) gives it.
+    The DOFs with |x| > 0.5 max|x| are named.  A frame with several zero
+    modes is named by the first one the factorization meets, not by all."""
+    kd = len(factor) - 1
+    x = np.ones(j + 1)
+    if j:
+        k = np.arange(max(0, j - kd), j)
+        l12 = np.zeros((j, 1))
+        l12[k, 0] = factor[j - k, k]
+        y, info = flapack().dtbtrs(factor[:, :j], l12, uplo="L", trans="T")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtbtrs failed (info {info})")
+        x[:j] = -y[:, 0]
+    x = np.abs(x)
+    dofs: List[Tuple[int, str]] = [
+        (int(g) // DOF_PER_NODE, DOF_NAMES[g % DOF_PER_NODE])
+        for g in free[np.nonzero(x > 0.5 * x.max())[0]]]
     names = ", ".join(f"node {n}:{d}" for n, d in dofs) or "unidentified"
     return MechanismError(
         f"stiffness matrix is singular; unconstrained degrees of freedom: {names}",
@@ -261,22 +312,17 @@ def solve(model: FrameModel, nodal_loads) -> SolveResult:
     """
     if not model.supports:
         raise MechanismError("frame has no supports", dofs=[])
-    ke, dofs = assemble_stiffness(model)
     F = _load_vector(model, nodal_loads)
-    pos = np.zeros(model.dof_count, dtype=np.intp)
-    pos[model.constrained_dof_indices()] = -1
-    free = np.nonzero(pos == 0)[0]
-    pos[free] = np.arange(len(free))
-    # the band is factored in place, so a mechanism is described from a rebuilt one
-    band = (ke, pos[dofs], len(free))
-    factor, info = flapack().dpbtrf(_free_band(*band), lower=1, overwrite_ab=1)
+    pos, free = _free_positions(model)
+    band, ke, dofs = _free_band(model, pos, len(free))
+    factor, info = flapack().dpbtrf(band, lower=1, overwrite_ab=1)
     if info > 0:  # a leading minor is not positive definite
-        raise _describe_mechanism(_free_band(*band), free)
+        raise _describe_mechanism(factor, info - 1, free)
     # a singular system can slip through the factorization on rounding noise
     # (zero pivot computed as +epsilon); the pivot ratio catches it reliably
     pivots = factor[0] ** 2
     if pivots.min() <= 1e-12 * pivots.max():
-        raise _describe_mechanism(_free_band(*band), free)
+        raise _describe_mechanism(factor, int(pivots.argmin()), free)
     u = np.zeros(model.dof_count)
     u[free], info = flapack().dpbtrs(factor, F[free], lower=1)
     if info != 0:

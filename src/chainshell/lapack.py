@@ -1,7 +1,7 @@
 """scipy's f2py LAPACK module, loaded without running `scipy.linalg`.
 
 The frame solver and the thin-plate fit call four LAPACK routines (dpbtrf,
-dpbtrs, dsbevd, dgesv).  They live in `scipy/linalg/_flapack*.so`, the module
+dpbtrs, dtbtrs, dgesv).  They live in `scipy/linalg/_flapack*.so`, the module
 `scipy.linalg` itself calls, linked to scipy's own OpenBLAS; importing the
 `scipy.linalg` package to reach it costs far more than the routines' use.
 The file is loaded once, at import, under its own name, so a later
@@ -44,5 +44,5 @@ _FLAPACK = _load()
 
 
 def flapack() -> ModuleType:
-    """The f2py LAPACK module (`dgesv`, `dpbtrf`, `dpbtrs`, `dsbevd`, ...)."""
+    """The f2py LAPACK module (`dgesv`, `dpbtrf`, `dpbtrs`, `dtbtrs`, ...)."""
     return _FLAPACK

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from chainshell import fem
 from chainshell.errors import GeometryError, MechanismError, ParameterError
 from chainshell.fem import (
     BeamSection,
@@ -17,6 +20,7 @@ from chainshell.fem import (
     shell_node_loads,
     solve,
     _free_band,
+    _free_positions,
     _tributary_weights,
 )
 from chainshell.loads import combine
@@ -109,6 +113,14 @@ def test_load_layout_variants_are_equivalent():
     assert np.array_equal(as_dict.displacements, as_wide.displacements)
 
 
+@pytest.mark.parametrize("loads, node", [({-1: (0.0, 0.0, -1.0)}, -1),
+                                         ({7: (0.0, 0.0, -1.0)}, 7),
+                                         ({3: np.ones(7)}, 3)])
+def test_a_load_on_a_missing_node_or_with_too_many_components_is_rejected(loads, node):
+    with pytest.raises(ParameterError, match=rf"node {node}\b"):
+        solve(cantilever_model(), loads)
+
+
 def test_zero_load_gives_zero_displacement():
     model = cantilever_model()
     result = solve(model, {})
@@ -125,7 +137,9 @@ def test_unrestrained_torsion_chain_is_reported_as_mechanism():
                        material=MATERIAL)
     with pytest.raises(MechanismError) as err:
         solve(model, {4: (0.0, 0.0, -100.0)})
-    assert any(name == "rx" for _, name in err.value.dofs)
+    assert err.value.dofs == [(node, "rx") for node in range(9)]
+    assert str(err.value) == ("stiffness matrix is singular; unconstrained degrees of "
+                              "freedom: " + ", ".join(f"node {n}:rx" for n in range(9)))
 
 
 def test_near_mechanism_square_is_detected():
@@ -367,23 +381,96 @@ def test_degenerate_surface_is_rejected():
         default_frame(flat_surface(span_mm=1e-9, resolution=5), grid=2)
 
 
-def test_free_band_is_the_fortran_ordered_lower_band_of_k_ff(pools42):
-    model = frame_from_surface(pools42[2].surfaces[0], 6, SPEC,
-                               default_supports(6, "corner-pinned"))
+def _bincount_band(ke, pos, n_free):
+    """The lower band of K_ff summed from every element block in one bincount."""
+    col = np.broadcast_to(pos[:, None, :], ke.shape)
+    offset = pos[:, :, None] - col
+    lower = (offset >= 0) & (col >= 0)
+    offset, col = offset[lower], col[lower]
+    height = int(offset.max(initial=0)) + 1
+    return np.bincount(col * height + offset, weights=ke[lower],
+                       minlength=n_free * height).reshape(n_free, height).T
+
+
+def test_free_band_is_the_fortran_ordered_lower_band_of_k_ff(pools42, monkeypatch):
+    # the blocked band holds the bits of one bincount over every element and
+    # of the dense K, whichever block size splits the elements
+    for group, grid, supports in ((2, 6, "corner-pinned"), (3, 10, "boundary-fixed"),
+                                  (4, 9, "corner-pinned")):
+        model = frame_from_surface(pools42[group].surfaces[0], grid, SPEC,
+                                   default_supports(grid, supports))
+        pos, free = _free_positions(model)
+        whole_ke, whole_dofs = assemble_stiffness(model)
+        expected = _bincount_band(whole_ke, pos[whole_dofs], len(free))
+        K_ff = dense_stiffness(model)[np.ix_(free, free)]
+        assert not np.tril(K_ff, -len(expected)).any()  # nothing couples beyond the band
+        for block in (1, 7, len(model.ends)):
+            monkeypatch.setattr(fem, "_BLOCK_ELEMENTS", block)
+            ab, ke, dofs = _free_band(model, pos, len(free))
+            assert np.array_equal(dofs, whole_dofs)
+            assert ke.tobytes() == whole_ke.tobytes()
+            assert ab.shape == expected.shape
+            assert ab.tobytes(order="A") == expected.tobytes(order="A")
+            # F order lets LAPACK factor the band in place instead of copying it
+            assert ab.flags.f_contiguous
+            for offset in range(len(ab)):
+                assert np.array_equal(ab[offset, :len(free) - offset],
+                                      np.diagonal(K_ff, -offset))
+
+
+# what a solve may hold beside the band and the element blocks: one block's
+# temporaries, the DOF tables and the load and displacement vectors
+_SOLVE_ALLOWANCE_BYTES = 2.5e6
+
+
+def _traced_peak(call):
+    """What a call returns, and the bytes it allocates at its peak above what
+    was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _band_and_blocks_bytes(model) -> int:
+    pos, free = _free_positions(model)
     ke, dofs = assemble_stiffness(model)
-    pos = np.zeros(model.dof_count, dtype=np.intp)
-    pos[model.constrained_dof_indices()] = -1
-    free = np.nonzero(pos == 0)[0]
-    pos[free] = np.arange(len(free))
-    ab = _free_band(ke, pos[dofs], len(free))
-    # F order lets LAPACK factor the band in place instead of copying it
-    assert ab.flags.f_contiguous
-    K_ff = dense_stiffness(model)[np.ix_(free, free)]
-    expected = np.zeros_like(ab)
-    for offset in range(len(ab)):
-        expected[offset, :len(free) - offset] = np.diagonal(K_ff, -offset)
-    assert np.allclose(ab, expected, rtol=0.0, atol=1e-12 * np.abs(K_ff).max())
-    assert not np.tril(K_ff, -len(ab)).any()  # nothing couples beyond the band
+    return _bincount_band(ke, pos[dofs], len(free)).nbytes + ke.nbytes
+
+
+def test_a_fine_lattice_solve_holds_the_band_and_the_element_blocks_and_little_more(pools42):
+    surface = pools42[3].surfaces[0]
+    model = frame_from_surface(surface, 26, SPEC, default_supports(26, "corner-pinned"))
+    assert model.dof_count == 4374  # the fem-fine benchmark's lattice
+    loads = shell_node_loads(surface, 26, 5.0)
+    _, peak = _traced_peak(lambda: solve(model, loads))
+    assert peak <= _band_and_blocks_bytes(model) + _SOLVE_ALLOWANCE_BYTES
+
+
+def test_a_lattice_mechanism_is_named_from_the_factor_without_an_n_by_n_array(pools42):
+    # pinned at two corners, the lattice turns freely about the line through them
+    surface = pools42[1].surfaces[0]
+    model = frame_from_surface(surface, 16, SPEC,
+                               {0: SupportKind.PINNED, 16: SupportKind.PINNED})
+    loads = shell_node_loads(surface, 16, 5.0)
+
+    def mechanism():
+        with pytest.raises(MechanismError) as err:
+            solve(model, loads)
+        return err.value
+
+    error, peak = _traced_peak(mechanism)
+    assert peak <= _band_and_blocks_bytes(model) + _SOLVE_ALLOWANCE_BYTES
+    named = error.dofs
+    assert named
+    constrained = set(model.constrained_dof_indices().tolist())
+    assert all(node * 6 + fem.DOF_NAMES.index(name) not in constrained
+               for node, name in named)
+    # the turn about the y axis: every node's ry and the far nodes' uz
+    assert {name for _, name in named} == {"uz", "ry"}
 
 
 def _flat_shell_case():

@@ -33,7 +33,7 @@ def test_scipy_linalg_imported_later_reuses_the_loaded_module():
     assert out.splitlines() == ["False", "True True"]
 
 
-# a solve (dpbtrf, dpbtrs), a mechanism (dsbevd) and a thin-plate fit (dgesv),
+# a solve (dpbtrf, dpbtrs), a mechanism (dpbtrf, dtbtrs) and a thin-plate fit (dgesv),
 # hashed; then the extension file is made to miss and the same is hashed again
 _FALLBACK = """
 import hashlib, sys
