@@ -1,6 +1,6 @@
 """Batch design toolkit for vacuum-jammed chainmail shell structures.
 
-Modules cover unit-cell geometry, 2D deformation profiles, 3D shell
+Modules cover unit-cell geometry, the 2D feasibility sweep, 3D shell
 generation, surface filtering, load cases, a beam-frame solver, and a
 weighted multi-criteria shelter optimizer, tied together by a seeded,
 reproducible pipeline and CLI.

@@ -212,14 +212,13 @@ def cmd_filter(args, config: PipelineConfig) -> int:
                                 "area_m2": _number})
     if not rows:
         raise ParameterError(f"no iterations found in {manifest}")
-    outcome = pipeline.filter_pool(
-        config, [filtering.SurfaceMetrics(perimeter_P=r["perimeter_m"],
-                                          area_a=r["area_m2"]) for r in rows])
+    metrics = [filtering.SurfaceMetrics(perimeter_P=r["perimeter_m"], area_a=r["area_m2"])
+               for r in rows]
+    kept, dP, da = pipeline.filter_pool(config, metrics)
     pipeline.write_selected(_out_dir(args, manifest.parent), "selected.csv",
                             rows[0]["amplitude_mm"], rows[0]["frequency"],
-                            rows[0]["seed"], outcome)
-    print(f"kept {len(outcome.kept_indices)} of {len(rows)} "
-          f"(dP={outcome.dP:.9f} m, da={outcome.da:.9f} m2)")
+                            rows[0]["seed"], metrics, kept, dP, da)
+    print(f"kept {len(kept)} of {len(rows)} (dP={dP:.9f} m, da={da:.9f} m2)")
     return EXIT_OK
 
 
@@ -227,6 +226,9 @@ def cmd_loads(args, config: PipelineConfig) -> int:
     spec = pipeline.structure_spec(config)
     surface_area = (args.surface_area if args.surface_area is not None
                     else spec.plan_area_a)
+    # dead_load's plan-area bound lets NaN and +inf through
+    if not math.isfinite(surface_area):
+        raise ParameterError(f"--surface-area must be finite, got {surface_area}")
     case = loads_mod.combine(spec, surface_area)
     limit = loads_mod.deflection_limit(spec.span_L)
     print("DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,deflection_limit_mm")

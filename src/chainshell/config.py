@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
-from .profile2d import FREQUENCY_MIN, default_envelope
+from .profile2d import DEFAULT_ENVELOPE_TABLE, FREQUENCY_MIN
 from .units import Shape
 
 _MASK63 = (1 << 63) - 1
@@ -146,7 +146,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              "density must be positive")
     _require(config.sweep2d.span_mm > 0, "sweep2d.span_mm", "span must be positive")
     # sweep_2d needs an envelope entry for every frequency it sweeps
-    f_top = max(default_envelope(Shape.parse(config.sweep2d.shape)).frequencies())
+    f_top = max(DEFAULT_ENVELOPE_TABLE[Shape.parse(config.sweep2d.shape)])
     _require(FREQUENCY_MIN <= config.sweep2d.frequency_max <= f_top,
              "sweep2d.frequency_max",
              f"frequency_max must be in {FREQUENCY_MIN}..{f_top}, "

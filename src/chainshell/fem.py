@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GeometryError, MechanismError, ParameterError
 from .lapack import flapack
-from .loads import LoadCase, StructureSpec, deflection_limit
+from .loads import LoadCase, StructureSpec
 from .shell3d import ShellSurface
 
 MEMBRANE_PRECOMPRESSION_N = 1.0  # total vacuum pre-compression along the normals
@@ -39,16 +39,6 @@ _BLOCK_ELEMENTS = 256
 # the contraction order np.einsum's optimizer picks for the element batch at
 # every batch size, given so that no block pays for the search again
 _EINSUM_PATH = ["einsum_path", (0, 1), (0, 1)]
-
-
-@dataclass(frozen=True)
-class Material:
-    elastic_modulus: float  # Pa
-    shear_modulus: float    # Pa
-
-    def __post_init__(self):
-        if self.elastic_modulus <= 0 or self.shear_modulus <= 0:
-            raise ParameterError("moduli must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,9 +93,12 @@ class FrameModel:
     ends: np.ndarray   # (m, 2) node ids: element e runs from ends[e, 0] to ends[e, 1]
     section: BeamSection  # shared by every element
     supports: Dict[int, SupportKind]
-    material: Material
+    elastic_modulus: float  # Pa
+    shear_modulus: float    # Pa
 
     def __post_init__(self):
+        if self.elastic_modulus <= 0 or self.shear_modulus <= 0:
+            raise ParameterError("moduli must be positive")
         n = len(self.nodes)
         if np.any(self.ends[:, 0] == self.ends[:, 1]):
             raise GeometryError("element connects a node to itself")
@@ -137,13 +130,10 @@ class SolveResult:
     pivot_ratio: float                 # min / max squared Cholesky pivot
     equilibrium_residual: float        # |K u - F| on free DOFs / max(|F|, 1)
 
-    def translation(self, node: int) -> np.ndarray:
-        return self.displacements[node, :3]
-
 
 def _local_stiffness(model: FrameModel, length: np.ndarray) -> np.ndarray:
     """(m, 12, 12) element stiffness matrices in local axes, one per element."""
-    E, G = model.material.elastic_modulus, model.material.shear_modulus
+    E, G = model.elastic_modulus, model.shear_modulus
     sec = model.section
     A, Iy, Iz, J = sec.area, sec.inertia_y, sec.inertia_z, sec.torsion_J
     l = length
@@ -398,8 +388,8 @@ def frame_from_surface(surface: ShellSurface, grid: int, structure: StructureSpe
 
     model = FrameModel(nodes=nodes, ends=ends, section=section,
                        supports=supports,
-                       material=Material(structure.elastic_modulus,
-                                         structure.shear_modulus))
+                       elastic_modulus=structure.elastic_modulus,
+                       shear_modulus=structure.shear_modulus)
     if np.linalg.norm(nodes[ends[:, 1]] - nodes[ends[:, 0]], axis=1).min() < 1e-12:
         raise GeometryError("degenerate surface produced a zero-area cell")
     return model
@@ -417,23 +407,6 @@ def _require_noncollinear_supports(model: FrameModel) -> None:
             if abs(cross) > 1e-12:
                 return
     raise ParameterError("supported nodes are collinear")
-
-
-@dataclass(frozen=True, eq=False)
-class ShellAnalysis:
-    """Shell solve outcome with the serviceability verdict."""
-
-    result: SolveResult
-    load_case: LoadCase
-    limit_mm: float
-
-    @property
-    def max_displacement_mm(self) -> float:
-        return self.result.max_translation_mm
-
-    @property
-    def passed(self) -> bool:
-        return self.max_displacement_mm <= self.limit_mm
 
 
 def shell_node_loads(surface: ShellSurface, grid: int,
@@ -458,8 +431,8 @@ def shell_node_loads(surface: ShellSurface, grid: int,
 
 def analyze_shell(surface: ShellSurface, load_case: LoadCase,
                   structure: StructureSpec, supports: Dict[int, SupportKind],
-                  grid: int) -> ShellAnalysis:
-    """Solve one shell under a load case and check span/250.
+                  grid: int) -> SolveResult:
+    """Solve one shell under a load case.
 
     The frame takes its section and moduli from the structure.  TL is
     distributed by tributary plan area; the membrane pre-compression acts
@@ -467,7 +440,4 @@ def analyze_shell(surface: ShellSurface, load_case: LoadCase,
     """
     model = frame_from_surface(surface, grid, structure, supports)
     _require_noncollinear_supports(model)
-    loads = shell_node_loads(surface, grid, load_case.total_TL)
-    result = solve(model, loads)
-    limit = deflection_limit(surface.span_mm / 1000.0)
-    return ShellAnalysis(result=result, load_case=load_case, limit_mm=limit)
+    return solve(model, shell_node_loads(surface, grid, load_case.total_TL))

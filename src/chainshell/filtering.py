@@ -82,31 +82,19 @@ def auto_tolerance_from_metrics(metrics: Sequence[SurfaceMetrics],
     return 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class FilterOutcome:
-    """Filtering result for one pool: metrics, kept flags, tolerances used."""
-
-    metrics: List[SurfaceMetrics]
-    kept_indices: List[int]
-    dP: float
-    da: float
-
-
 def filter_surfaces(metrics: Sequence[SurfaceMetrics], k: int,
                     dP: Optional[float] = None,
-                    da: Optional[float] = None) -> FilterOutcome:
-    """Select k distinct members of a measured pool.
+                    da: Optional[float] = None) -> Tuple[List[int], float, float]:
+    """Select k distinct members of a measured pool: (kept indices, dP, da).
 
     Tolerances are taken from the caller when both are given, otherwise
     chosen by the auto rule.
     """
     if not metrics:
         raise ParameterError("surface pool is empty")
-    metrics = list(metrics)
     if dP is None or da is None:
         if len(metrics) >= 2:
             dP, da = auto_tolerance_from_metrics(metrics, k)
         else:
             dP, da = 0.0, 0.0
-    kept = select_indices(metrics, dP, da, k)
-    return FilterOutcome(metrics=metrics, kept_indices=kept, dP=dP, da=da)
+    return select_indices(metrics, dP, da, k), dP, da

@@ -366,7 +366,7 @@ def _lattice_node(span_m: float, grid: int, x: float, y: float) -> int:
 
 
 def _design_solve(design: CandidateDesign, surface: ShellSurface, columns: ColumnSet,
-                  grid: int, structure: StructureSpec) -> fem.ShellAnalysis:
+                  grid: int, structure: StructureSpec) -> fem.SolveResult:
     """Frame solve of the design's surface on its anchors and the given columns."""
     supports = _support_nodes(grid, design.anchors, columns)
     case = combine(structure, design.cms_m2)
@@ -378,7 +378,7 @@ def formwork_reactions(design: CandidateDesign, surface: ShellSurface, grid: int
     """Vertical FEM reaction magnitude (kN) carried by each formwork column
     of `design`, whose surface is `surface`."""
     reactions = _design_solve(design, surface, design.columns, grid,
-                              structure).result.reactions
+                              structure).reactions
     span_m = design.anchors.span_m
     # every formwork column is a support node, so each has a reaction
     return {col: abs(float(reactions[_lattice_node(span_m, grid, *col.position)][2]))
@@ -471,7 +471,7 @@ class OptimizeResult:
     report: RankingReport
     winner_surface: Optional[ShellSurface]  # the one surface the study keeps
     reduced_columns: Optional[ColumnSet]
-    winner_analysis: Optional[fem.ShellAnalysis]
+    winner_analysis: Optional[fem.SolveResult]
 
 
 def optimize(config: PipelineConfig, structure: StructureSpec,

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ def stage_units(config: PipelineConfig, out: RunDir) -> None:
         cell = units.standard_cell(shape, target_ratio=config.unit.target_ratio)
         ratio = units.solid_to_gap_ratio(cell)
         volume = units.unit_solid_volume(cell)
-        weight = units.sheet_weight(
-            units.SheetSpec(cell, 1, 1, config.unit.density_g_cm3))
+        weight = units.sheet_weight(cell, 1, 1, config.unit.density_g_cm3)
         rows.append(",".join([
             shape.value, _fmt(L, 3), _fmt(d, 3), _fmt(cell.cell_pitch, 6),
             _fmt(ratio, 6), _fmt(cell.centreline_length(), 3),
@@ -91,16 +90,16 @@ def stage_units(config: PipelineConfig, out: RunDir) -> None:
 
 def stage_sweep2d(config: PipelineConfig, out: RunDir) -> None:
     shape = units.Shape.parse(config.sweep2d.shape)
-    envelope = profile2d.default_envelope(shape)
-    report = profile2d.sweep_2d(shape, envelope,
-                                f_max=config.sweep2d.frequency_max,
-                                span_L=config.sweep2d.span_mm)
+    cells = profile2d.sweep_2d(profile2d.DEFAULT_ENVELOPE_TABLE[shape],
+                               f_max=config.sweep2d.frequency_max,
+                               span_mm=config.sweep2d.span_mm)
     rows = ["shape,amplitude_mm,frequency,feasible,peak_curvature_per_mm"]
-    for cell in report.cells:
+    for amplitude, frequency, feasible, curvature in cells:
         rows.append(",".join([
-            shape.value, _fmt(cell.amplitude_A, 1), str(cell.frequency_f),
-            "1" if cell.feasible else "0", _fmt(cell.peak_curvature, 9)]))
-    best_a, best_f = report.max_feasible_cell
+            shape.value, _fmt(amplitude, 1), str(frequency),
+            "1" if feasible else "0", _fmt(curvature, 9)]))
+    # A = 0 is feasible at every frequency, so some cell always is
+    best_a, best_f = max((a, f) for a, f, feasible, _ in cells if feasible)
     write_output(out, "sweep2d/sweep2d.csv", "\n".join(rows) + "\n")
     write_output(out, "sweep2d/max_feasible.csv",
                  "shape,max_amplitude_mm,max_frequency\n"
@@ -112,9 +111,9 @@ def pool_grids(config: PipelineConfig, amplitude: float, frequency: int,
     """The control grids of one gen3d pool: [gen3d] iterations over
     [gen3d] span_mm, checked against the rectangular envelope the study
     groups are printed in, whatever [sweep2d] shape the sweep charts."""
+    profile2d.require_feasible(GROUP_SHAPE, amplitude, frequency)
     return shell3d.generate_iterations(amplitude, frequency, config.gen3d.iterations,
-                                       seed, config.gen3d.span_mm,
-                                       profile2d.default_envelope(GROUP_SHAPE))
+                                       seed, config.gen3d.span_mm)
 
 
 def _group_grids(config: PipelineConfig, group: int):
@@ -165,22 +164,24 @@ def stage_gen3d(config: PipelineConfig, out: RunDir) -> Dict:
 
 
 def write_selected(out: RunDir, rel: str, amplitude: float, frequency: int,
-                   seed: int, outcome: filtering.FilterOutcome) -> None:
-    """Write a pool's selected.csv to `rel`: every member's metrics and kept flag."""
+                   seed: int, metrics: List[filtering.SurfaceMetrics],
+                   kept: List[int], dP: float, da: float) -> None:
+    """Write a pool's selected.csv to `rel`: every member's metrics, its
+    kept flag and the tolerances the selection used."""
     rows = ["iteration,amplitude_mm,frequency,seed,perimeter_m,area_m2,"
             "kept,perimeter_tolerance_m,area_tolerance_m2"]
-    for i, m in enumerate(outcome.metrics):
+    for i, m in enumerate(metrics):
         rows.append(",".join([
             str(i), _fmt(amplitude, 1), str(frequency), str(seed),
             _fmt(m.perimeter_P, 9), _fmt(m.area_a, 9),
-            "1" if i in outcome.kept_indices else "0",
-            _fmt(outcome.dP, 9), _fmt(outcome.da, 9)]))
+            "1" if i in kept else "0", _fmt(dP, 9), _fmt(da, 9)]))
     write_output(out, rel, "\n".join(rows) + "\n")
 
 
-def filter_pool(config: PipelineConfig,
-                metrics: List[filtering.SurfaceMetrics]) -> filtering.FilterOutcome:
-    """Select a measured pool's distinct members under the [filter] block."""
+def filter_pool(config: PipelineConfig, metrics: List[filtering.SurfaceMetrics]
+                ) -> Tuple[List[int], float, float]:
+    """Select a measured pool's distinct members under the [filter] block:
+    (kept indices, dP, da)."""
     explicit = config.filter.tolerance_mode == "explicit"
     return filtering.filter_surfaces(
         metrics, k=config.filter.keep,
@@ -189,12 +190,14 @@ def filter_pool(config: PipelineConfig,
 
 
 def stage_filter(config: PipelineConfig, out: RunDir, gen_carry: Dict) -> Dict:
-    carry: Dict[int, filtering.FilterOutcome] = {}
+    """Select and write every group's pool; the carry holds each group's
+    kept indices."""
+    carry: Dict[int, List[int]] = {}
     for group, info in gen_carry.items():
-        outcome = filter_pool(config, info["metrics"])
+        kept, dP, da = filter_pool(config, info["metrics"])
         write_selected(out, f"filter/g{group}/selected.csv", info["amplitude"],
-                       info["frequency"], info["seed"], outcome)
-        carry[group] = outcome
+                       info["frequency"], info["seed"], info["metrics"], kept, dP, da)
+        carry[group] = kept
     return carry
 
 
@@ -226,12 +229,13 @@ def analyze_model(config: PipelineConfig, control: shell3d.ControlGrid,
     spec = structure_spec(config)
     grid = config.fem.lattice_grid
     case = loads.combine(spec, area_m2)
-    analysis = analyze_shell(surface, case, spec,
-                             default_supports(grid, config.fem.supports), grid)
+    result = analyze_shell(surface, case, spec,
+                           default_supports(grid, config.fem.supports), grid)
+    limit = loads.deflection_limit(config.gen3d.span_mm / 1000.0)
     return [_fmt(case.dead_DL, 4), _fmt(case.live_LL, 4), _fmt(case.snow_SL, 4),
             _fmt(case.wind_WL, 4), _fmt(case.total_TL, 4),
-            _fmt(analysis.max_displacement_mm, 4), _fmt(analysis.limit_mm, 4),
-            "1" if analysis.passed else "0"]
+            _fmt(result.max_translation_mm, 4), _fmt(limit, 4),
+            "1" if result.max_translation_mm <= limit else "0"]
 
 
 def stage_analyze(config: PipelineConfig, out: RunDir, gen_carry: Dict,
@@ -239,10 +243,9 @@ def stage_analyze(config: PipelineConfig, out: RunDir, gen_carry: Dict,
     rows = ["model,group,iteration,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,"
             "max_displacement_mm,limit_mm,passed"]
     for group, info in gen_carry.items():
-        outcome = filter_carry[group]
-        for idx in outcome.kept_indices:
+        for idx in filter_carry[group]:
             columns = analyze_model(config, info["grids"][idx],
-                                    outcome.metrics[idx].area_a)
+                                    info["metrics"][idx].area_a)
             rows.append(",".join([f"g{group}-{idx:02d}", str(group), str(idx)]
                                  + columns))
     write_output(out, "analyze/displacements.csv", "\n".join(rows) + "\n")
@@ -304,15 +307,16 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
         write_output(out, "optimize/winner.mesh",
                      _rendered(shell3d.write_mesh, result.winner_surface.mesh, ""))
 
-        analysis = result.winner_analysis
+        solved = result.winner_analysis
+        limit = loads.deflection_limit(config.gen3d.span_mm / 1000.0)
         coords = np.linspace(0.0, config.gen3d.span_mm / 1000.0,
                              config.fem.lattice_grid + 1)
-        footer = (f"# max_displacement_mm={_fmt(analysis.max_displacement_mm, 6)}"
-                  f" limit_mm={_fmt(analysis.limit_mm, 4)}"
-                  f" passed={'1' if analysis.passed else '0'}\n")
+        footer = (f"# max_displacement_mm={_fmt(solved.max_translation_mm, 6)}"
+                  f" limit_mm={_fmt(limit, 4)}"
+                  f" passed={'1' if solved.max_translation_mm <= limit else '0'}\n")
         write_output(out, "optimize/winner_displacements.csv",
                      "node,x_m,y_m,ux_mm,uy_mm,uz_mm,translation_mm\n"
-                     + node_displacement_rows(analysis.result.displacements, coords)
+                     + node_displacement_rows(solved.displacements, coords)
                      + footer)
 
         crows = ["role,x_m,y_m,height_m,volume_m3,kept"]

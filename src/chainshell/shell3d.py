@@ -11,13 +11,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, TextIO
+from typing import List, TextIO
 
 import numpy as np
 import numpy.random  # noqa: F401  seeds every surface; numpy loads it lazily
 
-from .errors import EnvelopeError, ParameterError
-from .profile2d import FeasibilityEnvelope
+from .errors import ParameterError
 from .spline import GridSpline
 
 Z_RANGE_DIVISOR = 5.0    # perturbation range is [0, A/5]
@@ -70,7 +69,7 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 
 
 def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
-                 span: float, envelope: Optional[FeasibilityEnvelope] = None) -> ControlGrid:
+                 span: float) -> ControlGrid:
     """One seeded control grid for (A, f), drawn from its own (seed, iteration) stream.
 
     Offsets are drawn per control point in row-major order; the same inputs
@@ -79,11 +78,6 @@ def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
     """
     if amplitude < 0:
         raise ParameterError("amplitude must be non-negative")
-    if envelope is not None and not envelope.is_feasible(amplitude, frequency):
-        raise EnvelopeError(
-            f"(A={amplitude} mm, f={frequency}) exceeds the feasibility envelope "
-            f"for {envelope.shape.value} (max {envelope.max_amplitude(frequency)} mm)"
-        )
     # f^2 control points total ("3x3 for F=3"), so f points per axis
     m = frequency
     if m < 2:
@@ -102,13 +96,11 @@ def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
 
 
 def generate_iterations(amplitude: float, frequency: int, n: int, seed: int,
-                        span: float, envelope: Optional[FeasibilityEnvelope] = None,
-                        ) -> List[ControlGrid]:
+                        span: float) -> List[ControlGrid]:
     """The control grids of iterations 0..n-1 for one (A, f) combination."""
     if n < 1:
         raise ParameterError("iteration count must be >= 1")
-    return [control_grid(amplitude, frequency, seed, i, span, envelope)
-            for i in range(n)]
+    return [control_grid(amplitude, frequency, seed, i, span) for i in range(n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,19 +244,6 @@ def write_pgm(image: np.ndarray, stream) -> None:
     h, w = image.shape
     stream.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
     stream.write(image.astype(np.uint8).tobytes())
-
-
-def read_pgm(stream) -> np.ndarray:
-    magic = stream.readline().strip()
-    if magic != b"P5":
-        raise ParameterError("not a binary portable graymap")
-    dims = stream.readline().split()
-    w, h = int(dims[0]), int(dims[1])
-    maxval = int(stream.readline())
-    if maxval != 255:
-        raise ParameterError("expected maxval 255")
-    data = stream.read(w * h)
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 
 def write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:

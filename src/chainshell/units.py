@@ -160,39 +160,25 @@ def moment_of_inertia(cell: UnitCell) -> float:
     return (L * b ** 3 + b * L ** 3) * d / 12.0
 
 
-@dataclass(frozen=True)
-class SheetSpec:
-    """A rows x cols sheet of one unit, with print material density in g/cm^3;
-    its grams are a solid-rod estimate, not a measured sample weight."""
-
-    unit: UnitCell
-    grid_rows: int
-    grid_cols: int
-    material_density: float
-
-    def __post_init__(self):
-        if self.grid_rows < 0 or self.grid_cols < 0:
-            raise ParameterError("grid counts must be non-negative")
-        if self.material_density <= 0:
-            raise ParameterError("material density must be positive")
-
-
 def unit_solid_volume(cell: UnitCell) -> float:
     """Rod volume of one ring, mm^3: centreline length x circular section."""
     return cell.centreline_length() * math.pi * (cell.rod_diameter_d / 2.0) ** 2
 
 
-def sheet_weight(spec: SheetSpec) -> float:
-    """Estimated sheet weight in grams.
+def sheet_weight(cell: UnitCell, rows: int, cols: int, density_g_cm3: float) -> float:
+    """Estimated weight in grams of a rows x cols sheet of one unit.
 
-    A fixed count of rows x cols rings, each weighing its solid rod volume
-    (``unit_solid_volume``) times ``material_density``.  At equal rod
-    diameter and density the grams therefore follow centreline length.
+    Each ring weighs its solid rod volume (``unit_solid_volume``) times the
+    print material density, so this is a solid-rod estimate, not a measured
+    sample weight.  At equal rod diameter and density the grams therefore
+    follow centreline length.
     """
-    count = spec.grid_rows * spec.grid_cols
-    volume_mm3 = unit_solid_volume(spec.unit)
+    if rows < 0 or cols < 0:
+        raise ParameterError("grid counts must be non-negative")
+    if density_g_cm3 <= 0:
+        raise ParameterError("material density must be positive")
     # g/cm^3 -> g/mm^3
-    return count * volume_mm3 * spec.material_density * 1e-3
+    return rows * cols * unit_solid_volume(cell) * density_g_cm3 * 1e-3
 
 
 def standard_cell(shape: Shape, target_ratio: float,

@@ -12,15 +12,15 @@ from hypothesis import settings
 from scipy.interpolate import RBFInterpolator, RectBivariateSpline
 
 import chainshell
-from chainshell import loads, profile2d
+from chainshell import loads
 from chainshell.config import PipelineConfig, derive_seed
-from chainshell.errors import GeometryError
-from chainshell.fem import (BeamSection, FrameModel, Material, SupportKind, analyze_shell,
+from chainshell.errors import GeometryError, ParameterError
+from chainshell.fem import (BeamSection, FrameModel, SupportKind, analyze_shell,
                             assemble_stiffness, default_supports, frame_from_surface)
 from chainshell.filtering import measure
 from chainshell.optimizer import (COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind,
                                   CandidateDesign, Column, ColumnSet, SlopeReport)
-from chainshell.pipeline import GROUP_SHAPE, filter_pool, structure_spec
+from chainshell.pipeline import filter_pool, structure_spec
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
                                group_parameters, interpolate_surface)
 from chainshell.units import Shape, UnitCell
@@ -39,10 +39,29 @@ def fresh_interpreter_env() -> dict:
 # the default config and what the pipeline reads from it
 CONFIG = PipelineConfig()
 SPEC = structure_spec(CONFIG)
-MATERIAL = Material(SPEC.elastic_modulus, SPEC.shear_modulus)
-BEAM_E = MATERIAL.elastic_modulus  # Pa
+# the frame moduli the default config gives, as FrameModel keywords
+MODULI = {"elastic_modulus": SPEC.elastic_modulus, "shear_modulus": SPEC.shear_modulus}
+BEAM_E = SPEC.elastic_modulus  # Pa
 BEAM_SECTION = BeamSection(area=1e-3, inertia_y=2e-6, inertia_z=3e-6,
                            torsion_J=5e-6)
+
+
+def profile_height(x: float, amplitude: float, frequency: int, span: float) -> float:
+    """Section profile height y(x) = A sin(2 pi f x / L), mm, for 0 <= x <= L."""
+    if not 0.0 <= x <= span:
+        raise ParameterError(f"x={x} outside span [0, {span}]")
+    return amplitude * math.sin(2.0 * math.pi * frequency * x / span)
+
+
+def profile_curvature(x: float, amplitude: float, frequency: int, span: float) -> float:
+    """Unsigned analytic curvature |y''| / (1 + y'^2)^(3/2) of the section
+    profile, 1/mm, for 0 <= x <= L."""
+    if not 0.0 <= x <= span:
+        raise ParameterError(f"x={x} outside span [0, {span}]")
+    k = 2.0 * math.pi * frequency / span
+    yp = amplitude * k * math.cos(k * x)
+    ypp = -amplitude * k * k * math.sin(k * x)
+    return abs(ypp) / (1.0 + yp * yp) ** 1.5
 
 
 def raster_solid_fraction(cell: UnitCell, resolution: int = 2048) -> float:
@@ -123,7 +142,7 @@ def default_frame(surface: ShellSurface, grid: int = CONFIG.fem.lattice_grid) ->
 
 def default_analysis(surface: ShellSurface, case: loads.LoadCase,
                      grid: int = CONFIG.fem.lattice_grid):
-    """The shell analysis the default config makes of a surface."""
+    """The frame solve the default config makes of a surface under a load case."""
     return analyze_shell(surface, case, SPEC, default_supports(grid, CONFIG.fem.supports),
                          grid)
 
@@ -146,7 +165,7 @@ def cantilever_model(n_elems: int = 6, length: float = 1.5) -> FrameModel:
     xs = np.linspace(0.0, length, n_elems + 1)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
     return FrameModel(nodes=nodes, ends=chain_ends(n_elems), section=BEAM_SECTION,
-                      supports={0: SupportKind.FIXED}, material=MATERIAL)
+                      supports={0: SupportKind.FIXED}, **MODULI)
 
 
 def simply_supported_model(n_elems: int = 16, span: float = 2.0) -> FrameModel:
@@ -163,7 +182,7 @@ def simply_supported_model(n_elems: int = 16, span: float = 2.0) -> FrameModel:
     supports = {0: SupportKind.PINNED, n_elems: SupportKind.PINNED,
                 n_elems + 1: SupportKind.PINNED, n_elems + 2: SupportKind.PINNED}
     return FrameModel(nodes=nodes, ends=ends, section=BEAM_SECTION, supports=supports,
-                      material=MATERIAL)
+                      **MODULI)
 
 
 def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:
@@ -213,6 +232,17 @@ def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
     z_m = np.maximum(height_m * (1.0 - r2 / radius_m ** 2), 0.0)
     grid = grid_from_z(z_m * 1000.0, span_mm, amplitude=height_m * 1000.0)
     return interpolate_surface(grid, resolution)
+
+
+def read_pgm(stream) -> np.ndarray:
+    """Parse the binary portable graymap (maxval 255) `shell3d.write_pgm` writes."""
+    magic = stream.readline().strip()
+    if magic != b"P5":
+        raise ParameterError("not a binary portable graymap")
+    w, h = (int(v) for v in stream.readline().split())
+    if int(stream.readline()) != 255:
+        raise ParameterError("expected maxval 255")
+    return np.frombuffer(stream.read(w * h), dtype=np.uint8).reshape(h, w)
 
 
 def read_mesh(stream: TextIO):
@@ -386,21 +416,21 @@ def carried_surface_displacement_rows(config: PipelineConfig) -> str:
         amplitude, frequency = group_parameters(group)
         grids = generate_iterations(amplitude, frequency, n=config.gen3d.iterations,
                                     seed=derive_seed(config.seed, f"gen3d:g{group}"),
-                                    span=config.gen3d.span_mm,
-                                    envelope=profile2d.default_envelope(GROUP_SHAPE))
+                                    span=config.gen3d.span_mm)
         surfaces = [interpolate_surface(g, config.gen3d.resolution) for g in grids]
-        outcome = filter_pool(config, [measure(s) for s in surfaces])
-        for idx in outcome.kept_indices:
-            case = loads.combine(spec, outcome.metrics[idx].area_a)
-            analysis = analyze_shell(surfaces[idx], case, spec,
-                                     default_supports(grid, config.fem.supports), grid)
+        metrics = [measure(s) for s in surfaces]
+        kept, _, _ = filter_pool(config, metrics)
+        limit = loads.deflection_limit(config.gen3d.span_mm / 1000.0)
+        for idx in kept:
+            case = loads.combine(spec, metrics[idx].area_a)
+            result = analyze_shell(surfaces[idx], case, spec,
+                                   default_supports(grid, config.fem.supports), grid)
             rows.append(",".join(
                 [f"g{group}-{idx:02d}", str(group), str(idx)]
                 + [f"{v:.4f}" for v in (case.dead_DL, case.live_LL, case.snow_SL,
                                         case.wind_WL, case.total_TL,
-                                        analysis.max_displacement_mm,
-                                        analysis.limit_mm)]
-                + ["1" if analysis.passed else "0"]))
+                                        result.max_translation_mm, limit)]
+                + ["1" if result.max_translation_mm <= limit else "0"]))
     return "\n".join(rows) + "\n"
 
 

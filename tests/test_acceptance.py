@@ -32,10 +32,9 @@ from chainshell.loads import (
 )
 from chainshell.optimizer import rank_designs
 from chainshell.pipeline import RunDir, stage_optimize
-from chainshell.profile2d import default_envelope, sweep_2d
+from chainshell.profile2d import DEFAULT_ENVELOPE_TABLE, sweep_2d
 from chainshell.shell3d import depth_map, group_parameters, interpolate_surface
 from chainshell.units import (
-    SheetSpec,
     Shape,
     UnitCell,
     moment_of_inertia,
@@ -172,12 +171,12 @@ def test_a06_group_compliance_and_trend():
     for group in range(1, 5):
         amplitude, frequency = group_parameters(group)
         surfaces = pool_surfaces(amplitude, frequency, seed=42)
-        outcome = filter_surfaces([measure(s) for s in surfaces], k=CONFIG.filter.keep)
+        metrics = [measure(s) for s in surfaces]
+        kept, _, _ = filter_surfaces(metrics, k=CONFIG.filter.keep)
         peaks = []
-        for idx in outcome.kept_indices:
-            case = combine(SPEC, outcome.metrics[idx].area_a)
-            analysis = default_analysis(surfaces[idx], case)
-            peaks.append(analysis.max_displacement_mm)
+        for idx in kept:
+            case = combine(SPEC, metrics[idx].area_a)
+            peaks.append(default_analysis(surfaces[idx], case).max_translation_mm)
         means.append(sum(peaks) / len(peaks))
         overall_max = max(overall_max, max(peaks))
     elapsed = time.perf_counter() - t0
@@ -191,21 +190,20 @@ def test_a06_group_compliance_and_trend():
 
 
 def test_a07_group4_filter_distinctness(pools42):
-    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces],
-                              k=CONFIG.filter.keep)
-    kept = outcome.kept_indices
+    metrics = [measure(s) for s in pools42[4].surfaces]
+    kept, dP, da = filter_surfaces(metrics, k=CONFIG.filter.keep)
     distinct = True
     for a in range(len(kept)):
         for b in range(a + 1, len(kept)):
-            m1 = outcome.metrics[kept[a]]
-            m2 = outcome.metrics[kept[b]]
-            if not (abs(m1.perimeter_P - m2.perimeter_P) > outcome.dP
-                    or abs(m1.area_a - m2.area_a) > outcome.da):
+            m1 = metrics[kept[a]]
+            m2 = metrics[kept[b]]
+            if not (abs(m1.perimeter_P - m2.perimeter_P) > dP
+                    or abs(m1.area_a - m2.area_a) > da):
                 distinct = False
     ok = len(kept) == 4 and distinct
     _report("A07", ok,
-            f"kept {list(kept)} of 20 (dP={outcome.dP:.6f} m, "
-            f"da={outcome.da:.6f} m2), all pairs distinct: {distinct}")
+            f"kept {list(kept)} of 20 (dP={dP:.6f} m, "
+            f"da={da:.6f} m2), all pairs distinct: {distinct}")
     assert ok
 
 
@@ -251,8 +249,8 @@ def test_a09_ranking_correctness(optimize_result):
         and report.winner.weighted_score == 100.0
 
     gated_live = all(c.slope_report.passed for c in optimize_result.report.ranked)
-    disp = optimize_result.winner_analysis.max_displacement_mm
-    limit = optimize_result.winner_analysis.limit_mm
+    disp = optimize_result.winner_analysis.max_translation_mm
+    limit = deflection_limit(CONFIG.gen3d.span_mm / 1000.0)
     bound_ok = disp <= limit
 
     ok = gate_ok and affine_ok and dominant_ok and gated_live and bound_ok
@@ -273,10 +271,9 @@ def test_a10_sheet_weight_shape_ordering():
         cell = standard_cell(shape, CONFIG.unit.target_ratio)
         d = cell.rod_diameter_d
         band_mm2 = raster_solid_fraction(cell, resolution=2048) * cell.cell_pitch ** 2
-        spec = SheetSpec(cell, 10, 10, CONFIG.unit.density_g_cm3)
-        oracle = (spec.grid_rows * spec.grid_cols * band_mm2 * math.pi * d / 4.0
-                  * spec.material_density * 1e-3)
-        model = sheet_weight(spec)
+        density = CONFIG.unit.density_g_cm3
+        oracle = 10 * 10 * band_mm2 * math.pi * d / 4.0 * density * 1e-3
+        model = sheet_weight(cell, 10, 10, density)
         err = abs(model - oracle) / oracle
         ok &= err <= 0.01
         grams[shape] = (model, oracle)
@@ -294,10 +291,10 @@ def test_a10_sheet_weight_shape_ordering():
 
 def test_a11_sweep_maximum():
     t0 = time.perf_counter()
-    report = sweep_2d(Shape.RECTANGULAR, default_envelope(Shape.RECTANGULAR),
-                      CONFIG.sweep2d.frequency_max, CONFIG.sweep2d.span_mm)
+    rows = sweep_2d(DEFAULT_ENVELOPE_TABLE[Shape.RECTANGULAR],
+                    CONFIG.sweep2d.frequency_max, CONFIG.sweep2d.span_mm)
+    best = max((a, f) for a, f, feasible, _ in rows if feasible)
     elapsed = time.perf_counter() - t0
-    best = report.max_feasible_cell
     ok = best == (35.0, 9) and elapsed < 1.0
     _report("A11", ok,
             f"rectangular maximum A={best[0]} mm f={best[1]} "

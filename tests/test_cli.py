@@ -232,10 +232,14 @@ def test_filter_honours_explicit_tolerances(capsys, tmp_path):
     (["filter", "--in", "pool", "--keep", "0"], "keep must be >= 1"),
     (["gen3d", "--amplitude", "10", "--frequency", "3", "--iterations", "0"],
      "iterations must be >= 1"),
+    (["loads", "--surface-area", "nan"], "--surface-area must be finite, got nan"),
+    (["loads", "--surface-area", "inf"], "--surface-area must be finite, got inf"),
 ])
 def test_bad_pool_overrides_exit_2(capsys, tmp_path, argv, key):
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-    assert key in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "o").exists()
 
 

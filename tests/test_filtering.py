@@ -131,39 +131,35 @@ def test_auto_tolerance_floors_to_zero_for_identical_pool():
 
 def test_filter_identical_pool_keeps_single_surface():
     surfaces = [flat_surface(F=2, resolution=9)] * 20
-    outcome = filter_surfaces([measure(s) for s in surfaces], k=4)
-    assert outcome.kept_indices == [0]
-    assert (outcome.dP, outcome.da) == (0.0, 0.0)
+    assert filter_surfaces([measure(s) for s in surfaces], k=4) == ([0], 0.0, 0.0)
 
 
 def test_filter_group4_pool_keeps_four_distinct(pools42):
-    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces], k=4)
-    assert len(outcome.kept_indices) == 4
-    assert outcome.kept_indices == [0, 2, 4, 14]
-    kept = [outcome.metrics[i] for i in outcome.kept_indices]
-    for i, m1 in enumerate(kept):
-        for m2 in kept[i + 1:]:
-            assert (abs(m1.perimeter_P - m2.perimeter_P) > outcome.dP
-                    or abs(m1.area_a - m2.area_a) > outcome.da)
+    metrics = [measure(s) for s in pools42[4].surfaces]
+    kept, dP, da = filter_surfaces(metrics, k=4)
+    assert kept == [0, 2, 4, 14]
+    chosen = [metrics[i] for i in kept]
+    for i, m1 in enumerate(chosen):
+        for m2 in chosen[i + 1:]:
+            assert (abs(m1.perimeter_P - m2.perimeter_P) > dP
+                    or abs(m1.area_a - m2.area_a) > da)
 
 
 def test_filter_group1_pool_falls_back_to_zero_tolerance(pools42):
     # frequency-3 fields are nearly identical, so the tolerance bottoms out
-    outcome = filter_surfaces([measure(s) for s in pools42[1].surfaces], k=4)
-    assert (outcome.dP, outcome.da) == (0.0, 0.0)
-    assert outcome.kept_indices == [0, 1, 2, 3]
+    kept, dP, da = filter_surfaces([measure(s) for s in pools42[1].surfaces], k=4)
+    assert (dP, da) == (0.0, 0.0)
+    assert kept == [0, 1, 2, 3]
 
 
 def test_filter_explicit_tolerances_pass_through(pools42):
-    outcome = filter_surfaces([measure(s) for s in pools42[4].surfaces], k=4,
-                              dP=0.0, da=0.0)
-    assert outcome.kept_indices == [0, 1, 2, 3]
-    assert (outcome.dP, outcome.da) == (0.0, 0.0)
+    assert filter_surfaces([measure(s) for s in pools42[4].surfaces], k=4,
+                           dP=0.0, da=0.0) == ([0, 1, 2, 3], 0.0, 0.0)
 
 
 def test_filter_outcome_metrics_cover_whole_pool(pools42):
     surfaces = pools42[3].surfaces
-    outcome = filter_surfaces([measure(s) for s in surfaces], k=4)
-    assert len(outcome.metrics) == len(surfaces)
-    assert outcome.kept_indices == sorted(outcome.kept_indices)
-    assert all(0 <= i < len(surfaces) for i in outcome.kept_indices)
+    kept, _, _ = filter_surfaces([measure(s) for s in surfaces], k=4)
+    assert len(kept) == 4
+    assert kept == sorted(set(kept))
+    assert all(0 <= i < len(surfaces) for i in kept)

@@ -44,16 +44,16 @@ from chainshell import fem, lapack, spline
 def digest():
     h = hashlib.sha256()
     section = fem.BeamSection(1e-3, 2e-6, 3e-6, 4e-6)
-    material = fem.Material(2e9, 8e8)
+    moduli = (2e9, 8e8)  # elastic and shear, Pa
     xs = np.linspace(0.0, 1.5, 7)
     nodes = np.column_stack([xs, 0.3 * xs ** 2, np.zeros(7)])
     ends = np.column_stack([np.arange(6), np.arange(1, 7)])
-    fixed = fem.FrameModel(nodes, ends, section, {0: fem.SupportKind.FIXED}, material)
+    fixed = fem.FrameModel(nodes, ends, section, {0: fem.SupportKind.FIXED}, *moduli)
     h.update(fem.solve(fixed, {6: (10.0, 100.0, -200.0)}).displacements.tobytes())
     straight = np.column_stack([xs, np.zeros(7), np.zeros(7)])
     pinned = fem.FrameModel(straight, ends, section,
                             {0: fem.SupportKind.PINNED, 6: fem.SupportKind.PINNED},
-                            material)
+                            *moduli)
     try:
         fem.solve(pinned, {3: (0.0, 0.0, -100.0)})
     except fem.MechanismError as err:

@@ -441,8 +441,8 @@ def test_design_solve_follows_the_structure_moduli():
     base = SPEC
     soft = replace(base, elastic_modulus=base.elastic_modulus / 2,
                    shear_modulus=base.shear_modulus / 2)
-    stiff = _design_solve(design, surface, design.columns, GRID, base).max_displacement_mm
-    halved = _design_solve(design, surface, design.columns, GRID, soft).max_displacement_mm
+    stiff = _design_solve(design, surface, design.columns, GRID, base).max_translation_mm
+    halved = _design_solve(design, surface, design.columns, GRID, soft).max_translation_mm
     assert halved / stiff == pytest.approx(2.0, rel=1e-9)
 
 
@@ -520,8 +520,8 @@ def test_full_study_outcome(optimize_result):
     assert all(not c.slope_report.passed for c in result.report.rejected)
     assert result.reduced_columns.load_bearing == winner.columns.load_bearing
     assert len(result.reduced_columns.formwork) <= 12
-    assert result.winner_analysis.limit_mm == 8.0
-    assert result.winner_analysis.passed
+    # within the default span's span/250 limit
+    assert result.winner_analysis.max_translation_mm <= 8.0
 
 
 def test_a_study_with_every_candidate_rejected_has_no_winner():

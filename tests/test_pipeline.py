@@ -26,6 +26,7 @@ from chainshell.pipeline import (
     STAGES,
     RunDir,
     _group_grids,
+    filter_pool,
     node_displacement_rows,
     read_manifest_hash,
     run_pipeline,
@@ -122,12 +123,23 @@ def _outputs_digest(run_dir: Path) -> str:
                                   if rel != "config.ini").encode()).hexdigest()
 
 
-# the benchmark's other workloads, checked the way bench/harness.py checks
-# them against the digests stored in bench/references.json
-@pytest.mark.parametrize("name, digest", [("fem-fine", read_manifest_hash),
-                                          ("shelter", _outputs_digest)])
-def test_benchmark_workload_reproduces_its_reference_digest(tmp_path, name, digest):
+# how bench/harness.py reduces each workload's run to the digest it stores
+_WORKLOAD_DIGESTS = {"default": read_manifest_hash, "fem-fine": read_manifest_hash,
+                     "shelter": _outputs_digest}
+
+
+# the benchmark's workloads, checked the way bench/harness.py checks them
+# against the digests stored in bench/references.json: the other workloads
+# at their config's seed (None), and each at the first and last stored seed
+@pytest.mark.parametrize("name, digest, seed", [
+    pytest.param("fem-fine", read_manifest_hash, None, id="fem-fine-read_manifest_hash"),
+    pytest.param("shelter", _outputs_digest, None, id="shelter-_outputs_digest"),
+] + [pytest.param(name, digest, seed, id=f"{name}-seed{seed}")
+     for name, digest in _WORKLOAD_DIGESTS.items() for seed in (0, 31)])
+def test_benchmark_workload_reproduces_its_reference_digest(tmp_path, name, digest, seed):
     config = load_config(str(BENCH_DIR / "workloads" / f"{name}.ini"))
+    if seed is not None:
+        config = replace(config, seed=seed)
     references = json.loads((BENCH_DIR / "references.json").read_text(encoding="utf-8"))
     run_dir = run_pipeline(config, tmp_path / "run")
     assert digest(run_dir) == references[name][str(config.seed)]
@@ -280,7 +292,11 @@ def test_filter_stage_reuses_the_gen3d_metrics(tmp_path, monkeypatch):
     monkeypatch.setattr(TriangleMesh, "boundary_edges", refuse)
     carry = stage_filter(config, out, gen_carry)
     assert set(out.digests) - gen3d_outputs == {"filter/g1/selected.csv"}
-    assert carry[1].metrics == gen_carry[1]["metrics"]
+    # selected.csv lists the gen3d metrics, and the carry only the kept indices
+    selected = (tmp_path / "filter" / "g1" / "selected.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4:6] for row in selected] == [
+        [f"{m.perimeter_P:.9f}", f"{m.area_a:.9f}"] for m in gen_carry[1]["metrics"]]
+    assert carry == {1: filter_pool(config, gen_carry[1]["metrics"])[0]}
 
 
 def test_a_rerun_into_its_own_run_directory_is_allowed(tmp_path):

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chainshell.errors import EnvelopeError, GeometryError, ParameterError
-from chainshell.profile2d import default_envelope
+from chainshell.pipeline import pool_grids
 from chainshell.shell3d import (
     ControlGrid,
     TriangleMesh,
@@ -17,14 +18,11 @@ from chainshell.shell3d import (
     generate_iterations,
     group_parameters,
     interpolate_surface,
-    read_pgm,
     write_mesh,
     write_pgm,
 )
-from chainshell.units import Shape
-
 from helpers import (CONFIG, check_single_loop, flat_surface, grid_from_z, lattice_vertices,
-                     per_call_lattice_faces, read_mesh, search_boundary_edges,
+                     per_call_lattice_faces, read_mesh, read_pgm, search_boundary_edges,
                      unique_rows_boundary_edges)
 
 SPAN = CONFIG.gen3d.span_mm
@@ -72,9 +70,10 @@ def test_generate_iterations_streams_independent_of_pool_size():
 
 @pytest.mark.parametrize("iteration", [0, 3, 19])
 def test_control_grid_is_one_iteration_of_the_pool(iteration):
-    env = default_envelope(Shape.RECTANGULAR)
-    pool = generate_iterations(25.0, 6, n=20, seed=42, span=1500.0, envelope=env)
-    grid = control_grid(25.0, 6, 42, iteration, span=1500.0, envelope=env)
+    # the pipeline's pool, checked against the envelope, over a 1500 mm span
+    config = replace(CONFIG, gen3d=replace(CONFIG.gen3d, iterations=20, span_mm=1500.0))
+    pool = pool_grids(config, 25.0, 6, 42)
+    grid = control_grid(25.0, 6, 42, iteration, span=1500.0)
     expected = pool[iteration]
     assert grid.z_values.tobytes() == expected.z_values.tobytes()
     assert (grid.F, grid.amplitude_A, grid.span_L, grid.seed, grid.iteration) == (
@@ -104,9 +103,11 @@ def test_generate_iterations_zero_amplitude_is_flat():
 
 
 def test_generate_iterations_envelope_and_parameter_errors():
-    env = default_envelope(Shape.RECTANGULAR)
-    with pytest.raises(EnvelopeError):
-        generate_iterations(40.0, 3, n=1, seed=0, span=SPAN, envelope=env)
+    # the pipeline checks a pool's (A, f) against the envelope before it is drawn
+    with pytest.raises(EnvelopeError) as err:
+        pool_grids(CONFIG, 40.0, 3, 0)
+    assert str(err.value) == ("(A=40.0 mm, f=3) exceeds the feasibility envelope "
+                              "for rectangular (max 15 mm)")
     with pytest.raises(ParameterError):
         generate_iterations(25.0, 6, n=0, seed=0, span=SPAN)
     with pytest.raises(ParameterError):

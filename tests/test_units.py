@@ -9,7 +9,6 @@ from chainshell.errors import InfeasibleError, ParameterError
 from chainshell.units import (
     STANDARD_DIMENSIONS,
     Shape,
-    SheetSpec,
     UnitCell,
     calibrate_pitch,
     moment_of_inertia,
@@ -147,35 +146,35 @@ def test_unit_solid_volume_is_centreline_times_rod_section():
 
 def test_sheet_weight_hand_value():
     cell = UnitCell(Shape.RECTANGULAR, 11.0, 1.0)
-    spec = SheetSpec(cell, grid_rows=3, grid_cols=3, material_density=DENSITY)
     expected = 9 * 44.0 * math.pi * 0.25 * DENSITY * 1e-3
-    assert sheet_weight(spec) == pytest.approx(expected, rel=1e-12)
+    assert sheet_weight(cell, 3, 3, DENSITY) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sheet_weight_linear_in_count_and_density():
     cell = UnitCell(Shape.CIRCULAR, 11.0, 1.0)
-    base = sheet_weight(SheetSpec(cell, 2, 5, DENSITY))
-    assert sheet_weight(SheetSpec(cell, 4, 5, DENSITY)) == pytest.approx(2 * base, rel=1e-12)
-    assert sheet_weight(SheetSpec(cell, 2, 5, material_density=2 * DENSITY)) == pytest.approx(
-        2 * base, rel=1e-12)
-    assert sheet_weight(SheetSpec(cell, 0, 5, DENSITY)) == 0.0
+    base = sheet_weight(cell, 2, 5, DENSITY)
+    assert sheet_weight(cell, 4, 5, DENSITY) == pytest.approx(2 * base, rel=1e-12)
+    assert sheet_weight(cell, 2, 5, 2 * DENSITY) == pytest.approx(2 * base, rel=1e-12)
+    assert sheet_weight(cell, 0, 5, DENSITY) == 0.0
 
 
 def test_sheet_weight_tracks_centreline_length():
     # equal rod diameter and density, so grams order by loop length:
     # one 11 mm circumference < three 7.5 mm sides < four 11 mm sides
-    weights = {shape: sheet_weight(SheetSpec(
-        UnitCell(shape, *STANDARD_DIMENSIONS[shape.value]), 10, 10, DENSITY))
-        for shape in Shape}
+    weights = {shape: sheet_weight(UnitCell(shape, *STANDARD_DIMENSIONS[shape.value]),
+                                   10, 10, DENSITY)
+               for shape in Shape}
     assert weights[Shape.CIRCULAR] < weights[Shape.TRIANGULAR] < weights[Shape.RECTANGULAR]
 
 
 def test_sheet_spec_validation():
     cell = UnitCell(Shape.CIRCULAR, 11.0, 1.0)
     with pytest.raises(ParameterError):
-        SheetSpec(cell, -1, 3, DENSITY)
+        sheet_weight(cell, -1, 3, DENSITY)
     with pytest.raises(ParameterError):
-        SheetSpec(cell, 3, 3, material_density=0.0)
+        sheet_weight(cell, 3, -1, DENSITY)
+    with pytest.raises(ParameterError):
+        sheet_weight(cell, 3, 3, 0.0)
 
 
 def test_standard_cell_calibrates_when_pitch_omitted():
