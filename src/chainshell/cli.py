@@ -157,11 +157,12 @@ def _refuse_stale_pool(out_dir: Path, size: int) -> None:
 def cmd_gen3d(args, config: PipelineConfig) -> int:
     # an explicit --seed keys the pool directly; otherwise derive per stage
     seed = config.seed if args.seed is not None else derive_seed(config.seed, "gen3d")
-    grids = pipeline.pool_grids(config, args.amplitude, args.frequency, seed)
+    amplitude = args.amplitude + 0.0  # -0.0 writes the pool of 0.0
+    grids = pipeline.pool_grids(config, amplitude, args.frequency, seed)
     out_dir = Path(args.out or "runs/gen3d")
     _refuse_stale_pool(out_dir, len(grids))
     out = pipeline.RunDir.create(out_dir)
-    pipeline.write_pool(out, "", args.amplitude, args.frequency, seed, grids,
+    pipeline.write_pool(out, "", amplitude, args.frequency, seed, grids,
                         config.gen3d.resolution)
     print(f"wrote {len(grids)} iterations to {out.path}")
     return EXIT_OK

@@ -113,7 +113,7 @@ class PipelineConfig:
 
 
 _BLOCK_NAMES = ("unit", "sweep2d", "gen3d", "filter", "loads", "fem", "optimizer")
-_SHAPES = ("triangular", "circular", "rectangular")
+_SHAPES = tuple(shape.value for shape in Shape)
 
 
 def _require(ok: bool, key: str, message: str) -> None:
@@ -146,7 +146,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              "density must be positive")
     _require(config.sweep2d.span_mm > 0, "sweep2d.span_mm", "span must be positive")
     # sweep_2d needs an envelope entry for every frequency it sweeps
-    f_top = max(DEFAULT_ENVELOPE_TABLE[Shape.parse(config.sweep2d.shape)])
+    f_top = max(DEFAULT_ENVELOPE_TABLE[Shape(config.sweep2d.shape)])
     _require(FREQUENCY_MIN <= config.sweep2d.frequency_max <= f_top,
              "sweep2d.frequency_max",
              f"frequency_max must be in {FREQUENCY_MIN}..{f_top}, "

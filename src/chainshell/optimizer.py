@@ -31,7 +31,18 @@ from .spline import thin_plate_grid
 
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
 USABLE_AREA_RASTER = 100     # 100x100 plan raster
-COLUMN_GRID_POSITIONS_M = (0.25, 0.75, 1.25, 1.75)
+
+# Every design stands 16 columns on one 4x4 plan grid at 0.5 m spacing.
+# Column k of the grid order stands at (x_i, y_j) with k = 4 * i + j; the
+# four corner-most columns are permanent load-bearing supports, the twelve
+# others removable formwork.
+_GRID_AXIS_M = np.array([0.25, 0.75, 1.25, 1.75])
+COLUMN_POSITIONS_M = np.stack(np.meshgrid(_GRID_AXIS_M, _GRID_AXIS_M, indexing="ij"),
+                              axis=-1).reshape(-1, 2)
+LOAD_BEARING = np.isin(COLUMN_POSITIONS_M, _GRID_AXIS_M[[0, -1]]).all(axis=1)
+for _constant in (_GRID_AXIS_M, COLUMN_POSITIONS_M, LOAD_BEARING):
+    _constant.flags.writeable = False
+del _constant
 
 
 class AnchorKind(enum.Enum):
@@ -53,68 +64,19 @@ _ANCHOR_CORNERS = {
 }
 
 
-@dataclass(frozen=True)
-class AnchorConfig:
-    kind: AnchorKind
-    span_m: float
-
-    @property
-    def points(self) -> Tuple[Tuple[float, float], ...]:
-        """Ground-pin plan coordinates (m) on the base-square corners."""
-        return tuple((fx * self.span_m, fy * self.span_m)
-                     for i in _ANCHOR_CORNERS[self.kind]
-                     for fx, fy in (_CORNERS[i],))
+def _anchor_points(kind: AnchorKind, span_m: float) -> Tuple[Tuple[float, float], ...]:
+    """Ground-pin plan coordinates (m) on the base-square corners."""
+    return tuple((_CORNERS[i][0] * span_m, _CORNERS[i][1] * span_m)
+                 for i in _ANCHOR_CORNERS[kind])
 
 
-@dataclass(frozen=True)
-class Column:
-    position: Tuple[float, float]  # plan, m
-    height: float                  # m
-    section_area: float            # m2
-
-    @property
-    def volume(self) -> float:
-        return self.section_area * self.height
-
-
-@dataclass(frozen=True)
-class ColumnSet:
-    load_bearing: Tuple[Column, ...]
-    formwork: Tuple[Column, ...]
-
-    @property
-    def lc_volume(self) -> float:
-        return sum(c.volume for c in self.load_bearing)
-
-    @property
-    def fc_volume(self) -> float:
-        return sum(c.volume for c in self.formwork)
-
-    def all_columns(self) -> Tuple[Column, ...]:
-        return self.load_bearing + self.formwork
-
-
-def initial_columns(surface: ShellSurface, section_side: float) -> ColumnSet:
-    """16 columns on the 4x4 grid at 0.5 m spacing.
-
-    The four corner-most columns are permanent load-bearing supports; the
-    twelve others are removable formwork.  Column height equals the surface
-    height at its plan position (never below ground).
-    """
-    area = section_side * section_side
-    lb, fw = [], []
-    ends = (COLUMN_GRID_POSITIONS_M[0], COLUMN_GRID_POSITIONS_M[-1])
-    positions_mm = np.array(COLUMN_GRID_POSITIONS_M) * 1000.0
-    heights_mm = surface.evaluate(positions_mm, positions_mm)  # [i, j] = (x_i, y_j)
-    for i, x in enumerate(COLUMN_GRID_POSITIONS_M):
-        for j, y in enumerate(COLUMN_GRID_POSITIONS_M):
-            h = float(heights_mm[i, j]) / 1000.0
-            col = Column(position=(x, y), height=max(h, 0.0), section_area=area)
-            if x in ends and y in ends:
-                lb.append(col)
-            else:
-                fw.append(col)
-    return ColumnSet(load_bearing=tuple(lb), formwork=tuple(fw))
+def initial_columns(surface: ShellSurface) -> np.ndarray:
+    """(16,) column heights (m) in grid order: the surface height over each
+    column, never below ground."""
+    axis_mm = _GRID_AXIS_M * 1000.0
+    heights = (np.asarray(surface.evaluate(axis_mm, axis_mm)) / 1000.0).ravel()
+    # max(h, 0.0) elementwise: a NaN or a -0.0 height is kept as it is
+    return np.where(heights < 0.0, 0.0, heights)
 
 
 @dataclass(frozen=True)
@@ -179,52 +141,43 @@ def slope_grid(surface: ShellSurface, min_slope: float, rule: str) -> SlopeRepor
                        failing_points=tuple(pts))
 
 
-def usable_area(surface: ShellSurface, columns: Optional[ColumnSet], headroom: float,
+def usable_area(surface: ShellSurface, section_side: float, headroom: float,
                 raster: int = USABLE_AREA_RASTER) -> float:
     """UA = A_T - A_O on a plan raster of cell centres.
 
-    Obstructed cells have clear height below the headroom or sit inside a
-    column footprint.
+    Obstructed cells have clear height below the headroom or sit inside the
+    square footprint of a column of side `section_side`.
     """
     span_m = surface.span_mm / 1000.0
     cell = span_m / raster
     centres_m = (np.arange(raster) + 0.5) * cell
     z_m = np.asarray(surface.evaluate(centres_m * 1000.0, centres_m * 1000.0)) / 1000.0
-    obstructed = z_m < headroom
-    if columns is not None:
-        # candidates differ in column heights, not in where the columns stand
-        obstructed |= _footprints(span_m, raster, tuple(
-            (c.position, c.section_area) for c in columns.all_columns()))
+    obstructed = (z_m < headroom) | _footprints(span_m, raster, section_side)
     free = int((~obstructed).sum())
     return free * cell * cell
 
 
 @functools.lru_cache(maxsize=4)
-def _footprints(span_m: float, raster: int,
-                columns: Tuple[Tuple[Tuple[float, float], float], ...]) -> np.ndarray:
-    """Read-only mask of the raster cells inside any ((x, y), section area)
-    column footprint."""
+def _footprints(span_m: float, raster: int, section_side: float) -> np.ndarray:
+    """Read-only mask of the raster cells inside any column footprint."""
     centres_m = (np.arange(raster) + 0.5) * (span_m / raster)
-    mask = np.zeros((raster, raster), dtype=bool)
-    for (cx, cy), section_area in columns:
-        half = math.sqrt(section_area) / 2.0
-        # an axis-aligned footprint is the outer AND of its x and y spans
-        mask |= np.outer(np.abs(centres_m - cx) <= half,
-                         np.abs(centres_m - cy) <= half)
+    # taken from the section area side * side: its root can differ from side
+    # in the last bit, and that bit decides a cell centre on a footprint edge
+    half = math.sqrt(section_side * section_side) / 2.0
+    # a cell is covered along an axis when a grid line's footprint span holds
+    # its centre; the grid is a full product, so the mask is the outer AND
+    along = (np.abs(centres_m - _GRID_AXIS_M[:, None]) <= half).any(axis=0)
+    mask = np.outer(along, along)
     mask.flags.writeable = False
     return mask
 
 
-class Orientation(enum.Enum):
-    MINIMIZE_BEST = "minimize"
-    MAXIMIZE_BEST = "maximize"
+def grade(values: Sequence[float]) -> List[float]:
+    """Affine 1-100 rescale within a cohort: lowest 100, highest 1.
 
-
-def grade(values: Sequence[float],
-          orientation: Orientation = Orientation.MINIMIZE_BEST) -> List[float]:
-    """Affine 1-100 rescale within a cohort: best 100, worst 1.
-
-    An all-equal cohort grades 100 across the board.
+    An all-equal cohort grades 100 across the board.  Grading the negated
+    values rewards the highest instead, bit for bit as the mirrored formula
+    would: IEEE negation is exact.
     """
     if len(values) == 0:
         raise ParameterError("cannot grade an empty cohort")
@@ -232,65 +185,55 @@ def grade(values: Sequence[float],
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
         return [100.0] * len(arr)
-    if orientation is Orientation.MINIMIZE_BEST:
-        t = (hi - arr) / (hi - lo)
-    else:
-        t = (arr - lo) / (hi - lo)
-    return list(1.0 + 99.0 * t)
+    return list(1.0 + 99.0 * ((hi - arr) / (hi - lo)))
 
 
 @dataclass(frozen=True, eq=False)
 class CandidateDesign:
-    """A scored design: its chainmail and usable areas here, its column
-    volumes and counts in `columns`, its drainage verdict in `slope_report`.
-    It keeps the control grid and sample resolution that define its
-    surface, not the surface: interpolate_surface rebuilds that surface bit
-    for bit where it is needed."""
+    """A scored design: its chainmail and usable areas, its (16,) column
+    heights in grid order and their load-bearing and formwork volumes, its
+    drainage verdict in `slope_report`.  It keeps the control grid that
+    defines its surface, not the surface: interpolate_surface rebuilds that
+    surface bit for bit where it is needed."""
 
     candidate_id: str
-    anchors: AnchorConfig
-    columns: ColumnSet
+    kind: AnchorKind
+    column_heights_m: np.ndarray
     control: ControlGrid
-    resolution: int
     cms_m2: float
     ua_m2: float
+    lc_m3: float
+    fc_m3: float
     slope_report: SlopeReport
     grades: Optional[Dict[str, float]] = None
     weighted_score: Optional[float] = None
 
 
-def evaluate_candidate(candidate_id: str, surface: ShellSurface,
-                       anchors: AnchorConfig, block: OptimizerBlock) -> CandidateDesign:
+def evaluate_candidate(candidate_id: str, surface: ShellSurface, kind: AnchorKind,
+                       block: OptimizerBlock) -> CandidateDesign:
     """Columns, drainage, CMS and UA of one surface under the [optimizer] block."""
-    columns = initial_columns(surface, block.column_section_side_m)
-    report = slope_grid(surface, block.min_slope, block.slope_rule)
-    return CandidateDesign(candidate_id=candidate_id, anchors=anchors,
-                           columns=columns, control=surface.control,
-                           resolution=surface.sample_resolution,
+    side = block.column_section_side_m
+    heights = initial_columns(surface)
+    volumes = side * side * heights
+    return CandidateDesign(candidate_id=candidate_id, kind=kind,
+                           column_heights_m=heights, control=surface.control,
                            cms_m2=surface.mesh.area(),
-                           ua_m2=usable_area(surface, columns, block.headroom_m),
-                           slope_report=report)
-
-
-@dataclass(frozen=True)
-class RankingReport:
-    """Survivors best first (a candidate's rank is its 1-based position),
-    then the drainage rejects in input order."""
-
-    ranked: Tuple[CandidateDesign, ...]
-    rejected: Tuple[CandidateDesign, ...]
-
-    @property
-    def winner(self) -> Optional[CandidateDesign]:
-        return self.ranked[0] if self.ranked else None
+                           ua_m2=usable_area(surface, side, block.headroom_m),
+                           lc_m3=sum(volumes[LOAD_BEARING].tolist()),
+                           fc_m3=sum(volumes[~LOAD_BEARING].tolist()),
+                           slope_report=slope_grid(surface, block.min_slope,
+                                                   block.slope_rule))
 
 
 def rank_designs(candidates: Sequence[CandidateDesign],
-                 weights: Tuple[float, float, float, float]) -> RankingReport:
+                 weights: Tuple[float, float, float, float]
+                 ) -> Tuple[Tuple[CandidateDesign, ...], Tuple[CandidateDesign, ...]]:
     """Drainage-gate, grade survivors per criterion, sort by weighted score.
 
-    Rejected candidates never enter any grading cohort.  Ties break on
-    lower CMS, then higher UA, then input order.
+    Returns the survivors best first (a candidate's rank is its 1-based
+    position) and the drainage rejects in input order.  Rejected candidates
+    never enter any grading cohort.  Ties break on lower CMS, then higher
+    UA, then input order.
     """
     if not candidates:
         raise ParameterError("no candidates to rank")
@@ -299,22 +242,12 @@ def rank_designs(candidates: Sequence[CandidateDesign],
     survivors = [c for c in candidates if c.slope_report.passed]
     rejected = tuple(c for c in candidates if not c.slope_report.passed)
     if not survivors:
-        return RankingReport(ranked=(), rejected=rejected)
+        return (), rejected
 
-    def column_scalar(volumes: List[float], counts: List[int]) -> List[float]:
-        # minimize by volume, by count only when every volume ties
-        if max(volumes) > min(volumes):
-            return volumes
-        return [float(c) for c in counts]
-
-    g_cms = grade([c.cms_m2 for c in survivors], Orientation.MINIMIZE_BEST)
-    g_ua = grade([c.ua_m2 for c in survivors], Orientation.MAXIMIZE_BEST)
-    g_lc = grade(column_scalar([c.columns.lc_volume for c in survivors],
-                               [len(c.columns.load_bearing) for c in survivors]),
-                 Orientation.MINIMIZE_BEST)
-    g_fc = grade(column_scalar([c.columns.fc_volume for c in survivors],
-                               [len(c.columns.formwork) for c in survivors]),
-                 Orientation.MINIMIZE_BEST)
+    g_cms = grade([c.cms_m2 for c in survivors])
+    g_ua = grade([-c.ua_m2 for c in survivors])
+    g_lc = grade([c.lc_m3 for c in survivors])
+    g_fc = grade([c.fc_m3 for c in survivors])
 
     w_cms, w_ua, w_lc, w_fc = weights
     scored = []
@@ -327,33 +260,38 @@ def rank_designs(candidates: Sequence[CandidateDesign],
     order = sorted(range(len(scored)),
                    key=lambda i: (-scored[i].weighted_score, scored[i].cms_m2,
                                   -scored[i].ua_m2, i))
-    return RankingReport(ranked=tuple(scored[i] for i in order), rejected=rejected)
+    return tuple(scored[i] for i in order), rejected
 
 
-def _support_nodes(grid: int, anchors: AnchorConfig,
-                   columns: ColumnSet) -> Dict[int, SupportKind]:
-    """Map anchors and column tops to nearest lattice nodes.
+def _kept_columns(kept: np.ndarray) -> List[int]:
+    """Indices of the kept columns: load-bearing, then formwork, each in grid
+    order."""
+    return (np.flatnonzero(kept & LOAD_BEARING).tolist()
+            + np.flatnonzero(kept & ~LOAD_BEARING).tolist())
+
+
+def _support_nodes(grid: int, kind: AnchorKind, span_m: float,
+                   kept: np.ndarray) -> Dict[int, SupportKind]:
+    """Map anchors and kept column tops to nearest lattice nodes.
 
     Anchors pin the shell edge; load-bearing columns (fixed base, pinned
     top) restrain translation; formwork columns (sliding base) restrain
     only the vertical direction.  Stronger kinds win collisions.
     """
-    span_m = anchors.span_m
     strength = {SupportKind.FIXED: 3, SupportKind.PINNED: 2,
                 SupportKind.SLIDING_BASE: 1}
     supports: Dict[int, SupportKind] = {}
 
-    def put(node: int, kind: SupportKind):
+    def put(node: int, support: SupportKind):
         have = supports.get(node)
-        if have is None or strength[kind] > strength[have]:
-            supports[node] = kind
+        if have is None or strength[support] > strength[have]:
+            supports[node] = support
 
-    for (x, y) in anchors.points:
+    for (x, y) in _anchor_points(kind, span_m):
         put(_lattice_node(span_m, grid, x, y), SupportKind.PINNED)
-    for col in columns.load_bearing:
-        put(_lattice_node(span_m, grid, *col.position), SupportKind.PINNED)
-    for col in columns.formwork:
-        put(_lattice_node(span_m, grid, *col.position), SupportKind.SLIDING_BASE)
+    for k in _kept_columns(kept):
+        put(_column_node(span_m, grid, k),
+            SupportKind.PINNED if LOAD_BEARING[k] else SupportKind.SLIDING_BASE)
     return supports
 
 
@@ -365,33 +303,38 @@ def _lattice_node(span_m: float, grid: int, x: float, y: float) -> int:
     return i * (grid + 1) + j
 
 
-def _design_solve(design: CandidateDesign, surface: ShellSurface, columns: ColumnSet,
+def _column_node(span_m: float, grid: int, k: int) -> int:
+    """Lattice node under column k."""
+    return _lattice_node(span_m, grid, *COLUMN_POSITIONS_M[k].tolist())
+
+
+def _design_solve(design: CandidateDesign, surface: ShellSurface, kept: np.ndarray,
                   grid: int, structure: StructureSpec) -> fem.SolveResult:
-    """Frame solve of the design's surface on its anchors and the given columns."""
-    supports = _support_nodes(grid, design.anchors, columns)
+    """Frame solve of the design's surface on its anchors and its kept columns."""
+    supports = _support_nodes(grid, design.kind, surface.span_mm / 1000.0, kept)
     case = combine(structure, design.cms_m2)
     return fem.analyze_shell(surface, case, structure, supports, grid)
 
 
 def formwork_reactions(design: CandidateDesign, surface: ShellSurface, grid: int,
-                       structure: StructureSpec) -> Dict[Column, float]:
+                       structure: StructureSpec) -> Dict[int, float]:
     """Vertical FEM reaction magnitude (kN) carried by each formwork column
-    of `design`, whose surface is `surface`."""
-    reactions = _design_solve(design, surface, design.columns, grid,
+    of `design`, whose surface is `surface`, keyed by column index."""
+    reactions = _design_solve(design, surface, np.ones_like(LOAD_BEARING), grid,
                               structure).reactions
-    span_m = design.anchors.span_m
+    span_m = surface.span_mm / 1000.0
     # every formwork column is a support node, so each has a reaction
-    return {col: abs(float(reactions[_lattice_node(span_m, grid, *col.position)][2]))
-            for col in design.columns.formwork}
+    return {k: abs(float(reactions[_column_node(span_m, grid, k)][2]))
+            for k in np.flatnonzero(~LOAD_BEARING).tolist()}
 
 
-def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
+def _fit_supported_surface(kind: AnchorKind, heights: np.ndarray, kept: np.ndarray,
                            span_m: float, resolution: int = 33):
-    """Thin-plate fit through anchor pins and column tops; (P, a) of the fit."""
-    pts = [(x, y, 0.0) for (x, y) in anchors.points]
-    pts += [(c.position[0], c.position[1], c.height) for c in columns]
-    xy = np.array([(p[0], p[1]) for p in pts])
-    z = np.array([p[2] for p in pts])
+    """Thin-plate fit through anchor pins and kept column tops; (P, a) of the fit."""
+    anchors = _anchor_points(kind, span_m)
+    columns = _kept_columns(kept)
+    xy = np.concatenate([np.array(anchors), COLUMN_POSITIONS_M[columns]])
+    z = np.concatenate([np.zeros(len(anchors)), heights[columns]])
     coords = np.linspace(0.0, span_m, resolution)
     Z = thin_plate_grid(xy, z, coords)
     # mesh the fit directly for perimeter/area comparison
@@ -400,43 +343,42 @@ def _fit_supported_surface(anchors: AnchorConfig, columns: Sequence[Column],
 
 
 def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: float,
-                    grid: int, structure: StructureSpec) -> ColumnSet:
-    """Remove formwork columns while the supported shape holds its metrics.
+                    grid: int, structure: StructureSpec) -> np.ndarray:
+    """Remove formwork columns while the supported shape holds its metrics;
+    returns the (16,) mask of the kept columns.
 
-    Candidates are tried in ascending order of FEM vertical reaction; a
-    removal sticks iff the thin-plate fit through the anchors and the
-    remaining column tops stays within dP = tolerance * P_ref and
-    da = tolerance * a_ref of the full 16-column reference fit (P_ref,
-    a_ref).  Load-bearing columns are never touched.  `surface` is the
-    design's surface, which the reaction solve needs.
+    Candidates are tried in ascending order of FEM vertical reaction, ties
+    in grid order; a removal sticks iff the thin-plate fit through the
+    anchors and the remaining column tops stays within dP = tolerance *
+    P_ref and da = tolerance * a_ref of the full 16-column reference fit
+    (P_ref, a_ref).  Load-bearing columns are never touched.  `surface` is
+    the design's surface, which the reaction solve needs.
     """
     if tolerance < 0:
         raise ParameterError("tolerance must be non-negative")
-    span_m = design.anchors.span_m
-    all_fw = list(design.columns.formwork)
-    p_ref, a_ref = _fit_supported_surface(
-        design.anchors, list(design.columns.load_bearing) + all_fw, span_m)
+    span_m = surface.span_mm / 1000.0
+    heights = design.column_heights_m
+    kept = np.ones_like(LOAD_BEARING)
+    p_ref, a_ref = _fit_supported_surface(design.kind, heights, kept, span_m)
     dP, da = tolerance * p_ref, tolerance * a_ref
 
     reactions = formwork_reactions(design, surface, grid, structure)
-    order = sorted(all_fw, key=lambda c: (reactions[c], c.position))
+    order = sorted(reactions, key=lambda k: (reactions[k], k))
 
-    remaining = list(all_fw)
     removed_any = True
     while removed_any:
         removed_any = False
-        for col in list(order):
-            if col not in remaining:
+        for k in order:
+            if not kept[k]:
                 continue
-            trial = [c for c in remaining if c is not col]
-            p, a = _fit_supported_surface(
-                design.anchors, list(design.columns.load_bearing) + trial, span_m)
+            trial = kept.copy()
+            trial[k] = False
+            p, a = _fit_supported_surface(design.kind, heights, trial, span_m)
             if abs(p - p_ref) <= dP and abs(a - a_ref) <= da:
-                remaining = trial
+                kept = trial
                 removed_any = True
         # one full sweep with no acceptable removal terminates the loop
-    return ColumnSet(load_bearing=design.columns.load_bearing,
-                     formwork=tuple(remaining))
+    return kept
 
 
 def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
@@ -465,12 +407,15 @@ def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """The ranking, and for its winner (report.winner, None when every
-    candidate is rejected) the surface, reduced columns and frame solve."""
+    """The ranking (survivors best first, then the drainage rejects) and,
+    for its winner (ranked[0]; none when every candidate is rejected), the
+    surface, the (16,) mask of the columns kept by formwork reduction and
+    the frame solve on them."""
 
-    report: RankingReport
+    ranked: Tuple[CandidateDesign, ...]
+    rejected: Tuple[CandidateDesign, ...]
     winner_surface: Optional[ShellSurface]  # the one surface the study keeps
-    reduced_columns: Optional[ColumnSet]
+    kept_columns: Optional[np.ndarray]
     winner_analysis: Optional[fem.SolveResult]
 
 
@@ -484,27 +429,26 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     Results are deterministic for a given (config, structure, seed).
     """
     block = config.optimizer
-    span_m = config.gen3d.span_mm / 1000.0
+    resolution = config.gen3d.resolution
     grid = config.fem.lattice_grid
 
     def build(ai: int, kind: AnchorKind, it: int) -> CandidateDesign:
         control = shelter_control_grid(config, seed, kind, ai, it)
-        surface = interpolate_surface(control, config.gen3d.resolution)
-        return evaluate_candidate(f"{kind.value}-{it:02d}", surface,
-                                  AnchorConfig(kind=kind, span_m=span_m), block)
+        return evaluate_candidate(f"{kind.value}-{it:02d}",
+                                  interpolate_surface(control, resolution), kind, block)
 
     candidates = [build(ai, kind, it)
                   for ai, kind in enumerate(AnchorKind)
                   for it in range(block.iterations_per_anchor)]
-    report = rank_designs(candidates, block.weights)
-    winner = report.winner
-    if winner is None:
-        return OptimizeResult(report=report, winner_surface=None,
-                              reduced_columns=None, winner_analysis=None)
+    ranked, rejected = rank_designs(candidates, block.weights)
+    if not ranked:
+        return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=None,
+                              kept_columns=None, winner_analysis=None)
 
-    surface = interpolate_surface(winner.control, winner.resolution)
-    reduced = reduce_formwork(winner, surface, block.reduction_tolerance, grid,
-                              structure)
-    analysis = _design_solve(winner, surface, reduced, grid, structure)
-    return OptimizeResult(report=report, winner_surface=surface,
-                          reduced_columns=reduced, winner_analysis=analysis)
+    winner = ranked[0]
+    surface = interpolate_surface(winner.control, resolution)
+    kept = reduce_formwork(winner, surface, block.reduction_tolerance, grid,
+                           structure)
+    analysis = _design_solve(winner, surface, kept, grid, structure)
+    return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=surface,
+                          kept_columns=kept, winner_analysis=analysis)

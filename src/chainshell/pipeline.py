@@ -25,7 +25,7 @@ from . import filtering, loads, profile2d, shell3d, units
 from .config import PipelineConfig, config_hash, derive_seed, dump_config, validate
 from .errors import ParameterError, StageError
 from .fem import analyze_shell, default_supports
-from .optimizer import optimize
+from .optimizer import COLUMN_POSITIONS_M, LOAD_BEARING, optimize
 
 STAGES = ("units", "sweep2d", "gen3d", "filter", "analyze", "optimize")
 GROUP_SHAPE = units.Shape.RECTANGULAR  # printed group parameters are rectangular
@@ -89,7 +89,7 @@ def stage_units(config: PipelineConfig, out: RunDir) -> None:
 
 
 def stage_sweep2d(config: PipelineConfig, out: RunDir) -> None:
-    shape = units.Shape.parse(config.sweep2d.shape)
+    shape = units.Shape(config.sweep2d.shape)
     cells = profile2d.sweep_2d(profile2d.DEFAULT_ENVELOPE_TABLE[shape],
                                f_max=config.sweep2d.frequency_max,
                                span_mm=config.sweep2d.span_mm)
@@ -251,22 +251,23 @@ def stage_analyze(config: PipelineConfig, out: RunDir, gen_carry: Dict,
     write_output(out, "analyze/displacements.csv", "\n".join(rows) + "\n")
 
 
-def _ranking_rows(report) -> List[str]:
+def _ranking_rows(ranked, rejected) -> List[str]:
     """Ranked candidates by rank, then the rejected ones with rank and
     grades left blank."""
     rows = ["candidate,anchor_kind,rank,CMS_m2,UA_m2,LC_volume_m3,LC_count,"
             "FC_volume_m3,FC_count,min_slope,drainage_pass,grade_CMS,grade_UA,"
             "grade_LC,grade_FC,weighted_score"]
-    for rank, c in enumerate(report.ranked + report.rejected, start=1):
+    lc_count = str(int(LOAD_BEARING.sum()))
+    fc_count = str(int((~LOAD_BEARING).sum()))
+    for rank, c in enumerate(ranked + rejected, start=1):
         graded = c.grades is not None
-        columns, slopes = c.columns, c.slope_report
+        slopes = c.slope_report
         scores = ([_fmt(c.grades[k], 6) for k in ("CMS", "UA", "LC", "FC")]
                   + [_fmt(c.weighted_score, 6)]) if graded else [""] * 5
         rows.append(",".join([
-            c.candidate_id, c.anchors.kind.value, str(rank) if graded else "",
+            c.candidate_id, c.kind.value, str(rank) if graded else "",
             _fmt(c.cms_m2, 6), _fmt(c.ua_m2, 6),
-            _fmt(columns.lc_volume, 9), str(len(columns.load_bearing)),
-            _fmt(columns.fc_volume, 9), str(len(columns.formwork)),
+            _fmt(c.lc_m3, 9), lc_count, _fmt(c.fc_m3, 9), fc_count,
             _fmt(slopes.min_slope_S, 6), "1" if slopes.passed else "0"] + scores))
     return rows
 
@@ -292,18 +293,17 @@ def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> s
 def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
     result = optimize(config, structure_spec(config),
                       derive_seed(config.seed, "optimize"))
-    report = result.report
 
-    rows = _ranking_rows(report)
+    rows = _ranking_rows(result.ranked, result.rejected)
     write_output(out, "optimize/ranking.csv", "\n".join(rows) + "\n")
 
     marker_rows = ["candidate,x_m,y_m"]
-    for c in report.ranked + report.rejected:
+    for c in result.ranked + result.rejected:
         for (x, y) in c.slope_report.failing_points:
             marker_rows.append(f"{c.candidate_id},{_fmt(x, 4)},{_fmt(y, 4)}")
     write_output(out, "optimize/slope_failures.csv", "\n".join(marker_rows) + "\n")
 
-    if report.winner is not None:
+    if result.ranked:
         write_output(out, "optimize/winner.mesh",
                      _rendered(shell3d.write_mesh, result.winner_surface.mesh, ""))
 
@@ -319,13 +319,16 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
                      + node_displacement_rows(solved.displacements, coords)
                      + footer)
 
+        side = config.optimizer.column_section_side_m
+        heights = result.ranked[0].column_heights_m
+        volumes = (side * side * heights).tolist()
         crows = ["role,x_m,y_m,height_m,volume_m3,kept"]
-        columns, kept = report.winner.columns, set(result.reduced_columns.all_columns())
-        for role, col in ([("load-bearing", c) for c in columns.load_bearing]
-                          + [("formwork", c) for c in columns.formwork]):
-            crows.append(f"{role},{_fmt(col.position[0], 4)},"
-                         f"{_fmt(col.position[1], 4)},{_fmt(col.height, 6)},"
-                         f"{_fmt(col.volume, 9)},{'1' if col in kept else '0'}")
+        for role, mask in (("load-bearing", LOAD_BEARING), ("formwork", ~LOAD_BEARING)):
+            for k in np.flatnonzero(mask).tolist():
+                x, y = COLUMN_POSITIONS_M[k].tolist()
+                crows.append(f"{role},{_fmt(x, 4)},{_fmt(y, 4)},"
+                             f"{_fmt(heights[k], 6)},{_fmt(volumes[k], 9)},"
+                             f"{'1' if result.kept_columns[k] else '0'}")
         write_output(out, "optimize/columns.csv", "\n".join(crows) + "\n")
 
 

@@ -78,6 +78,7 @@ def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
     """
     if amplitude < 0:
         raise ParameterError("amplitude must be non-negative")
+    amplitude += 0.0  # -0.0 becomes 0.0: the offsets are drawn from [0, 0]
     # f^2 control points total ("3x3 for F=3"), so f points per axis
     m = frequency
     if m < 2:

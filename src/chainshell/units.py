@@ -29,16 +29,6 @@ class Shape(Enum):
     CIRCULAR = "circular"
     RECTANGULAR = "rectangular"
 
-    @classmethod
-    def parse(cls, name: str) -> "Shape":
-        key = name.strip().lower()
-        aliases = {"tri": "triangular", "circ": "circular", "rect": "rectangular"}
-        key = aliases.get(key, key)
-        for shape in cls:
-            if shape.value == key:
-                return shape
-        raise ParameterError(f"unknown unit shape: {name!r}")
-
 
 @dataclass(frozen=True)
 class UnitCell:

@@ -18,8 +18,8 @@ from chainshell.errors import GeometryError, ParameterError
 from chainshell.fem import (BeamSection, FrameModel, SupportKind, analyze_shell,
                             assemble_stiffness, default_supports, frame_from_surface)
 from chainshell.filtering import measure
-from chainshell.optimizer import (COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind,
-                                  CandidateDesign, Column, ColumnSet, SlopeReport)
+from chainshell.optimizer import (COLUMN_POSITIONS_M, AnchorKind, CandidateDesign,
+                                  SlopeReport)
 from chainshell.pipeline import filter_pool, structure_spec
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
                                group_parameters, interpolate_surface)
@@ -194,26 +194,16 @@ def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:
     return loads
 
 
-def synthetic_candidate(cid: str, cms: float, ua: float, lc_vol: float = 0.012,
-                        fc_vol: float = 0.036, lc_count: int = 4,
-                        fc_count: int = 12, drainage: bool = True) -> CandidateDesign:
-    """Hand-built design for exercising the ranking rules in isolation.
-
-    Each column group is one column holding the whole volume plus empty
-    ones up to the count, so its volume sums to exactly `lc_vol` or `fc_vol`.
-    """
-    def columns(volume: float, count: int) -> tuple:
-        return ((Column((0.0, 0.0), height=1.0, section_area=volume),)
-                + (Column((0.0, 0.0), height=0.0, section_area=0.0),) * (count - 1))
-
+def synthetic_candidate(cid: str, cms: float, ua: float, lc_m3: float = 0.012,
+                        fc_m3: float = 0.036, drainage: bool = True) -> CandidateDesign:
+    """Hand-built design for exercising the ranking rules in isolation."""
     report = SlopeReport(slopes=np.full((10, 10), 0.05), passed=drainage,
                          failing_points=())
-    return CandidateDesign(candidate_id=cid,
-                           anchors=AnchorConfig(AnchorKind.FOUR, span_m=2.0),
-                           columns=ColumnSet(columns(lc_vol, lc_count),
-                                             columns(fc_vol, fc_count)),
+    return CandidateDesign(candidate_id=cid, kind=AnchorKind.FOUR,
+                           column_heights_m=np.ones(16),
                            control=grid_from_z(np.full((5, 5), 1600.0)),
-                           resolution=17, cms_m2=cms, ua_m2=ua, slope_report=report)
+                           cms_m2=cms, ua_m2=ua, lc_m3=lc_m3, fc_m3=fc_m3,
+                           slope_report=report)
 
 
 def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
@@ -368,7 +358,7 @@ def line_by_line_write_mesh(vertices: np.ndarray, faces: np.ndarray,
         stream.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
-def meshgrid_usable_area(surface: ShellSurface, columns: ColumnSet, headroom: float,
+def meshgrid_usable_area(surface: ShellSurface, section_side: float, headroom: float,
                          raster: int) -> float:
     """Reference usable area: each column footprint compared on a full meshgrid."""
     span_m = surface.span_mm / 1000.0
@@ -376,19 +366,18 @@ def meshgrid_usable_area(surface: ShellSurface, columns: ColumnSet, headroom: fl
     centres_m = (np.arange(raster) + 0.5) * cell
     z_m = np.asarray(surface.evaluate(centres_m * 1000.0, centres_m * 1000.0)) / 1000.0
     obstructed = z_m < headroom
-    if columns is not None:
-        X, Y = np.meshgrid(centres_m, centres_m, indexing="ij")
-        for col in columns.all_columns():
-            half = math.sqrt(col.section_area) / 2.0
-            cx, cy = col.position
-            obstructed |= (np.abs(X - cx) <= half) & (np.abs(Y - cy) <= half)
+    X, Y = np.meshgrid(centres_m, centres_m, indexing="ij")
+    half = math.sqrt(section_side * section_side) / 2.0
+    for cx, cy in COLUMN_POSITIONS_M.tolist():
+        obstructed |= (np.abs(X - cx) <= half) & (np.abs(Y - cy) <= half)
     return int((~obstructed).sum()) * cell * cell
 
 
-def per_point_column_heights(surface: ShellSurface) -> dict:
-    """Reference column heights (m): one spline evaluation per grid position."""
-    return {(x, y): max(float(surface.evaluate(x * 1000.0, y * 1000.0)[0, 0]) / 1000.0, 0.0)
-            for x in COLUMN_GRID_POSITIONS_M for y in COLUMN_GRID_POSITIONS_M}
+def per_point_column_heights(surface: ShellSurface) -> list:
+    """Reference column heights (m) in grid order: one spline evaluation per
+    column."""
+    return [max(float(surface.evaluate(x * 1000.0, y * 1000.0)[0, 0]) / 1000.0, 0.0)
+            for x, y in COLUMN_POSITIONS_M.tolist()]
 
 
 def per_node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> str:

@@ -221,23 +221,22 @@ def test_a08_ranking_csv_determinism(tmp_path):
 
 
 def test_a09_ranking_correctness(optimize_result):
-    pool = [synthetic_candidate("top", 4.0, 3.9, lc_vol=0.010, fc_vol=0.030),
+    pool = [synthetic_candidate("top", 4.0, 3.9, lc_m3=0.010, fc_m3=0.030),
             synthetic_candidate("mid", 4.5, 3.0),
-            synthetic_candidate("low", 5.0, 2.2, lc_vol=0.014, fc_vol=0.040),
+            synthetic_candidate("low", 5.0, 2.2, lc_m3=0.014, fc_m3=0.040),
             synthetic_candidate("swamp", 0.1, 4.0, drainage=False)]
     weights = OptimizerBlock().weights
-    report = rank_designs(pool, weights)
-    gate_ok = ([c.candidate_id for c in report.rejected] == ["swamp"]
-               and all(c.slope_report.passed for c in report.ranked))
+    ranked, rejected = rank_designs(pool, weights)
+    gate_ok = ([c.candidate_id for c in rejected] == ["swamp"]
+               and all(c.slope_report.passed for c in ranked))
 
     rescaled = [synthetic_candidate(c.candidate_id, 2.5 * c.cms_m2 + 3.0, c.ua_m2,
-                                    lc_vol=c.columns.lc_volume,
-                                    fc_vol=c.columns.fc_volume,
+                                    lc_m3=c.lc_m3, fc_m3=c.fc_m3,
                                     drainage=c.slope_report.passed)
                 for c in pool]
     affine_ok = True
-    for before, after in zip(rank_designs(pool, weights).ranked,
-                             rank_designs(rescaled, weights).ranked):
+    for before, after in zip(rank_designs(pool, weights)[0],
+                             rank_designs(rescaled, weights)[0]):
         if before.candidate_id != after.candidate_id:
             affine_ok = False
             continue
@@ -245,10 +244,9 @@ def test_a09_ranking_correctness(optimize_result):
             if abs(before.grades[key] - after.grades[key]) > 1e-9:
                 affine_ok = False
 
-    dominant_ok = report.winner.candidate_id == "top" \
-        and report.winner.weighted_score == 100.0
+    dominant_ok = ranked[0].candidate_id == "top" and ranked[0].weighted_score == 100.0
 
-    gated_live = all(c.slope_report.passed for c in optimize_result.report.ranked)
+    gated_live = all(c.slope_report.passed for c in optimize_result.ranked)
     disp = optimize_result.winner_analysis.max_translation_mm
     limit = deflection_limit(CONFIG.gen3d.span_mm / 1000.0)
     bound_ok = disp <= limit

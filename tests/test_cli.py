@@ -194,6 +194,30 @@ def test_cli_chain_reproduces_the_pipeline_pool(capsys, tmp_path):
     _same_pool(pool, run / "gen3d" / "g4", 2)
 
 
+def test_a_negative_zero_amplitude_is_zero(capsys, tmp_path):
+    # -0.0 passes every "amplitude < 0" check; gen3d must write the pool of
+    # --amplitude 0, not die drawing offsets from an empty range
+    pools = {text: tmp_path / f"pool{text}" for text in ("0", "-0.0")}
+    for text, pool in pools.items():
+        assert main(["gen3d", "--amplitude", text, "--frequency", "3", "--seed", "5",
+                     "--iterations", "3", "--out", str(pool)]) == EXIT_OK
+    _same_pool(pools["-0.0"], pools["0"], 3)
+
+    # a selected.csv naming amplitude -0.0 solves the same flat grid
+    assert main(["filter", "--in", str(pools["0"])]) == EXIT_OK
+    header, *rows = (pools["0"] / "selected.csv").read_text().splitlines()
+    assert header.split(",")[1] == "amplitude_mm"
+    signed = tmp_path / "signed.csv"
+    signed.write_text("\n".join([header] + [",".join([iteration, "-0.0", *rest])
+                                            for iteration, _, *rest in
+                                            (row.split(",") for row in rows)]) + "\n")
+    assert main(["analyze", "--in", str(pools["0"]), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["analyze", "--in", str(signed), "--out", str(tmp_path / "b")]) == EXIT_OK
+    capsys.readouterr()
+    assert ((tmp_path / "a" / "displacements.csv").read_bytes()
+            == (tmp_path / "b" / "displacements.csv").read_bytes())
+
+
 def test_gen3d_and_filter_read_their_config_keys(capsys, tmp_path):
     cfg = tmp_path / "small.ini"
     cfg.write_text("[gen3d]\niterations = 3\n\n[filter]\nkeep = 2\n")

@@ -14,11 +14,9 @@ from chainshell.config import OptimizerBlock, PipelineConfig
 from chainshell.errors import ParameterError
 from chainshell.filtering import measure
 from chainshell.optimizer import (
-    AnchorConfig,
+    COLUMN_POSITIONS_M,
+    LOAD_BEARING,
     AnchorKind,
-    Column,
-    ColumnSet,
-    Orientation,
     evaluate_candidate,
     formwork_reactions,
     grade,
@@ -29,6 +27,7 @@ from chainshell.optimizer import (
     shelter_control_grid,
     slope_grid,
     usable_area,
+    _anchor_points,
     _design_solve,
     _fit_supported_surface,
 )
@@ -42,8 +41,11 @@ from helpers import (CONFIG, PROPERTY, SPEC, dome_surface, flat_surface, grid_fr
 # the [optimizer] defaults, read where the study reads them
 BLOCK = OptimizerBlock()
 SIDE, HEADROOM = BLOCK.column_section_side_m, BLOCK.headroom_m
-FOUR = AnchorConfig(AnchorKind.FOUR, span_m=2.0)
+FOUR = AnchorKind.FOUR
 GRID = CONFIG.fem.lattice_grid
+EVERY_COLUMN = np.ones(16, dtype=bool)
+# a 0.05 m square column covers 3x3 cells of the default 0.02 m raster
+FOOTPRINT_M2 = 9 * 0.02 ** 2
 
 
 def _incline_surface(rise_per_m: float, span_mm: float = CONFIG.gen3d.span_mm):
@@ -109,24 +111,26 @@ def test_slope_grid_matches_direct_neighbour_scan(pools42):
 
 
 def test_usable_area_on_flat_planes():
-    assert usable_area(flat_surface(height_mm=1600.0), None, HEADROOM) == pytest.approx(4.0)
-    assert usable_area(flat_surface(height_mm=1000.0), None, HEADROOM) == 0.0
+    # clear headroom everywhere but the column footprints, then nowhere
+    assert usable_area(flat_surface(height_mm=1600.0), SIDE, HEADROOM) == pytest.approx(
+        4.0 - 16 * FOOTPRINT_M2, rel=1e-9)
+    assert usable_area(flat_surface(height_mm=1000.0), SIDE, HEADROOM) == 0.0
 
 
 def test_columns_subtract_their_footprints():
     surface = flat_surface(height_mm=1600.0)
-    columns = initial_columns(surface, SIDE)
-    clear = usable_area(surface, None, HEADROOM)
-    with_cols = usable_area(surface, columns, HEADROOM)
-    assert with_cols < clear
-    # 16 columns, 0.05 m square, on a 0.02 m raster: 3x3 cells each
-    assert with_cols == pytest.approx(clear - 16 * 9 * 0.02 ** 2, rel=1e-9)
+    narrow = usable_area(surface, SIDE, HEADROOM)
+    # a 0.09 m section covers 5x5 cells of the 0.02 m raster
+    wide = usable_area(surface, 0.09, HEADROOM)
+    assert wide < narrow
+    assert wide == pytest.approx(4.0 - 16 * 25 * 0.02 ** 2, rel=1e-9)
 
 
 def test_usable_area_matches_dome_closed_form():
     surface = dome_surface(height_m=3.0, radius_m=0.95)
     expected = math.pi * 0.95 ** 2 * (1.0 - 1.5 / 3.0)
-    got = usable_area(surface, None, HEADROOM)
+    # the four inner columns stand inside the clear disc, the others outside
+    got = usable_area(surface, SIDE, HEADROOM) + 4 * FOOTPRINT_M2
     assert abs(got - expected) / expected < 0.02
 
 
@@ -135,81 +139,68 @@ def _with_optimizer(**changes) -> PipelineConfig:
     return replace(config, optimizer=replace(config.optimizer, **changes))
 
 
-def _random_shelter_surface(seed: int):
+def _random_shelter_surface(seed: int, span_mm: float = CONFIG.gen3d.span_mm):
     """A seeded shelter candidate surface with random settings, plus its rng."""
     rng = np.random.default_rng(seed)
     study_seed = int(rng.integers(2**31))
     config = _with_optimizer(control_F=int(rng.integers(2, 7)))
+    config = replace(config, gen3d=replace(config.gen3d, span_mm=span_mm))
     kind = list(AnchorKind)[int(rng.integers(len(AnchorKind)))]
     grid = shelter_control_grid(config, study_seed, kind, int(rng.integers(5)),
                                 int(rng.integers(100)))
     return interpolate_surface(grid, int(rng.integers(8, 65))), rng
 
 
+def _edge_case_footprint(rng):
+    """A raster on which the column grid lines pass through cell centres, and a
+    section whose footprint edges lie whole cells away from them, where the
+    <= comparison decides."""
+    raster = 8 * int(rng.integers(1, 16)) + 4
+    return raster, 2 * int(rng.integers(1, 4)) * (2.0 / raster)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_usable_area_matches_the_meshgrid_reference(seed):
     surface, rng = _random_shelter_surface(seed)
-    raster = int(rng.integers(10, 121))
-    cell = 2.0 / raster
-    # random footprints, some centred on a raster cell centre with an edge
-    # exactly one or more cells away, where the <= comparison decides
-    columns = [Column(position=(float(x), float(y)), height=1.0,
-                      section_area=float(side) ** 2)
-               for x, y, side in rng.uniform(0.0, 2.0, (12, 3)) * [1.0, 1.0, 0.2]]
-    for k in rng.integers(0, raster, 4):
-        centre = (k + 0.5) * cell
-        columns.append(Column(position=(centre, centre), height=1.0,
-                              section_area=(2 * int(rng.integers(1, 4)) * cell) ** 2))
-    column_set = ColumnSet(load_bearing=tuple(columns[:4]), formwork=tuple(columns[4:]))
+    if seed % 2:
+        raster, side = int(rng.integers(10, 121)), float(rng.uniform(0.0, 0.4))
+    else:
+        raster, side = _edge_case_footprint(rng)
     headroom = float(rng.uniform(0.0, 3.0))
-    assert (usable_area(surface, column_set, headroom, raster)
-            == meshgrid_usable_area(surface, column_set, headroom, raster))
-    assert usable_area(surface, None, headroom, raster) == meshgrid_usable_area(
-        surface, None, headroom, raster)
-
-
-def _random_layout(rng, raster: int) -> ColumnSet:
-    """16 columns at random plan points with random square sections, some on
-    a raster cell centre with an edge exactly whole cells away."""
-    cell = 2.0 / raster
-    xy = rng.uniform(0.0, 2.0, (16, 2))
-    xy[:4] = ((rng.integers(0, raster, (4, 2)) + 0.5) * cell)
-    sides = rng.uniform(0.0, 0.2, 16)
-    sides[:4] = 2 * rng.integers(1, 4, 4) * cell
-    columns = tuple(Column(position=(float(x), float(y)), height=1.0,
-                           section_area=float(side) ** 2)
-                    for (x, y), side in zip(xy, sides))
-    return ColumnSet(load_bearing=columns[:4], formwork=columns[4:])
+    assert (usable_area(surface, side, headroom, raster)
+            == meshgrid_usable_area(surface, side, headroom, raster))
 
 
 @PROPERTY
 @given(st.integers(0, 2**32 - 1))
 def test_usable_area_serves_each_column_layout_its_own_footprints(seed):
-    surface, rng = _random_shelter_surface(seed)
-    raster = int(rng.integers(10, 121))
+    # the footprint mask is cached per (span, raster, section side): keys
+    # differing in one entry, visited in turn and revisited past the cache's
+    # size, each get their own mask
+    rng = np.random.default_rng(seed)
+    surfaces = [_random_shelter_surface(int(rng.integers(2**31)), span_mm)[0]
+                for span_mm in (CONFIG.gen3d.span_mm, float(rng.uniform(1500.0, 3000.0)))]
+    edge_raster, edge_side = _edge_case_footprint(rng)
+    rasters = (edge_raster, int(rng.integers(10, 121)))
+    sides = (edge_side, float(rng.uniform(0.0, 0.4)))
     headroom = float(rng.uniform(0.0, 3.0))
-    first, second = (_random_layout(rng, raster) for _ in range(2))
-    # the same plan layout on taller columns shares the first one's mask
-    taller = ColumnSet(*(tuple(replace(c, height=2.5) for c in cols)
-                         for cols in (first.load_bearing, first.formwork)))
-    for columns in (first, second, initial_columns(surface, SIDE), taller, second, first):
-        assert (usable_area(surface, columns, headroom, raster)
-                == meshgrid_usable_area(surface, columns, headroom, raster))
+    for s, r, d in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                    (0, 1, 1), (0, 0, 0), (1, 0, 0)):
+        assert (usable_area(surfaces[s], sides[d], headroom, rasters[r])
+                == meshgrid_usable_area(surfaces[s], sides[d], headroom, rasters[r]))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_column_heights_match_one_spline_call_per_column(seed):
     surface, _ = _random_shelter_surface(seed)
-    columns = initial_columns(surface, SIDE)
-    heights = {c.position: c.height for c in columns.all_columns()}
-    assert heights == per_point_column_heights(surface)
+    assert initial_columns(surface).tolist() == per_point_column_heights(surface)
 
 
 def test_grade_examples_and_bounds():
     assert grade([2.0, 4.0]) == [100.0, 1.0]
     assert grade([1.0, 2.0, 3.0]) == [100.0, 50.5, 1.0]
     assert grade([5.0, 5.0, 5.0]) == [100.0, 100.0, 100.0]
-    assert grade([1.0, 2.0, 3.0], Orientation.MAXIMIZE_BEST) == [1.0, 50.5, 100.0]
+    assert grade([-1.0, -2.0, -3.0]) == [1.0, 50.5, 100.0]
     rng = np.random.default_rng(3)
     values = rng.uniform(10.0, 90.0, size=17)
     scores = grade(values)
@@ -226,6 +217,28 @@ def test_grade_is_affine_invariant():
         grade([])
 
 
+def _maximize_grades(values):
+    """Reference: the mirrored rescale, highest 100 and lowest 1."""
+    arr = np.asarray(values, dtype=float)
+    lo, hi = float(arr.min()), float(arr.max())
+    if hi == lo:
+        return [100.0] * len(arr)
+    t = (arr - lo) / (hi - lo)
+    return list(1.0 + 99.0 * t)
+
+
+# a few exact values, signed zeros among them, make ties and one-value cohorts common
+_COHORT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY
+@given(st.lists(_COHORT_VALUES, min_size=1, max_size=12))
+def test_grading_negated_values_maximizes_bit_for_bit(xs):
+    ours = np.array(grade([-x for x in xs]), dtype=float)
+    assert ours.tobytes() == np.array(_maximize_grades(xs), dtype=float).tobytes()
+
+
 _candidate = synthetic_candidate
 
 
@@ -234,34 +247,34 @@ def _rank(candidates):
 
 
 def test_single_survivor_takes_every_grade():
-    report = _rank([_candidate("only", 5.0, 3.0)])
-    winner = report.winner
-    assert report.ranked == (winner,)
+    ranked, rejected = _rank([_candidate("only", 5.0, 3.0)])
+    assert len(ranked) == 1 and rejected == ()
+    winner = ranked[0]
     assert winner.grades == {"CMS": 100.0, "UA": 100.0, "LC": 100.0, "FC": 100.0}
     assert winner.weighted_score == 100.0
 
 
 def test_dominating_candidate_scores_exactly_100():
-    pool = [_candidate("best", 4.0, 3.9, lc_vol=0.010, fc_vol=0.030),
-            _candidate("mid", 4.5, 3.0, lc_vol=0.012, fc_vol=0.036),
-            _candidate("worst", 5.0, 2.0, lc_vol=0.014, fc_vol=0.040)]
-    report = _rank(pool)
-    assert report.winner.candidate_id == "best"
-    assert report.winner.weighted_score == 100.0
-    scores = [c.weighted_score for c in report.ranked]
+    pool = [_candidate("best", 4.0, 3.9, lc_m3=0.010, fc_m3=0.030),
+            _candidate("mid", 4.5, 3.0, lc_m3=0.012, fc_m3=0.036),
+            _candidate("worst", 5.0, 2.0, lc_m3=0.014, fc_m3=0.040)]
+    ranked, _ = _rank(pool)
+    assert ranked[0].candidate_id == "best"
+    assert ranked[0].weighted_score == 100.0
+    scores = [c.weighted_score for c in ranked]
     assert scores == sorted(scores, reverse=True)
     assert all(1.0 <= s <= 100.0 for s in scores)
 
 
 def test_drainage_failures_never_join_a_cohort():
     pool = [_candidate("a", 4.0, 3.9), _candidate("b", 4.5, 3.0)]
-    baseline = _rank(pool)
+    baseline, _ = _rank(pool)
     # an extreme failing candidate must not shift anyone's grades
     spoiled = pool + [_candidate("swamp", 1000.0, 0.0, drainage=False)]
-    report = _rank(spoiled)
-    assert [c.candidate_id for c in report.rejected] == ["swamp"]
-    assert all(c.candidate_id != "swamp" for c in report.ranked)
-    for before, after in zip(baseline.ranked, report.ranked):
+    ranked, rejected = _rank(spoiled)
+    assert [c.candidate_id for c in rejected] == ["swamp"]
+    assert all(c.candidate_id != "swamp" for c in ranked)
+    for before, after in zip(baseline, ranked):
         assert before.candidate_id == after.candidate_id
         assert before.grades == after.grades
         assert before.weighted_score == after.weighted_score
@@ -269,40 +282,24 @@ def test_drainage_failures_never_join_a_cohort():
 
 def test_all_equal_cohort_keeps_input_order():
     pool = [_candidate(f"c{i}", 4.0, 3.0) for i in range(5)]
-    report = _rank(pool)
-    assert [c.candidate_id for c in report.ranked] == [f"c{i}" for i in range(5)]
-    assert all(c.weighted_score == 100.0 for c in report.ranked)
+    ranked, _ = _rank(pool)
+    assert [c.candidate_id for c in ranked] == [f"c{i}" for i in range(5)]
+    assert all(c.weighted_score == 100.0 for c in ranked)
 
 
 def test_all_rejected_pool_reports_no_winner():
     pool = [_candidate("x", 4.0, 3.0, drainage=False),
             _candidate("y", 5.0, 2.0, drainage=False)]
-    report = _rank(pool)
-    assert report.ranked == ()
-    assert report.winner is None
-    assert len(report.rejected) == 2
-
-
-def test_column_grading_falls_back_to_counts_on_volume_ties():
-    pool = [_candidate("few", 4.0, 3.0, lc_vol=0.012, lc_count=2),
-            _candidate("many", 4.0, 3.0, lc_vol=0.012, lc_count=6)]
-    report = _rank(pool)
-    by_id = {c.candidate_id: c for c in report.ranked}
-    assert by_id["few"].grades["LC"] == 100.0
-    assert by_id["many"].grades["LC"] == 1.0
-    # distinct volumes take precedence regardless of counts
-    pool = [_candidate("light", 4.0, 3.0, lc_vol=0.010, lc_count=9),
-            _candidate("heavy", 4.0, 3.0, lc_vol=0.020, lc_count=1)]
-    by_id = {c.candidate_id: c for c in _rank(pool).ranked}
-    assert by_id["light"].grades["LC"] == 100.0
-    assert by_id["heavy"].grades["LC"] == 1.0
+    ranked, rejected = _rank(pool)
+    assert ranked == ()
+    assert [c.candidate_id for c in rejected] == ["x", "y"]
 
 
 def test_grades_survive_affine_rescaling_of_a_criterion():
     pool = [_candidate("a", 4.0, 3.9), _candidate("b", 4.5, 3.1),
             _candidate("c", 5.0, 2.2)]
     doubled = [_candidate(c.candidate_id, 2.0 * c.cms_m2, c.ua_m2) for c in pool]
-    for x, y in zip(_rank(pool).ranked, _rank(doubled).ranked):
+    for x, y in zip(_rank(pool)[0], _rank(doubled)[0]):
         assert x.candidate_id == y.candidate_id
         assert x.grades["CMS"] == pytest.approx(y.grades["CMS"], rel=1e-9)
 
@@ -316,33 +313,32 @@ def test_rank_designs_validates_inputs():
 
 def test_initial_columns_split_and_heights():
     surface = flat_surface(height_mm=1200.0)
-    columns = initial_columns(surface, SIDE)
-    assert len(columns.load_bearing) == 4
-    assert len(columns.formwork) == 12
+    heights = initial_columns(surface)
+    assert heights.shape == (16,)
+    assert heights == pytest.approx(np.full(16, 1.2), rel=1e-6)
+    # every design has 4 load-bearing and 12 formwork columns
+    assert (LOAD_BEARING.sum(), (~LOAD_BEARING).sum()) == (4, 12)
     corner_xy = {(0.25, 0.25), (0.25, 1.75), (1.75, 0.25), (1.75, 1.75)}
-    assert {c.position for c in columns.load_bearing} == corner_xy
-    for col in columns.all_columns():
-        assert col.height == pytest.approx(1.2, rel=1e-6)
-        assert col.section_area == pytest.approx(0.05 ** 2)
-    assert columns.lc_volume == pytest.approx(4 * 0.0025 * 1.2, rel=1e-6)
-    assert columns.fc_volume == pytest.approx(12 * 0.0025 * 1.2, rel=1e-6)
+    assert {tuple(p) for p in COLUMN_POSITIONS_M[LOAD_BEARING].tolist()} == corner_xy
+    design = evaluate_candidate("flat", surface, FOUR, BLOCK)
+    assert design.lc_m3 == pytest.approx(4 * 0.0025 * 1.2, rel=1e-6)
+    assert design.fc_m3 == pytest.approx(12 * 0.0025 * 1.2, rel=1e-6)
 
 
 def test_column_heights_follow_the_surface():
-    columns = initial_columns(dome_surface(), SIDE)
-    by_pos = {c.position: c.height for c in columns.all_columns()}
+    heights = initial_columns(dome_surface())
+    by_pos = dict(zip(map(tuple, COLUMN_POSITIONS_M.tolist()), heights.tolist()))
     # dome peaks at plan centre, so inner-ring columns stand taller
     assert by_pos[(0.75, 0.75)] > by_pos[(0.25, 0.25)]
     assert all(h >= 0.0 for h in by_pos.values())
 
 
 def test_anchor_points_sit_on_base_corners():
-    assert AnchorConfig(AnchorKind.ONE, span_m=2.0).points == ((0.0, 0.0),)
-    assert AnchorConfig(AnchorKind.TWO_SIDE, span_m=2.0).points == ((0.0, 0.0), (2.0, 0.0))
-    assert AnchorConfig(AnchorKind.TWO_DIAGONAL, span_m=2.0).points == (
-        (0.0, 0.0), (2.0, 2.0))
-    assert len(AnchorConfig(AnchorKind.THREE, span_m=2.0).points) == 3
-    assert AnchorConfig(AnchorKind.FOUR, span_m=3.0).points == (
+    assert _anchor_points(AnchorKind.ONE, 2.0) == ((0.0, 0.0),)
+    assert _anchor_points(AnchorKind.TWO_SIDE, 2.0) == ((0.0, 0.0), (2.0, 0.0))
+    assert _anchor_points(AnchorKind.TWO_DIAGONAL, 2.0) == ((0.0, 0.0), (2.0, 2.0))
+    assert len(_anchor_points(AnchorKind.THREE, 2.0)) == 3
+    assert _anchor_points(AnchorKind.FOUR, 3.0) == (
         (0.0, 0.0), (3.0, 0.0), (3.0, 3.0), (0.0, 3.0))
 
 
@@ -373,13 +369,20 @@ def _dome_design(surface):
     return evaluate_candidate("dome", surface, FOUR, BLOCK)
 
 
+def _column_volumes(heights, side):
+    """(load-bearing, formwork) volume sums in grid order."""
+    volumes = (side * side * heights).tolist()
+    return (sum(v for v, lb in zip(volumes, LOAD_BEARING) if lb),
+            sum(v for v, lb in zip(volumes, LOAD_BEARING) if not lb))
+
+
 def test_evaluate_candidate_collects_consistent_metrics():
     surface = dome_surface()
     design = _dome_design(surface)
     assert design.cms_m2 == pytest.approx(measure(surface).area_a)
-    assert design.columns == initial_columns(surface, SIDE)
-    assert (len(design.columns.load_bearing), len(design.columns.formwork)) == (4, 12)
-    assert design.ua_m2 == usable_area(surface, design.columns, HEADROOM)
+    assert np.array_equal(design.column_heights_m, initial_columns(surface))
+    assert (design.lc_m3, design.fc_m3) == _column_volumes(initial_columns(surface), SIDE)
+    assert design.ua_m2 == usable_area(surface, SIDE, HEADROOM)
     assert design.ua_m2 <= 4.0
     assert design.slope_report == _slopes(surface)
     assert design.grades is None and design.weighted_score is None
@@ -390,11 +393,11 @@ def test_evaluate_candidate_reads_the_block():
     changed = replace(BLOCK, column_section_side_m=0.08, min_slope=0.5,
                       slope_rule="strict", headroom_m=0.5)
     design = evaluate_candidate("dome", surface, FOUR, changed)
-    assert design.columns == initial_columns(surface, 0.08)
+    assert (design.lc_m3, design.fc_m3) == _column_volumes(initial_columns(surface), 0.08)
     assert design.slope_report == slope_grid(surface, 0.5, "strict")
-    assert design.ua_m2 == usable_area(surface, design.columns, 0.5)
+    assert design.ua_m2 == usable_area(surface, 0.08, 0.5)
     base = _dome_design(surface)
-    assert design.columns != base.columns and design.ua_m2 != base.ua_m2
+    assert design.lc_m3 != base.lc_m3 and design.ua_m2 != base.ua_m2
     assert design.slope_report != base.slope_report
 
 
@@ -402,7 +405,7 @@ def test_formwork_reactions_cover_every_column():
     surface = dome_surface()
     design = _dome_design(surface)
     reactions = formwork_reactions(design, surface, GRID, SPEC)
-    assert set(reactions) == set(design.columns.formwork)
+    assert set(reactions) == set(np.flatnonzero(~LOAD_BEARING).tolist())
     assert all(r >= 0.0 for r in reactions.values())
 
 
@@ -410,8 +413,7 @@ def test_zero_tolerance_blocks_every_removal():
     surface = dome_surface()
     design = _dome_design(surface)
     kept = reduce_formwork(design, surface, 0.0, GRID, SPEC)
-    assert kept.load_bearing == design.columns.load_bearing
-    assert len(kept.formwork) == 12
+    assert kept.all()
     with pytest.raises(ParameterError):
         reduce_formwork(design, surface, -0.1, GRID, SPEC)
 
@@ -420,16 +422,12 @@ def test_reduction_respects_its_own_tolerances():
     surface = dome_surface()
     design = _dome_design(surface)
     span_m = surface.span_mm / 1000.0
-    p_ref, a_ref = _fit_supported_surface(
-        design.anchors, list(design.columns.all_columns()), span_m)
+    heights = design.column_heights_m
+    p_ref, a_ref = _fit_supported_surface(FOUR, heights, EVERY_COLUMN, span_m)
     dP, da = 0.02 * p_ref, 0.02 * a_ref
     kept = reduce_formwork(design, surface, 0.02, GRID, SPEC)
-    assert kept.load_bearing == design.columns.load_bearing
-    original = {id(c) for c in design.columns.formwork}
-    assert all(id(c) in original for c in kept.formwork)
-    p, a = _fit_supported_surface(
-        design.anchors,
-        list(kept.load_bearing) + list(kept.formwork), span_m)
+    assert kept.shape == (16,) and kept[LOAD_BEARING].all()
+    p, a = _fit_supported_surface(FOUR, heights, kept, span_m)
     assert abs(p - p_ref) <= dP
     assert abs(a - a_ref) <= da
 
@@ -441,38 +439,36 @@ def test_design_solve_follows_the_structure_moduli():
     base = SPEC
     soft = replace(base, elastic_modulus=base.elastic_modulus / 2,
                    shear_modulus=base.shear_modulus / 2)
-    stiff = _design_solve(design, surface, design.columns, GRID, base).max_translation_mm
-    halved = _design_solve(design, surface, design.columns, GRID, soft).max_translation_mm
+    stiff = _design_solve(design, surface, EVERY_COLUMN, GRID, base).max_translation_mm
+    halved = _design_solve(design, surface, EVERY_COLUMN, GRID, soft).max_translation_mm
     assert halved / stiff == pytest.approx(2.0, rel=1e-9)
 
 
 def test_reaction_lookup_clamps_like_the_supports():
-    # a column past the far edge sits on the clamped edge node, not on the
-    # first node of the next lattice row
-    surface = dome_surface()
+    # on a 1.6 m plan the columns at 1.75 m stand past the far edge: they sit
+    # on the clamped edge nodes, not on the first node of the next lattice
+    # row, and their reactions are read there
+    span_m = 1.6
+    surface = dome_surface(span_mm=span_m * 1000.0)
     design = _dome_design(surface)
-    moved = design.columns.formwork[-1]
-    assert moved.position == (1.75, 1.25)
-
-    def with_last_column_at(position):
-        col = replace(moved, position=position)
-        columns = ColumnSet(design.columns.load_bearing,
-                            design.columns.formwork[:-1] + (col,))
-        return col, formwork_reactions(replace(design, columns=columns), surface, GRID, SPEC)
-
-    outside, beyond = with_last_column_at((1.75, 2.2))
-    edge, on_edge = with_last_column_at((1.75, 2.0))
-    assert beyond[outside] == on_edge[edge]
-    assert beyond[outside] > 0.0
+    reactions = formwork_reactions(design, surface, GRID, SPEC)
+    solved = _design_solve(design, surface, EVERY_COLUMN, GRID, SPEC).reactions
+    step = span_m / GRID
+    for k, reaction in reactions.items():
+        x, y = COLUMN_POSITIONS_M[k].tolist()
+        node = min(round(x / step), GRID) * (GRID + 1) + min(round(y / step), GRID)
+        assert reaction == abs(float(solved[node][2]))
+    assert COLUMN_POSITIONS_M[14].tolist() == [1.75, 1.25]
+    assert reactions[14] > 0.0
 
 
 def test_one_reference_fit_per_study(monkeypatch):
     sizes = []
     original = optimizer._fit_supported_surface
 
-    def counting(anchors, columns, span_m, *args):
-        sizes.append(len(columns))
-        return original(anchors, columns, span_m, *args)
+    def counting(kind, heights, kept, span_m, *args):
+        sizes.append(int(kept.sum()))
+        return original(kind, heights, kept, span_m, *args)
 
     monkeypatch.setattr(optimizer, "_fit_supported_surface", counting)
     config = _with_optimizer(iterations_per_anchor=2)
@@ -497,29 +493,25 @@ def test_optimize_is_deterministic_across_reruns():
     config = _with_optimizer(iterations_per_anchor=4)
     first = optimize(config, structure_spec(config), 11)
     second = optimize(config, structure_spec(config), 11)
-    assert ([c.candidate_id for c in first.report.ranked]
-            == [c.candidate_id for c in second.report.ranked])
-    assert ([c.weighted_score for c in first.report.ranked]
-            == [c.weighted_score for c in second.report.ranked])
-    assert first.report.winner.candidate_id == second.report.winner.candidate_id
-    assert ({c.position for c in first.reduced_columns.formwork}
-            == {c.position for c in second.reduced_columns.formwork})
+    assert ([c.candidate_id for c in first.ranked]
+            == [c.candidate_id for c in second.ranked])
+    assert ([c.weighted_score for c in first.ranked]
+            == [c.weighted_score for c in second.ranked])
+    assert np.array_equal(first.kept_columns, second.kept_columns)
 
 
 def test_full_study_outcome(optimize_result):
     result = optimize_result
-    assert len(result.report.ranked) + len(result.report.rejected) == 100
-    winner = result.report.winner
-    assert winner is result.report.ranked[0]
+    assert len(result.ranked) + len(result.rejected) == 100
+    winner = result.ranked[0]
     assert winner.candidate_id == "two-side-13"
-    assert len(result.reduced_columns.formwork) == 4
+    assert result.kept_columns[LOAD_BEARING].all()
+    assert result.kept_columns[~LOAD_BEARING].sum() == 4
     assert winner.slope_report.passed
-    scores = [c.weighted_score for c in result.report.ranked]
+    scores = [c.weighted_score for c in result.ranked]
     assert scores == sorted(scores, reverse=True)
     assert all(1.0 <= s <= 100.0 for s in scores)
-    assert all(not c.slope_report.passed for c in result.report.rejected)
-    assert result.reduced_columns.load_bearing == winner.columns.load_bearing
-    assert len(result.reduced_columns.formwork) <= 12
+    assert all(not c.slope_report.passed for c in result.rejected)
     # within the default span's span/250 limit
     assert result.winner_analysis.max_translation_mm <= 8.0
 
@@ -527,9 +519,8 @@ def test_full_study_outcome(optimize_result):
 def test_a_study_with_every_candidate_rejected_has_no_winner():
     config = _with_optimizer(iterations_per_anchor=1, min_slope=100.0)
     result = optimize(config, structure_spec(config), 11)
-    assert result.report.ranked == () and len(result.report.rejected) == 5
-    assert result.report.winner is None
-    assert (result.winner_surface, result.reduced_columns, result.winner_analysis) == (
+    assert result.ranked == () and len(result.rejected) == 5
+    assert (result.winner_surface, result.kept_columns, result.winner_analysis) == (
         None, None, None)
 
 
@@ -550,15 +541,15 @@ def test_study_keeps_only_the_winner_surface(monkeypatch):
     assert len(built) == 11
     alive = [ref() for ref in built if ref() is not None]
     assert len(alive) == 1 and alive[0] is result.winner_surface
-    assert result.winner_surface.control is result.report.winner.control
+    assert result.winner_surface.control is result.ranked[0].control
     # no candidate, the winner included, holds a surface or a mesh
-    assert not holds_geometry(result.report)
+    assert not holds_geometry((result.ranked, result.rejected))
 
 
 def test_winner_rebuild_is_bit_exact(optimize_result):
-    winner, surface = optimize_result.report.winner, optimize_result.winner_surface
-    assert surface.sample_resolution == winner.resolution
+    winner, surface = optimize_result.ranked[0], optimize_result.winner_surface
+    assert surface.sample_resolution == CONFIG.gen3d.resolution
     assert surface.mesh.area() == winner.cms_m2
-    again = interpolate_surface(winner.control, winner.resolution)
+    again = interpolate_surface(winner.control, CONFIG.gen3d.resolution)
     assert again.mesh.coords_m.tobytes() == surface.mesh.coords_m.tobytes()
     assert again.mesh.heights_m.tobytes() == surface.mesh.heights_m.tobytes()

@@ -15,7 +15,8 @@ from scipy.interpolate import RectBivariateSpline
 
 from chainshell import shell3d
 from chainshell.errors import ParameterError
-from chainshell.optimizer import COLUMN_GRID_POSITIONS_M, AnchorConfig, AnchorKind
+from chainshell.optimizer import (COLUMN_POSITIONS_M, LOAD_BEARING, AnchorKind,
+                                  _anchor_points)
 from chainshell.spline import GridSpline, thin_plate_grid
 
 from helpers import PROPERTY, fitpack_spline, grid_from_z, rbf_thin_plate
@@ -102,10 +103,8 @@ def test_surfaces_evaluate_and_slope_like_fitpack(case):
     assert same_bits(surface.gradient(qx, qy, axis="y"), oracle(qx, qy, dy=1))
 
 
-_COLUMNS = [(x, y) for x in COLUMN_GRID_POSITIONS_M for y in COLUMN_GRID_POSITIONS_M]
-_LOAD_BEARING = [p for p in _COLUMNS if {p[0], p[1]} <= {COLUMN_GRID_POSITIONS_M[0],
-                                                          COLUMN_GRID_POSITIONS_M[-1]}]
-_FORMWORK = [p for p in _COLUMNS if p not in _LOAD_BEARING]
+_LOAD_BEARING = [tuple(p) for p in COLUMN_POSITIONS_M[LOAD_BEARING].tolist()]
+_FORMWORK = [tuple(p) for p in COLUMN_POSITIONS_M[~LOAD_BEARING].tolist()]
 
 
 @PROPERTY
@@ -115,7 +114,7 @@ _FORMWORK = [p for p in _COLUMNS if p not in _LOAD_BEARING]
 def test_thin_plate_fit_matches_rbf_interpolator_bitwise(kind, kept, seed):
     # the optimizer's fits: ground pins on the anchors, then the four
     # load-bearing columns and a subset of the formwork columns
-    anchors = list(AnchorConfig(kind=kind, span_m=2.0).points)
+    anchors = list(_anchor_points(kind, 2.0))
     columns = _LOAD_BEARING + [p for p, keep in zip(_FORMWORK, kept) if keep]
     heights = np.random.default_rng(seed).uniform(0.0, 3.0, len(columns))
     xy = np.array(anchors + columns)

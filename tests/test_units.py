@@ -23,15 +23,6 @@ from helpers import raster_solid_fraction
 RATIO, DENSITY = UnitBlock().target_ratio, UnitBlock().density_g_cm3
 
 
-def test_shape_parse_accepts_common_aliases():
-    assert Shape.parse("tri") is Shape.TRIANGULAR
-    assert Shape.parse("Triangular") is Shape.TRIANGULAR
-    assert Shape.parse("circ") is Shape.CIRCULAR
-    assert Shape.parse("rect") is Shape.RECTANGULAR
-    with pytest.raises(ParameterError):
-        Shape.parse("hexagonal")
-
-
 def test_unit_cell_rejects_degenerate_dimensions():
     with pytest.raises(ParameterError):
         UnitCell(Shape.CIRCULAR, 11.0, 0.0)
