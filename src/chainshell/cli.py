@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from . import filtering, loads as loads_mod, pipeline, shell3d
+from . import filtering, loads as loads_mod, pipeline, profile2d, shell3d
 from .config import PipelineConfig, derive_seed, load_config, validate
 from .errors import (ChainshellError, ConfigError, EnvelopeError, InfeasibleError,
                      ParameterError)
@@ -179,11 +179,14 @@ def _number(text: str) -> float:
 _KINDS = {_number: "a number", int: "an integer", str: "text"}
 
 
-def _read_csv(path: Path, columns: Dict[str, Callable[[str], object]]) -> List[dict]:
+def _read_csv(path: Path, columns: Dict[str, Callable[[str], object]],
+              check: Optional[Callable[[dict], None]] = None) -> List[dict]:
     """The rows of a CSV file, each named column present and converted.
 
     Rows whose first cell starts with '#' are skipped.  A missing column,
-    or a cell its converter rejects, is bad input: ParameterError.
+    or a cell its converter rejects, is bad input: ParameterError.  So is
+    a converted row that `check` refuses (ParameterError or EnvelopeError,
+    re-raised naming the file and line).
     """
     with open(_input_file(path), "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -201,6 +204,11 @@ def _read_csv(path: Path, columns: Dict[str, Callable[[str], object]]) -> List[d
                     raise ParameterError(
                         f"{path}, line {reader.line_num}: {name} {row[name]!r} "
                         f"is not {_KINDS[convert]}") from None
+            if check is not None:
+                try:
+                    check(row)
+                except (ParameterError, EnvelopeError) as exc:
+                    raise type(exc)(f"{path}, line {reader.line_num}: {exc}") from None
             rows.append(row)
     return rows
 
@@ -239,13 +247,20 @@ def cmd_loads(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _kept_row_feasible(row: dict) -> None:
+    """A kept row's (A, f) must lie in the envelope its pool was drawn under."""
+    if row["kept"] == "1":
+        profile2d.require_feasible(pipeline.GROUP_SHAPE, row["amplitude_mm"],
+                                   row["frequency"])
+
+
 def cmd_analyze(args, config: PipelineConfig) -> int:
     selected = Path(args.in_path)
     if selected.is_dir():
         selected = selected / "selected.csv"
     rows = _read_csv(selected, {"iteration": int, "amplitude_mm": _number,
                                 "frequency": int, "seed": int, "area_m2": _number,
-                                "kept": str})
+                                "kept": str}, check=_kept_row_feasible)
     rows = [r for r in rows if r["kept"] == "1"]
     if not rows:
         raise ParameterError(f"no kept surfaces in {selected}")
@@ -265,6 +280,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
 
 
 def cmd_optimize(args, config: PipelineConfig) -> int:
+    pipeline.require_column_grid(config)
     out = _out_dir(args, "runs/shelter")
     pipeline.stage_optimize(config, out)
     _cat(out.path / "optimize" / "ranking.csv")

@@ -25,8 +25,8 @@ from .fem import SupportKind
 # chainshell.optimizer.measure, so the name stays importable
 from .filtering import measure  # noqa: F401
 from .loads import StructureSpec, combine
-from .shell3d import (ControlGrid, ShellSurface, TriangleMesh, _iteration_rng,
-                      interpolate_surface)
+from .shell3d import (ControlGrid, ShellSurface, TriangleMesh, interpolate_surface,
+                      random_doubles)
 from .spline import thin_plate_grid
 
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
@@ -381,20 +381,26 @@ def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: f
     return kept
 
 
-def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
-                         anchor_index: int, iteration: int) -> ControlGrid:
-    """Seeded shelter control grid: random dome heights, anchors at zero.
+def _stream_key(seed: int, anchor_index: int, iteration: int) -> Tuple[int, int]:
+    """The Philox key of one study candidate's stream."""
+    return seed * 5 + anchor_index, iteration
 
-    Heights are drawn uniformly in [0, A_i] metres where the iteration's
-    amplitude A_i is itself drawn within the [optimizer] cap; control points
-    over anchor corners are clamped to the ground.
-    """
+
+def _stream_length(block: OptimizerBlock) -> int:
+    """Doubles a shelter grid takes from its stream: the amplitude, then
+    one height per control point."""
+    return 1 + (block.control_F + 1) ** 2
+
+
+def _shelter_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
+                  iteration: int, u: np.ndarray) -> ControlGrid:
+    """The shelter grid drawn from its stream's doubles `u`, each mapped
+    to [low, high] as numpy's uniform maps it: low + (high - low) * u."""
     block = config.optimizer
-    rng = _iteration_rng(seed * 5 + anchor_index, iteration)
     lo = block.amplitude_min_fraction * block.amplitude_cap_m
-    amp_m = float(rng.uniform(lo, block.amplitude_cap_m))
+    amp_m = float(lo + (block.amplitude_cap_m - lo) * u[0])
     m = block.control_F + 1
-    z_mm = rng.uniform(0.0, amp_m * 1000.0, size=(m, m))
+    z_mm = 0.0 + (amp_m * 1000.0 - 0.0) * u[1:].reshape(m, m)
     corner_ij = {(0, 0): 0, (m - 1, 0): 1, (m - 1, m - 1): 2, (0, m - 1): 3}
     wanted = set(_ANCHOR_CORNERS[kind])
     for (i, j), corner in corner_ij.items():
@@ -403,6 +409,21 @@ def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
     return ControlGrid(F=block.control_F, amplitude_A=amp_m * 1000.0,
                        span_L=config.gen3d.span_mm, z_values=z_mm,
                        seed=seed, iteration=iteration)
+
+
+def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
+                         anchor_index: int, iteration: int) -> ControlGrid:
+    """Seeded shelter control grid: random dome heights, anchors at zero.
+
+    Heights are drawn uniformly in [0, A_i] metres where the iteration's
+    amplitude A_i is itself drawn within the [optimizer] cap; control points
+    over anchor corners are clamped to the ground.  The draws are the first
+    doubles of the (seed * 5 + anchor_index, iteration) stream: A_i, then
+    the heights in row-major order.
+    """
+    u = random_doubles([_stream_key(seed, anchor_index, iteration)],
+                       _stream_length(config.optimizer))
+    return _shelter_grid(config, seed, kind, iteration, u[0])
 
 
 @dataclass(frozen=True)
@@ -432,14 +453,16 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     resolution = config.gen3d.resolution
     grid = config.fem.lattice_grid
 
-    def build(ai: int, kind: AnchorKind, it: int) -> CandidateDesign:
-        control = shelter_control_grid(config, seed, kind, ai, it)
-        return evaluate_candidate(f"{kind.value}-{it:02d}",
-                                  interpolate_surface(control, resolution), kind, block)
-
-    candidates = [build(ai, kind, it)
-                  for ai, kind in enumerate(AnchorKind)
-                  for it in range(block.iterations_per_anchor)]
+    cases = [(ai, kind, it) for ai, kind in enumerate(AnchorKind)
+             for it in range(block.iterations_per_anchor)]
+    # every candidate's stream, drawn in one call before any is scored
+    draws = random_doubles([_stream_key(seed, ai, it) for ai, _, it in cases],
+                           _stream_length(block))
+    candidates = [
+        evaluate_candidate(f"{kind.value}-{it:02d}",
+                           interpolate_surface(_shelter_grid(config, seed, kind, it, u),
+                                               resolution), kind, block)
+        for (ai, kind, it), u in zip(cases, draws)]
     ranked, rejected = rank_designs(candidates, block.weights)
     if not ranked:
         return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=None,

@@ -396,15 +396,29 @@ def _refuse_foreign_run(out_dir: Path, cfg_hash: str) -> None:
                 f"this run's is {cfg_hash}); write it to another directory")
 
 
+def require_column_grid(config: PipelineConfig) -> None:
+    """Refuse, with ParameterError, a [gen3d] span the shelter study's fixed
+    column grid does not fit in: the footprint of its farthest column,
+    [optimizer] column_section_side_m wide, must end inside the plan."""
+    side = config.optimizer.column_section_side_m
+    reach_m = float(COLUMN_POSITIONS_M.max()) + side / 2.0
+    if reach_m > config.gen3d.span_mm / 1000.0:
+        raise ParameterError(
+            f"gen3d.span_mm = {config.gen3d.span_mm} is too small for the shelter "
+            f"column grid: its columns of optimizer.column_section_side_m = {side} "
+            f"reach {reach_m} m")
+
+
 def run_pipeline(config: PipelineConfig, out_dir) -> Path:
     """Execute all stages in order; returns the run directory.
 
-    A plan area larger than the span's square plan, or a directory whose
-    manifest.txt records another config_hash, is refused with
-    ParameterError before anything is written.  A stage failure halts
-    the pipeline, preserves prior outputs, and writes an incomplete
-    manifest naming the stage and cause, and listing every file written
-    before it failed, before re-raising as a stage error.
+    A plan area larger than the span's square plan, a span the shelter
+    column grid does not fit in, or a directory whose manifest.txt records
+    another config_hash, is refused with ParameterError before anything is
+    written.  A stage failure halts the pipeline, preserves prior outputs,
+    and writes an incomplete manifest naming the stage and cause, and
+    listing every file written before it failed, before re-raising as a
+    stage error.
     """
     config = validate(config)
     # dead_load refuses a surface smaller than the plan area; a flat shell
@@ -414,6 +428,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> Path:
         raise ParameterError(
             f"loads.plan_area_m2 = {config.loads.plan_area_m2} exceeds the "
             f"{plan_m2} m2 plan of gen3d.span_mm = {config.gen3d.span_mm}")
+    require_column_grid(config)
     _refuse_foreign_run(Path(out_dir), config_hash(config))
     out = RunDir.create(out_dir)
     write_output(out, "config.ini", dump_config(config))

@@ -4,6 +4,11 @@ The base deformation field z(x, y) = A sin(2 pi f x / L) cos(2 pi f y / L)
 is sampled at control points, perturbed by seeded uniform Z offsets in
 [0, A/5] at interior points (boundary anchored at z = 0), and interpolated
 by a tensor-product cubic spline into a triangle-mesh height field.
+
+Every seeded draw comes from a Philox4x64-10 stream (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011) keyed by two
+64-bit words, computed here with numpy uint64 arithmetic: the doubles are
+bit for bit those numpy's `Generator(Philox(key=...)).random()` returns.
 """
 
 from __future__ import annotations
@@ -11,10 +16,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, TextIO
+from typing import List, Sequence, TextIO, Tuple
 
 import numpy as np
-import numpy.random  # noqa: F401  seeds every surface; numpy loads it lazily
 
 from .errors import ParameterError
 from .spline import GridSpline
@@ -22,6 +26,19 @@ from .spline import GridSpline
 Z_RANGE_DIVISOR = 5.0    # perturbation range is [0, A/5]
 
 _MASK64 = (1 << 64) - 1
+# Philox4x64-10 constants.  Rows: the round multipliers of words 0 and 2,
+# their low and high 32-bit halves, the 32-bit mask, the shift 32.  Then
+# each round's key offset: the round number times the Weyl increments, mod
+# 2**64.  All are uint64 arrays: numpy 1.x promotes uint64 mixed with a
+# Python int to float64
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_CONSTANTS = np.array(
+    [_PHILOX_M, [m & 0xFFFFFFFF for m in _PHILOX_M], [m >> 32 for m in _PHILOX_M],
+     [0xFFFFFFFF] * 2, [32] * 2], dtype=np.uint64).reshape(5, 2, 1, 1)
+_PHILOX_KEY_STEPS = np.array(
+    [[r * w & _MASK64 for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)]
+     for r in range(10)], dtype=np.uint64).reshape(10, 2, 1, 1)
+_U11 = np.uint64(11)
 
 
 def group_parameters(group: int) -> tuple[float, int]:
@@ -61,11 +78,70 @@ class ControlGrid:
         return np.linspace(0.0, self.span_L, self.F + 1)
 
 
-def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
-    # counter-based stream keyed by (seed, iteration): independent of how
-    # many other iterations were generated and in what order
-    key = np.array([seed & _MASK64, iteration & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def random_doubles(keys: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
+    """(len(keys), n) doubles in [0, 1), one Philox4x64-10 stream per row.
+
+    Each key is a pair of ints taken mod 2**64.  Row k holds the first n
+    doubles of numpy's `Generator(Philox(key=keys[k])).random()`:
+    block b encrypts the counter (b + 1, 0, 0, 0), its four words are used
+    in order, and each word w gives (w >> 11) * 2**-53.  One call draws every
+    stream at once; numpy's fixed cost per call dominates a single stream.
+    """
+    key = np.array([[k0 & _MASK64, k1 & _MASK64] for k0, k1 in keys],
+                   dtype=np.uint64).reshape(-1, 2)
+    shape = (2, len(key), -(-n // 4))  # (word pair, stream, block)
+    # constants and round keys as whole arrays: on arrays this small a
+    # ufunc with a broadcast operand costs several times one without
+    m, m_lo, m_hi, low32, u32 = np.broadcast_to(_PHILOX_CONSTANTS, (5,) + shape).copy()
+    round_keys = np.broadcast_to(key.T[:, :, None] + _PHILOX_KEY_STEPS,
+                                 (10,) + shape).copy()
+    # a holds words (0, 2) of each block, which a round multiplies, b words (1, 3)
+    a = np.zeros(shape, dtype=np.uint64)
+    a[0] = np.arange(1, shape[2] + 1, dtype=np.uint64)
+    b = np.zeros_like(a)
+    for k in round_keys:
+        # high words of the 128-bit products m a, from 32-bit halves
+        a_lo, a_hi = a & low32, a >> u32
+        t = a_hi * m_lo + ((a_lo * m_lo) >> u32)
+        w = (t & low32) + a_lo * m_hi
+        hi = a_hi * m_hi + (t >> u32) + (w >> u32)
+        # words 0, 1, 2, 3 become hi(M1 w2) ^ w1 ^ k0, lo(M1 w2),
+        # hi(M0 w0) ^ w3 ^ k1, lo(M0 w0)
+        a, b = hi[::-1] ^ b ^ k, (a * m)[::-1]
+    words = np.stack([a[0], b[0], a[1], b[1]], axis=-1).reshape(shape[1], -1)[:, :n]
+    return (words >> _U11) * 2.0 ** -53
+
+
+def _control_grids(amplitude: float, frequency: int, seed: int,
+                   iterations: Sequence[int], span: float) -> List[ControlGrid]:
+    """The control grids of `iterations` for (A, f), drawn in one call.
+
+    Iteration i's offsets are the first f^2 doubles of its (seed, i) stream
+    in row-major order, each mapped to [0, A/5] as numpy's uniform(low,
+    high) maps it: low + (high - low) * u.
+    """
+    if amplitude < 0:
+        raise ParameterError("amplitude must be non-negative")
+    # the mapped offsets of an infinite or NaN range would all be NaN
+    if not math.isfinite(amplitude):
+        raise ParameterError(f"amplitude must be finite, got {amplitude}")
+    amplitude += 0.0  # -0.0 becomes 0.0: the offsets are drawn from [0, 0]
+    # f^2 control points total ("3x3 for F=3"), so f points per axis
+    m = frequency
+    if m < 2:
+        raise ParameterError("frequency must be >= 2 for a control grid")
+    coords = np.linspace(0.0, span, m)
+    u = random_doubles([(seed, i) for i in iterations], m * m).reshape(-1, m, m)
+    high = amplitude / Z_RANGE_DIVISOR
+    base = base_field(coords[:, None], coords[None, :], amplitude, frequency, span)
+    z = base + (0.0 + (high - 0.0) * u)
+    z[:, 0, :] = 0.0
+    z[:, -1, :] = 0.0
+    z[:, :, 0] = 0.0
+    z[:, :, -1] = 0.0
+    return [ControlGrid(F=m - 1, amplitude_A=amplitude, span_L=span,
+                        z_values=z[k], seed=seed, iteration=i)
+            for k, i in enumerate(iterations)]
 
 
 def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
@@ -76,32 +152,16 @@ def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
     give a bit-identical grid whatever other iterations are generated.
     Boundary points stay anchored at z = 0.
     """
-    if amplitude < 0:
-        raise ParameterError("amplitude must be non-negative")
-    amplitude += 0.0  # -0.0 becomes 0.0: the offsets are drawn from [0, 0]
-    # f^2 control points total ("3x3 for F=3"), so f points per axis
-    m = frequency
-    if m < 2:
-        raise ParameterError("frequency must be >= 2 for a control grid")
-    coords = np.linspace(0.0, span, m)
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    rng = _iteration_rng(seed, iteration)
-    offsets = rng.uniform(0.0, amplitude / Z_RANGE_DIVISOR, size=(m, m))
-    z = base_field(X, Y, amplitude, frequency, span) + offsets
-    z[0, :] = 0.0
-    z[-1, :] = 0.0
-    z[:, 0] = 0.0
-    z[:, -1] = 0.0
-    return ControlGrid(F=m - 1, amplitude_A=amplitude, span_L=span,
-                       z_values=z, seed=seed, iteration=iteration)
+    return _control_grids(amplitude, frequency, seed, (iteration,), span)[0]
 
 
 def generate_iterations(amplitude: float, frequency: int, n: int, seed: int,
                         span: float) -> List[ControlGrid]:
-    """The control grids of iterations 0..n-1 for one (A, f) combination."""
+    """The control grids of iterations 0..n-1 for one (A, f) combination,
+    every stream drawn in one call."""
     if n < 1:
         raise ParameterError("iteration count must be >= 1")
-    return [control_grid(amplitude, frequency, seed, i, span) for i in range(n)]
+    return _control_grids(amplitude, frequency, seed, range(n), span)
 
 
 @dataclass(frozen=True, eq=False)

@@ -365,6 +365,11 @@ def test_out_naming_a_file_exits_2(capsys, tmp_path, argv, below):
     ("analyze", "iteration,amplitude_mm,frequency,seed,area_m2,kept\n"
                 "0,10.0,3.5,42,4.1,1\n",
      "line 2: frequency '3.5' is not an integer"),
+    # a kept row outside the envelope its pool was drawn under, refused
+    # before any row is solved
+    ("analyze", "iteration,amplitude_mm,frequency,seed,area_m2,kept\n"
+                "0,10.0,3,42,4.1,1\n1,1e300,3,42,4.1,1\n",
+     "in.csv, line 3: (A=1e+300 mm, f=3) exceeds the feasibility envelope"),
 ])
 def test_malformed_csv_input_exits_2(capsys, tmp_path, command, text, message):
     path = tmp_path / "in.csv"
@@ -417,6 +422,20 @@ def test_a_plan_area_beyond_the_span_exits_2(capsys, tmp_path):
     assert not (out / "config.ini").exists()
 
 
+def test_a_span_the_column_grid_overruns_exits_2(capsys, tmp_path):
+    # the shelter columns stand at up to 1.75 m, past a 1.5 m plan
+    cfg = tmp_path / "span-1500.ini"
+    cfg.write_text("[gen3d]\nspan_mm = 1500\n\n[loads]\nplan_area_m2 = 2.0\n")
+    for command in ("run", "optimize"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert "gen3d.span_mm = 1500.0" in capsys.readouterr().err
+        assert not out.exists()
+    # a gen3d pool has no columns
+    assert main(["gen3d", "--config", str(cfg), "--amplitude", "10", "--frequency", "3",
+                 "--iterations", "2", "--out", str(tmp_path / "pool")]) == EXIT_OK
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 def test_report_into_a_closed_pipe_exits_quietly(cli_runs, buffered):
     dir_a, _ = cli_runs
@@ -441,10 +460,10 @@ def test_report_requires_a_manifest(capsys, tmp_path):
 
 
 def _loaded_modules(code: str) -> list:
-    """Names in sys.modules that start with scipy or are numpy.ma, after
-    `code` ran in a fresh interpreter."""
+    """Names in sys.modules that start with scipy or are numpy.ma or
+    numpy.random, after `code` ran in a fresh interpreter."""
     code += ("\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-             " or m.split('.')[:2] == ['numpy', 'ma']))")
+             " or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))")
     out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
                          check=True, capture_output=True, text=True, timeout=120).stdout
     return out.splitlines()[-1].split()
@@ -452,13 +471,15 @@ def _loaded_modules(code: str) -> list:
 
 def test_importing_the_cli_loads_no_heavy_scipy_modules():
     # a fresh interpreter: the import is what every command pays first, and
-    # scipy's f2py LAPACK module is the only part of scipy it loads
+    # scipy's f2py LAPACK module is the only part of scipy it loads; the
+    # seeded draws are computed in shell3d, so numpy.random stays unloaded
     assert _loaded_modules("import chainshell.cli") == ["scipy.linalg._flapack"]
 
 
 def test_a_run_loads_no_scipy_linalg_and_no_numpy_ma(tmp_path, trimmed_cfg):
     # every stage runs, the filter's auto tolerances (two medians) included;
-    # np.median would load numpy.ma, and a scipy.linalg routine its package
+    # np.median would load numpy.ma, a scipy.linalg routine its package, and
+    # a seeded draw through numpy's Generator numpy.random
     code = ("from chainshell.cli import main\n"
             f"assert main(['run', '--config', {trimmed_cfg!r}, "
             f"'--out', {str(tmp_path / 'run')!r}]) == 0")

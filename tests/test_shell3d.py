@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chainshell.config import PipelineConfig
 from chainshell.errors import EnvelopeError, GeometryError, ParameterError
+from chainshell.optimizer import AnchorKind, shelter_control_grid
 from chainshell.pipeline import pool_grids
 from chainshell.shell3d import (
     ControlGrid,
@@ -18,6 +20,7 @@ from chainshell.shell3d import (
     generate_iterations,
     group_parameters,
     interpolate_surface,
+    random_doubles,
     write_mesh,
     write_pgm,
 )
@@ -79,6 +82,81 @@ def test_control_grid_is_one_iteration_of_the_pool(iteration):
     assert (grid.F, grid.amplitude_A, grid.span_L, grid.seed, grid.iteration) == (
         expected.F, expected.amplitude_A, expected.span_L, expected.seed,
         expected.iteration)
+
+
+# Keys fixed before any draw: both words at 0 and at 2**64 - 1, a small
+# pair, a negative seed, and a study key (seed * 5 + anchor 4) past 2**64
+ORACLE_KEYS = [(0, 0), (7, 19), (2**64 - 1, 2**64 - 1), (-5, 3), (2**62 * 5 + 4, 11)]
+
+
+def numpy_stream(key0: int, key1: int) -> np.random.Generator:
+    """numpy's Philox4x64-10 generator on the key (key0, key1) mod 2**64."""
+    key = np.array([key0 % 2**64, key1 % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 26, 49])
+def test_random_doubles_are_numpys_philox_streams(n):
+    # n crosses the four-word block boundaries; every row is drawn in one call
+    draws = random_doubles(ORACLE_KEYS, n)
+    assert draws.shape == (len(ORACLE_KEYS), n)
+    for row, (key0, key1) in zip(draws, ORACLE_KEYS):
+        assert row.tobytes() == numpy_stream(key0, key1).random(n).tobytes()
+
+
+@pytest.mark.parametrize("seed, iteration", [(0, 0), (-5, 3), (2**64 + 7, 19)])
+def test_control_grid_is_numpys_uniform_draw(seed, iteration):
+    amplitude, frequency = 25.0, 6
+    coords = np.linspace(0.0, SPAN, frequency)
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    offsets = numpy_stream(seed, iteration).uniform(0.0, amplitude / 5.0,
+                                                    size=(frequency, frequency))
+    z = base_field(X, Y, amplitude, frequency, SPAN) + offsets
+    z[0, :] = z[-1, :] = z[:, 0] = z[:, -1] = 0.0
+    grid = control_grid(amplitude, frequency, seed, iteration, SPAN)
+    assert grid.z_values.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("seed, kind, iteration", [
+    (11, AnchorKind.FOUR, 3), (-5, AnchorKind.ONE, 7), (2**62, AnchorKind.FOUR, 0)])
+def test_shelter_control_grid_is_numpys_uniform_draw(seed, kind, iteration):
+    config = PipelineConfig()
+    block = config.optimizer
+    anchor_index = list(AnchorKind).index(kind)
+    rng = numpy_stream(seed * 5 + anchor_index, iteration)
+    lo = block.amplitude_min_fraction * block.amplitude_cap_m
+    amp_m = float(rng.uniform(lo, block.amplitude_cap_m))
+    m = block.control_F + 1
+    z = rng.uniform(0.0, amp_m * 1000.0, size=(m, m))
+    corners = [(0, 0)] if kind is AnchorKind.ONE else [(0, 0), (m - 1, 0), (m - 1, m - 1),
+                                                      (0, m - 1)]
+    for i, j in corners:
+        z[i, j] = 0.0
+    grid = shelter_control_grid(config, seed, kind, anchor_index, iteration)
+    assert grid.amplitude_A == amp_m * 1000.0
+    assert grid.z_values.tobytes() == z.tobytes()
+
+
+def test_shelter_control_grid_is_the_batched_study_draw(optimize_result):
+    # the conftest study: default config, seed 11, every stream in one call
+    config = PipelineConfig()
+    designs = optimize_result.ranked + optimize_result.rejected
+    assert len(designs) == 5 * config.optimizer.iterations_per_anchor
+    for design in designs:
+        iteration = int(design.candidate_id.rsplit("-", 1)[1])
+        grid = shelter_control_grid(config, 11, design.kind,
+                                    list(AnchorKind).index(design.kind), iteration)
+        assert grid.amplitude_A == design.control.amplitude_A
+        assert grid.z_values.tobytes() == design.control.z_values.tobytes()
+
+
+@pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_amplitude_is_refused(amplitude):
+    # numpy's uniform refused the range; the mapped draws would be NaN
+    with pytest.raises(ParameterError):
+        control_grid(amplitude, 3, 0, 0, SPAN)
+    with pytest.raises(ParameterError):
+        generate_iterations(amplitude, 3, n=2, seed=0, span=SPAN)
 
 
 def test_generate_iterations_offset_bounds_and_anchored_boundary():
