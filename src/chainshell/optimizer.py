@@ -40,6 +40,9 @@ _GRID_AXIS_M = np.array([0.25, 0.75, 1.25, 1.75])
 COLUMN_POSITIONS_M = np.stack(np.meshgrid(_GRID_AXIS_M, _GRID_AXIS_M, indexing="ij"),
                               axis=-1).reshape(-1, 2)
 LOAD_BEARING = np.isin(COLUMN_POSITIONS_M, _GRID_AXIS_M[[0, -1]]).all(axis=1)
+# the widest column section whose footprints neither overlap each other nor
+# cross the plan's near edges: the grid spacing, and twice the nearest line
+MAX_SECTION_SIDE_M = min(float(np.diff(_GRID_AXIS_M).min()), 2.0 * float(_GRID_AXIS_M[0]))
 for _constant in (_GRID_AXIS_M, COLUMN_POSITIONS_M, LOAD_BEARING):
     _constant.flags.writeable = False
 del _constant
@@ -53,21 +56,20 @@ class AnchorKind(enum.Enum):
     FOUR = "four"
 
 
-# base-square corners in plan fractions (x, y)
-_CORNERS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+# the base-square corners each kind pins, in plan fractions (x, y); the
+# thin-plate fit takes its anchor points in this order
 _ANCHOR_CORNERS = {
-    AnchorKind.ONE: (0,),
-    AnchorKind.TWO_SIDE: (0, 1),
-    AnchorKind.TWO_DIAGONAL: (0, 2),
-    AnchorKind.THREE: (0, 1, 2),
-    AnchorKind.FOUR: (0, 1, 2, 3),
+    AnchorKind.ONE: ((0, 0),),
+    AnchorKind.TWO_SIDE: ((0, 0), (1, 0)),
+    AnchorKind.TWO_DIAGONAL: ((0, 0), (1, 1)),
+    AnchorKind.THREE: ((0, 0), (1, 0), (1, 1)),
+    AnchorKind.FOUR: ((0, 0), (1, 0), (1, 1), (0, 1)),
 }
 
 
 def _anchor_points(kind: AnchorKind, span_m: float) -> Tuple[Tuple[float, float], ...]:
     """Ground-pin plan coordinates (m) on the base-square corners."""
-    return tuple((_CORNERS[i][0] * span_m, _CORNERS[i][1] * span_m)
-                 for i in _ANCHOR_CORNERS[kind])
+    return tuple((fx * span_m, fy * span_m) for fx, fy in _ANCHOR_CORNERS[kind])
 
 
 def initial_columns(surface: ShellSurface) -> np.ndarray:
@@ -79,33 +81,22 @@ def initial_columns(surface: ShellSurface) -> np.ndarray:
     return np.where(heights < 0.0, 0.0, heights)
 
 
-@dataclass(frozen=True)
-class SlopeReport:
-    """Max-neighbour slope per grid point plus the drainage verdict."""
+def slope_grid(surface: ShellSurface, min_slope: float, rule: str
+               ) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
+    """Drainage check on a 10x10 grid of surface points: the least point
+    slope and the plan coordinates (m) of the points that fail.
 
-    slopes: np.ndarray                 # (10, 10) max neighbour slope
-    passed: bool
-    failing_points: Tuple[Tuple[float, float], ...]  # plan coords, m
-
-    @property
-    def min_slope_S(self) -> float:
-        return float(self.slopes.min())
-
-    def __eq__(self, other):  # ndarray field, compare by content
-        return (isinstance(other, SlopeReport)
-                and np.array_equal(self.slopes, other.slopes)
-                and self.passed == other.passed
-                and self.failing_points == other.failing_points)
-
-
-def slope_grid(surface: ShellSurface, min_slope: float, rule: str) -> SlopeReport:
-    """Drainage check on a 10x10 grid of surface points.
-
-    Slope between 4-neighbours is |dh| / horizontal distance.  Under the
-    ponding rule a point fails iff all its neighbour slopes are
-    below the threshold (no direction drains); the strict rule fails a
-    point when any neighbour slope is below it.
+    Slope between 4-neighbours is |dh| / horizontal distance.  A point's
+    slope is its steepest neighbour slope under the ponding rule (it drains
+    if any direction does) and its shallowest under the strict rule; the
+    point fails unless that slope reaches the threshold.
     """
+    if rule == "ponding":
+        pad, reduce = -np.inf, np.fmax
+    elif rule == "strict":
+        pad, reduce = np.inf, np.fmin
+    else:
+        raise ParameterError(f"unknown drainage rule {rule!r}")
     n = SLOPE_GRID_POINTS
     coords_mm = np.linspace(0.0, surface.span_mm, n)
     z_m = np.asarray(surface.evaluate(coords_mm, coords_mm)) / 1000.0
@@ -113,32 +104,19 @@ def slope_grid(surface: ShellSurface, min_slope: float, rule: str) -> SlopeRepor
     sx = np.abs(np.diff(z_m, axis=0)) / step_m  # (n-1, n) slopes between x-neighbours
     sy = np.abs(np.diff(z_m, axis=1)) / step_m  # (n, n-1)
 
-    big = np.inf
-    neigh = np.full((n, n, 4), -1.0)
-    neigh[1:, :, 0] = sx       # toward -x
-    neigh[:-1, :, 1] = sx      # toward +x
-    neigh[:, 1:, 2] = sy       # toward -y
-    neigh[:, :-1, 3] = sy      # toward +y
+    # one layer per direction, padded where the grid edge has no neighbour;
+    # fmax and fmin pass over a NaN slope
+    neigh = np.full((4, n, n), pad)
+    neigh[0, 1:, :] = sx       # toward -x
+    neigh[1, :-1, :] = sx      # toward +x
+    neigh[2, :, 1:] = sy       # toward -y
+    neigh[3, :, :-1] = sy      # toward +y
+    slopes = reduce.reduce(neigh, axis=0)
 
-    has = neigh >= 0
-    if rule == "ponding":
-        # fails iff every existing neighbour slope is under the threshold
-        drains = (neigh >= min_slope) & has
-        fail = ~drains.any(axis=2)
-        slopes = np.where(has, neigh, -big).max(axis=2)
-    elif rule == "strict":
-        under = (neigh < min_slope) & has
-        fail = under.any(axis=2)
-        slopes = np.where(has, neigh, big).min(axis=2)
-    else:
-        raise ParameterError(f"unknown drainage rule {rule!r}")
-
-    pts = []
-    coords_m = coords_mm / 1000.0
-    for i, j in zip(*np.nonzero(fail)):
-        pts.append((float(coords_m[i]), float(coords_m[j])))
-    return SlopeReport(slopes=slopes, passed=not fail.any(),
-                       failing_points=tuple(pts))
+    coords_m = (coords_mm / 1000.0).tolist()
+    failing = tuple((coords_m[i], coords_m[j])
+                    for i, j in zip(*np.nonzero(~(slopes >= min_slope))))
+    return float(slopes.min()), failing
 
 
 def usable_area(surface: ShellSurface, section_side: float, headroom: float,
@@ -191,20 +169,23 @@ def grade(values: Sequence[float]) -> List[float]:
 @dataclass(frozen=True, eq=False)
 class CandidateDesign:
     """A scored design: its chainmail and usable areas, its (16,) column
-    heights in grid order and their load-bearing and formwork volumes, its
-    drainage verdict in `slope_report`.  It keeps the control grid that
-    defines its surface, not the surface: interpolate_surface rebuilds that
-    surface bit for bit where it is needed."""
+    heights and volumes in grid order and the load-bearing and formwork
+    volume sums, its least drainage slope and the grid points that fail
+    drainage (it drains when there are none).  It keeps the control grid
+    that defines its surface, not the surface: interpolate_surface rebuilds
+    that surface bit for bit where it is needed."""
 
     candidate_id: str
     kind: AnchorKind
     column_heights_m: np.ndarray
+    column_volumes_m3: np.ndarray
     control: ControlGrid
     cms_m2: float
     ua_m2: float
     lc_m3: float
     fc_m3: float
-    slope_report: SlopeReport
+    min_slope_S: float
+    failing_points: Tuple[Tuple[float, float], ...]  # plan coords, m
     grades: Optional[Dict[str, float]] = None
     weighted_score: Optional[float] = None
 
@@ -215,14 +196,14 @@ def evaluate_candidate(candidate_id: str, surface: ShellSurface, kind: AnchorKin
     side = block.column_section_side_m
     heights = initial_columns(surface)
     volumes = side * side * heights
+    min_slope_S, failing = slope_grid(surface, block.min_slope, block.slope_rule)
     return CandidateDesign(candidate_id=candidate_id, kind=kind,
-                           column_heights_m=heights, control=surface.control,
-                           cms_m2=surface.mesh.area(),
+                           column_heights_m=heights, column_volumes_m3=volumes,
+                           control=surface.control, cms_m2=surface.mesh.area(),
                            ua_m2=usable_area(surface, side, block.headroom_m),
                            lc_m3=sum(volumes[LOAD_BEARING].tolist()),
                            fc_m3=sum(volumes[~LOAD_BEARING].tolist()),
-                           slope_report=slope_grid(surface, block.min_slope,
-                                                   block.slope_rule))
+                           min_slope_S=min_slope_S, failing_points=failing)
 
 
 def rank_designs(candidates: Sequence[CandidateDesign],
@@ -239,8 +220,8 @@ def rank_designs(candidates: Sequence[CandidateDesign],
         raise ParameterError("no candidates to rank")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ParameterError("criterion weights must sum to 1.0")
-    survivors = [c for c in candidates if c.slope_report.passed]
-    rejected = tuple(c for c in candidates if not c.slope_report.passed)
+    survivors = [c for c in candidates if not c.failing_points]
+    rejected = tuple(c for c in candidates if c.failing_points)
     if not survivors:
         return (), rejected
 
@@ -276,22 +257,15 @@ def _support_nodes(grid: int, kind: AnchorKind, span_m: float,
 
     Anchors pin the shell edge; load-bearing columns (fixed base, pinned
     top) restrain translation; formwork columns (sliding base) restrain
-    only the vertical direction.  Stronger kinds win collisions.
+    only the vertical direction.  A pin restrains what a sliding base does
+    and more, so pins are put last and win a shared node.
     """
-    strength = {SupportKind.FIXED: 3, SupportKind.PINNED: 2,
-                SupportKind.SLIDING_BASE: 1}
-    supports: Dict[int, SupportKind] = {}
-
-    def put(node: int, support: SupportKind):
-        have = supports.get(node)
-        if have is None or strength[support] > strength[have]:
-            supports[node] = support
-
+    supports = {_column_node(span_m, grid, k): SupportKind.SLIDING_BASE
+                for k in np.flatnonzero(kept & ~LOAD_BEARING).tolist()}
     for (x, y) in _anchor_points(kind, span_m):
-        put(_lattice_node(span_m, grid, x, y), SupportKind.PINNED)
-    for k in _kept_columns(kept):
-        put(_column_node(span_m, grid, k),
-            SupportKind.PINNED if LOAD_BEARING[k] else SupportKind.SLIDING_BASE)
+        supports[_lattice_node(span_m, grid, x, y)] = SupportKind.PINNED
+    for k in np.flatnonzero(kept & LOAD_BEARING).tolist():
+        supports[_column_node(span_m, grid, k)] = SupportKind.PINNED
     return supports
 
 
@@ -395,35 +369,19 @@ def _stream_length(block: OptimizerBlock) -> int:
 def _shelter_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
                   iteration: int, u: np.ndarray) -> ControlGrid:
     """The shelter grid drawn from its stream's doubles `u`, each mapped
-    to [low, high] as numpy's uniform maps it: low + (high - low) * u."""
+    to [low, high] as numpy's uniform maps it: low + (high - low) * u.  The
+    amplitude comes first, then the heights in row-major order; the control
+    points over the kind's anchor corners are clamped to the ground."""
     block = config.optimizer
     lo = block.amplitude_min_fraction * block.amplitude_cap_m
     amp_m = float(lo + (block.amplitude_cap_m - lo) * u[0])
     m = block.control_F + 1
     z_mm = 0.0 + (amp_m * 1000.0 - 0.0) * u[1:].reshape(m, m)
-    corner_ij = {(0, 0): 0, (m - 1, 0): 1, (m - 1, m - 1): 2, (0, m - 1): 3}
-    wanted = set(_ANCHOR_CORNERS[kind])
-    for (i, j), corner in corner_ij.items():
-        if corner in wanted:
-            z_mm[i, j] = 0.0
+    for fx, fy in _ANCHOR_CORNERS[kind]:
+        z_mm[fx * (m - 1), fy * (m - 1)] = 0.0
     return ControlGrid(F=block.control_F, amplitude_A=amp_m * 1000.0,
                        span_L=config.gen3d.span_mm, z_values=z_mm,
                        seed=seed, iteration=iteration)
-
-
-def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
-                         anchor_index: int, iteration: int) -> ControlGrid:
-    """Seeded shelter control grid: random dome heights, anchors at zero.
-
-    Heights are drawn uniformly in [0, A_i] metres where the iteration's
-    amplitude A_i is itself drawn within the [optimizer] cap; control points
-    over anchor corners are clamped to the ground.  The draws are the first
-    doubles of the (seed * 5 + anchor_index, iteration) stream: A_i, then
-    the heights in row-major order.
-    """
-    u = random_doubles([_stream_key(seed, anchor_index, iteration)],
-                       _stream_length(config.optimizer))
-    return _shelter_grid(config, seed, kind, iteration, u[0])
 
 
 @dataclass(frozen=True)

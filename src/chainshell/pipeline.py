@@ -25,7 +25,7 @@ from . import filtering, loads, profile2d, shell3d, units
 from .config import PipelineConfig, config_hash, derive_seed, dump_config, validate
 from .errors import ParameterError, StageError
 from .fem import analyze_shell, default_supports
-from .optimizer import COLUMN_POSITIONS_M, LOAD_BEARING, optimize
+from .optimizer import COLUMN_POSITIONS_M, LOAD_BEARING, MAX_SECTION_SIDE_M, optimize
 
 STAGES = ("units", "sweep2d", "gen3d", "filter", "analyze", "optimize")
 GROUP_SHAPE = units.Shape.RECTANGULAR  # printed group parameters are rectangular
@@ -231,7 +231,7 @@ def analyze_model(config: PipelineConfig, control: shell3d.ControlGrid,
     case = loads.combine(spec, area_m2)
     result = analyze_shell(surface, case, spec,
                            default_supports(grid, config.fem.supports), grid)
-    limit = loads.deflection_limit(config.gen3d.span_mm / 1000.0)
+    limit = loads.deflection_limit(spec.span_L)
     return [_fmt(case.dead_DL, 4), _fmt(case.live_LL, 4), _fmt(case.snow_SL, 4),
             _fmt(case.wind_WL, 4), _fmt(case.total_TL, 4),
             _fmt(result.max_translation_mm, 4), _fmt(limit, 4),
@@ -261,14 +261,13 @@ def _ranking_rows(ranked, rejected) -> List[str]:
     fc_count = str(int((~LOAD_BEARING).sum()))
     for rank, c in enumerate(ranked + rejected, start=1):
         graded = c.grades is not None
-        slopes = c.slope_report
         scores = ([_fmt(c.grades[k], 6) for k in ("CMS", "UA", "LC", "FC")]
                   + [_fmt(c.weighted_score, 6)]) if graded else [""] * 5
         rows.append(",".join([
             c.candidate_id, c.kind.value, str(rank) if graded else "",
             _fmt(c.cms_m2, 6), _fmt(c.ua_m2, 6),
             _fmt(c.lc_m3, 9), lc_count, _fmt(c.fc_m3, 9), fc_count,
-            _fmt(slopes.min_slope_S, 6), "1" if slopes.passed else "0"] + scores))
+            _fmt(c.min_slope_S, 6), "0" if c.failing_points else "1"] + scores))
     return rows
 
 
@@ -291,15 +290,15 @@ def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> s
 
 
 def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
-    result = optimize(config, structure_spec(config),
-                      derive_seed(config.seed, "optimize"))
+    spec = structure_spec(config)
+    result = optimize(config, spec, derive_seed(config.seed, "optimize"))
 
     rows = _ranking_rows(result.ranked, result.rejected)
     write_output(out, "optimize/ranking.csv", "\n".join(rows) + "\n")
 
     marker_rows = ["candidate,x_m,y_m"]
     for c in result.ranked + result.rejected:
-        for (x, y) in c.slope_report.failing_points:
+        for (x, y) in c.failing_points:
             marker_rows.append(f"{c.candidate_id},{_fmt(x, 4)},{_fmt(y, 4)}")
     write_output(out, "optimize/slope_failures.csv", "\n".join(marker_rows) + "\n")
 
@@ -308,9 +307,8 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
                      _rendered(shell3d.write_mesh, result.winner_surface.mesh, ""))
 
         solved = result.winner_analysis
-        limit = loads.deflection_limit(config.gen3d.span_mm / 1000.0)
-        coords = np.linspace(0.0, config.gen3d.span_mm / 1000.0,
-                             config.fem.lattice_grid + 1)
+        limit = loads.deflection_limit(spec.span_L)
+        coords = np.linspace(0.0, spec.span_L, config.fem.lattice_grid + 1)
         footer = (f"# max_displacement_mm={_fmt(solved.max_translation_mm, 6)}"
                   f" limit_mm={_fmt(limit, 4)}"
                   f" passed={'1' if solved.max_translation_mm <= limit else '0'}\n")
@@ -319,9 +317,8 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
                      + node_displacement_rows(solved.displacements, coords)
                      + footer)
 
-        side = config.optimizer.column_section_side_m
-        heights = result.ranked[0].column_heights_m
-        volumes = (side * side * heights).tolist()
+        winner = result.ranked[0]
+        heights, volumes = winner.column_heights_m, winner.column_volumes_m3.tolist()
         crows = ["role,x_m,y_m,height_m,volume_m3,kept"]
         for role, mask in (("load-bearing", LOAD_BEARING), ("formwork", ~LOAD_BEARING)):
             for k in np.flatnonzero(mask).tolist():
@@ -397,10 +394,16 @@ def _refuse_foreign_run(out_dir: Path, cfg_hash: str) -> None:
 
 
 def require_column_grid(config: PipelineConfig) -> None:
-    """Refuse, with ParameterError, a [gen3d] span the shelter study's fixed
-    column grid does not fit in: the footprint of its farthest column,
-    [optimizer] column_section_side_m wide, must end inside the plan."""
+    """Refuse, with ParameterError, a shelter column grid that does not fit:
+    columns [optimizer] column_section_side_m wide must not overlap or
+    cross the plan's near edges, and the footprint of the farthest must
+    end inside the [gen3d] span."""
     side = config.optimizer.column_section_side_m
+    if side > MAX_SECTION_SIDE_M:
+        raise ParameterError(
+            f"optimizer.column_section_side_m = {side} exceeds the shelter column "
+            f"grid's {MAX_SECTION_SIDE_M} m: neighbouring footprints would overlap "
+            f"or cross the plan edge")
     reach_m = float(COLUMN_POSITIONS_M.max()) + side / 2.0
     if reach_m > config.gen3d.span_mm / 1000.0:
         raise ParameterError(

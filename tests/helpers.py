@@ -19,10 +19,10 @@ from chainshell.fem import (BeamSection, FrameModel, SupportKind, analyze_shell,
                             assemble_stiffness, default_supports, frame_from_surface)
 from chainshell.filtering import measure
 from chainshell.optimizer import (COLUMN_POSITIONS_M, AnchorKind, CandidateDesign,
-                                  SlopeReport)
+                                  _shelter_grid, _stream_key, _stream_length)
 from chainshell.pipeline import filter_pool, structure_spec
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
-                               group_parameters, interpolate_surface)
+                               group_parameters, interpolate_surface, random_doubles)
 from chainshell.units import Shape, UnitCell
 
 # reproducible property examples, no example database written next to the tests
@@ -196,14 +196,32 @@ def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:
 
 def synthetic_candidate(cid: str, cms: float, ua: float, lc_m3: float = 0.012,
                         fc_m3: float = 0.036, drainage: bool = True) -> CandidateDesign:
-    """Hand-built design for exercising the ranking rules in isolation."""
-    report = SlopeReport(slopes=np.full((10, 10), 0.05), passed=drainage,
-                         failing_points=())
+    """Hand-built design for exercising the ranking rules in isolation; one
+    that fails drainage fails it at the plan origin."""
     return CandidateDesign(candidate_id=cid, kind=AnchorKind.FOUR,
                            column_heights_m=np.ones(16),
+                           column_volumes_m3=np.full(16, 0.0025),
                            control=grid_from_z(np.full((5, 5), 1600.0)),
                            cms_m2=cms, ua_m2=ua, lc_m3=lc_m3, fc_m3=fc_m3,
-                           slope_report=report)
+                           min_slope_S=0.05,
+                           failing_points=() if drainage else ((0.0, 0.0),))
+
+
+def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
+                         anchor_index: int, iteration: int) -> ControlGrid:
+    """One shelter candidate's control grid drawn from its own stream alone,
+    the oracle for the study's one batched draw: random dome heights,
+    anchors at zero.
+
+    Heights are drawn uniformly in [0, A_i] metres where the iteration's
+    amplitude A_i is itself drawn within the [optimizer] cap; control points
+    over anchor corners are clamped to the ground.  The draws are the first
+    doubles of the (seed * 5 + anchor_index, iteration) stream: A_i, then
+    the heights in row-major order.
+    """
+    u = random_doubles([_stream_key(seed, anchor_index, iteration)],
+                       _stream_length(config.optimizer))
+    return _shelter_grid(config, seed, kind, iteration, u[0])
 
 
 def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,

@@ -228,11 +228,11 @@ def test_a09_ranking_correctness(optimize_result):
     weights = OptimizerBlock().weights
     ranked, rejected = rank_designs(pool, weights)
     gate_ok = ([c.candidate_id for c in rejected] == ["swamp"]
-               and all(c.slope_report.passed for c in ranked))
+               and all(not c.failing_points for c in ranked))
 
     rescaled = [synthetic_candidate(c.candidate_id, 2.5 * c.cms_m2 + 3.0, c.ua_m2,
                                     lc_m3=c.lc_m3, fc_m3=c.fc_m3,
-                                    drainage=c.slope_report.passed)
+                                    drainage=not c.failing_points)
                 for c in pool]
     affine_ok = True
     for before, after in zip(rank_designs(pool, weights)[0],
@@ -246,7 +246,7 @@ def test_a09_ranking_correctness(optimize_result):
 
     dominant_ok = ranked[0].candidate_id == "top" and ranked[0].weighted_score == 100.0
 
-    gated_live = all(c.slope_report.passed for c in optimize_result.ranked)
+    gated_live = all(not c.failing_points for c in optimize_result.ranked)
     disp = optimize_result.winner_analysis.max_translation_mm
     limit = deflection_limit(CONFIG.gen3d.span_mm / 1000.0)
     bound_ok = disp <= limit

@@ -436,6 +436,20 @@ def test_a_span_the_column_grid_overruns_exits_2(capsys, tmp_path):
                  "--iterations", "2", "--out", str(tmp_path / "pool")]) == EXIT_OK
 
 
+def test_a_column_side_past_the_grid_spacing_exits_2(capsys, tmp_path):
+    # on a 3 m plan the far columns fit, but 0.6 m sections on the 0.5 m grid
+    # overlap their neighbours and cross the near edges; 0.5 m ones just touch
+    for side, code in (("0.6", EXIT_VALIDATION), ("0.5", EXIT_OK)):
+        cfg = tmp_path / f"side-{side}.ini"
+        cfg.write_text("[gen3d]\nspan_mm = 3000\n\n[optimizer]\niterations_per_anchor = 1\n"
+                       f"column_section_side_m = {side}\n")
+        out = tmp_path / side
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("optimizer.column_section_side_m = 0.6" in err) == (code == EXIT_VALIDATION)
+        assert out.exists() == (code == EXIT_OK)
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 def test_report_into_a_closed_pipe_exits_quietly(cli_runs, buffered):
     dir_a, _ = cli_runs

@@ -24,7 +24,6 @@ from chainshell.optimizer import (
     optimize,
     rank_designs,
     reduce_formwork,
-    shelter_control_grid,
     slope_grid,
     usable_area,
     _anchor_points,
@@ -36,7 +35,7 @@ from chainshell.shell3d import TriangleMesh, interpolate_surface
 
 from helpers import (CONFIG, PROPERTY, SPEC, dome_surface, flat_surface, grid_from_z,
                      holds_geometry, meshgrid_usable_area, per_point_column_heights,
-                     synthetic_candidate)
+                     shelter_control_grid, synthetic_candidate)
 
 # the [optimizer] defaults, read where the study reads them
 BLOCK = OptimizerBlock()
@@ -59,25 +58,21 @@ def _slopes(surface, rule: str = BLOCK.slope_rule):
 
 
 def test_flat_surface_ponds_everywhere():
-    report = _slopes(flat_surface(height_mm=1600.0))
-    assert not report.passed
-    assert len(report.failing_points) == 100
-    assert report.min_slope_S == 0.0
+    min_slope_S, failing_points = _slopes(flat_surface(height_mm=1600.0))
+    assert len(failing_points) == 100
+    assert min_slope_S == 0.0
 
 
 def test_incline_drains_under_ponding_but_not_strict():
     surface = _incline_surface(0.03)
-    ponding = _slopes(surface, "ponding")
-    assert ponding.passed
-    assert ponding.failing_points == ()
-    strict = _slopes(surface, "strict")
-    assert not strict.passed  # cross-slope directions are dead flat
+    assert _slopes(surface, "ponding")[1] == ()
+    assert _slopes(surface, "strict")[1]  # cross-slope directions are dead flat
 
 
 def test_too_shallow_incline_fails_both_rules():
     surface = _incline_surface(0.01)
-    assert not _slopes(surface, "ponding").passed
-    assert not _slopes(surface, "strict").passed
+    assert _slopes(surface, "ponding")[1]
+    assert _slopes(surface, "strict")[1]
 
 
 def test_unknown_drainage_rule_is_rejected():
@@ -87,7 +82,7 @@ def test_unknown_drainage_rule_is_rejected():
 
 def test_slope_grid_matches_direct_neighbour_scan(pools42):
     surface = pools42[2].surfaces[0]
-    report = _slopes(surface)
+    min_slope_S, failing_points = _slopes(surface)
     coords = np.linspace(0.0, surface.span_mm, 10)
     z = np.asarray(surface.evaluate(coords, coords)) / 1000.0
     step = (coords[1] - coords[0]) / 1000.0
@@ -104,10 +99,10 @@ def test_slope_grid_matches_direct_neighbour_scan(pools42):
             if all(s < BLOCK.min_slope for s in slopes):
                 failing.add((round(coords[i] / 1000.0, 12),
                              round(coords[j] / 1000.0, 12)))
-    assert np.allclose(report.slopes, best, rtol=1e-12, atol=1e-15)
-    got = {(round(x, 12), round(y, 12)) for x, y in report.failing_points}
+    assert np.isclose(min_slope_S, best.min(), rtol=1e-12, atol=1e-15)
+    got = {(round(x, 12), round(y, 12)) for x, y in failing_points}
     assert got == failing
-    assert report.passed == (not failing)
+    assert len(failing_points) == len(failing)
 
 
 def test_usable_area_on_flat_planes():
@@ -384,7 +379,8 @@ def test_evaluate_candidate_collects_consistent_metrics():
     assert (design.lc_m3, design.fc_m3) == _column_volumes(initial_columns(surface), SIDE)
     assert design.ua_m2 == usable_area(surface, SIDE, HEADROOM)
     assert design.ua_m2 <= 4.0
-    assert design.slope_report == _slopes(surface)
+    assert np.array_equal(design.column_volumes_m3, SIDE * SIDE * design.column_heights_m)
+    assert (design.min_slope_S, design.failing_points) == _slopes(surface)
     assert design.grades is None and design.weighted_score is None
 
 
@@ -394,11 +390,13 @@ def test_evaluate_candidate_reads_the_block():
                       slope_rule="strict", headroom_m=0.5)
     design = evaluate_candidate("dome", surface, FOUR, changed)
     assert (design.lc_m3, design.fc_m3) == _column_volumes(initial_columns(surface), 0.08)
-    assert design.slope_report == slope_grid(surface, 0.5, "strict")
+    assert (design.min_slope_S, design.failing_points) == slope_grid(surface, 0.5,
+                                                                      "strict")
     assert design.ua_m2 == usable_area(surface, 0.08, 0.5)
     base = _dome_design(surface)
     assert design.lc_m3 != base.lc_m3 and design.ua_m2 != base.ua_m2
-    assert design.slope_report != base.slope_report
+    assert ((design.min_slope_S, design.failing_points)
+            != (base.min_slope_S, base.failing_points))
 
 
 def test_formwork_reactions_cover_every_column():
@@ -507,11 +505,11 @@ def test_full_study_outcome(optimize_result):
     assert winner.candidate_id == "two-side-13"
     assert result.kept_columns[LOAD_BEARING].all()
     assert result.kept_columns[~LOAD_BEARING].sum() == 4
-    assert winner.slope_report.passed
+    assert winner.failing_points == ()
     scores = [c.weighted_score for c in result.ranked]
     assert scores == sorted(scores, reverse=True)
     assert all(1.0 <= s <= 100.0 for s in scores)
-    assert all(not c.slope_report.passed for c in result.rejected)
+    assert all(c.failing_points for c in result.rejected)
     # within the default span's span/250 limit
     assert result.winner_analysis.max_translation_mm <= 8.0
 

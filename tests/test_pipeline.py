@@ -12,6 +12,7 @@ import pytest
 
 from chainshell.config import (
     _BLOCK_NAMES,
+    FemBlock,
     FilterBlock,
     Gen3dBlock,
     OptimizerBlock,
@@ -330,6 +331,43 @@ def test_optimize_stage_uses_the_config_moduli(tmp_path):
                 == (tmp_path / "soft/optimize" / rel).read_bytes())
     assert ((tmp_path / "default/optimize/winner_displacements.csv").read_bytes()
             != (tmp_path / "soft/optimize/winner_displacements.csv").read_bytes())
+
+
+# Two shelter studies no benchmark workload runs, pinned file by file: the
+# strict drainage rule rejecting 17 of its 30 candidates, and a 3x3 frame
+# lattice on which the corner columns and the anchors share nodes.
+_PINNED_STUDIES = {
+    "strict": (PipelineConfig(seed=3, optimizer=OptimizerBlock(
+        slope_rule="strict", min_slope=0.01, iterations_per_anchor=6),
+        fem=FemBlock(lattice_grid=2)), {
+        "columns.csv": "26bcb96bb6fa117d9bf832cd5c15b7b548a67ea3f8c092c1ec4755027444af21",
+        "ranking.csv": "860b6f6a35680d37b51e9a8c89e8d06b20aa852b85822da9701a65578d0f150d",
+        "slope_failures.csv":
+            "30814f17394913aff208800fafe4057533d8a4b6ab0adc4ae20c006fc5c1e01a",
+        "winner.mesh": "2726244276e98831f90eb177a589ee93dccf6a2b452512ae2d7beeeaa5a7b9a8",
+        "winner_displacements.csv":
+            "f6bcdcc89b3b57eec3fb2d97c6ef6fd73be1c825256bea874331f919b4ddb8b4"}),
+    "coarse-lattice": (PipelineConfig(seed=5, fem=FemBlock(lattice_grid=3)), {
+        "columns.csv": "04e364722c68e3342c006675aa1ea43608a976442b184cc62258a748571a1d32",
+        "ranking.csv": "bbc1fe0d4e9c64aef83c8fb334ef7264ff988734f752a0d52d6deefa0515137a",
+        "slope_failures.csv":
+            "df6bef12db8adc6917026ccf531665dcb3b1b7679590f758f42d5fa04dcdba4d",
+        "winner.mesh": "beb03dd24e34b3cd638e5e744be76ed32e525a39c0b107e1207efdbf4b388d59",
+        "winner_displacements.csv":
+            "3aa40930c725d8bfe35c7d465b6e6dca39a61a680dc316fe724227a7ff9f772b"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STUDIES))
+def test_optimize_stage_reproduces_its_pinned_digests(tmp_path, name):
+    config, digests = _PINNED_STUDIES[name]
+    out = RunDir.create(tmp_path)
+    stage_optimize(config, out)
+    assert out.digests == {f"optimize/{rel}": d for rel, d in digests.items()}
+    assert {p.name for p in (tmp_path / "optimize").iterdir()} == set(digests)
+    if name == "strict":
+        rows = (tmp_path / "optimize/ranking.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[10] for r in rows].count("0") == 17
 
 
 # One changed, valid value per config key.  Weights move in pairs that keep

@@ -9,7 +9,7 @@ import pytest
 
 from chainshell.config import PipelineConfig
 from chainshell.errors import EnvelopeError, GeometryError, ParameterError
-from chainshell.optimizer import AnchorKind, shelter_control_grid
+from chainshell.optimizer import AnchorKind
 from chainshell.pipeline import pool_grids
 from chainshell.shell3d import (
     ControlGrid,
@@ -26,7 +26,7 @@ from chainshell.shell3d import (
 )
 from helpers import (CONFIG, check_single_loop, flat_surface, grid_from_z, lattice_vertices,
                      per_call_lattice_faces, read_mesh, read_pgm, search_boundary_edges,
-                     unique_rows_boundary_edges)
+                     shelter_control_grid, unique_rows_boundary_edges)
 
 SPAN = CONFIG.gen3d.span_mm
 
