@@ -250,7 +250,7 @@ def cmd_loads(args, config: PipelineConfig) -> int:
 def _kept_row_feasible(row: dict) -> None:
     """A kept row's (A, f) must lie in the envelope its pool was drawn under."""
     if row["kept"] == "1":
-        profile2d.require_feasible(pipeline.GROUP_SHAPE, row["amplitude_mm"],
+        profile2d.require_feasible(shell3d.GROUP_SHAPE, row["amplitude_mm"],
                                    row["frequency"])
 
 

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
+from . import units
 from .errors import ConfigError
 from .profile2d import DEFAULT_ENVELOPE_TABLE, FREQUENCY_MIN
+from .shell3d import GROUP_SHAPE, group_parameters
 from .units import Shape
 
 _MASK63 = (1 << 63) - 1
@@ -121,6 +123,24 @@ def _require(ok: bool, key: str, message: str) -> None:
         raise ConfigError(message, key=key)
 
 
+def _top_group() -> int:
+    """The last study group g such that groups 1..g all lie in the envelope
+    their pools are checked against."""
+    table = DEFAULT_ENVELOPE_TABLE[GROUP_SHAPE]
+    group = 0
+    while True:
+        amplitude, frequency = group_parameters(group + 1)
+        if frequency not in table or amplitude > table[frequency]:
+            return group
+        group += 1
+
+
+def _top_ratio() -> float:
+    """The largest target ratio every catalog ring reaches."""
+    return min(units.max_ratio(units.UnitCell(s, *units.STANDARD_DIMENSIONS[s.value]))
+               for s in Shape)
+
+
 def validate(config: PipelineConfig) -> PipelineConfig:
     """Reject every value a stage would reject later; ConfigError names the key."""
     for name in _BLOCK_NAMES:
@@ -140,8 +160,11 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              f"unknown shape {config.unit.shape!r}")
     _require(config.sweep2d.shape in _SHAPES, "sweep2d.shape",
              f"unknown shape {config.sweep2d.shape!r}")
-    _require(0 < config.unit.target_ratio < 1, "unit.target_ratio",
-             "target ratio must be in (0, 1)")
+    top_ratio = _top_ratio()
+    _require(0 < config.unit.target_ratio <= top_ratio, "unit.target_ratio",
+             f"unit.target_ratio = {config.unit.target_ratio} is outside "
+             f"(0, {top_ratio!r}]: every catalog ring must reach it at or above "
+             "its footprint pitch")
     _require(config.unit.density_g_cm3 > 0, "unit.density_g_cm3",
              "density must be positive")
     _require(config.sweep2d.span_mm > 0, "sweep2d.span_mm", "span must be positive")
@@ -153,7 +176,12 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              f"got {config.sweep2d.frequency_max}")
     _require(config.gen3d.iterations >= 1, "gen3d.iterations",
              "iterations must be >= 1")
-    _require(1 <= config.gen3d.groups <= 5, "gen3d.groups", "groups must be in 1..5")
+    top_group = _top_group()
+    amplitude, frequency = group_parameters(top_group + 1)
+    _require(1 <= config.gen3d.groups <= top_group, "gen3d.groups",
+             f"gen3d.groups = {config.gen3d.groups} is outside 1..{top_group}: group "
+             f"{top_group + 1} (A={amplitude} mm, f={frequency}) lies outside the "
+             f"{GROUP_SHAPE.value} envelope")
     _require(config.gen3d.span_mm > 0, "gen3d.span_mm", "span must be positive")
     # group g samples a (g+2)-point control grid, the optimizer a (F+1)-point one
     needed = max(config.gen3d.groups + 2, config.optimizer.control_F + 1)

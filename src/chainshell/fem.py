@@ -17,9 +17,8 @@ n x n array is formed.  The routines come from scipy's f2py LAPACK module
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -73,18 +72,14 @@ def homogenized_section(tributary_width: float, thickness: float,
                        torsion_J=iy + iz)
 
 
-class SupportKind(enum.Enum):
-    FIXED = "fixed"
-    PINNED = "pinned"
-    SLIDING_BASE = "sliding"
-
-    @property
-    def constrained_dofs(self) -> Tuple[int, ...]:
-        if self is SupportKind.FIXED:
-            return (0, 1, 2, 3, 4, 5)
-        if self is SupportKind.PINNED:
-            return (0, 1, 2)
-        return (2,)  # sliding base: vertical translation only
+# the DOFs (ux, uy, uz, rx, ry, rz) each kind of support holds; a node under
+# several holds keeps all of them, the union of their masks
+FIXED = np.ones(DOF_PER_NODE, dtype=bool)
+PINNED = np.array([True, True, True, False, False, False])
+SLIDING_BASE = np.array([False, False, True, False, False, False])  # vertical only
+for _mask in (FIXED, PINNED, SLIDING_BASE):
+    _mask.flags.writeable = False
+del _mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +87,7 @@ class FrameModel:
     nodes: np.ndarray  # (N, 3) metres
     ends: np.ndarray   # (m, 2) node ids: element e runs from ends[e, 0] to ends[e, 1]
     section: BeamSection  # shared by every element
-    supports: Dict[int, SupportKind]
+    restrained: np.ndarray  # (N, 6) bool: the DOFs the supports hold
     elastic_modulus: float  # Pa
     shear_modulus: float    # Pa
 
@@ -104,19 +99,14 @@ class FrameModel:
             raise GeometryError("element connects a node to itself")
         if np.any((self.ends < 0) | (self.ends >= n)):
             raise GeometryError("element references a missing node")
-        for node in self.supports:
-            if not 0 <= node < n:
-                raise ParameterError(f"support on missing node {node}")
+        mask = self.restrained
+        if mask.dtype != bool or mask.shape != (n, DOF_PER_NODE):
+            raise ParameterError(f"restrained must be an ({n}, {DOF_PER_NODE}) bool "
+                                 f"mask, got {mask.dtype} {mask.shape}")
 
     @property
     def dof_count(self) -> int:
         return len(self.nodes) * DOF_PER_NODE
-
-    def constrained_dof_indices(self) -> np.ndarray:
-        idx = [node * DOF_PER_NODE + d
-               for node, kind in sorted(self.supports.items())
-               for d in kind.constrained_dofs]
-        return np.array(sorted(idx), dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +115,7 @@ class SolveResult:
     solver's diagnostics."""
 
     displacements: np.ndarray          # (N, 6)
-    reactions: Dict[int, np.ndarray]   # node -> (3,) force, kN
+    reactions: np.ndarray              # (N, 3) force, kN; 0 where nothing restrains
     max_translation_mm: float
     pivot_ratio: float                 # min / max squared Cholesky pivot
     equilibrium_residual: float        # |K u - F| on free DOFs / max(|F|, 1)
@@ -200,11 +190,10 @@ def assemble_stiffness(model: FrameModel, block: slice = slice(None),
 
 
 def _free_positions(model: FrameModel) -> Tuple[np.ndarray, np.ndarray]:
-    """pos, the free-DOF index of each global DOF (-1 if fixed), and the free
-    DOFs in order."""
-    pos = np.zeros(model.dof_count, dtype=np.intp)
-    pos[model.constrained_dof_indices()] = -1
-    free = np.nonzero(pos == 0)[0]
+    """pos, the free-DOF index of each global DOF (-1 if restrained), and the
+    free DOFs in order."""
+    free = np.flatnonzero(~model.restrained.ravel())
+    pos = np.full(model.dof_count, -1, dtype=np.intp)
     pos[free] = np.arange(len(free))
     return pos, free
 
@@ -239,31 +228,6 @@ def _free_band(model: FrameModel, pos: np.ndarray,
     return flat.reshape(n_free, height).T, ke, dofs
 
 
-def _load_vector(model: FrameModel, nodal_loads) -> np.ndarray:
-    n_nodes = len(model.nodes)
-    F = np.zeros(model.dof_count)
-    if isinstance(nodal_loads, Mapping):
-        for node, vec in nodal_loads.items():
-            vec = np.asarray(vec, dtype=float)
-            if not 0 <= node < n_nodes:
-                raise ParameterError(f"load on missing node {node}")
-            if vec.ndim != 1 or len(vec) > DOF_PER_NODE:
-                raise ParameterError(f"load on node {node} must be a vector of "
-                                     f"at most {DOF_PER_NODE} components")
-            F[node * 6:node * 6 + len(vec)] = vec
-        return F
-    arr = np.asarray(nodal_loads, dtype=float)
-    if arr.shape == (n_nodes, 3):
-        F.reshape(n_nodes, 6)[:, :3] = arr
-    elif arr.shape == (n_nodes, 6):
-        F[:] = arr.ravel()
-    elif arr.shape == (model.dof_count,):
-        F[:] = arr
-    else:
-        raise ParameterError(f"load array shape {arr.shape} not understood")
-    return F
-
-
 def _describe_mechanism(factor: np.ndarray, j: int, free: np.ndarray) -> MechanismError:
     """Name the free DOFs of a mechanism from the banded Cholesky factor of
     K_ff whose column j failed (or gave a vanishing pivot).
@@ -293,16 +257,22 @@ def _describe_mechanism(factor: np.ndarray, j: int, free: np.ndarray) -> Mechani
         dofs=dofs)
 
 
-def solve(model: FrameModel, nodal_loads) -> SolveResult:
-    """Solve K u = F for the constrained frame; loads in newtons.
+def solve(model: FrameModel, forces: np.ndarray) -> SolveResult:
+    """Solve K u = F for the restrained frame under (N, 3) nodal forces, N.
 
     Returns nodal displacements, support reactions (kN), the largest
     translation magnitude in millimetres, the pivot ratio and the relative
     equilibrium residual.
     """
-    if not model.supports:
+    forces = np.asarray(forces)
+    n = len(model.nodes)
+    if forces.shape != (n, 3):
+        raise ParameterError(f"forces must be an ({n}, 3) table, got {forces.shape}")
+    if not model.restrained.any():
         raise MechanismError("frame has no supports", dofs=[])
-    F = _load_vector(model, nodal_loads)
+    F = np.zeros((n, DOF_PER_NODE))
+    F[:, :3] = forces
+    F = F.ravel()
     pos, free = _free_positions(model)
     band, ke, dofs = _free_band(model, pos, len(free))
     factor, info = flapack().dpbtrf(band, lower=1, overwrite_ab=1)
@@ -320,9 +290,9 @@ def solve(model: FrameModel, nodal_loads) -> SolveResult:
     ku = np.einsum("eij,ej->ei", ke, u[dofs])
     residual = np.bincount(dofs.ravel(), weights=ku.ravel(),
                            minlength=model.dof_count) - F
-    reactions = {node: residual[node * 6:node * 6 + 3] / 1e3
-                 for node in sorted(model.supports)}
-    disp = u.reshape(len(model.nodes), 6)
+    reactions = np.where(model.restrained[:, :3],
+                         residual.reshape(n, DOF_PER_NODE)[:, :3] / 1e3, 0.0)
+    disp = u.reshape(n, DOF_PER_NODE)
     max_mm = float(np.linalg.norm(disp[:, :3], axis=1).max() * 1000.0)
     return SolveResult(
         displacements=disp, reactions=reactions, max_translation_mm=max_mm,
@@ -339,24 +309,27 @@ def _tributary_weights(grid: int) -> np.ndarray:
     return np.outer(w, w)
 
 
-def default_supports(grid: int, mode: str) -> Dict[int, SupportKind]:
-    """Support sets for shell analysis lattices.
+def default_supports(grid: int, mode: str) -> np.ndarray:
+    """The (N, 6) restraint mask of a (grid+1)^2 shell analysis lattice.
 
     boundary-fixed clamps every edge node (the sealed membrane edge);
     corner-pinned pins only the four corners.
     """
     n = grid + 1
+    restrained = np.zeros((n, n, DOF_PER_NODE), dtype=bool)
     if mode == "boundary-fixed":
-        return {i * n + j: SupportKind.FIXED for i in range(n) for j in range(n)
-                if i in (0, grid) or j in (0, grid)}
-    if mode == "corner-pinned":
-        corners = (0, grid, grid * n, grid * n + grid)
-        return {c: SupportKind.PINNED for c in corners}
-    raise ParameterError(f"unknown support mode {mode!r}")
+        edge = np.ones((n, n), dtype=bool)
+        edge[1:-1, 1:-1] = False
+        restrained[edge] |= FIXED
+    elif mode == "corner-pinned":
+        restrained[np.ix_([0, -1], [0, -1])] |= PINNED
+    else:
+        raise ParameterError(f"unknown support mode {mode!r}")
+    return restrained.reshape(-1, DOF_PER_NODE)
 
 
 def frame_from_surface(surface: ShellSurface, grid: int, structure: StructureSpec,
-                       supports: Dict[int, SupportKind]) -> FrameModel:
+                       restrained: np.ndarray) -> FrameModel:
     """Sample the surface on a (grid+1)^2 lattice and frame it.
 
     Elements run along lattice rows, columns, and one diagonal per cell,
@@ -387,7 +360,7 @@ def frame_from_surface(surface: ShellSurface, grid: int, structure: StructureSpe
     ends = pairs[pairs[..., 1] >= 0]
 
     model = FrameModel(nodes=nodes, ends=ends, section=section,
-                       supports=supports,
+                       restrained=restrained,
                        elastic_modulus=structure.elastic_modulus,
                        shear_modulus=structure.shear_modulus)
     if np.linalg.norm(nodes[ends[:, 1]] - nodes[ends[:, 0]], axis=1).min() < 1e-12:
@@ -396,17 +369,14 @@ def frame_from_surface(surface: ShellSurface, grid: int, structure: StructureSpe
 
 
 def _require_noncollinear_supports(model: FrameModel) -> None:
-    pts = model.nodes[sorted(model.supports), :2]
+    pts = model.nodes[model.restrained.any(axis=1), :2]
     if len(pts) < 3:
         raise ParameterError("need at least 3 supported nodes")
-    p0 = pts[0]
-    for a in range(1, len(pts)):
-        for b in range(a + 1, len(pts)):
-            cross = ((pts[a][0] - p0[0]) * (pts[b][1] - p0[1])
-                     - (pts[a][1] - p0[1]) * (pts[b][0] - p0[0]))
-            if abs(cross) > 1e-12:
-                return
-    raise ParameterError("supported nodes are collinear")
+    # the plan cross product of every pair of offsets from the first node
+    d = pts[1:] - pts[0]
+    cross = np.outer(d[:, 0], d[:, 1]) - np.outer(d[:, 1], d[:, 0])
+    if not (np.abs(cross) > 1e-12).any():
+        raise ParameterError("supported nodes are collinear")
 
 
 def shell_node_loads(surface: ShellSurface, grid: int,
@@ -430,7 +400,7 @@ def shell_node_loads(surface: ShellSurface, grid: int,
 
 
 def analyze_shell(surface: ShellSurface, load_case: LoadCase,
-                  structure: StructureSpec, supports: Dict[int, SupportKind],
+                  structure: StructureSpec, restrained: np.ndarray,
                   grid: int) -> SolveResult:
     """Solve one shell under a load case.
 
@@ -438,6 +408,6 @@ def analyze_shell(surface: ShellSurface, load_case: LoadCase,
     distributed by tributary plan area; the membrane pre-compression acts
     along inward surface normals.
     """
-    model = frame_from_surface(surface, grid, structure, supports)
+    model = frame_from_surface(surface, grid, structure, restrained)
     _require_noncollinear_supports(model)
     return solve(model, shell_node_loads(surface, grid, load_case.total_TL))

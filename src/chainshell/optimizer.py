@@ -20,7 +20,6 @@ import numpy as np
 from . import fem
 from .config import OptimizerBlock, PipelineConfig
 from .errors import ParameterError
-from .fem import SupportKind
 # unused here, but bench/test_bench.py checks that the tracer rebinds
 # chainshell.optimizer.measure, so the name stays importable
 from .filtering import measure  # noqa: F401
@@ -169,11 +168,11 @@ def grade(values: Sequence[float]) -> List[float]:
 @dataclass(frozen=True, eq=False)
 class CandidateDesign:
     """A scored design: its chainmail and usable areas, its (16,) column
-    heights and volumes in grid order and the load-bearing and formwork
-    volume sums, its least drainage slope and the grid points that fail
-    drainage (it drains when there are none).  It keeps the control grid
-    that defines its surface, not the surface: interpolate_surface rebuilds
-    that surface bit for bit where it is needed."""
+    heights and volumes in grid order, its least drainage slope and the grid
+    points that fail drainage (it drains when there are none).  It keeps the
+    control grid that defines its surface, not the surface:
+    interpolate_surface rebuilds that surface bit for bit where it is
+    needed."""
 
     candidate_id: str
     kind: AnchorKind
@@ -182,12 +181,20 @@ class CandidateDesign:
     control: ControlGrid
     cms_m2: float
     ua_m2: float
-    lc_m3: float
-    fc_m3: float
     min_slope_S: float
     failing_points: Tuple[Tuple[float, float], ...]  # plan coords, m
     grades: Optional[Dict[str, float]] = None
     weighted_score: Optional[float] = None
+
+    @property
+    def lc_m3(self) -> float:
+        """LC: the load-bearing column volume, summed in grid order."""
+        return sum(self.column_volumes_m3[LOAD_BEARING].tolist())
+
+    @property
+    def fc_m3(self) -> float:
+        """FC: the formwork column volume, summed in grid order."""
+        return sum(self.column_volumes_m3[~LOAD_BEARING].tolist())
 
 
 def evaluate_candidate(candidate_id: str, surface: ShellSurface, kind: AnchorKind,
@@ -201,8 +208,6 @@ def evaluate_candidate(candidate_id: str, surface: ShellSurface, kind: AnchorKin
                            column_heights_m=heights, column_volumes_m3=volumes,
                            control=surface.control, cms_m2=surface.mesh.area(),
                            ua_m2=usable_area(surface, side, block.headroom_m),
-                           lc_m3=sum(volumes[LOAD_BEARING].tolist()),
-                           fc_m3=sum(volumes[~LOAD_BEARING].tolist()),
                            min_slope_S=min_slope_S, failing_points=failing)
 
 
@@ -252,34 +257,28 @@ def _kept_columns(kept: np.ndarray) -> List[int]:
 
 
 def _support_nodes(grid: int, kind: AnchorKind, span_m: float,
-                   kept: np.ndarray) -> Dict[int, SupportKind]:
-    """Map anchors and kept column tops to nearest lattice nodes.
+                   kept: np.ndarray) -> np.ndarray:
+    """The (N, 6) restraint mask of the anchors and the kept column tops,
+    each held at its nearest lattice node.
 
     Anchors pin the shell edge; load-bearing columns (fixed base, pinned
     top) restrain translation; formwork columns (sliding base) restrain
-    only the vertical direction.  A pin restrains what a sliding base does
-    and more, so pins are put last and win a shared node.
+    only the vertical direction.  A node under several holds keeps all of
+    them.
     """
-    supports = {_column_node(span_m, grid, k): SupportKind.SLIDING_BASE
-                for k in np.flatnonzero(kept & ~LOAD_BEARING).tolist()}
-    for (x, y) in _anchor_points(kind, span_m):
-        supports[_lattice_node(span_m, grid, x, y)] = SupportKind.PINNED
-    for k in np.flatnonzero(kept & LOAD_BEARING).tolist():
-        supports[_column_node(span_m, grid, k)] = SupportKind.PINNED
-    return supports
+    restrained = np.zeros(((grid + 1) ** 2, fem.DOF_PER_NODE), dtype=bool)
+    columns = _lattice_nodes(span_m, grid, COLUMN_POSITIONS_M)
+    restrained[columns[kept & ~LOAD_BEARING]] |= fem.SLIDING_BASE
+    restrained[columns[kept & LOAD_BEARING]] |= fem.PINNED
+    restrained[_lattice_nodes(span_m, grid, _anchor_points(kind, span_m))] |= fem.PINNED
+    return restrained
 
 
-def _lattice_node(span_m: float, grid: int, x: float, y: float) -> int:
-    """Nearest (grid+1)^2 lattice node to a plan point, clamped to the span."""
-    step = span_m / grid
-    i = min(max(int(round(x / step)), 0), grid)
-    j = min(max(int(round(y / step)), 0), grid)
-    return i * (grid + 1) + j
-
-
-def _column_node(span_m: float, grid: int, k: int) -> int:
-    """Lattice node under column k."""
-    return _lattice_node(span_m, grid, *COLUMN_POSITIONS_M[k].tolist())
+def _lattice_nodes(span_m: float, grid: int, xy) -> np.ndarray:
+    """The nearest (grid+1)^2 lattice node to each plan point (x, y) of xy,
+    clamped to the span; halves round to even, as round() does."""
+    ij = np.clip(np.rint(np.asarray(xy) / (span_m / grid)), 0, grid).astype(int)
+    return ij[:, 0] * (grid + 1) + ij[:, 1]
 
 
 def _design_solve(design: CandidateDesign, surface: ShellSurface, kept: np.ndarray,
@@ -296,9 +295,9 @@ def formwork_reactions(design: CandidateDesign, surface: ShellSurface, grid: int
     of `design`, whose surface is `surface`, keyed by column index."""
     reactions = _design_solve(design, surface, np.ones_like(LOAD_BEARING), grid,
                               structure).reactions
-    span_m = surface.span_mm / 1000.0
-    # every formwork column is a support node, so each has a reaction
-    return {k: abs(float(reactions[_column_node(span_m, grid, k)][2]))
+    columns = _lattice_nodes(surface.span_mm / 1000.0, grid, COLUMN_POSITIONS_M)
+    # every formwork column holds its node's uz, so each has a reaction
+    return {k: abs(float(reactions[columns[k], 2]))
             for k in np.flatnonzero(~LOAD_BEARING).tolist()}
 
 
@@ -366,8 +365,7 @@ def _stream_length(block: OptimizerBlock) -> int:
     return 1 + (block.control_F + 1) ** 2
 
 
-def _shelter_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
-                  iteration: int, u: np.ndarray) -> ControlGrid:
+def _shelter_grid(config: PipelineConfig, kind: AnchorKind, u: np.ndarray) -> ControlGrid:
     """The shelter grid drawn from its stream's doubles `u`, each mapped
     to [low, high] as numpy's uniform maps it: low + (high - low) * u.  The
     amplitude comes first, then the heights in row-major order; the control
@@ -379,9 +377,7 @@ def _shelter_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
     z_mm = 0.0 + (amp_m * 1000.0 - 0.0) * u[1:].reshape(m, m)
     for fx, fy in _ANCHOR_CORNERS[kind]:
         z_mm[fx * (m - 1), fy * (m - 1)] = 0.0
-    return ControlGrid(F=block.control_F, amplitude_A=amp_m * 1000.0,
-                       span_L=config.gen3d.span_mm, z_values=z_mm,
-                       seed=seed, iteration=iteration)
+    return ControlGrid(F=block.control_F, span_L=config.gen3d.span_mm, z_values=z_mm)
 
 
 @dataclass(frozen=True)
@@ -418,7 +414,7 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
                            _stream_length(block))
     candidates = [
         evaluate_candidate(f"{kind.value}-{it:02d}",
-                           interpolate_surface(_shelter_grid(config, seed, kind, it, u),
+                           interpolate_surface(_shelter_grid(config, kind, u),
                                                resolution), kind, block)
         for (ai, kind, it), u in zip(cases, draws)]
     ranked, rejected = rank_designs(candidates, block.weights)

@@ -28,7 +28,6 @@ from .fem import analyze_shell, default_supports
 from .optimizer import COLUMN_POSITIONS_M, LOAD_BEARING, MAX_SECTION_SIDE_M, optimize
 
 STAGES = ("units", "sweep2d", "gen3d", "filter", "analyze", "optimize")
-GROUP_SHAPE = units.Shape.RECTANGULAR  # printed group parameters are rectangular
 
 
 def _fmt(value: float, nd: int = 6) -> str:
@@ -111,7 +110,7 @@ def pool_grids(config: PipelineConfig, amplitude: float, frequency: int,
     """The control grids of one gen3d pool: [gen3d] iterations over
     [gen3d] span_mm, checked against the rectangular envelope the study
     groups are printed in, whatever [sweep2d] shape the sweep charts."""
-    profile2d.require_feasible(GROUP_SHAPE, amplitude, frequency)
+    profile2d.require_feasible(shell3d.GROUP_SHAPE, amplitude, frequency)
     return shell3d.generate_iterations(amplitude, frequency, config.gen3d.iterations,
                                        seed, config.gen3d.span_mm)
 

@@ -9,7 +9,7 @@ standing in for physical bend tests.
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import EnvelopeError, ParameterError
 from .units import Shape
@@ -51,7 +51,7 @@ def require_feasible(shape: Shape, amplitude: float, frequency: int) -> None:
             f"for {shape.value} (max {table[frequency]} mm)")
 
 
-def sweep_2d(envelope: Mapping[int, float], f_max: int,
+def sweep_2d(envelope: Dict[int, float], f_max: int,
              span_mm: float) -> List[Tuple[float, int, bool, float]]:
     """Enumerate A in {0, 5, .., 40} x f in {3, .., f_max} against the
     {frequency: max_amplitude_mm} envelope.

@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .spline import GridSpline
+from .units import Shape
 
 Z_RANGE_DIVISOR = 5.0    # perturbation range is [0, A/5]
+GROUP_SHAPE = Shape.RECTANGULAR  # printed group parameters are rectangular
 
 _MASK64 = (1 << 64) - 1
 # Philox4x64-10 constants.  Rows: the round multipliers of words 0 and 2,
@@ -59,11 +61,8 @@ class ControlGrid:
     """(F+1) x (F+1) control heights over an L x L plan, mm."""
 
     F: int
-    amplitude_A: float
     span_L: float
     z_values: np.ndarray  # shape (F+1, F+1), row i = x index, col j = y index
-    seed: int
-    iteration: int = 0
 
     def __post_init__(self):
         if self.F < 1:
@@ -139,9 +138,7 @@ def _control_grids(amplitude: float, frequency: int, seed: int,
     z[:, -1, :] = 0.0
     z[:, :, 0] = 0.0
     z[:, :, -1] = 0.0
-    return [ControlGrid(F=m - 1, amplitude_A=amplitude, span_L=span,
-                        z_values=z[k], seed=seed, iteration=i)
-            for k, i in enumerate(iterations)]
+    return [ControlGrid(F=m - 1, span_L=span, z_values=zk) for zk in z]
 
 
 def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
@@ -239,7 +236,6 @@ class ShellSurface:
 
     control: ControlGrid
     mesh: TriangleMesh
-    sample_resolution: int
 
     @functools.cached_property
     def spline(self) -> GridSpline:
@@ -278,7 +274,7 @@ def interpolate_surface(grid: ControlGrid, resolution: int) -> ShellSurface:
     coords = np.linspace(0.0, grid.span_L, resolution)
     heights = spline(coords, coords)  # (res, res), [i, j] = (x_i, y_j)
     mesh = TriangleMesh(coords_m=coords / 1000.0, heights_m=heights / 1000.0)
-    surface = ShellSurface(control=grid, mesh=mesh, sample_resolution=resolution)
+    surface = ShellSurface(control=grid, mesh=mesh)
     surface.__dict__["spline"] = spline  # seed the cache: one fit per surface
     return surface
 

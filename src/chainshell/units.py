@@ -95,6 +95,12 @@ def solid_to_gap_ratio(cell: UnitCell) -> float:
     return solid / total
 
 
+def max_ratio(cell: UnitCell) -> float:
+    """The largest solid fraction the ring reaches: at its footprint pitch,
+    the least pitch the area model trusts."""
+    return solid_to_gap_ratio(cell.with_pitch(cell.footprint_extent()))
+
+
 def calibrate_pitch(cell: UnitCell, target_ratio: float,
                     tol: float = 1e-6) -> float:
     """Find the pitch at which the solid fraction equals ``target_ratio``.
@@ -108,7 +114,7 @@ def calibrate_pitch(cell: UnitCell, target_ratio: float,
             f"target ratio {target_ratio} unreachable: a ring never fills its cell"
         )
     lo = cell.footprint_extent()
-    ratio_lo = solid_to_gap_ratio(cell.with_pitch(lo))
+    ratio_lo = max_ratio(cell)
     if target_ratio > ratio_lo:
         raise InfeasibleError(
             f"target ratio {target_ratio} unreachable for L={cell.member_length_L}, "

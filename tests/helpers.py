@@ -12,14 +12,15 @@ from hypothesis import settings
 from scipy.interpolate import RBFInterpolator, RectBivariateSpline
 
 import chainshell
-from chainshell import loads
+from chainshell import loads, pipeline
 from chainshell.config import PipelineConfig, derive_seed
 from chainshell.errors import GeometryError, ParameterError
-from chainshell.fem import (BeamSection, FrameModel, SupportKind, analyze_shell,
+from chainshell.fem import (FIXED, PINNED, BeamSection, FrameModel, analyze_shell,
                             assemble_stiffness, default_supports, frame_from_surface)
 from chainshell.filtering import measure
-from chainshell.optimizer import (COLUMN_POSITIONS_M, AnchorKind, CandidateDesign,
-                                  _shelter_grid, _stream_key, _stream_length)
+from chainshell.optimizer import (COLUMN_POSITIONS_M, LOAD_BEARING, AnchorKind,
+                                  CandidateDesign, _anchor_points, _shelter_grid,
+                                  _stream_key, _stream_length)
 from chainshell.pipeline import filter_pool, structure_spec
 from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
                                group_parameters, interpolate_surface, random_doubles)
@@ -101,11 +102,9 @@ def raster_solid_fraction(cell: UnitCell, resolution: int = 2048) -> float:
     return float(solid.sum()) / float(resolution * resolution)
 
 
-def grid_from_z(z_mm: np.ndarray, span_mm: float = CONFIG.gen3d.span_mm,
-                amplitude: float = 0.0) -> ControlGrid:
+def grid_from_z(z_mm: np.ndarray, span_mm: float = CONFIG.gen3d.span_mm) -> ControlGrid:
     z = np.asarray(z_mm, dtype=float)
-    return ControlGrid(F=z.shape[0] - 1, amplitude_A=amplitude, span_L=span_mm,
-                       z_values=z, seed=0, iteration=0)
+    return ControlGrid(F=z.shape[0] - 1, span_L=span_mm, z_values=z)
 
 
 def fitpack_spline(grid: ControlGrid) -> RectBivariateSpline:
@@ -160,12 +159,27 @@ def dense_stiffness(model: FrameModel) -> np.ndarray:
     return K
 
 
+def restraint(n_nodes: int, nodes, kind: np.ndarray) -> np.ndarray:
+    """(n_nodes, 6) restraint mask holding the DOFs of `kind` at `nodes`."""
+    mask = np.zeros((n_nodes, 6), dtype=bool)
+    mask[list(nodes)] = kind
+    return mask
+
+
+def point_forces(model: FrameModel, forces: dict) -> np.ndarray:
+    """The model's (N, 3) nodal force table, N, from {node: (fx, fy, fz)}."""
+    table = np.zeros((len(model.nodes), 3))
+    for node, force in forces.items():
+        table[node] = force
+    return table
+
+
 def cantilever_model(n_elems: int = 6, length: float = 1.5) -> FrameModel:
     """Horizontal beam along x, fully fixed at node 0."""
     xs = np.linspace(0.0, length, n_elems + 1)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
     return FrameModel(nodes=nodes, ends=chain_ends(n_elems), section=BEAM_SECTION,
-                      supports={0: SupportKind.FIXED}, **MODULI)
+                      restrained=restraint(n_elems + 1, [0], FIXED), **MODULI)
 
 
 def simply_supported_model(n_elems: int = 16, span: float = 2.0) -> FrameModel:
@@ -179,31 +193,89 @@ def simply_supported_model(n_elems: int = 16, span: float = 2.0) -> FrameModel:
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
     nodes = np.vstack([nodes, [0.0, 0.25, 0.0], [span, 0.25, 0.0]])
     ends = np.vstack([chain_ends(n_elems), [(0, n_elems + 1), (n_elems, n_elems + 2)]])
-    supports = {0: SupportKind.PINNED, n_elems: SupportKind.PINNED,
-                n_elems + 1: SupportKind.PINNED, n_elems + 2: SupportKind.PINNED}
-    return FrameModel(nodes=nodes, ends=ends, section=BEAM_SECTION, supports=supports,
+    pinned = restraint(n_elems + 3, [0, n_elems, n_elems + 1, n_elems + 2], PINNED)
+    return FrameModel(nodes=nodes, ends=ends, section=BEAM_SECTION, restrained=pinned,
                       **MODULI)
 
 
-def uniform_beam_loads(n_elems: int, span: float, w: float) -> dict:
-    """Distributed w N/m lumped at the nodes of a simply supported span."""
+def uniform_beam_loads(n_elems: int, span: float, w: float) -> np.ndarray:
+    """Distributed w N/m lumped at the nodes of simply_supported_model's
+    span, as its (n_elems + 3, 3) force table; the stubs carry none."""
     h = span / n_elems
-    loads = {i: (0.0, 0.0, -w * h) for i in range(1, n_elems)}
-    loads[0] = (0.0, 0.0, -w * h / 2.0)
-    loads[n_elems] = (0.0, 0.0, -w * h / 2.0)
+    loads = np.zeros((n_elems + 3, 3))
+    loads[1:n_elems, 2] = -w * h
+    loads[[0, n_elems], 2] = -w * h / 2.0
     return loads
+
+
+# The {node: kind} support dicts the restraint masks replaced, kept as
+# oracles: each kind restrains its tuple of DOFs, and a node keeps the last
+# kind written to it, so the design supports write their pins last
+_KIND_DOFS = {"fixed": (0, 1, 2, 3, 4, 5), "pinned": (0, 1, 2), "sliding": (2,)}
+
+
+def dict_restraint(n_nodes: int, supports: dict) -> np.ndarray:
+    """Reference (n_nodes, 6) restraint mask of a {node: kind} dict."""
+    flat = np.zeros(n_nodes * 6, dtype=bool)
+    flat[[node * 6 + d for node, kind in sorted(supports.items())
+          for d in _KIND_DOFS[kind]]] = True
+    return flat.reshape(n_nodes, 6)
+
+
+def dict_default_supports(grid: int, mode: str) -> dict:
+    """Reference shell supports: every edge node fixed, or the four corners pinned."""
+    n = grid + 1
+    if mode == "boundary-fixed":
+        return {i * n + j: "fixed" for i in range(n) for j in range(n)
+                if i in (0, grid) or j in (0, grid)}
+    return {c: "pinned" for c in (0, grid, grid * n, grid * n + grid)}
+
+
+def _nearest_node(span_m: float, grid: int, x: float, y: float) -> int:
+    """Nearest (grid+1)^2 lattice node to one plan point, clamped to the span."""
+    step = span_m / grid
+    i = min(max(int(round(x / step)), 0), grid)
+    j = min(max(int(round(y / step)), 0), grid)
+    return i * (grid + 1) + j
+
+
+def dict_support_nodes(grid: int, kind: AnchorKind, span_m: float, kept: np.ndarray) -> dict:
+    """Reference shelter-design supports, each column placed on its own:
+    sliding bases under the kept formwork columns, then pins under the
+    anchors and the kept load-bearing columns, which win a shared node."""
+    supports = {_nearest_node(span_m, grid, *COLUMN_POSITIONS_M[k].tolist()): "sliding"
+                for k in np.flatnonzero(kept & ~LOAD_BEARING).tolist()}
+    for x, y in _anchor_points(kind, span_m):
+        supports[_nearest_node(span_m, grid, x, y)] = "pinned"
+    for k in np.flatnonzero(kept & LOAD_BEARING).tolist():
+        supports[_nearest_node(span_m, grid, *COLUMN_POSITIONS_M[k].tolist())] = "pinned"
+    return supports
+
+
+def pairwise_noncollinear(pts: np.ndarray) -> bool:
+    """Reference collinearity test: some pair of offsets from the first point
+    has a plan cross product above 1e-12, checked pair by pair."""
+    p0 = pts[0]
+    for a in range(1, len(pts)):
+        for b in range(a + 1, len(pts)):
+            cross = ((pts[a][0] - p0[0]) * (pts[b][1] - p0[1])
+                     - (pts[a][1] - p0[1]) * (pts[b][0] - p0[0]))
+            if abs(cross) > 1e-12:
+                return True
+    return False
 
 
 def synthetic_candidate(cid: str, cms: float, ua: float, lc_m3: float = 0.012,
                         fc_m3: float = 0.036, drainage: bool = True) -> CandidateDesign:
-    """Hand-built design for exercising the ranking rules in isolation; one
-    that fails drainage fails it at the plan origin."""
+    """Hand-built design for exercising the ranking rules in isolation: LC
+    and FC spread evenly over the load-bearing and the formwork columns.
+    One that fails drainage fails it at the plan origin."""
+    volumes = np.where(LOAD_BEARING, lc_m3 / LOAD_BEARING.sum(),
+                       fc_m3 / (~LOAD_BEARING).sum())
     return CandidateDesign(candidate_id=cid, kind=AnchorKind.FOUR,
-                           column_heights_m=np.ones(16),
-                           column_volumes_m3=np.full(16, 0.0025),
+                           column_heights_m=np.ones(16), column_volumes_m3=volumes,
                            control=grid_from_z(np.full((5, 5), 1600.0)),
-                           cms_m2=cms, ua_m2=ua, lc_m3=lc_m3, fc_m3=fc_m3,
-                           min_slope_S=0.05,
+                           cms_m2=cms, ua_m2=ua, min_slope_S=0.05,
                            failing_points=() if drainage else ((0.0, 0.0),))
 
 
@@ -221,7 +293,7 @@ def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
     """
     u = random_doubles([_stream_key(seed, anchor_index, iteration)],
                        _stream_length(config.optimizer))
-    return _shelter_grid(config, seed, kind, iteration, u[0])
+    return _shelter_grid(config, kind, u[0])
 
 
 def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
@@ -238,7 +310,7 @@ def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
     cx = cy = span_mm / 2000.0
     r2 = (X - cx) ** 2 + (Y - cy) ** 2
     z_m = np.maximum(height_m * (1.0 - r2 / radius_m ** 2), 0.0)
-    grid = grid_from_z(z_m * 1000.0, span_mm, amplitude=height_m * 1000.0)
+    grid = grid_from_z(z_m * 1000.0, span_mm)
     return interpolate_surface(grid, resolution)
 
 
@@ -439,6 +511,19 @@ def carried_surface_displacement_rows(config: PipelineConfig) -> str:
                                         result.max_translation_mm, limit)]
                 + ["1" if result.max_translation_mm <= limit else "0"]))
     return "\n".join(rows) + "\n"
+
+
+def fail_gen3d_at_group_2(monkeypatch) -> None:
+    """Make the gen3d stage fail at group 2, after group 1's pool is written:
+    its pool asks for 30 mm at f = 4, beyond the rectangular envelope's 20 mm."""
+    original = pipeline.pool_grids
+
+    def pool_grids(config, amplitude, frequency, seed):
+        if (amplitude, frequency) == group_parameters(2):
+            amplitude = 30.0
+        return original(config, amplitude, frequency, seed)
+
+    monkeypatch.setattr(pipeline, "pool_grids", pool_grids)
 
 
 def holds_geometry(obj) -> bool:

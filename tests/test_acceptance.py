@@ -52,6 +52,7 @@ from helpers import (
     dome_surface,
     flat_surface,
     grid_from_z,
+    point_forces,
     pool_surfaces,
     raster_solid_fraction,
     simply_supported_model,
@@ -66,14 +67,10 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     print(f"[{tag}] {'PASS' if ok else 'FAIL'} {detail}")
 
 
-def _force_balance(model, nodal_loads, result) -> float:
+def _force_balance(forces, result) -> float:
     """Relative residual of total applied force vs support reactions."""
-    if isinstance(nodal_loads, dict):
-        applied = np.sum([np.asarray(v, dtype=float)[:3]
-                          for v in nodal_loads.values()], axis=0)
-    else:
-        applied = np.asarray(nodal_loads)[:, :3].sum(axis=0)
-    reacted = np.sum([r for r in result.reactions.values()], axis=0) * 1e3
+    applied = forces.sum(axis=0)
+    reacted = result.reactions.sum(axis=0) * 1e3
     return float(np.linalg.norm(applied + reacted) / np.linalg.norm(applied))
 
 
@@ -132,16 +129,16 @@ def test_a05_beam_theory_and_solver_hygiene(pools42):
     residuals = []
 
     cant = cantilever_model()
-    cant_loads = {6: (0.0, 0.0, -800.0)}
+    cant_loads = point_forces(cant, {6: (0.0, 0.0, -800.0)})
     cant_res = solve(cant, cant_loads)
-    residuals.append(_force_balance(cant, cant_loads, cant_res))
+    residuals.append(_force_balance(cant_loads, cant_res))
     exact_tip = -800.0 * 1.5 ** 3 / (3.0 * BEAM_E * BEAM_SECTION.inertia_y)
     cant_err = abs(cant_res.displacements[6, 2] - exact_tip) / abs(exact_tip)
 
     ss = simply_supported_model(16, 2.0)
     ss_loads = uniform_beam_loads(16, 2.0, 500.0)
     ss_res = solve(ss, ss_loads)
-    residuals.append(_force_balance(ss, ss_loads, ss_res))
+    residuals.append(_force_balance(ss_loads, ss_res))
     exact_mid = -5.0 * 500.0 * 2.0 ** 4 / (384.0 * BEAM_E * BEAM_SECTION.inertia_y)
     mid_err = abs(ss_res.displacements[8, 2] - exact_mid) / abs(exact_mid)
 
@@ -152,7 +149,7 @@ def test_a05_beam_theory_and_solver_hygiene(pools42):
     t0 = time.perf_counter()
     shell_res = solve(shell_model, shell_loads)
     shell_time = time.perf_counter() - t0
-    residuals.append(_force_balance(shell_model, shell_loads, shell_res))
+    residuals.append(_force_balance(shell_loads, shell_res))
 
     worst = max(residuals)
     ok = (cant_err <= 0.005 and mid_err <= 0.01 and worst < 1e-6

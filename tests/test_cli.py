@@ -11,7 +11,7 @@ from chainshell.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from chainshell.config import config_hash, derive_seed, load_config
 from chainshell.pipeline import read_manifest_hash
 
-from helpers import fresh_interpreter_env
+from helpers import fail_gen3d_at_group_2, fresh_interpreter_env
 
 TRIMMED = """\
 [gen3d]
@@ -390,13 +390,32 @@ def test_unknown_support_mode_exits_2(capsys, tmp_path):
     assert "unknown support mode 'edges-only'" in capsys.readouterr().err
 
 
-def test_stage_failures_exit_3(capsys, tmp_path):
-    cfg = tmp_path / "toobig.ini"
-    cfg.write_text("[gen3d]\niterations = 2\ngroups = 5\n")
+def test_stage_failures_exit_3(capsys, tmp_path, monkeypatch):
+    fail_gen3d_at_group_2(monkeypatch)
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[gen3d]\niterations = 2\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == EXIT_STAGE
     err = capsys.readouterr().err
     assert "stage 'gen3d' failed" in err
+
+
+@pytest.mark.parametrize("text, key", [("[gen3d]\ngroups = 5\n", "gen3d.groups"),
+                                       ("[unit]\ntarget_ratio = 0.306\n",
+                                        "unit.target_ratio")])
+def test_a_config_no_stage_can_run_exits_2_before_any_output(capsys, tmp_path, text, key):
+    cfg = tmp_path / "unreachable.ini"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    # the units subcommand refuses the ratio the same way
+    if key == "unit.target_ratio":
+        units_out = tmp_path / "units"
+        assert main(["units", "--config", str(cfg), "--out", str(units_out)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not units_out.exists()
 
 
 def test_gen3d_refuses_a_stale_pool_directory(capsys, tmp_path):

@@ -85,8 +85,12 @@ def test_syntax_errors_are_config_errors():
     ("[optimizer]\nweight_cms = 0.9\n", "optimizer.weight_cms"),
     ("[unit]\nshape = hexagonal\n", "unit.shape"),
     ("[unit]\ntarget_ratio = 1.5\n", "unit.target_ratio"),
+    # the rectangular ring tops out at 44 / 144 = 0.30555... at its footprint pitch
+    ("[unit]\ntarget_ratio = 0.306\n", "unit.target_ratio"),
     ("[gen3d]\niterations = 0\n", "gen3d.iterations"),
     ("[gen3d]\ngroups = 0\n", "gen3d.groups"),
+    # group 5 is printed at 30 mm, f = 7, past the rectangular envelope's 25 mm
+    ("[gen3d]\ngroups = 5\n", "gen3d.groups"),
     ("[gen3d]\ngroups = 6\n", "gen3d.groups"),
     ("[filter]\nkeep = 0\n", "filter.keep"),
     ("[filter]\ntolerance_mode = fuzzy\n", "filter.tolerance_mode"),

@@ -8,9 +8,11 @@ import pytest
 from chainshell import fem
 from chainshell.errors import GeometryError, MechanismError, ParameterError
 from chainshell.fem import (
+    FIXED,
+    PINNED,
+    SLIDING_BASE,
     BeamSection,
     FrameModel,
-    SupportKind,
     analyze_shell,
     assemble_stiffness,
     default_supports,
@@ -20,6 +22,7 @@ from chainshell.fem import (
     solve,
     _free_band,
     _free_positions,
+    _require_noncollinear_supports,
     _tributary_weights,
 )
 from chainshell.loads import combine
@@ -36,7 +39,12 @@ from helpers import (
     default_analysis,
     default_frame,
     dense_stiffness,
+    dict_default_supports,
+    dict_restraint,
     flat_surface,
+    pairwise_noncollinear,
+    point_forces,
+    restraint,
     simply_supported_model,
     uniform_beam_loads,
 )
@@ -48,11 +56,11 @@ def test_cantilever_tip_deflection_both_bending_planes():
     load = 800.0
     length = 1.5
 
-    down = solve(model, {tip: (0.0, 0.0, -load)})
+    down = solve(model, point_forces(model, {tip: (0.0, 0.0, -load)}))
     expected_z = load * length ** 3 / (3.0 * E * SECTION.inertia_y)
     assert down.displacements[tip, 2] == pytest.approx(-expected_z, rel=1e-9)
 
-    side = solve(model, {tip: (0.0, load, 0.0)})
+    side = solve(model, point_forces(model, {tip: (0.0, load, 0.0)}))
     expected_y = load * length ** 3 / (3.0 * E * SECTION.inertia_z)
     assert side.displacements[tip, 1] == pytest.approx(expected_y, rel=1e-9)
 
@@ -61,8 +69,8 @@ def test_vertical_cantilever_uses_rotated_local_axes():
     zs = np.linspace(0.0, 1.5, 7)
     nodes = np.column_stack([np.zeros_like(zs), np.zeros_like(zs), zs])
     model = FrameModel(nodes=nodes, ends=chain_ends(6), section=SECTION,
-                       supports={0: SupportKind.FIXED}, **MODULI)
-    result = solve(model, {6: (800.0, 0.0, 0.0)})
+                       restrained=restraint(7, [0], FIXED), **MODULI)
+    result = solve(model, point_forces(model, {6: (800.0, 0.0, 0.0)}))
     expected = 800.0 * 1.5 ** 3 / (3.0 * E * SECTION.inertia_y)
     assert result.displacements[6, 0] == pytest.approx(expected, rel=1e-9)
 
@@ -82,47 +90,46 @@ def test_reactions_balance_applied_loads():
     n = 16
     model = simply_supported_model(n)
     result = solve(model, uniform_beam_loads(n, 2.0, 500.0))
-    total_reaction_n = sum(r[2] for r in result.reactions.values()) * 1e3
+    total_reaction_n = result.reactions[:, 2].sum() * 1e3
     assert abs(total_reaction_n - 1000.0) / 1000.0 < 1e-6
 
 
 def test_solution_is_linear_and_superposable():
     model = cantilever_model()
-    case_a = {6: (0.0, 0.0, -500.0)}
-    case_b = {3: (0.0, 200.0, 0.0)}
-    combined = {6: (0.0, 0.0, -500.0), 3: (0.0, 200.0, 0.0)}
+    case_a = point_forces(model, {6: (0.0, 0.0, -500.0)})
+    case_b = point_forces(model, {3: (0.0, 200.0, 0.0)})
+    combined = point_forces(model, {6: (0.0, 0.0, -500.0), 3: (0.0, 200.0, 0.0)})
     u_a = solve(model, case_a).displacements
     u_b = solve(model, case_b).displacements
     u_ab = solve(model, combined).displacements
     assert np.allclose(u_a + u_b, u_ab, rtol=1e-9, atol=1e-15)
-    doubled = solve(model, {6: (0.0, 0.0, -1000.0)}).displacements
+    doubled = solve(model, point_forces(model, {6: (0.0, 0.0, -1000.0)})).displacements
     assert np.allclose(doubled, 2.0 * u_a, rtol=1e-9, atol=1e-15)
 
 
-def test_load_layout_variants_are_equivalent():
-    model = cantilever_model()
-    as_dict = solve(model, {6: (0.0, 0.0, -800.0)})
-    table3 = np.zeros((7, 3))
-    table3[6, 2] = -800.0
-    as_table = solve(model, table3)
-    table6 = np.zeros((7, 6))
-    table6[6, 2] = -800.0
-    as_wide = solve(model, table6)
-    assert np.array_equal(as_dict.displacements, as_table.displacements)
-    assert np.array_equal(as_dict.displacements, as_wide.displacements)
-
-
+# loads keyed by node are refused whole, so a load on a node the 7-node
+# cantilever lacks, or with moments beside its force, never reaches K u = F
+# (`node` is the key each case loads)
 @pytest.mark.parametrize("loads, node", [({-1: (0.0, 0.0, -1.0)}, -1),
                                          ({7: (0.0, 0.0, -1.0)}, 7),
                                          ({3: np.ones(7)}, 3)])
 def test_a_load_on_a_missing_node_or_with_too_many_components_is_rejected(loads, node):
-    with pytest.raises(ParameterError, match=rf"node {node}\b"):
+    with pytest.raises(ParameterError, match=r"forces must be an \(7, 3\) table"):
         solve(cantilever_model(), loads)
+
+
+# the cantilever has 7 nodes: a force on an eighth node, moments beside the
+# forces and the flat DOF vector are all refused
+@pytest.mark.parametrize("forces", [np.zeros((8, 3)), np.zeros((7, 6)), np.zeros(42)],
+                         ids=["extra-node", "six-columns", "flat"])
+def test_forces_that_are_not_an_n_by_3_table_are_rejected(forces):
+    with pytest.raises(ParameterError, match=r"forces must be an \(7, 3\) table"):
+        solve(cantilever_model(), forces)
 
 
 def test_zero_load_gives_zero_displacement():
     model = cantilever_model()
-    result = solve(model, {})
+    result = solve(model, point_forces(model, {}))
     assert np.all(result.displacements == 0.0)
     assert result.max_translation_mm == 0.0
 
@@ -132,10 +139,9 @@ def test_unrestrained_torsion_chain_is_reported_as_mechanism():
     xs = np.linspace(0.0, 2.0, 9)
     nodes = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
     model = FrameModel(nodes=nodes, ends=chain_ends(8), section=SECTION,
-                       supports={0: SupportKind.PINNED, 8: SupportKind.PINNED},
-                       **MODULI)
+                       restrained=restraint(9, [0, 8], PINNED), **MODULI)
     with pytest.raises(MechanismError) as err:
-        solve(model, {4: (0.0, 0.0, -100.0)})
+        solve(model, point_forces(model, {4: (0.0, 0.0, -100.0)}))
     assert err.value.dofs == [(node, "rx") for node in range(9)]
     assert str(err.value) == ("stiffness matrix is singular; unconstrained degrees of "
                               "freedom: " + ", ".join(f"node {n}:rx" for n in range(9)))
@@ -149,32 +155,34 @@ def test_near_mechanism_square_is_detected():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     model = FrameModel(nodes=nodes, ends=np.array([(0, 1), (1, 2), (2, 3), (3, 0)]),
-                       section=floppy, supports={0: SupportKind.PINNED, 1: SupportKind.PINNED},
-                       **MODULI)
+                       section=floppy, restrained=restraint(4, [0, 1], PINNED), **MODULI)
     with pytest.raises(MechanismError):
-        solve(model, {2: (100.0, 0.0, 0.0)})
+        solve(model, point_forces(model, {2: (100.0, 0.0, 0.0)}))
 
 
 def test_no_supports_is_a_mechanism():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     model = FrameModel(nodes=nodes, ends=chain_ends(1), section=SECTION,
-                       supports={}, **MODULI)
+                       restrained=restraint(2, [], FIXED), **MODULI)
     with pytest.raises(MechanismError) as err:
-        solve(model, {1: (0.0, 0.0, -1.0)})
+        solve(model, point_forces(model, {1: (0.0, 0.0, -1.0)}))
     assert err.value.dofs == []
 
 
 def test_constrained_dofs_per_support_kind():
-    assert SupportKind.FIXED.constrained_dofs == (0, 1, 2, 3, 4, 5)
-    assert SupportKind.PINNED.constrained_dofs == (0, 1, 2)
-    assert SupportKind.SLIDING_BASE.constrained_dofs == (2,)
+    assert np.flatnonzero(FIXED).tolist() == [0, 1, 2, 3, 4, 5]
+    assert np.flatnonzero(PINNED).tolist() == [0, 1, 2]
+    assert np.flatnonzero(SLIDING_BASE).tolist() == [2]
+    for mask in (FIXED, PINNED, SLIDING_BASE):
+        assert mask.dtype == bool and not mask.flags.writeable
 
 
 def test_supported_nodes_do_not_translate():
     model = simply_supported_model()
-    result = solve(model, {8: (0.0, 0.0, -500.0)})
-    for node in model.supports:
-        assert np.allclose(result.displacements[node, :3], 0.0, atol=1e-15)
+    result = solve(model, point_forces(model, {8: (0.0, 0.0, -500.0)}))
+    supported = model.restrained.any(axis=1)
+    assert supported.sum() == 4
+    assert np.allclose(result.displacements[supported, :3], 0.0, atol=1e-15)
 
 
 def test_section_and_material_validation():
@@ -184,23 +192,28 @@ def test_section_and_material_validation():
         BeamSection(area=1e-3, inertia_y=-1e-6, inertia_z=1e-6, torsion_J=1e-6)
     with pytest.raises(ParameterError):
         FrameModel(nodes=np.zeros((2, 3)), ends=chain_ends(1), section=SECTION,
-                   supports={}, elastic_modulus=0.0, shear_modulus=SPEC.shear_modulus)
+                   restrained=restraint(2, [0], FIXED), elastic_modulus=0.0,
+                   shear_modulus=SPEC.shear_modulus)
     with pytest.raises(ParameterError):
         FrameModel(nodes=np.zeros((2, 3)), ends=chain_ends(1), section=SECTION,
-                   supports={}, elastic_modulus=SPEC.elastic_modulus, shear_modulus=-1.0)
+                   restrained=restraint(2, [0], FIXED), elastic_modulus=SPEC.elastic_modulus,
+                   shear_modulus=-1.0)
 
 
 def test_frame_model_validation():
     nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    held = restraint(2, [0], FIXED)
     with pytest.raises(GeometryError):
-        FrameModel(nodes=nodes, ends=np.array([(0, 0)]), section=SECTION, supports={},
+        FrameModel(nodes=nodes, ends=np.array([(0, 0)]), section=SECTION, restrained=held,
                    **MODULI)
     with pytest.raises(GeometryError):
-        FrameModel(nodes=nodes, ends=np.array([(0, 5)]), section=SECTION, supports={},
+        FrameModel(nodes=nodes, ends=np.array([(0, 5)]), section=SECTION, restrained=held,
                    **MODULI)
-    with pytest.raises(ParameterError):
-        FrameModel(nodes=nodes, ends=chain_ends(1), section=SECTION,
-                   supports={7: SupportKind.PINNED}, **MODULI)
+    # a mask for a missing node, one without the rotations, and one not of bools
+    for mask in (restraint(8, [7], PINNED), held[:, :3], held.astype(int)):
+        with pytest.raises(ParameterError, match="restrained must be an"):
+            FrameModel(nodes=nodes, ends=chain_ends(1), section=SECTION,
+                       restrained=mask, **MODULI)
 
 
 def test_homogenized_section_dimensions():
@@ -223,10 +236,12 @@ def test_tributary_weights_sum_to_one():
 
 def test_default_supports_counts():
     fixed = default_supports(10, "boundary-fixed")
-    assert len(fixed) == 40
-    assert all(kind is SupportKind.FIXED for kind in fixed.values())
+    assert fixed.shape == (121, 6)
+    held = fixed.any(axis=1)
+    assert held.sum() == 40 and fixed[held].all()
     pinned = default_supports(10, "corner-pinned")
-    assert set(pinned) == {0, 10, 110, 120}
+    assert np.flatnonzero(pinned.any(axis=1)).tolist() == [0, 10, 110, 120]
+    assert (pinned[[0, 10, 110, 120]] == PINNED).all()
     with pytest.raises(ParameterError):
         default_supports(10, "edges-only")
 
@@ -242,7 +257,7 @@ def test_frame_from_surface_lattice_shape():
 
 def test_flat_plate_response_is_symmetric_and_downward():
     surface = flat_surface()
-    corners = {c: SupportKind.FIXED for c in (0, 10, 110, 120)}
+    corners = restraint(121, [0, 10, 110, 120], FIXED)
     model = frame_from_surface(surface, 10, SPEC, corners)
     loads = np.zeros((121, 3))
     loads[:, 2] = -50.0
@@ -260,7 +275,7 @@ def test_shell_solution_balances_every_component(pools42):
     loads = shell_node_loads(surface, CONFIG.fem.lattice_grid, case.total_TL)
     result = default_analysis(surface, case)
     applied = loads.sum(axis=0)
-    reacted = np.sum([r for r in result.reactions.values()], axis=0) * 1e3
+    reacted = result.reactions.sum(axis=0) * 1e3
     for axis in range(3):
         residual = applied[axis] + reacted[axis]
         assert abs(residual) <= 1e-6 * max(1.0, abs(applied[axis]))
@@ -282,9 +297,9 @@ def test_refinement_keeps_peak_displacement_stable(pools42):
 def test_zero_length_element_is_rejected():
     nodes = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     model = FrameModel(nodes=nodes, ends=chain_ends(2), section=SECTION,
-                       supports={0: SupportKind.FIXED}, **MODULI)
+                       restrained=restraint(3, [0], FIXED), **MODULI)
     with pytest.raises(GeometryError):
-        solve(model, {2: (0.0, 0.0, -1.0)})
+        solve(model, point_forces(model, {2: (0.0, 0.0, -1.0)}))
 
 
 def test_homogenization_rejects_bad_parameters():
@@ -334,7 +349,7 @@ def test_batched_assembly_matches_element_loop():
                       [1.0, 0.2, 0.8], [0.0, 1.5, -0.4], [2.0, 0.0, 0.0]])
     ends = np.array([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 5), (5, 0)])
     model = FrameModel(nodes=nodes, ends=ends, section=SECTION,
-                       supports={0: SupportKind.FIXED},
+                       restrained=restraint(6, [0], FIXED),
                        elastic_modulus=70e9, shear_modulus=26e9)
     expected = np.zeros((model.dof_count, model.dof_count))
     for i, j in ends:
@@ -353,7 +368,7 @@ def test_a05_shell_reports_solver_diagnostics(pools42):
     assert result.equilibrium_residual <= 1e-10
     assert result.pivot_ratio > 1e-12
     # the same ratio a dense Cholesky of the free block gives
-    free = np.setdiff1d(np.arange(model.dof_count), model.constrained_dof_indices())
+    free = np.flatnonzero(~model.restrained.ravel())
     K_ff = dense_stiffness(model)[np.ix_(free, free)]
     pivots = np.diag(np.linalg.cholesky(K_ff)) ** 2
     assert result.pivot_ratio == pytest.approx(pivots.min() / pivots.max(), rel=1e-9)
@@ -369,7 +384,7 @@ def test_renumbered_frame_gives_the_same_displacements(pools42):
     nodes[new_id] = model.nodes
     renumbered = FrameModel(
         nodes=nodes, ends=new_id[model.ends], section=model.section,
-        supports={int(new_id[n]): kind for n, kind in model.supports.items()},
+        restrained=model.restrained[np.argsort(new_id)],
         elastic_modulus=model.elastic_modulus, shear_modulus=model.shear_modulus)
     permuted_loads = np.empty_like(loads)
     permuted_loads[new_id] = loads
@@ -456,8 +471,7 @@ def test_a_fine_lattice_solve_holds_the_band_and_the_element_blocks_and_little_m
 def test_a_lattice_mechanism_is_named_from_the_factor_without_an_n_by_n_array(pools42):
     # pinned at two corners, the lattice turns freely about the line through them
     surface = pools42[1].surfaces[0]
-    model = frame_from_surface(surface, 16, SPEC,
-                               {0: SupportKind.PINNED, 16: SupportKind.PINNED})
+    model = frame_from_surface(surface, 16, SPEC, restraint(17 * 17, [0, 16], PINNED))
     loads = shell_node_loads(surface, 16, 5.0)
 
     def mechanism():
@@ -469,9 +483,8 @@ def test_a_lattice_mechanism_is_named_from_the_factor_without_an_n_by_n_array(po
     assert peak <= _band_and_blocks_bytes(model) + _SOLVE_ALLOWANCE_BYTES
     named = error.dofs
     assert named
-    constrained = set(model.constrained_dof_indices().tolist())
-    assert all(node * 6 + fem.DOF_NAMES.index(name) not in constrained
-               for node, name in named)
+    assert not any(model.restrained[node, fem.DOF_NAMES.index(name)]
+                   for node, name in named)
     # the turn about the y axis: every node's ry and the far nodes' uz
     assert {name for _, name in named} == {"uz", "ry"}
 
@@ -484,7 +497,7 @@ def _flat_shell_case():
 @pytest.mark.parametrize("nodes", [[], [0], [0, 120]])
 def test_fewer_than_three_supports_are_rejected(nodes):
     surface, case = _flat_shell_case()
-    supports = {n: SupportKind.PINNED for n in nodes}
+    supports = restraint(121, nodes, PINNED)
     with pytest.raises(ParameterError, match="at least 3 supported nodes"):
         analyze_shell(surface, case, SPEC, supports, 10)
 
@@ -496,14 +509,42 @@ def test_fewer_than_three_supports_are_rejected(nodes):
                                    [55, 57, 59, 62, 65]])    # part of the row i = 5
 def test_supports_on_one_line_are_rejected(nodes):
     surface, case = _flat_shell_case()
-    supports = {n: SupportKind.FIXED for n in nodes}
+    supports = restraint(121, nodes, FIXED)
     with pytest.raises(ParameterError, match="collinear"):
         analyze_shell(surface, case, SPEC, supports, 10)
 
 
 def test_three_noncollinear_supports_are_accepted():
     surface, case = _flat_shell_case()
-    supports = {0: SupportKind.PINNED, 10: SupportKind.PINNED, 120: SupportKind.PINNED}
+    supports = restraint(121, [0, 10, 120], PINNED)
     result = analyze_shell(surface, case, SPEC, supports, 10)
     assert result.equilibrium_residual <= 1e-10
-    assert sorted(result.reactions) == [0, 10, 120]
+    assert result.reactions.shape == (121, 3)
+    assert np.flatnonzero(result.reactions.any(axis=1)).tolist() == [0, 10, 120]
+
+
+def _plan_frame(xy):
+    """A frame whose only use is its supported nodes: every node at a plan
+    point of xy, held by a pin, joined in a chain."""
+    nodes = np.column_stack([xy, np.zeros(len(xy))])
+    return FrameModel(nodes=nodes, ends=chain_ends(len(xy) - 1), section=SECTION,
+                      restrained=restraint(len(xy), range(len(xy)), PINNED), **MODULI)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_collinearity_check_matches_the_pairwise_loop(seed):
+    # points on one line, then the same nudged off it by less and by more
+    # than the 1e-12 cross-product threshold
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.random(3 + seed))
+    direction = rng.normal(size=2)
+    line = t[:, None] * direction
+    for nudge in (0.0, 1e-14, 1e-13, 1e-11, 1e-6):
+        xy = line.copy()
+        xy[-1] += nudge * np.array([-direction[1], direction[0]])
+        model = _plan_frame(xy)
+        if pairwise_noncollinear(xy):
+            _require_noncollinear_supports(model)
+        else:
+            with pytest.raises(ParameterError, match="collinear"):
+                _require_noncollinear_supports(model)

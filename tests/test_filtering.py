@@ -48,7 +48,7 @@ def test_measure_invariant_under_rigid_motion(pools42):
     # a moved lattice is no longer a height field over the plan: measure
     # it with the general-mesh oracles, which match measure bit for bit
     vertices = lattice_vertices(surface.mesh)
-    faces = per_call_lattice_faces(surface.sample_resolution)
+    faces = per_call_lattice_faces(len(surface.mesh.coords_m))
     edges = search_boundary_edges(faces)
     assert (edge_length(vertices, edges), gather_area(vertices, faces)) == (
         before.perimeter_P, before.area_a)

@@ -48,14 +48,20 @@ def digest():
     xs = np.linspace(0.0, 1.5, 7)
     nodes = np.column_stack([xs, 0.3 * xs ** 2, np.zeros(7)])
     ends = np.column_stack([np.arange(6), np.arange(1, 7)])
-    fixed = fem.FrameModel(nodes, ends, section, {0: fem.SupportKind.FIXED}, *moduli)
-    h.update(fem.solve(fixed, {6: (10.0, 100.0, -200.0)}).displacements.tobytes())
+    held = np.zeros((7, 6), dtype=bool)
+    held[0] = fem.FIXED
+    fixed = fem.FrameModel(nodes, ends, section, held, *moduli)
+    forces = np.zeros((7, 3))
+    forces[6] = (10.0, 100.0, -200.0)
+    h.update(fem.solve(fixed, forces).displacements.tobytes())
     straight = np.column_stack([xs, np.zeros(7), np.zeros(7)])
-    pinned = fem.FrameModel(straight, ends, section,
-                            {0: fem.SupportKind.PINNED, 6: fem.SupportKind.PINNED},
-                            *moduli)
+    pins = np.zeros((7, 6), dtype=bool)
+    pins[[0, 6]] = fem.PINNED
+    pinned = fem.FrameModel(straight, ends, section, pins, *moduli)
+    forces = np.zeros((7, 3))
+    forces[3, 2] = -100.0
     try:
-        fem.solve(pinned, {3: (0.0, 0.0, -100.0)})
+        fem.solve(pinned, forces)
     except fem.MechanismError as err:
         h.update(repr(err.dofs).encode())
     else:

@@ -37,8 +37,8 @@ from chainshell.pipeline import (
 )
 from chainshell.shell3d import TriangleMesh, group_parameters
 
-from helpers import (carried_surface_displacement_rows, holds_geometry,
-                     per_node_displacement_rows)
+from helpers import (carried_surface_displacement_rows, fail_gen3d_at_group_2,
+                     holds_geometry, per_node_displacement_rows)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -224,9 +224,9 @@ def test_invalid_config_fails_before_any_io(tmp_path):
     assert not out.exists()
 
 
-def test_stage_failure_keeps_prior_outputs(tmp_path):
-    # group 5 wants 30 mm at f=7, beyond the rectangular feasibility limit
-    config = _trimmed_config(gen3d=Gen3dBlock(iterations=2, groups=5))
+def test_stage_failure_keeps_prior_outputs(tmp_path, monkeypatch):
+    fail_gen3d_at_group_2(monkeypatch)
+    config = _trimmed_config(gen3d=Gen3dBlock(iterations=2))
     out = tmp_path / "broken"
     with pytest.raises(StageError) as err:
         run_pipeline(config, out)
@@ -239,8 +239,8 @@ def test_stage_failure_keeps_prior_outputs(tmp_path):
     for rel in ("config.ini", "units/units.csv", "sweep2d/sweep2d.csv"):
         assert (out / rel).is_file()
         assert rel in manifest["outputs"]
-    # groups 1-4 were generated before the failure: they stay on disk and
-    # the manifest lists them with their digests
+    # group 1 was generated before the failure: it stays on disk and the
+    # manifest lists it with its digests
     rel = "gen3d/g1/manifest.csv"
     assert manifest["outputs"][rel] == _sha256(out / rel)
     assert not (out / "analyze").exists()
@@ -252,8 +252,10 @@ def test_group_surface_generation_is_seed_derived():
     assert (amplitude, frequency) == group_parameters(2)
     assert seed == derive_seed(config.seed, "gen3d:g2")
     assert len(grids) == 3
-    assert [g.seed for g in grids] == [seed] * 3
-    assert [g.iteration for g in grids] == [0, 1, 2]
+    # iteration i is drawn from the (seed, i) stream
+    for i, grid in enumerate(grids):
+        alone = shell3d.control_grid(amplitude, frequency, seed, i, config.gen3d.span_mm)
+        assert grid.z_values.tobytes() == alone.z_values.tobytes()
 
 
 def test_gen3d_carry_holds_grids_and_metrics_only(tmp_path, monkeypatch):

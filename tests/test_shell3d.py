@@ -79,9 +79,7 @@ def test_control_grid_is_one_iteration_of_the_pool(iteration):
     grid = control_grid(25.0, 6, 42, iteration, span=1500.0)
     expected = pool[iteration]
     assert grid.z_values.tobytes() == expected.z_values.tobytes()
-    assert (grid.F, grid.amplitude_A, grid.span_L, grid.seed, grid.iteration) == (
-        expected.F, expected.amplitude_A, expected.span_L, expected.seed,
-        expected.iteration)
+    assert (grid.F, grid.span_L) == (expected.F, expected.span_L)
 
 
 # Keys fixed before any draw: both words at 0 and at 2**64 - 1, a small
@@ -133,7 +131,6 @@ def test_shelter_control_grid_is_numpys_uniform_draw(seed, kind, iteration):
     for i, j in corners:
         z[i, j] = 0.0
     grid = shelter_control_grid(config, seed, kind, anchor_index, iteration)
-    assert grid.amplitude_A == amp_m * 1000.0
     assert grid.z_values.tobytes() == z.tobytes()
 
 
@@ -146,7 +143,6 @@ def test_shelter_control_grid_is_the_batched_study_draw(optimize_result):
         iteration = int(design.candidate_id.rsplit("-", 1)[1])
         grid = shelter_control_grid(config, 11, design.kind,
                                     list(AnchorKind).index(design.kind), iteration)
-        assert grid.amplitude_A == design.control.amplitude_A
         assert grid.z_values.tobytes() == design.control.z_values.tobytes()
 
 
@@ -196,11 +192,9 @@ def test_generate_iterations_envelope_and_parameter_errors():
 
 def test_control_grid_validation():
     with pytest.raises(ParameterError):
-        ControlGrid(F=0, amplitude_A=0.0, span_L=2000.0,
-                    z_values=np.zeros((1, 1)), seed=0, iteration=0)
+        ControlGrid(F=0, span_L=2000.0, z_values=np.zeros((1, 1)))
     with pytest.raises(ParameterError):
-        ControlGrid(F=4, amplitude_A=0.0, span_L=2000.0,
-                    z_values=np.zeros((3, 3)), seed=0, iteration=0)
+        ControlGrid(F=4, span_L=2000.0, z_values=np.zeros((3, 3)))
 
 
 def test_flat_surface_area_and_perimeter():
@@ -248,7 +242,7 @@ def test_dense_control_grid_tracks_analytic_field():
     for n in (49, 97):
         coords = np.linspace(0.0, SPAN, n)
         X, Y = np.meshgrid(coords, coords, indexing="ij")
-        grid = grid_from_z(base_field(X, Y, 35.0, 9, SPAN), SPAN, amplitude=35.0)
+        grid = grid_from_z(base_field(X, Y, 35.0, 9, SPAN), SPAN)
         surface = interpolate_surface(grid, resolution=97)
         errs[n] = np.max(np.abs(surface.evaluate(fine, fine) - exact))
     assert errs[97] < 0.5
