@@ -162,8 +162,7 @@ def cmd_gen3d(args, config: PipelineConfig) -> int:
     out_dir = Path(args.out or "runs/gen3d")
     _refuse_stale_pool(out_dir, len(grids))
     out = pipeline.RunDir.create(out_dir)
-    pipeline.write_pool(out, "", amplitude, args.frequency, seed, grids,
-                        config.gen3d.resolution)
+    pipeline.write_pool(config, out, "", amplitude, args.frequency, seed, grids)
     print(f"wrote {len(grids)} iterations to {out.path}")
     return EXIT_OK
 
@@ -255,6 +254,7 @@ def _kept_row_feasible(row: dict) -> None:
 
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
+    pipeline.require_plan_area(config)
     selected = Path(args.in_path)
     if selected.is_dir():
         selected = selected / "selected.csv"

@@ -15,7 +15,8 @@ from typing import Dict, Optional, Tuple
 
 from . import units
 from .errors import ConfigError
-from .profile2d import DEFAULT_ENVELOPE_TABLE, FREQUENCY_MIN
+from .profile2d import (AMPLITUDE_MAX_MM, DEFAULT_ENVELOPE_TABLE, FREQUENCY_MIN,
+                        peak_curvature)
 from .shell3d import GROUP_SHAPE, group_parameters
 from .units import Shape
 
@@ -174,6 +175,13 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              "sweep2d.frequency_max",
              f"frequency_max must be in {FREQUENCY_MIN}..{f_top}, "
              f"got {config.sweep2d.frequency_max}")
+    # curvature grows with A and f: the sweep's top cell bounds every other
+    top = peak_curvature(AMPLITUDE_MAX_MM, config.sweep2d.frequency_max,
+                         config.sweep2d.span_mm)
+    _require(math.isfinite(top), "sweep2d.span_mm",
+             f"sweep2d.span_mm = {config.sweep2d.span_mm} is too small: the peak "
+             f"curvature at A={AMPLITUDE_MAX_MM} mm, f={config.sweep2d.frequency_max} "
+             f"is {top}")
     _require(config.gen3d.iterations >= 1, "gen3d.iterations",
              "iterations must be >= 1")
     top_group = _top_group()

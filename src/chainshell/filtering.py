@@ -71,13 +71,11 @@ def auto_tolerance_from_metrics(metrics: Sequence[SurfaceMetrics],
     """
     dP = TOLERANCE_FRACTION * _median([m.perimeter_P for m in metrics])
     da = TOLERANCE_FRACTION * _median([m.area_a for m in metrics])
-    for _ in range(MAX_HALVINGS):
+    for _ in range(MAX_HALVINGS + 1):
         if len(select_indices(metrics, dP, da, k)) >= k:
             return dP, da
         dP *= 0.5
         da *= 0.5
-    if len(select_indices(metrics, dP, da, k)) >= k:
-        return dP, da
     # floor: any bitwise difference counts as distinct
     return 0.0, 0.0
 

@@ -24,8 +24,7 @@ from .errors import ParameterError
 # chainshell.optimizer.measure, so the name stays importable
 from .filtering import measure  # noqa: F401
 from .loads import StructureSpec, combine
-from .shell3d import (ControlGrid, ShellSurface, TriangleMesh, interpolate_surface,
-                      random_doubles)
+from .shell3d import ShellSurface, TriangleMesh, interpolate_surface, random_doubles
 from .spline import thin_plate_grid
 
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
@@ -170,7 +169,7 @@ class CandidateDesign:
     """A scored design: its chainmail and usable areas, its (16,) column
     heights and volumes in grid order, its least drainage slope and the grid
     points that fail drainage (it drains when there are none).  It keeps the
-    control grid that defines its surface, not the surface:
+    control heights (mm) that define its surface, not the surface:
     interpolate_surface rebuilds that surface bit for bit where it is
     needed."""
 
@@ -178,7 +177,7 @@ class CandidateDesign:
     kind: AnchorKind
     column_heights_m: np.ndarray
     column_volumes_m3: np.ndarray
-    control: ControlGrid
+    control_mm: np.ndarray  # (F+1, F+1) control heights over the [gen3d] span
     cms_m2: float
     ua_m2: float
     min_slope_S: float
@@ -197,16 +196,17 @@ class CandidateDesign:
         return sum(self.column_volumes_m3[~LOAD_BEARING].tolist())
 
 
-def evaluate_candidate(candidate_id: str, surface: ShellSurface, kind: AnchorKind,
-                       block: OptimizerBlock) -> CandidateDesign:
-    """Columns, drainage, CMS and UA of one surface under the [optimizer] block."""
+def evaluate_candidate(candidate_id: str, control_mm: np.ndarray, surface: ShellSurface,
+                       kind: AnchorKind, block: OptimizerBlock) -> CandidateDesign:
+    """Columns, drainage, CMS and UA under the [optimizer] block of the
+    surface interpolated through the control heights `control_mm`."""
     side = block.column_section_side_m
     heights = initial_columns(surface)
     volumes = side * side * heights
     min_slope_S, failing = slope_grid(surface, block.min_slope, block.slope_rule)
     return CandidateDesign(candidate_id=candidate_id, kind=kind,
                            column_heights_m=heights, column_volumes_m3=volumes,
-                           control=surface.control, cms_m2=surface.mesh.area(),
+                           control_mm=control_mm, cms_m2=surface.mesh.area(),
                            ua_m2=usable_area(surface, side, block.headroom_m),
                            min_slope_S=min_slope_S, failing_points=failing)
 
@@ -365,11 +365,12 @@ def _stream_length(block: OptimizerBlock) -> int:
     return 1 + (block.control_F + 1) ** 2
 
 
-def _shelter_grid(config: PipelineConfig, kind: AnchorKind, u: np.ndarray) -> ControlGrid:
-    """The shelter grid drawn from its stream's doubles `u`, each mapped
-    to [low, high] as numpy's uniform maps it: low + (high - low) * u.  The
-    amplitude comes first, then the heights in row-major order; the control
-    points over the kind's anchor corners are clamped to the ground."""
+def _shelter_grid(config: PipelineConfig, kind: AnchorKind, u: np.ndarray) -> np.ndarray:
+    """The (F+1, F+1) shelter control heights (mm) drawn from its stream's
+    doubles `u`, each mapped to [low, high] as numpy's uniform maps it:
+    low + (high - low) * u.  The amplitude comes first, then the heights in
+    row-major order; the control points over the kind's anchor corners are
+    clamped to the ground."""
     block = config.optimizer
     lo = block.amplitude_min_fraction * block.amplitude_cap_m
     amp_m = float(lo + (block.amplitude_cap_m - lo) * u[0])
@@ -377,7 +378,7 @@ def _shelter_grid(config: PipelineConfig, kind: AnchorKind, u: np.ndarray) -> Co
     z_mm = 0.0 + (amp_m * 1000.0 - 0.0) * u[1:].reshape(m, m)
     for fx, fy in _ANCHOR_CORNERS[kind]:
         z_mm[fx * (m - 1), fy * (m - 1)] = 0.0
-    return ControlGrid(F=block.control_F, span_L=config.gen3d.span_mm, z_values=z_mm)
+    return z_mm
 
 
 @dataclass(frozen=True)
@@ -404,7 +405,7 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     Results are deterministic for a given (config, structure, seed).
     """
     block = config.optimizer
-    resolution = config.gen3d.resolution
+    span_mm, resolution = config.gen3d.span_mm, config.gen3d.resolution
     grid = config.fem.lattice_grid
 
     cases = [(ai, kind, it) for ai, kind in enumerate(AnchorKind)
@@ -412,18 +413,18 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     # every candidate's stream, drawn in one call before any is scored
     draws = random_doubles([_stream_key(seed, ai, it) for ai, _, it in cases],
                            _stream_length(block))
+    controls = [_shelter_grid(config, kind, u) for (_, kind, _), u in zip(cases, draws)]
     candidates = [
-        evaluate_candidate(f"{kind.value}-{it:02d}",
-                           interpolate_surface(_shelter_grid(config, kind, u),
-                                               resolution), kind, block)
-        for (ai, kind, it), u in zip(cases, draws)]
+        evaluate_candidate(f"{kind.value}-{it:02d}", z_mm,
+                           interpolate_surface(z_mm, span_mm, resolution), kind, block)
+        for (_, kind, it), z_mm in zip(cases, controls)]
     ranked, rejected = rank_designs(candidates, block.weights)
     if not ranked:
         return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=None,
                               kept_columns=None, winner_analysis=None)
 
     winner = ranked[0]
-    surface = interpolate_surface(winner.control, resolution)
+    surface = interpolate_surface(winner.control_mm, span_mm, resolution)
     kept = reduce_formwork(winner, surface, block.reduction_tolerance, grid,
                            structure)
     analysis = _design_solve(winner, surface, kept, grid, structure)

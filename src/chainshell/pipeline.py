@@ -16,7 +16,6 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,13 +62,6 @@ def write_output(out: RunDir, rel: str, data) -> None:
     out.digests[rel] = hashlib.sha256(data).hexdigest()
 
 
-def _rendered(write, value, empty):
-    """What `write(value, stream)` writes, joined onto `empty` ("" or b"")."""
-    parts: list = []
-    write(value, SimpleNamespace(write=parts.append))
-    return empty.join(parts)
-
-
 def stage_units(config: PipelineConfig, out: RunDir) -> None:
     rows = ["shape,member_length_mm,rod_diameter_mm,pitch_mm,solid_to_gap_ratio,"
             "centreline_mm,moment_of_inertia,unit_volume_mm3,unit_weight_g"]
@@ -106,10 +98,11 @@ def stage_sweep2d(config: PipelineConfig, out: RunDir) -> None:
 
 
 def pool_grids(config: PipelineConfig, amplitude: float, frequency: int,
-               seed: int) -> List[shell3d.ControlGrid]:
-    """The control grids of one gen3d pool: [gen3d] iterations over
-    [gen3d] span_mm, checked against the rectangular envelope the study
-    groups are printed in, whatever [sweep2d] shape the sweep charts."""
+               seed: int) -> np.ndarray:
+    """The (n, f, f) control grids (mm) of one gen3d pool: n = [gen3d]
+    iterations over [gen3d] span_mm, checked against the rectangular
+    envelope the study groups are printed in, whatever [sweep2d] shape the
+    sweep charts."""
     profile2d.require_feasible(shell3d.GROUP_SHAPE, amplitude, frequency)
     return shell3d.generate_iterations(amplitude, frequency, config.gen3d.iterations,
                                        seed, config.gen3d.span_mm)
@@ -121,29 +114,29 @@ def _group_grids(config: PipelineConfig, group: int):
     return amplitude, frequency, seed, pool_grids(config, amplitude, frequency, seed)
 
 
-def write_pool(out: RunDir, prefix: str, amplitude: float, frequency: int,
-               seed: int, grids: List[shell3d.ControlGrid],
-               resolution: int) -> List[filtering.SurfaceMetrics]:
+def write_pool(config: PipelineConfig, out: RunDir, prefix: str, amplitude: float,
+               frequency: int, seed: int,
+               grids: np.ndarray) -> List[filtering.SurfaceMetrics]:
     """Write a pool's iterNN.mesh, iterNN.pgm and manifest.csv under
     `prefix` (a relative directory ending in '/', or ''); return its metrics.
 
-    Each surface is built from its grid, written, measured and dropped
-    before the next, so one pool surface is alive at a time.
+    Each surface is built from its grid over [gen3d] span_mm at [gen3d]
+    resolution, written, measured and dropped before the next, so one pool
+    surface is alive at a time.
     """
     rows = ["iteration,amplitude_mm,frequency,seed,min_z_mm,max_z_mm,"
             "area_m2,perimeter_m"]
     metrics = []
     for i, grid in enumerate(grids):
-        surface = shell3d.interpolate_surface(grid, resolution)
-        write_output(out, f"{prefix}iter{i:02d}.mesh",
-                     _rendered(shell3d.write_mesh, surface.mesh, ""))
+        surface = shell3d.interpolate_surface(grid, config.gen3d.span_mm,
+                                              config.gen3d.resolution)
+        write_output(out, f"{prefix}iter{i:02d}.mesh", shell3d.write_mesh(surface.mesh))
         write_output(out, f"{prefix}iter{i:02d}.pgm",
-                     _rendered(shell3d.write_pgm, shell3d.depth_map(surface, 128), b""))
+                     shell3d.write_pgm(shell3d.depth_map(surface, 128)))
         m = filtering.measure(surface)
         rows.append(",".join([
             str(i), _fmt(amplitude, 1), str(frequency), str(seed),
-            _fmt(float(grid.z_values.min()), 6),
-            _fmt(float(grid.z_values.max()), 6),
+            _fmt(float(grid.min()), 6), _fmt(float(grid.max()), 6),
             _fmt(m.area_a, 9), _fmt(m.perimeter_P, 9)]))
         metrics.append(m)
     write_output(out, f"{prefix}manifest.csv", "\n".join(rows) + "\n")
@@ -155,8 +148,8 @@ def stage_gen3d(config: PipelineConfig, out: RunDir) -> Dict:
     carry: Dict[int, Dict] = {}
     for group in range(1, config.gen3d.groups + 1):
         amplitude, frequency, seed, grids = _group_grids(config, group)
-        metrics = write_pool(out, f"gen3d/g{group}/", amplitude, frequency,
-                             seed, grids, config.gen3d.resolution)
+        metrics = write_pool(config, out, f"gen3d/g{group}/", amplitude, frequency,
+                             seed, grids)
         carry[group] = {"amplitude": amplitude, "frequency": frequency,
                         "seed": seed, "grids": grids, "metrics": metrics}
     return carry
@@ -215,16 +208,18 @@ def structure_spec(config: PipelineConfig) -> loads.StructureSpec:
         shear_modulus=config.fem.shear_modulus_pa)
 
 
-def analyze_model(config: PipelineConfig, control: shell3d.ControlGrid,
+def analyze_model(config: PipelineConfig, control_mm: np.ndarray,
                   area_m2: float) -> List[str]:
     """Load case and frame solve of one model, as displacements.csv columns.
 
-    The model's surface is built here from its control grid at [gen3d]
-    resolution, bit-identical to the one its pool wrote and measured.
+    The model's surface is built here from its control grid over [gen3d]
+    span_mm at [gen3d] resolution, bit-identical to the one its pool wrote
+    and measured.
     Columns: DL_kN, LL_kN, SL_kN, WL_kN, TL_kN, max_displacement_mm,
     limit_mm, passed.
     """
-    surface = shell3d.interpolate_surface(control, config.gen3d.resolution)
+    surface = shell3d.interpolate_surface(control_mm, config.gen3d.span_mm,
+                                          config.gen3d.resolution)
     spec = structure_spec(config)
     grid = config.fem.lattice_grid
     case = loads.combine(spec, area_m2)
@@ -303,7 +298,7 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
 
     if result.ranked:
         write_output(out, "optimize/winner.mesh",
-                     _rendered(shell3d.write_mesh, result.winner_surface.mesh, ""))
+                     shell3d.write_mesh(result.winner_surface.mesh))
 
         solved = result.winner_analysis
         limit = loads.deflection_limit(spec.span_L)
@@ -411,6 +406,17 @@ def require_column_grid(config: PipelineConfig) -> None:
             f"reach {reach_m} m")
 
 
+def require_plan_area(config: PipelineConfig) -> None:
+    """Refuse, with ParameterError, a [loads] plan_area_m2 larger than the
+    [gen3d] span's square plan: dead_load refuses a surface smaller than the
+    plan area, and a flat shell over the span has (span_mm / 1000)^2."""
+    plan_m2 = (config.gen3d.span_mm / 1000.0) ** 2
+    if config.loads.plan_area_m2 > plan_m2:
+        raise ParameterError(
+            f"loads.plan_area_m2 = {config.loads.plan_area_m2} exceeds the "
+            f"{plan_m2} m2 plan of gen3d.span_mm = {config.gen3d.span_mm}")
+
+
 def run_pipeline(config: PipelineConfig, out_dir) -> Path:
     """Execute all stages in order; returns the run directory.
 
@@ -423,13 +429,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> Path:
     stage error.
     """
     config = validate(config)
-    # dead_load refuses a surface smaller than the plan area; a flat shell
-    # over the span has (span_mm / 1000)^2
-    plan_m2 = (config.gen3d.span_mm / 1000.0) ** 2
-    if config.loads.plan_area_m2 > plan_m2:
-        raise ParameterError(
-            f"loads.plan_area_m2 = {config.loads.plan_area_m2} exceeds the "
-            f"{plan_m2} m2 plan of gen3d.span_mm = {config.gen3d.span_mm}")
+    require_plan_area(config)
     require_column_grid(config)
     _refuse_foreign_run(Path(out_dir), config_hash(config))
     out = RunDir.create(out_dir)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, TextIO, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -56,27 +56,6 @@ def base_field(x, y, amplitude: float, frequency: int, span: float):
     return amplitude * np.sin(k * np.asarray(x)) * np.cos(k * np.asarray(y))
 
 
-@dataclass(frozen=True, eq=False)
-class ControlGrid:
-    """(F+1) x (F+1) control heights over an L x L plan, mm."""
-
-    F: int
-    span_L: float
-    z_values: np.ndarray  # shape (F+1, F+1), row i = x index, col j = y index
-
-    def __post_init__(self):
-        if self.F < 1:
-            raise ParameterError("grid divisions F must be >= 1")
-        if self.z_values.shape != (self.F + 1, self.F + 1):
-            raise ParameterError(
-                f"z_values must be {(self.F + 1, self.F + 1)}, got {self.z_values.shape}"
-            )
-
-    def coordinates(self) -> np.ndarray:
-        """Control-point coordinates along one axis, mm."""
-        return np.linspace(0.0, self.span_L, self.F + 1)
-
-
 def random_doubles(keys: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
     """(len(keys), n) doubles in [0, 1), one Philox4x64-10 stream per row.
 
@@ -112,8 +91,9 @@ def random_doubles(keys: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
 
 
 def _control_grids(amplitude: float, frequency: int, seed: int,
-                   iterations: Sequence[int], span: float) -> List[ControlGrid]:
-    """The control grids of `iterations` for (A, f), drawn in one call.
+                   iterations: Sequence[int], span: float) -> np.ndarray:
+    """The (len(iterations), f, f) control heights (mm) of `iterations` for
+    (A, f) over an L x L plan, drawn in one call; [k, i, j] sits at (x_i, y_j).
 
     Iteration i's offsets are the first f^2 doubles of its (seed, i) stream
     in row-major order, each mapped to [0, A/5] as numpy's uniform(low,
@@ -138,12 +118,13 @@ def _control_grids(amplitude: float, frequency: int, seed: int,
     z[:, -1, :] = 0.0
     z[:, :, 0] = 0.0
     z[:, :, -1] = 0.0
-    return [ControlGrid(F=m - 1, span_L=span, z_values=zk) for zk in z]
+    return z
 
 
 def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
-                 span: float) -> ControlGrid:
-    """One seeded control grid for (A, f), drawn from its own (seed, iteration) stream.
+                 span: float) -> np.ndarray:
+    """One seeded (f, f) control grid (mm) for (A, f), drawn from its own
+    (seed, iteration) stream.
 
     Offsets are drawn per control point in row-major order; the same inputs
     give a bit-identical grid whatever other iterations are generated.
@@ -153,9 +134,9 @@ def control_grid(amplitude: float, frequency: int, seed: int, iteration: int,
 
 
 def generate_iterations(amplitude: float, frequency: int, n: int, seed: int,
-                        span: float) -> List[ControlGrid]:
-    """The control grids of iterations 0..n-1 for one (A, f) combination,
-    every stream drawn in one call."""
+                        span: float) -> np.ndarray:
+    """The (n, f, f) control grids (mm) of iterations 0..n-1 for one (A, f)
+    combination, every stream drawn in one call."""
     if n < 1:
         raise ParameterError("iteration count must be >= 1")
     return _control_grids(amplitude, frequency, seed, range(n), span)
@@ -232,15 +213,12 @@ def _perimeter_edges(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ShellSurface:
-    """Interpolated surface: control grid and the mesh of its sampled lattice."""
+    """Interpolated surface over a span_mm x span_mm plan: the spline
+    through its control grid and the mesh of its sampled lattice."""
 
-    control: ControlGrid
+    span_mm: float
+    spline: GridSpline
     mesh: TriangleMesh
-
-    @functools.cached_property
-    def spline(self) -> GridSpline:
-        """The interpolating spline through the control grid, fitted once."""
-        return _fit_spline(self.control)
 
     def evaluate(self, x_mm, y_mm) -> np.ndarray:
         """Spline height (mm) on the grid of increasing plan coordinates (mm)."""
@@ -253,30 +231,24 @@ class ShellSurface:
         dx, dy = (1, 0) if axis == "x" else (0, 1)
         return self.spline(x_mm, y_mm, dx, dy)
 
-    @property
-    def span_mm(self) -> float:
-        return self.control.span_L
 
-
-def _fit_spline(grid: ControlGrid) -> GridSpline:
-    coords = grid.coordinates()
+def interpolate_surface(z_mm, span_mm: float, resolution: int) -> ShellSurface:
+    """Fit the spline through the (m, m) control heights z_mm (mm), [i, j] at
+    (x_i, y_j) of a span_mm x span_mm plan, and mesh it sampled on a
+    resolution^2 lattice."""
+    shape = np.shape(z_mm)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+        raise ParameterError(f"control heights must be (m, m) with m >= 2, got {shape}")
+    m = shape[0]
+    if resolution < m:
+        raise ParameterError(f"resolution {resolution} below control grid size {m}")
+    coords = np.linspace(0.0, span_mm, m)
     # interpolating tensor-product spline (s=0); cubic once the grid allows it
-    return GridSpline(coords, coords, grid.z_values, k=min(3, grid.F))
-
-
-def interpolate_surface(grid: ControlGrid, resolution: int) -> ShellSurface:
-    """Sample the interpolating spline on a resolution^2 lattice and mesh it."""
-    if resolution < grid.F + 1:
-        raise ParameterError(
-            f"resolution {resolution} below control grid size {grid.F + 1}"
-        )
-    spline = _fit_spline(grid)
-    coords = np.linspace(0.0, grid.span_L, resolution)
-    heights = spline(coords, coords)  # (res, res), [i, j] = (x_i, y_j)
-    mesh = TriangleMesh(coords_m=coords / 1000.0, heights_m=heights / 1000.0)
-    surface = ShellSurface(control=grid, mesh=mesh)
-    surface.__dict__["spline"] = spline  # seed the cache: one fit per surface
-    return surface
+    spline = GridSpline(coords, coords, z_mm, k=min(3, m - 1))
+    lattice = np.linspace(0.0, span_mm, resolution)
+    heights = spline(lattice, lattice)  # (res, res), [i, j] = (x_i, y_j)
+    mesh = TriangleMesh(coords_m=lattice / 1000.0, heights_m=heights / 1000.0)
+    return ShellSurface(span_mm=span_mm, spline=spline, mesh=mesh)
 
 
 def depth_map(surface: ShellSurface, resolution: int = 256) -> np.ndarray:
@@ -296,14 +268,13 @@ def depth_map(surface: ShellSurface, resolution: int = 256) -> np.ndarray:
     return img.T[::-1, :]
 
 
-def write_pgm(image: np.ndarray, stream) -> None:
-    """Write a binary portable graymap (maxval 255)."""
+def write_pgm(image: np.ndarray) -> bytes:
+    """A binary portable graymap (maxval 255) of the image."""
     h, w = image.shape
-    stream.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-    stream.write(image.astype(np.uint8).tobytes())
+    return b"P5\n%d %d\n255\n" % (w, h) + image.astype(np.uint8).tobytes()
 
 
-def write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
+def write_mesh(mesh: TriangleMesh) -> bytes:
     """ASCII triangle mesh: `v x y z` lines (metres), `f i j k` 1-based.
 
     Vertex lines run i * n + j; the faces are every cell's lower face,
@@ -313,24 +284,23 @@ def write_mesh(mesh: TriangleMesh, stream: TextIO) -> None:
     # formatted once per distinct (exact-bytes) coordinate vector, the face
     # block once per lattice size
     xy = _vertex_template(mesh.coords_m.astype(np.float64, copy=False).tobytes())
-    stream.write(xy % tuple(mesh.heights_m.ravel().tolist()))
-    stream.write(_face_text(len(mesh.coords_m)))
+    return xy % tuple(mesh.heights_m.ravel().tolist()) + _face_text(len(mesh.coords_m))
 
 
-# '%.9g' formats a float exactly as f"{x:.9g}".  Bounded: an entry holds
+# b'%.9g' formats a float exactly as f"{x:.9g}".  Bounded: an entry holds
 # one lattice's text, ~0.1 MB for each cache at 64 x 64
 @functools.lru_cache(maxsize=4)
-def _vertex_template(coords: bytes) -> str:
+def _vertex_template(coords: bytes) -> bytes:
     """`v <x_i> <y_j> %.9g` lines over the float64 coordinates packed in `coords`."""
-    text = ["%.9g" % c for c in np.frombuffer(coords, dtype=np.float64).tolist()]
-    return "".join(f"v {x} {y} %.9g\n" for x in text for y in text)
+    text = [b"%.9g" % c for c in np.frombuffer(coords, dtype=np.float64).tolist()]
+    return b"".join(b"v %s %s %%.9g\n" % (x, y) for x in text for y in text)
 
 
 @functools.lru_cache(maxsize=4)
-def _face_text(n: int) -> str:
+def _face_text(n: int) -> bytes:
     """`f i j k` lines, 1-based, of the lower then the upper faces of an n x n lattice."""
     idx = np.arange(1, n * n + 1).reshape(n, n)
     v00, v10, v01, v11 = idx[:-1, :-1], idx[1:, :-1], idx[:-1, 1:], idx[1:, 1:]
     faces = np.stack([np.stack([v00, v10, v11], axis=-1),
                       np.stack([v00, v11, v01], axis=-1)])
-    return ("f %d %d %d\n" * (faces.size // 3)) % tuple(faces.ravel().tolist())
+    return (b"f %d %d %d\n" * (faces.size // 3)) % tuple(faces.ravel().tolist())

@@ -223,7 +223,7 @@ class GridSpline:
     `[i, j] = (x_i, y_j)`, with queries clamped to the data range.
     """
 
-    __slots__ = ("k", "tx", "ty", "coeffs", "_derivatives")
+    __slots__ = ("k", "tx", "ty", "coeffs")
 
     def __init__(self, x, y, z, k: int):
         tx, steps_x, rows_x = _axis_fit(np.asarray(x, dtype=np.float64).tobytes(), k)
@@ -239,7 +239,6 @@ class GridSpline:
         # R_y c1 = h for every x row, then c R_x' = c1 for every y column
         c = _back(rows_x, zip(*_back(rows_y, h)))
         self.coeffs = np.array(c).T  # [i, j]: x B-spline i, y B-spline j
-        self._derivatives = {}
 
     def __call__(self, x, y, dx: int = 0, dy: int = 0) -> np.ndarray:
         if (dx or dy) and not (0 <= dx < self.k and 0 <= dy < self.k):
@@ -255,23 +254,18 @@ class GridSpline:
 
     def _coefficients(self, dx: int, dy: int):
         """parder: coefficients and knots of the (dx, dy) partial derivative."""
-        if (dx, dy) == (0, 0):
-            return self.coeffs, self.tx, self.ty
-        key = (dx, dy)
-        if key not in self._derivatives:
-            c, tx, ty = self.coeffs, self.tx, self.ty
-            for order in range(dx):
-                kk = self.k - order
-                fac = np.subtract(tx[1 + kk:len(tx) - 1], tx[1:len(tx) - 1 - kk])
-                c = (c[1:] - c[:-1]) * float(kk) / fac[:, None]
-                tx = tx[1:-1]
-            for order in range(dy):
-                kk = self.k - order
-                fac = np.subtract(ty[1 + kk:len(ty) - 1], ty[1:len(ty) - 1 - kk])
-                c = (c[:, 1:] - c[:, :-1]) * float(kk) / fac
-                ty = ty[1:-1]
-            self._derivatives[key] = (c, tx, ty)
-        return self._derivatives[key]
+        c, tx, ty = self.coeffs, self.tx, self.ty
+        for order in range(dx):
+            kk = self.k - order
+            fac = np.subtract(tx[1 + kk:len(tx) - 1], tx[1:len(tx) - 1 - kk])
+            c = (c[1:] - c[:-1]) * float(kk) / fac[:, None]
+            tx = tx[1:-1]
+        for order in range(dy):
+            kk = self.k - order
+            fac = np.subtract(ty[1 + kk:len(ty) - 1], ty[1:len(ty) - 1 - kk])
+            c = (c[:, 1:] - c[:, :-1]) * float(kk) / fac
+            ty = ty[1:-1]
+        return c, tx, ty
 
 
 def thin_plate_grid(points: np.ndarray, values: np.ndarray,

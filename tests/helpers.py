@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 import os
 from pathlib import Path
@@ -22,7 +23,7 @@ from chainshell.optimizer import (COLUMN_POSITIONS_M, LOAD_BEARING, AnchorKind,
                                   CandidateDesign, _anchor_points, _shelter_grid,
                                   _stream_key, _stream_length)
 from chainshell.pipeline import filter_pool, structure_spec
-from chainshell.shell3d import (ControlGrid, ShellSurface, TriangleMesh, generate_iterations,
+from chainshell.shell3d import (ShellSurface, TriangleMesh, generate_iterations,
                                group_parameters, interpolate_surface, random_doubles)
 from chainshell.units import Shape, UnitCell
 
@@ -102,16 +103,13 @@ def raster_solid_fraction(cell: UnitCell, resolution: int = 2048) -> float:
     return float(solid.sum()) / float(resolution * resolution)
 
 
-def grid_from_z(z_mm: np.ndarray, span_mm: float = CONFIG.gen3d.span_mm) -> ControlGrid:
-    z = np.asarray(z_mm, dtype=float)
-    return ControlGrid(F=z.shape[0] - 1, span_L=span_mm, z_values=z)
-
-
-def fitpack_spline(grid: ControlGrid) -> RectBivariateSpline:
-    """FITPACK's interpolating spline through a control grid (the GridSpline oracle)."""
-    coords = grid.coordinates()
-    k = min(3, grid.F)
-    return RectBivariateSpline(coords, coords, grid.z_values, kx=k, ky=k, s=0)
+def fitpack_spline(z_mm: np.ndarray, span_mm: float) -> RectBivariateSpline:
+    """FITPACK's interpolating spline through (m, m) control heights over a
+    span_mm square (the GridSpline oracle)."""
+    m = len(z_mm)
+    coords = np.linspace(0.0, span_mm, m)
+    k = min(3, m - 1)
+    return RectBivariateSpline(coords, coords, z_mm, kx=k, ky=k, s=0)
 
 
 def rbf_thin_plate(xy: np.ndarray, z: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -124,14 +122,14 @@ def rbf_thin_plate(xy: np.ndarray, z: np.ndarray, coords: np.ndarray) -> np.ndar
 def flat_surface(height_mm: float = 0.0, span_mm: float = CONFIG.gen3d.span_mm,
                  F: int = 4, resolution: int = 33) -> ShellSurface:
     z = np.full((F + 1, F + 1), float(height_mm))
-    return interpolate_surface(grid_from_z(z, span_mm), resolution)
+    return interpolate_surface(z, span_mm, resolution)
 
 
 def pool_surfaces(amplitude: float, frequency: int, seed: int = 42) -> list:
     """A default-config pool's surfaces for (A, f), keyed by `seed`."""
     gen3d = CONFIG.gen3d
     grids = generate_iterations(amplitude, frequency, gen3d.iterations, seed, gen3d.span_mm)
-    return [interpolate_surface(g, gen3d.resolution) for g in grids]
+    return [interpolate_surface(g, gen3d.span_mm, gen3d.resolution) for g in grids]
 
 
 def default_frame(surface: ShellSurface, grid: int = CONFIG.fem.lattice_grid) -> FrameModel:
@@ -274,16 +272,16 @@ def synthetic_candidate(cid: str, cms: float, ua: float, lc_m3: float = 0.012,
                        fc_m3 / (~LOAD_BEARING).sum())
     return CandidateDesign(candidate_id=cid, kind=AnchorKind.FOUR,
                            column_heights_m=np.ones(16), column_volumes_m3=volumes,
-                           control=grid_from_z(np.full((5, 5), 1600.0)),
+                           control_mm=np.full((5, 5), 1600.0),
                            cms_m2=cms, ua_m2=ua, min_slope_S=0.05,
                            failing_points=() if drainage else ((0.0, 0.0),))
 
 
 def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
-                         anchor_index: int, iteration: int) -> ControlGrid:
-    """One shelter candidate's control grid drawn from its own stream alone,
-    the oracle for the study's one batched draw: random dome heights,
-    anchors at zero.
+                         anchor_index: int, iteration: int) -> np.ndarray:
+    """One shelter candidate's control heights (mm) drawn from its own
+    stream alone, the oracle for the study's one batched draw: random dome
+    heights, anchors at zero.
 
     Heights are drawn uniformly in [0, A_i] metres where the iteration's
     amplitude A_i is itself drawn within the [optimizer] cap; control points
@@ -296,26 +294,32 @@ def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
     return _shelter_grid(config, kind, u[0])
 
 
-def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
-                 span_mm: float = CONFIG.gen3d.span_mm, F: int = 16,
-                 resolution: int = CONFIG.gen3d.resolution) -> ShellSurface:
-    """Clipped paraboloid dome centred on the plan; closed-form clear area.
-
-    z(r) = H (1 - r^2 / R^2) above the rim, 0 outside, so the plan region
-    with clear height >= h is the disc r <= R sqrt(1 - h / H) of area
-    pi R^2 (1 - h / H).
-    """
+def dome_control(height_m: float = 3.0, radius_m: float = 0.95,
+                 span_mm: float = CONFIG.gen3d.span_mm, F: int = 16) -> np.ndarray:
+    """(F+1, F+1) control heights (mm) of a clipped paraboloid dome centred
+    on the plan: z(r) = H (1 - r^2 / R^2) above the rim, 0 outside."""
     coords_m = np.linspace(0.0, span_mm / 1000.0, F + 1)
     X, Y = np.meshgrid(coords_m, coords_m, indexing="ij")
     cx = cy = span_mm / 2000.0
     r2 = (X - cx) ** 2 + (Y - cy) ** 2
-    z_m = np.maximum(height_m * (1.0 - r2 / radius_m ** 2), 0.0)
-    grid = grid_from_z(z_m * 1000.0, span_mm)
-    return interpolate_surface(grid, resolution)
+    return np.maximum(height_m * (1.0 - r2 / radius_m ** 2), 0.0) * 1000.0
 
 
-def read_pgm(stream) -> np.ndarray:
-    """Parse the binary portable graymap (maxval 255) `shell3d.write_pgm` writes."""
+def dome_surface(height_m: float = 3.0, radius_m: float = 0.95,
+                 span_mm: float = CONFIG.gen3d.span_mm, F: int = 16,
+                 resolution: int = CONFIG.gen3d.resolution) -> ShellSurface:
+    """The surface through dome_control; closed-form clear area.
+
+    The plan region with clear height >= h is the disc r <= R sqrt(1 - h / H)
+    of area pi R^2 (1 - h / H).
+    """
+    return interpolate_surface(dome_control(height_m, radius_m, span_mm, F),
+                               span_mm, resolution)
+
+
+def read_pgm(data: bytes) -> np.ndarray:
+    """Parse the binary portable graymap (maxval 255) `shell3d.write_pgm` returns."""
+    stream = io.BytesIO(data)
     magic = stream.readline().strip()
     if magic != b"P5":
         raise ParameterError("not a binary portable graymap")
@@ -325,10 +329,10 @@ def read_pgm(stream) -> np.ndarray:
     return np.frombuffer(stream.read(w * h), dtype=np.uint8).reshape(h, w)
 
 
-def read_mesh(stream: TextIO):
-    """Parse the `v` / `f` lines `shell3d.write_mesh` writes: (vertices, faces)."""
+def read_mesh(data: bytes):
+    """Parse the `v` / `f` lines `shell3d.write_mesh` returns: (vertices, faces)."""
     vertices, faces = [], []
-    for line in stream:
+    for line in data.decode("ascii").splitlines():
         parts = line.split()
         if not parts:
             continue
@@ -496,7 +500,8 @@ def carried_surface_displacement_rows(config: PipelineConfig) -> str:
         grids = generate_iterations(amplitude, frequency, n=config.gen3d.iterations,
                                     seed=derive_seed(config.seed, f"gen3d:g{group}"),
                                     span=config.gen3d.span_mm)
-        surfaces = [interpolate_surface(g, config.gen3d.resolution) for g in grids]
+        surfaces = [interpolate_surface(g, config.gen3d.span_mm, config.gen3d.resolution)
+                    for g in grids]
         metrics = [measure(s) for s in surfaces]
         kept, _, _ = filter_pool(config, metrics)
         limit = loads.deflection_limit(config.gen3d.span_mm / 1000.0)

@@ -51,7 +51,6 @@ from helpers import (
     default_frame,
     dome_surface,
     flat_surface,
-    grid_from_z,
     point_forces,
     pool_surfaces,
     raster_solid_fraction,
@@ -306,8 +305,9 @@ def test_a12_depth_map_rendering():
 
     rng = np.random.default_rng(5)
     z = rng.uniform(0.0, 30.0, size=(5, 5))
-    one = depth_map(interpolate_surface(grid_from_z(z), 33), 64)
-    two = depth_map(interpolate_surface(grid_from_z(2.0 * z), 33), 64)
+    span = CONFIG.gen3d.span_mm
+    one = depth_map(interpolate_surface(z, span, 33), 64)
+    two = depth_map(interpolate_surface(2.0 * z, span, 33), 64)
     scale_ok = np.array_equal(one, two)
 
     ok = flat_ok and peak_ok and scale_ok

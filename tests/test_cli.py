@@ -441,6 +441,25 @@ def test_a_plan_area_beyond_the_span_exits_2(capsys, tmp_path):
     assert not (out / "config.ini").exists()
 
 
+def test_analyze_refuses_a_plan_area_beyond_the_span_before_any_output(capsys, tmp_path):
+    # the default 4 m2 plan area does not fit a 1.9 m span's 3.61 m2 plan;
+    # gen3d and filter need no plan area
+    cfg = tmp_path / "span-1900.ini"
+    cfg.write_text("[gen3d]\nspan_mm = 1900\n")
+    pool = tmp_path / "pool"
+    assert main(["gen3d", "--config", str(cfg), "--amplitude", "10", "--frequency", "3",
+                 "--iterations", "2", "--out", str(pool)]) == EXIT_OK
+    assert main(["filter", "--config", str(cfg), "--in", str(pool)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "analyzed"
+    assert main(["analyze", "--config", str(cfg), "--in", str(pool),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert "loads.plan_area_m2" in capsys.readouterr().err
+    assert not out.exists()
+    # loads has no span to check the plan area against
+    assert main(["loads", "--config", str(cfg)]) == EXIT_OK
+
+
 def test_a_span_the_column_grid_overruns_exits_2(capsys, tmp_path):
     # the shelter columns stand at up to 1.75 m, past a 1.5 m plan
     cfg = tmp_path / "span-1500.ini"

@@ -111,6 +111,8 @@ def test_syntax_errors_are_config_errors():
     ("[gen3d]\nresolution = 8\n[optimizer]\ncontrol_F = 8\n", "gen3d.resolution"),
     ("[gen3d]\nspan_mm = 0\n", "gen3d.span_mm"),
     ("[sweep2d]\nspan_mm = -1\n", "sweep2d.span_mm"),
+    # positive, but the sweep's top cell (A = 40 mm, f = 10) curves infinitely
+    ("[sweep2d]\nspan_mm = 1e-300\n", "sweep2d.span_mm"),
     ("[sweep2d]\nfrequency_max = 12\n", "sweep2d.frequency_max"),
     ("[sweep2d]\nfrequency_max = 2\n", "sweep2d.frequency_max"),
     ("[optimizer]\ncontrol_F = 1\n", "optimizer.control_F"),

@@ -37,7 +37,7 @@ from chainshell.pipeline import structure_spec
 from chainshell.shell3d import TriangleMesh, interpolate_surface
 
 from helpers import (CONFIG, PROPERTY, SPEC, dict_default_supports, dict_restraint,
-                     dict_support_nodes, dome_surface, flat_surface, grid_from_z,
+                     dict_support_nodes, dome_control, dome_surface, flat_surface,
                      holds_geometry, meshgrid_usable_area, per_point_column_heights,
                      shelter_control_grid, synthetic_candidate)
 
@@ -54,7 +54,7 @@ FOOTPRINT_M2 = 9 * 0.02 ** 2
 def _incline_surface(rise_per_m: float, span_mm: float = CONFIG.gen3d.span_mm):
     coords = np.linspace(0.0, span_mm, 5)
     z = np.outer(rise_per_m * coords, np.ones(5))  # z grows along x only
-    return interpolate_surface(grid_from_z(z, span_mm), 33)
+    return interpolate_surface(z, span_mm, 33)
 
 
 def _slopes(surface, rule: str = BLOCK.slope_rule):
@@ -147,7 +147,7 @@ def _random_shelter_surface(seed: int, span_mm: float = CONFIG.gen3d.span_mm):
     kind = list(AnchorKind)[int(rng.integers(len(AnchorKind)))]
     grid = shelter_control_grid(config, study_seed, kind, int(rng.integers(5)),
                                 int(rng.integers(100)))
-    return interpolate_surface(grid, int(rng.integers(8, 65))), rng
+    return interpolate_surface(grid, span_mm, int(rng.integers(8, 65))), rng
 
 
 def _edge_case_footprint(rng):
@@ -319,7 +319,9 @@ def test_initial_columns_split_and_heights():
     assert (LOAD_BEARING.sum(), (~LOAD_BEARING).sum()) == (4, 12)
     corner_xy = {(0.25, 0.25), (0.25, 1.75), (1.75, 0.25), (1.75, 1.75)}
     assert {tuple(p) for p in COLUMN_POSITIONS_M[LOAD_BEARING].tolist()} == corner_xy
-    design = evaluate_candidate("flat", surface, FOUR, BLOCK)
+    control = np.full((5, 5), 1200.0)  # the heights flat_surface interpolates
+    design = evaluate_candidate("flat", control, surface, FOUR, BLOCK)
+    assert design.control_mm is control
     assert design.lc_m3 == pytest.approx(4 * 0.0025 * 1.2, rel=1e-6)
     assert design.fc_m3 == pytest.approx(12 * 0.0025 * 1.2, rel=1e-6)
 
@@ -346,23 +348,26 @@ def test_shelter_grids_are_seeded_and_clamped():
     block = config.optimizer
     a = shelter_control_grid(config, 11, AnchorKind.FOUR, 4, 3)
     b = shelter_control_grid(config, 11, AnchorKind.FOUR, 4, 3)
-    assert np.array_equal(a.z_values, b.z_values)
+    assert np.array_equal(a, b)
     c = shelter_control_grid(config, 11, AnchorKind.FOUR, 4, 4)
-    assert not np.array_equal(a.z_values, c.z_values)
+    assert not np.array_equal(a, c)
 
     m = block.control_F
+    assert a.shape == (m + 1, m + 1)
     for (i, j) in ((0, 0), (m, 0), (m, m), (0, m)):
-        assert a.z_values[i, j] == 0.0
-    assert a.z_values.min() >= 0.0
-    assert a.z_values.max() <= block.amplitude_cap_m * 1000.0
+        assert a[i, j] == 0.0
+    assert a.min() >= 0.0
+    assert a.max() <= block.amplitude_cap_m * 1000.0
 
     single = shelter_control_grid(config, 11, AnchorKind.ONE, 0, 3)
-    assert single.z_values[0, 0] == 0.0
-    assert single.z_values[m, m] > 0.0  # unanchored corner stays free
+    assert single[0, 0] == 0.0
+    assert single[m, m] > 0.0  # unanchored corner stays free
 
 
-def _dome_design(surface):
-    return evaluate_candidate("dome", surface, FOUR, BLOCK)
+def _dome_design(surface, block: OptimizerBlock = BLOCK):
+    """The design of a default dome_surface over the surface's span."""
+    return evaluate_candidate("dome", dome_control(span_mm=surface.span_mm), surface,
+                              FOUR, block)
 
 
 def _column_volumes(heights, side):
@@ -389,7 +394,7 @@ def test_evaluate_candidate_reads_the_block():
     surface = dome_surface()
     changed = replace(BLOCK, column_section_side_m=0.08, min_slope=0.5,
                       slope_rule="strict", headroom_m=0.5)
-    design = evaluate_candidate("dome", surface, FOUR, changed)
+    design = _dome_design(surface, changed)
     assert (design.lc_m3, design.fc_m3) == _column_volumes(initial_columns(surface), 0.08)
     assert (design.min_slope_S, design.failing_points) == slope_grid(surface, 0.5,
                                                                       "strict")
@@ -524,12 +529,13 @@ def test_a_study_with_every_candidate_rejected_has_no_winner():
 
 
 def test_study_keeps_only_the_winner_surface(monkeypatch):
-    built = []
+    built, controls = [], []
     original = optimizer.interpolate_surface
 
-    def tracking(control, resolution):
-        surface = original(control, resolution)
+    def tracking(z_mm, span_mm, resolution):
+        surface = original(z_mm, span_mm, resolution)
         built.append(weakref.ref(surface))
+        controls.append(z_mm)
         return surface
 
     monkeypatch.setattr(optimizer, "interpolate_surface", tracking)
@@ -540,7 +546,8 @@ def test_study_keeps_only_the_winner_surface(monkeypatch):
     assert len(built) == 11
     alive = [ref() for ref in built if ref() is not None]
     assert len(alive) == 1 and alive[0] is result.winner_surface
-    assert result.winner_surface.control is result.ranked[0].control
+    # the winner is rebuilt from the control heights its candidate kept
+    assert controls[-1] is result.ranked[0].control_mm
     # no candidate, the winner included, holds a surface or a mesh
     assert not holds_geometry((result.ranked, result.rejected))
 
@@ -548,7 +555,8 @@ def test_study_keeps_only_the_winner_surface(monkeypatch):
 def test_winner_rebuild_is_bit_exact(optimize_result):
     winner, surface = optimize_result.ranked[0], optimize_result.winner_surface
     assert surface.mesh.area() == winner.cms_m2
-    again = interpolate_surface(winner.control, CONFIG.gen3d.resolution)
+    again = interpolate_surface(winner.control_mm, CONFIG.gen3d.span_mm,
+                                CONFIG.gen3d.resolution)
     assert again.mesh.coords_m.tobytes() == surface.mesh.coords_m.tobytes()
     assert again.mesh.heights_m.tobytes() == surface.mesh.heights_m.tobytes()
 

@@ -251,19 +251,19 @@ def test_group_surface_generation_is_seed_derived():
     amplitude, frequency, seed, grids = _group_grids(config, 2)
     assert (amplitude, frequency) == group_parameters(2)
     assert seed == derive_seed(config.seed, "gen3d:g2")
-    assert len(grids) == 3
+    assert grids.shape == (3, frequency, frequency)
     # iteration i is drawn from the (seed, i) stream
     for i, grid in enumerate(grids):
         alone = shell3d.control_grid(amplitude, frequency, seed, i, config.gen3d.span_mm)
-        assert grid.z_values.tobytes() == alone.z_values.tobytes()
+        assert grid.tobytes() == alone.tobytes()
 
 
 def test_gen3d_carry_holds_grids_and_metrics_only(tmp_path, monkeypatch):
     built = []
     original = shell3d.interpolate_surface
 
-    def tracking(control, resolution):
-        surface = original(control, resolution)
+    def tracking(z_mm, span_mm, resolution):
+        surface = original(z_mm, span_mm, resolution)
         built.append(weakref.ref(surface))
         return surface
 
@@ -274,7 +274,7 @@ def test_gen3d_carry_holds_grids_and_metrics_only(tmp_path, monkeypatch):
     assert len(built) == 6
     assert all(ref() is None for ref in built)
     assert not holds_geometry(carry)
-    assert [len(info["grids"]) for info in carry.values()] == [3, 3]
+    assert [info["grids"].shape for info in carry.values()] == [(3, 3, 3), (3, 4, 4)]
 
 
 def test_analyze_rows_match_the_carried_surface_reference(default_run):

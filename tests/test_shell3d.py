@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import replace
 
@@ -12,7 +11,6 @@ from chainshell.errors import EnvelopeError, GeometryError, ParameterError
 from chainshell.optimizer import AnchorKind
 from chainshell.pipeline import pool_grids
 from chainshell.shell3d import (
-    ControlGrid,
     TriangleMesh,
     base_field,
     control_grid,
@@ -24,7 +22,7 @@ from chainshell.shell3d import (
     write_mesh,
     write_pgm,
 )
-from helpers import (CONFIG, check_single_loop, flat_surface, grid_from_z, lattice_vertices,
+from helpers import (CONFIG, check_single_loop, flat_surface, lattice_vertices,
                      per_call_lattice_faces, read_mesh, read_pgm, search_boundary_edges,
                      shelter_control_grid, unique_rows_boundary_edges)
 
@@ -60,15 +58,15 @@ def test_base_field_cosine_symmetry_in_y():
 def test_generate_iterations_bit_identical_reruns():
     first = generate_iterations(25.0, 6, n=5, seed=42, span=SPAN)
     second = generate_iterations(25.0, 6, n=5, seed=42, span=SPAN)
-    for g1, g2 in zip(first, second):
-        assert np.array_equal(g1.z_values, g2.z_values)
+    assert first.shape == (5, 6, 6)
+    assert first.tobytes() == second.tobytes()
 
 
 def test_generate_iterations_streams_independent_of_pool_size():
     # iteration k is keyed by (seed, k), not by how many others were drawn
     long = generate_iterations(25.0, 6, n=5, seed=42, span=SPAN)
     short = generate_iterations(25.0, 6, n=4, seed=42, span=SPAN)
-    assert np.array_equal(long[3].z_values, short[3].z_values)
+    assert np.array_equal(long[3], short[3])
 
 
 @pytest.mark.parametrize("iteration", [0, 3, 19])
@@ -77,9 +75,8 @@ def test_control_grid_is_one_iteration_of_the_pool(iteration):
     config = replace(CONFIG, gen3d=replace(CONFIG.gen3d, iterations=20, span_mm=1500.0))
     pool = pool_grids(config, 25.0, 6, 42)
     grid = control_grid(25.0, 6, 42, iteration, span=1500.0)
-    expected = pool[iteration]
-    assert grid.z_values.tobytes() == expected.z_values.tobytes()
-    assert (grid.F, grid.span_L) == (expected.F, expected.span_L)
+    assert grid.shape == (6, 6)
+    assert grid.tobytes() == pool[iteration].tobytes()
 
 
 # Keys fixed before any draw: both words at 0 and at 2**64 - 1, a small
@@ -112,7 +109,7 @@ def test_control_grid_is_numpys_uniform_draw(seed, iteration):
     z = base_field(X, Y, amplitude, frequency, SPAN) + offsets
     z[0, :] = z[-1, :] = z[:, 0] = z[:, -1] = 0.0
     grid = control_grid(amplitude, frequency, seed, iteration, SPAN)
-    assert grid.z_values.tobytes() == z.tobytes()
+    assert grid.tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("seed, kind, iteration", [
@@ -131,7 +128,7 @@ def test_shelter_control_grid_is_numpys_uniform_draw(seed, kind, iteration):
     for i, j in corners:
         z[i, j] = 0.0
     grid = shelter_control_grid(config, seed, kind, anchor_index, iteration)
-    assert grid.z_values.tobytes() == z.tobytes()
+    assert grid.tobytes() == z.tobytes()
 
 
 def test_shelter_control_grid_is_the_batched_study_draw(optimize_result):
@@ -143,7 +140,7 @@ def test_shelter_control_grid_is_the_batched_study_draw(optimize_result):
         iteration = int(design.candidate_id.rsplit("-", 1)[1])
         grid = shelter_control_grid(config, 11, design.kind,
                                     list(AnchorKind).index(design.kind), iteration)
-        assert grid.z_values.tobytes() == design.control.z_values.tobytes()
+        assert grid.tobytes() == design.control_mm.tobytes()
 
 
 @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
@@ -160,10 +157,8 @@ def test_generate_iterations_offset_bounds_and_anchored_boundary():
     coords = np.linspace(0.0, SPAN, 6)
     X, Y = np.meshgrid(coords, coords, indexing="ij")
     base = base_field(X, Y, 25.0, 6, SPAN)
-    for grid in grids:
-        assert grid.z_values.shape == (6, 6)
-        assert grid.F == 5
-        z = grid.z_values
+    assert grids.shape == (20, 6, 6)
+    for z in grids:
         assert np.all(z[0, :] == 0.0) and np.all(z[-1, :] == 0.0)
         assert np.all(z[:, 0] == 0.0) and np.all(z[:, -1] == 0.0)
         offsets = (z - base)[1:-1, 1:-1]
@@ -173,7 +168,7 @@ def test_generate_iterations_offset_bounds_and_anchored_boundary():
 
 def test_generate_iterations_zero_amplitude_is_flat():
     grid = generate_iterations(0.0, 4, n=1, seed=7, span=SPAN)[0]
-    assert np.all(grid.z_values == 0.0)
+    assert np.all(grid == 0.0)
 
 
 def test_generate_iterations_envelope_and_parameter_errors():
@@ -191,10 +186,10 @@ def test_generate_iterations_envelope_and_parameter_errors():
 
 
 def test_control_grid_validation():
-    with pytest.raises(ParameterError):
-        ControlGrid(F=0, span_L=2000.0, z_values=np.zeros((1, 1)))
-    with pytest.raises(ParameterError):
-        ControlGrid(F=4, span_L=2000.0, z_values=np.zeros((3, 3)))
+    # a surface needs a square grid of at least 2 x 2 control heights
+    for z in (np.zeros((1, 1)), np.zeros((5, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ParameterError, match="control heights must be"):
+            interpolate_surface(z, SPAN, resolution=8)
 
 
 def test_flat_surface_area_and_perimeter():
@@ -208,10 +203,7 @@ def test_lattice_mesh_layout():
     coords = np.array([0.0, 1.0, 3.0])
     heights = np.arange(9.0).reshape(3, 3)
     mesh = TriangleMesh(coords_m=coords, heights_m=heights)
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
-    buf.seek(0)
-    vertices, faces = read_mesh(buf)
+    vertices, faces = read_mesh(write_mesh(mesh))
     # vertex i * n + j sits at (x_i, y_j, heights[i, j])
     assert vertices[5].tolist() == [1.0, 3.0, 5.0]
     assert len(faces) == 2 * 2 * 2
@@ -226,7 +218,7 @@ def test_lattice_mesh_layout():
 def test_interpolation_passes_through_control_points():
     z = np.zeros((5, 5))
     z[2, 2] = 30.0
-    surface = interpolate_surface(grid_from_z(z), resolution=65)
+    surface = interpolate_surface(z, SPAN, resolution=65)
     assert float(surface.evaluate(1000.0, 1000.0)[0, 0]) == pytest.approx(30.0, abs=1e-6)
     assert float(surface.evaluate(0.0, 0.0)[0, 0]) == pytest.approx(0.0, abs=1e-6)
 
@@ -242,8 +234,7 @@ def test_dense_control_grid_tracks_analytic_field():
     for n in (49, 97):
         coords = np.linspace(0.0, SPAN, n)
         X, Y = np.meshgrid(coords, coords, indexing="ij")
-        grid = grid_from_z(base_field(X, Y, 35.0, 9, SPAN), SPAN)
-        surface = interpolate_surface(grid, resolution=97)
+        surface = interpolate_surface(base_field(X, Y, 35.0, 9, SPAN), SPAN, resolution=97)
         errs[n] = np.max(np.abs(surface.evaluate(fine, fine) - exact))
     assert errs[97] < 0.5
     assert errs[49] > 8.0 * errs[97]
@@ -260,21 +251,21 @@ def test_area_converges_under_resolution_doubling():
     for group in (1, 2, 3, 4):
         amplitude, frequency = group_parameters(group)
         grid = generate_iterations(amplitude, frequency, n=1, seed=42, span=SPAN)[0]
-        coarse = interpolate_surface(grid, resolution=64).mesh.area()
-        fine = interpolate_surface(grid, resolution=128).mesh.area()
+        coarse = interpolate_surface(grid, SPAN, resolution=64).mesh.area()
+        fine = interpolate_surface(grid, SPAN, resolution=128).mesh.area()
         assert abs(fine - coarse) / coarse < 0.002
 
 
 def test_interpolate_surface_rejects_too_coarse_resolution():
     z = np.zeros((5, 5))
     with pytest.raises(ParameterError):
-        interpolate_surface(grid_from_z(z), resolution=4)
+        interpolate_surface(z, SPAN, resolution=4)
 
 
 def test_spline_queries_keep_fitpacks_input_contract():
     z = np.zeros((4, 4))
     z[1:3, 1:3] = 10.0
-    surface = interpolate_surface(grid_from_z(z), resolution=9)
+    surface = interpolate_surface(z, SPAN, resolution=9)
     coords = np.linspace(0.0, 2000.0, 5)
     for axis in ("z", "X", ""):
         with pytest.raises(ParameterError, match="axis must be 'x' or 'y'"):
@@ -283,7 +274,7 @@ def test_spline_queries_keep_fitpacks_input_contract():
         surface.evaluate(coords[::-1], coords)
     with pytest.raises(ParameterError, match="increasing order"):
         surface.gradient(coords, coords[::-1], axis="y")
-    linear = interpolate_surface(grid_from_z(np.zeros((2, 2))), resolution=4)
+    linear = interpolate_surface(np.zeros((2, 2)), SPAN, resolution=4)
     for axis in ("x", "y"):
         with pytest.raises(ParameterError, match="degree-1 spline"):
             linear.gradient(coords, coords, axis=axis)
@@ -324,7 +315,7 @@ def test_depth_map_flat_is_uniform_white():
 def test_depth_map_peak_is_black_and_range_valid():
     z = np.zeros((5, 5))
     z[2, 2] = 30.0
-    surface = interpolate_surface(grid_from_z(z), resolution=65)
+    surface = interpolate_surface(z, SPAN, resolution=65)
     image = depth_map(surface, resolution=65)
     assert image.min() == 0
     assert image.max() == 255  # boundary stays at ground level
@@ -334,17 +325,14 @@ def test_depth_map_invariant_under_height_scaling():
     z = np.zeros((5, 5))
     z[1, 2] = 12.0
     z[3, 3] = 25.0
-    a = depth_map(interpolate_surface(grid_from_z(z), resolution=65), 64)
-    b = depth_map(interpolate_surface(grid_from_z(z * 2.0), resolution=65), 64)
+    a = depth_map(interpolate_surface(z, SPAN, resolution=65), 64)
+    b = depth_map(interpolate_surface(z * 2.0, SPAN, resolution=65), 64)
     assert np.array_equal(a, b)
 
 
 def test_mesh_roundtrip_through_text():
     surface = flat_surface(F=2, resolution=5)
-    buf = io.StringIO()
-    write_mesh(surface.mesh, buf)
-    buf.seek(0)
-    vertices, faces = read_mesh(buf)
+    vertices, faces = read_mesh(write_mesh(surface.mesh))
     assert np.allclose(vertices, lattice_vertices(surface.mesh), rtol=1e-9, atol=1e-12)
     assert np.array_equal(faces, per_call_lattice_faces(5))
 
@@ -352,10 +340,7 @@ def test_mesh_roundtrip_through_text():
 def test_pgm_roundtrip_is_exact():
     z = np.zeros((5, 5))
     z[2, 1] = 18.0
-    image = depth_map(interpolate_surface(grid_from_z(z), resolution=33), 32)
-    buf = io.BytesIO()
-    write_pgm(image, buf)
-    buf.seek(0)
-    assert buf.read(2) == b"P5"
-    buf.seek(0)
-    assert np.array_equal(read_pgm(buf), image)
+    image = depth_map(interpolate_surface(z, SPAN, resolution=33), 32)
+    data = write_pgm(image)
+    assert data.startswith(b"P5\n32 32\n255\n")
+    assert np.array_equal(read_pgm(data), image)

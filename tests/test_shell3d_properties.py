@@ -24,8 +24,8 @@ from chainshell.errors import GeometryError
 from chainshell.filtering import SurfaceMetrics, measure
 from chainshell.shell3d import TriangleMesh, interpolate_surface, write_mesh
 
-from helpers import (PROPERTY, check_single_loop, cross_product_area, edge_length,
-                     gather_area, grid_from_z, lattice_vertices, line_by_line_write_mesh,
+from helpers import (CONFIG, PROPERTY, check_single_loop, cross_product_area, edge_length,
+                     gather_area, lattice_vertices, line_by_line_write_mesh,
                      per_call_lattice_faces, search_boundary_edges,
                      unique_rows_boundary_edges)
 
@@ -118,11 +118,10 @@ def first_mismatch(mesh: TriangleMesh):
     Comparing line by line keeps a failure report short: a plain string
     assert would diff two whole mesh files on every shrinking step.
     """
-    fast, slow = io.StringIO(), io.StringIO()
-    write_mesh(mesh, fast)
+    slow = io.StringIO()
     line_by_line_write_mesh(*spelled_out(mesh), slow)
-    pairs = itertools.zip_longest(fast.getvalue().splitlines(keepends=True),
-                                  slow.getvalue().splitlines(keepends=True))
+    pairs = itertools.zip_longest(write_mesh(mesh).splitlines(keepends=True),
+                                  slow.getvalue().encode("ascii").splitlines(keepends=True))
     return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
 
 
@@ -158,9 +157,7 @@ def test_signed_zero_coordinates_do_not_share_text():
     negative = TriangleMesh(coords_m=np.full(5, -0.0), heights_m=mesh.heights_m)
     for m in (positive, negative, positive):
         assert first_mismatch(m) is None
-    out = io.StringIO()
-    write_mesh(negative, out)
-    assert out.getvalue().startswith("v -0 -0 ")
+    assert write_mesh(negative).startswith(b"v -0 -0 ")
 
 
 def test_strided_heights_write_like_contiguous_heights():
@@ -170,10 +167,7 @@ def test_strided_heights_write_like_contiguous_heights():
     for heights in (wide[::2, ::2], np.asfortranarray(mesh.heights_m)):
         strided = TriangleMesh(coords_m=mesh.coords_m, heights_m=heights)
         assert first_mismatch(strided) is None
-        fast, again = io.StringIO(), io.StringIO()
-        write_mesh(strided, fast)
-        write_mesh(mesh, again)
-        assert fast.getvalue() == again.getvalue()
+        assert write_mesh(strided) == write_mesh(mesh)
 
 
 def test_more_lattices_than_the_cache_holds():
@@ -234,7 +228,7 @@ def test_lattice_meshes_of_one_size_share_one_read_only_boundary(n, seed):
 def lattice_surface(n: int, seed: int):
     """Spline surface sampled on an n x n lattice, random heights on its edges too."""
     z = np.random.default_rng(seed).uniform(-500.0, 500.0, (4, 4))
-    return interpolate_surface(grid_from_z(z), resolution=n)
+    return interpolate_surface(z, CONFIG.gen3d.span_mm, resolution=n)
 
 
 @PROPERTY

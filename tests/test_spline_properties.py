@@ -19,7 +19,7 @@ from chainshell.optimizer import (COLUMN_POSITIONS_M, LOAD_BEARING, AnchorKind,
                                   _anchor_points)
 from chainshell.spline import GridSpline, thin_plate_grid
 
-from helpers import PROPERTY, fitpack_spline, grid_from_z, rbf_thin_plate
+from helpers import PROPERTY, fitpack_spline, rbf_thin_plate
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -31,7 +31,7 @@ def same_bits(ours: np.ndarray, oracle: np.ndarray) -> bool:
 
 @st.composite
 def spline_cases(draw):
-    """(control grid, x queries, y queries): m = 2..10 points a side.
+    """(control heights, span, x queries, y queries): m = 2..10 points a side.
 
     Grids are random, or random inside a zero boundary as gen3d draws
     them (-0.0 too: FITPACK's sums start at +0.0); queries are uniform
@@ -51,17 +51,18 @@ def spline_cases(draw):
             return np.linspace(0.0, span, n)
         return np.sort(rng.uniform(-0.1 * span, 1.1 * span, n))
 
-    return grid_from_z(z, span), queries(), queries()
+    return z, span, queries(), queries()
 
 
 @PROPERTY
 @given(spline_cases())
 def test_spline_values_and_slopes_match_fitpack_bitwise(case):
-    grid, qx, qy = case
-    ours, oracle = shell3d._fit_spline(grid), fitpack_spline(grid)
+    z, span, qx, qy = case
+    ours = shell3d.interpolate_surface(z, span, len(z)).spline
+    oracle = fitpack_spline(z, span)
     assert same_bits(ours(qx, qy), oracle(qx, qy))
     for dx, dy in ((1, 0), (0, 1)):
-        if grid.F == 1:  # FITPACK's parder takes no slope of a linear spline
+        if len(z) == 2:  # FITPACK's parder takes no slope of a linear spline
             with pytest.raises(ValueError):
                 oracle(qx, qy, dx=dx, dy=dy)
             with pytest.raises(ParameterError, match="degree-1"):
@@ -89,14 +90,15 @@ def test_any_degree_on_uneven_coordinates_matches_fitpack_bitwise(mx, my, k, see
 @PROPERTY
 @given(spline_cases())
 def test_surfaces_evaluate_and_slope_like_fitpack(case):
-    grid, qx, qy = case
-    if grid.F == 1:
+    z, span, qx, qy = case
+    if len(z) == 2:
         return
-    surface = shell3d.interpolate_surface(grid, resolution=grid.F + 1)
-    oracle = fitpack_spline(grid)
-    # at resolution F + 1 the sampled lattice is the control grid
-    lattice = oracle(grid.coordinates(), grid.coordinates())
-    assert same_bits(surface.evaluate(grid.coordinates(), grid.coordinates()), lattice)
+    surface = shell3d.interpolate_surface(z, span, resolution=len(z))
+    oracle = fitpack_spline(z, span)
+    # at resolution m the sampled lattice is the control grid
+    coords = np.linspace(0.0, span, len(z))
+    lattice = oracle(coords, coords)
+    assert same_bits(surface.evaluate(coords, coords), lattice)
     assert same_bits(surface.mesh.heights_m, lattice / 1000.0)
     assert same_bits(surface.evaluate(qx, qy), oracle(qx, qy))
     assert same_bits(surface.gradient(qx, qy, axis="x"), oracle(qx, qy, dx=1))
