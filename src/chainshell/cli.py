@@ -259,20 +259,30 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
     if selected.is_dir():
         selected = selected / "selected.csv"
     rows = _read_csv(selected, {"iteration": int, "amplitude_mm": _number,
-                                "frequency": int, "seed": int, "area_m2": _number,
-                                "kept": str}, check=_kept_row_feasible)
+                                "frequency": int, "seed": int, "perimeter_m": _number,
+                                "area_m2": _number, "kept": str}, check=_kept_row_feasible)
     rows = [r for r in rows if r["kept"] == "1"]
     if not rows:
         raise ParameterError(f"no kept surfaces in {selected}")
-    out = _out_dir(args, selected.parent)
+    span = config.gen3d.span_mm
     out_lines = ["model,DL_kN,LL_kN,SL_kN,WL_kN,TL_kN,max_displacement_mm,"
                  "limit_mm,passed"]
     for r in rows:
         idx = r["iteration"]
         grid = shell3d.control_grid(r["amplitude_mm"], r["frequency"], r["seed"],
-                                    idx, span=config.gen3d.span_mm)
+                                    idx, span=span)
+        surface = shell3d.interpolate_surface(grid, span, config.gen3d.resolution)
+        # the edges are anchored flat, so the perimeter is 4 spans at any
+        # resolution: a pool drawn over another span differs here
+        perimeter, listed = _fmt(surface.mesh.boundary_length(), 9), _fmt(r["perimeter_m"], 9)
+        if perimeter != listed:
+            raise ParameterError(
+                f"{selected}: iteration {idx} has perimeter_m {listed}, but "
+                f"its surface over gen3d.span_mm = {span} has {perimeter}; analyze "
+                f"with the span its pool was drawn over")
         out_lines.append(",".join(
-            [f"iter{idx:02d}"] + pipeline.analyze_model(config, grid, r["area_m2"])))
+            [f"iter{idx:02d}"] + pipeline.analyze_model(config, surface, r["area_m2"])))
+    out = _out_dir(args, selected.parent)
     text = "\n".join(out_lines) + "\n"
     pipeline.write_output(out, "displacements.csv", text)
     sys.stdout.write(text)

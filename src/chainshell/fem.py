@@ -11,8 +11,8 @@ gives (row-major lattices are banded already).  Singular systems raise a
 mechanism error naming the offending degrees of freedom, read from the null
 vector of the leading minor where the factorization failed (one banded
 triangular solve, dtbtrs, on the factor), so neither K_ff nor any other
-n x n array is formed.  The routines come from scipy's f2py LAPACK module
-(`chainshell.lapack`); `scipy.linalg` itself is not imported.
+n x n array is formed.  The routines come from the OpenBLAS numpy already
+loaded (`chainshell.lapack`); scipy is not imported.
 """
 
 from __future__ import annotations

@@ -208,18 +208,15 @@ def structure_spec(config: PipelineConfig) -> loads.StructureSpec:
         shear_modulus=config.fem.shear_modulus_pa)
 
 
-def analyze_model(config: PipelineConfig, control_mm: np.ndarray,
+def analyze_model(config: PipelineConfig, surface: shell3d.ShellSurface,
                   area_m2: float) -> List[str]:
     """Load case and frame solve of one model, as displacements.csv columns.
 
-    The model's surface is built here from its control grid over [gen3d]
-    span_mm at [gen3d] resolution, bit-identical to the one its pool wrote
-    and measured.
+    The surface is the model's control grid over [gen3d] span_mm at [gen3d]
+    resolution, bit-identical to the one its pool wrote and measured.
     Columns: DL_kN, LL_kN, SL_kN, WL_kN, TL_kN, max_displacement_mm,
     limit_mm, passed.
     """
-    surface = shell3d.interpolate_surface(control_mm, config.gen3d.span_mm,
-                                          config.gen3d.resolution)
     spec = structure_spec(config)
     grid = config.fem.lattice_grid
     case = loads.combine(spec, area_m2)
@@ -238,8 +235,9 @@ def stage_analyze(config: PipelineConfig, out: RunDir, gen_carry: Dict,
             "max_displacement_mm,limit_mm,passed"]
     for group, info in gen_carry.items():
         for idx in filter_carry[group]:
-            columns = analyze_model(config, info["grids"][idx],
-                                    info["metrics"][idx].area_a)
+            surface = shell3d.interpolate_surface(
+                info["grids"][idx], config.gen3d.span_mm, config.gen3d.resolution)
+            columns = analyze_model(config, surface, info["metrics"][idx].area_a)
             rows.append(",".join([f"g{group}-{idx:02d}", str(group), str(idx)]
                                  + columns))
     write_output(out, "analyze/displacements.csv", "\n".join(rows) + "\n")

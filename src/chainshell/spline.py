@@ -8,7 +8,7 @@ for bit (Dierckx, *Curve and Surface Fitting with Splines*, 1993).
 
 `thin_plate_grid` is the thin-plate interpolant r^2 log r plus a degree-1
 polynomial that scipy's RBFInterpolator builds: the same shift and scale,
-the same LAPACK dgesv (scipy's own, through `chainshell.lapack`) on the
+LAPACK's dgesv (numpy's OpenBLAS, through `chainshell.lapack`) on the
 same matrices and the same final product.
 
 Everything that does not depend on the data values (knots, Givens

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import io
 import math
 import os
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TextIO
+from unittest import mock
 
 import numpy as np
 from hypothesis import settings
@@ -112,10 +115,28 @@ def fitpack_spline(z_mm: np.ndarray, span_mm: float) -> RectBivariateSpline:
     return RectBivariateSpline(coords, coords, z_mm, kx=k, ky=k, s=0)
 
 
-def rbf_thin_plate(xy: np.ndarray, z: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """RBFInterpolator's thin-plate fit sampled on coords x coords, [i, j] = (x_i, y_j)."""
+def _rbf_solver_module():
+    """The scipy.interpolate module whose `dgesv` RBFInterpolator solves
+    its system with (`_rbfinterp_np` from scipy 1.17, `_rbfinterp` before)."""
+    for name in ("scipy.interpolate._rbfinterp_np", "scipy.interpolate._rbfinterp"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        if hasattr(module, "dgesv"):
+            return module
+    raise LookupError("no scipy.interpolate module binds dgesv")
+
+
+def rbf_thin_plate(xy: np.ndarray, z: np.ndarray, coords: np.ndarray,
+                   dgesv=None) -> np.ndarray:
+    """RBFInterpolator's thin-plate fit sampled on coords x coords, [i, j] = (x_i, y_j).
+
+    With `dgesv` given, RBFInterpolator solves its system with that routine
+    in place of scipy's own."""
     X, Y = np.meshgrid(coords, coords, indexing="ij")
-    rbf = RBFInterpolator(xy, z, kernel="thin_plate_spline")
+    with mock.patch.object(_rbf_solver_module(), "dgesv", dgesv) if dgesv else nullcontext():
+        rbf = RBFInterpolator(xy, z, kernel="thin_plate_spline")
     return rbf(np.column_stack([X.ravel(), Y.ravel()])).reshape(len(coords), len(coords))
 
 

@@ -15,6 +15,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from chainshell import shell3d
 from chainshell.errors import ParameterError
+from chainshell.lapack import flapack
 from chainshell.optimizer import (COLUMN_POSITIONS_M, LOAD_BEARING, AnchorKind,
                                   _anchor_points)
 from chainshell.spline import GridSpline, thin_plate_grid
@@ -122,4 +123,11 @@ def test_thin_plate_fit_matches_rbf_interpolator_bitwise(kind, kept, seed):
     xy = np.array(anchors + columns)
     z = np.concatenate([np.zeros(len(anchors)), heights])
     coords = np.linspace(0.0, 2.0, 33)
-    assert same_bits(thin_plate_grid(xy, z, coords), rbf_thin_plate(xy, z, coords))
+    fit = thin_plate_grid(xy, z, coords)
+    # the same operations on the same dgesv give the same bits; scipy's own
+    # dgesv, a different OpenBLAS build, differs in the last bits only:
+    # within 1e-12 of the largest height (the fit is 0 at the anchors, so
+    # the bound is relative to the field, not to each sample)
+    assert same_bits(fit, rbf_thin_plate(xy, z, coords, dgesv=flapack().dgesv))
+    oracle = rbf_thin_plate(xy, z, coords)
+    assert np.abs(fit - oracle).max() <= 1e-12 * np.abs(oracle).max()
