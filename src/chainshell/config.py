@@ -142,6 +142,35 @@ def _top_ratio() -> float:
                for s in Shape)
 
 
+# The most memory one config may ask for at once.  Each estimate below is
+# an upper bound on what the run holds at its peak for the key that drives
+# it, in bytes; docs/formats.md lists them.
+COST_BUDGET_BYTES = 1 << 30
+
+
+def cost_estimates(config: PipelineConfig) -> Dict[str, int]:
+    """Estimated peak bytes of each part of a run, by the key that drives it.
+
+    The frame solve's band: 6 free DOFs per node of the (grid+1)^2 lattice
+    times a row-major band height of at most 6 (grid+1) + 12, 8 B each.  A
+    pool surface: 512 B per lattice vertex (its float64 arrays, the mesh
+    text and the Python values formatted into it).  A pool's Philox draws:
+    128 B per double.  The shelter study: 16 kB plus 128 B per control
+    point for each of its 5 x iterations_per_anchor candidates (their draws,
+    the lane stacks and their records).
+    """
+    n, res = config.fem.lattice_grid + 1, config.gen3d.resolution
+    m = config.optimizer.control_F + 1
+    # one candidate per anchor kind already past the budget: the grid is too fine
+    study = 5 * (16384 + 128 * m * m)
+    key = ("optimizer.iterations_per_anchor" if study <= COST_BUDGET_BYTES
+           else "optimizer.control_F")
+    return {"fem.lattice_grid": 6 * n * n * (6 * n + 12) * 8,
+            "gen3d.resolution": 512 * res * res,
+            "gen3d.iterations": 128 * config.gen3d.iterations * (config.gen3d.groups + 2) ** 2,
+            key: config.optimizer.iterations_per_anchor * study}
+
+
 def validate(config: PipelineConfig) -> PipelineConfig:
     """Reject every value a stage would reject later; ConfigError names the key."""
     for name in _BLOCK_NAMES:
@@ -238,6 +267,12 @@ def validate(config: PipelineConfig) -> PipelineConfig:
     _require(block.reduction_tolerance >= 0, "optimizer.reduction_tolerance",
              "reduction tolerance must be non-negative")
     _require(config.threads >= 1, "threads", "threads must be >= 1")
+    for key, cost in cost_estimates(config).items():
+        section, name = key.split(".")
+        _require(cost <= COST_BUDGET_BYTES, key,
+                 f"{key} = {getattr(getattr(config, section), name)} needs an estimated "
+                 f"{cost / 2**30:.3g} GiB at once, past the {COST_BUDGET_BYTES >> 30} GiB "
+                 "budget")
     return config
 
 

@@ -5,6 +5,7 @@ a 3 m amplitude cap, gates them by the 2% drainage rule, grades survivors
 1-100 on chainmail area (CMS), usable area (UA), and column volumes
 (LC, FC), ranks by weighted score, and reduces formwork columns on the
 winner while the supported shape stays within perimeter/area tolerances.
+A study is scored as one lane stack, each lane with its own surface's bits.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .errors import ParameterError
 # chainshell.optimizer.measure, so the name stays importable
 from .filtering import measure  # noqa: F401
 from .loads import StructureSpec, combine
-from .shell3d import ShellSurface, TriangleMesh, interpolate_surface, random_doubles
-from .spline import thin_plate_grid
+from .shell3d import (ShellSurface, TriangleMesh, control_spline, interpolate_surface,
+                      lattice_area, random_doubles)
+from .spline import GridSpline, thin_plate_grid
 
 SLOPE_GRID_POINTS = 10       # 10x10 grid of sample points
 USABLE_AREA_RASTER = 100     # 100x100 plan raster
+_CHUNK_LANES = 2  # lanes per CMS lattice and UA raster: wider holds more, no faster
 
 # Every design stands 16 columns on one 4x4 plan grid at 0.5 m spacing.
 # Column k of the grid order stands at (x_i, y_j) with k = 4 * i + j; the
@@ -70,19 +73,19 @@ def _anchor_points(kind: AnchorKind, span_m: float) -> Tuple[Tuple[float, float]
     return tuple((fx * span_m, fy * span_m) for fx, fy in _ANCHOR_CORNERS[kind])
 
 
-def initial_columns(surface: ShellSurface) -> np.ndarray:
-    """(16,) column heights (m) in grid order: the surface height over each
-    column, never below ground."""
+def initial_columns(spline: GridSpline) -> np.ndarray:
+    """(..., 16) column heights (m) in grid order, per lane of the spline:
+    the surface height over each column, never below ground."""
     axis_mm = _GRID_AXIS_M * 1000.0
-    heights = (np.asarray(surface.evaluate(axis_mm, axis_mm)) / 1000.0).ravel()
+    heights = (spline(axis_mm, axis_mm) / 1000.0).reshape(spline.coeffs.shape[:-2] + (16,))
     # max(h, 0.0) elementwise: a NaN or a -0.0 height is kept as it is
     return np.where(heights < 0.0, 0.0, heights)
 
 
-def slope_grid(surface: ShellSurface, min_slope: float, rule: str
-               ) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
+def slope_grid(spline: GridSpline, span_mm: float, min_slope: float, rule: str):
     """Drainage check on a 10x10 grid of surface points: the least point
-    slope and the plan coordinates (m) of the points that fail.
+    slope and the plan coordinates (m) of the points that fail, one such
+    pair per lane of a stack.
 
     Slope between 4-neighbours is |dh| / horizontal distance.  A point's
     slope is its steepest neighbour slope under the ponding rule (it drains
@@ -96,41 +99,41 @@ def slope_grid(surface: ShellSurface, min_slope: float, rule: str
     else:
         raise ParameterError(f"unknown drainage rule {rule!r}")
     n = SLOPE_GRID_POINTS
-    coords_mm = np.linspace(0.0, surface.span_mm, n)
-    z_m = np.asarray(surface.evaluate(coords_mm, coords_mm)) / 1000.0
+    coords_mm = np.linspace(0.0, span_mm, n)
+    z_m = spline(coords_mm, coords_mm) / 1000.0
     step_m = (coords_mm[1] - coords_mm[0]) / 1000.0
-    sx = np.abs(np.diff(z_m, axis=0)) / step_m  # (n-1, n) slopes between x-neighbours
-    sy = np.abs(np.diff(z_m, axis=1)) / step_m  # (n, n-1)
+    sx = np.abs(np.diff(z_m, axis=-2)) / step_m  # (n-1, n) slopes between x-neighbours
+    sy = np.abs(np.diff(z_m, axis=-1)) / step_m  # (n, n-1)
 
-    # one layer per direction, padded where the grid edge has no neighbour;
-    # fmax and fmin pass over a NaN slope
-    neigh = np.full((4, n, n), pad)
-    neigh[0, 1:, :] = sx       # toward -x
-    neigh[1, :-1, :] = sx      # toward +x
-    neigh[2, :, 1:] = sy       # toward -y
-    neigh[3, :, :-1] = sy      # toward +y
-    slopes = reduce.reduce(neigh, axis=0)
+    # the neighbour layers -x, +x, -y, +y, padded where the grid edge has none,
+    # reduced in order one at a time; fmax and fmin pass over a NaN slope
+    slopes, layer = np.full(z_m.shape, pad), np.empty(z_m.shape)
+    slopes[..., 1:, :] = sx
+    for part, s in ((np.s_[..., :-1, :], sx), (np.s_[..., 1:], sy), (np.s_[..., :-1], sy)):
+        layer.fill(pad)
+        layer[part] = s
+        reduce(slopes, layer, out=slopes)
 
     coords_m = (coords_mm / 1000.0).tolist()
-    failing = tuple((coords_m[i], coords_m[j])
-                    for i, j in zip(*np.nonzero(~(slopes >= min_slope))))
-    return float(slopes.min()), failing
+    lanes = [(least, tuple((coords_m[i], coords_m[j]) for i, j in zip(*np.nonzero(fails))))
+             for least, fails in zip(slopes.min(axis=(-2, -1)).reshape(-1).tolist(),
+                                     ~(slopes.reshape(-1, n, n) >= min_slope))]
+    return lanes if slopes.ndim > 2 else lanes[0]
 
 
-def usable_area(surface: ShellSurface, section_side: float, headroom: float,
-                raster: int = USABLE_AREA_RASTER) -> float:
-    """UA = A_T - A_O on a plan raster of cell centres.
+def usable_area(spline: GridSpline, span_mm: float, section_side: float,
+                headroom: float, raster: int = USABLE_AREA_RASTER):
+    """UA = A_T - A_O on a plan raster of cell centres, per lane of the spline.
 
     Obstructed cells have clear height below the headroom or sit inside the
     square footprint of a column of side `section_side`.
     """
-    span_m = surface.span_mm / 1000.0
+    span_m = span_mm / 1000.0
     cell = span_m / raster
     centres_m = (np.arange(raster) + 0.5) * cell
-    z_m = np.asarray(surface.evaluate(centres_m * 1000.0, centres_m * 1000.0)) / 1000.0
+    z_m = spline(centres_m * 1000.0, centres_m * 1000.0) / 1000.0
     obstructed = (z_m < headroom) | _footprints(span_m, raster, section_side)
-    free = int((~obstructed).sum())
-    return free * cell * cell
+    return (~obstructed).sum(axis=(-2, -1)) * cell * cell
 
 
 @functools.lru_cache(maxsize=4)
@@ -196,19 +199,29 @@ class CandidateDesign:
         return sum(self.column_volumes_m3[~LOAD_BEARING].tolist())
 
 
-def evaluate_candidate(candidate_id: str, control_mm: np.ndarray, surface: ShellSurface,
-                       kind: AnchorKind, block: OptimizerBlock) -> CandidateDesign:
-    """Columns, drainage, CMS and UA under the [optimizer] block of the
-    surface interpolated through the control heights `control_mm`."""
+def evaluate_candidate(candidate_ids: Sequence[str], controls_mm: np.ndarray,
+                       kinds: Sequence[AnchorKind], config: PipelineConfig
+                       ) -> List[CandidateDesign]:
+    """Columns, drainage, CMS and UA under the [optimizer] block of the surface
+    through each (m, m) lane of the control heights `controls_mm` (mm) over the
+    [gen3d] span, CMS on its resolution lattice: one fit and one call per small
+    grid, the lattices and rasters _CHUNK_LANES lanes at a time, then dropped."""
+    block, span_mm = config.optimizer, config.gen3d.span_mm
     side = block.column_section_side_m
-    heights = initial_columns(surface)
-    volumes = side * side * heights
-    min_slope_S, failing = slope_grid(surface, block.min_slope, block.slope_rule)
-    return CandidateDesign(candidate_id=candidate_id, kind=kind,
-                           column_heights_m=heights, column_volumes_m3=volumes,
-                           control_mm=control_mm, cms_m2=surface.mesh.area(),
-                           ua_m2=usable_area(surface, side, block.headroom_m),
-                           min_slope_S=min_slope_S, failing_points=failing)
+    splines = control_spline(controls_mm, span_mm)
+    heights = initial_columns(splines)
+    slopes = slope_grid(splines, span_mm, block.min_slope, block.slope_rule)
+    lattice = np.linspace(0.0, span_mm, config.gen3d.resolution)
+    cms, ua = [], []
+    for lo in range(0, len(controls_mm), _CHUNK_LANES):
+        part = splines[lo:lo + _CHUNK_LANES]
+        cms += lattice_area(lattice / 1000.0, part(lattice, lattice) / 1000.0).tolist()
+        ua += usable_area(part, span_mm, side, block.headroom_m).tolist()
+    return [CandidateDesign(candidate_id=cid, kind=kind, column_heights_m=h,
+                            column_volumes_m3=side * side * h, control_mm=z,
+                            cms_m2=a, ua_m2=u, min_slope_S=least, failing_points=failing)
+            for cid, kind, z, h, a, u, (least, failing)
+            in zip(candidate_ids, kinds, controls_mm, heights, cms, ua, slopes)]
 
 
 def rank_designs(candidates: Sequence[CandidateDesign],
@@ -236,12 +249,9 @@ def rank_designs(candidates: Sequence[CandidateDesign],
     g_fc = grade([c.fc_m3 for c in survivors])
 
     w_cms, w_ua, w_lc, w_fc = weights
-    scored = []
-    for i, c in enumerate(survivors):
-        grades = {"CMS": g_cms[i], "UA": g_ua[i], "LC": g_lc[i], "FC": g_fc[i]}
-        score = (w_cms * g_cms[i] + w_ua * g_ua[i]
-                 + w_lc * g_lc[i] + w_fc * g_fc[i])
-        scored.append(replace(c, grades=grades, weighted_score=score))
+    scored = [replace(c, grades={"CMS": cms, "UA": ua, "LC": lc, "FC": fc},
+                      weighted_score=w_cms * cms + w_ua * ua + w_lc * lc + w_fc * fc)
+              for c, cms, ua, lc, fc in zip(survivors, g_cms, g_ua, g_lc, g_fc)]
 
     order = sorted(range(len(scored)),
                    key=lambda i: (-scored[i].weighted_score, scored[i].cms_m2,
@@ -400,33 +410,31 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     """Full shelter study: 5 anchor kinds x N iterations, ranked globally.
 
     Reads [optimizer], [gen3d] span_mm and resolution and [fem] lattice_grid
-    from the config.  Each candidate's surface is scored and dropped; the
-    winner's is rebuilt once for formwork reduction and its frame solve.
+    from the config.  The candidates are scored as one stack and keep no
+    surface; the winner's is rebuilt once from its control heights for
+    formwork reduction and its frame solve.
     Results are deterministic for a given (config, structure, seed).
     """
-    block = config.optimizer
-    span_mm, resolution = config.gen3d.span_mm, config.gen3d.resolution
-    grid = config.fem.lattice_grid
+    block, grid = config.optimizer, config.fem.lattice_grid
 
     cases = [(ai, kind, it) for ai, kind in enumerate(AnchorKind)
              for it in range(block.iterations_per_anchor)]
     # every candidate's stream, drawn in one call before any is scored
     draws = random_doubles([_stream_key(seed, ai, it) for ai, _, it in cases],
                            _stream_length(block))
-    controls = [_shelter_grid(config, kind, u) for (_, kind, _), u in zip(cases, draws)]
-    candidates = [
-        evaluate_candidate(f"{kind.value}-{it:02d}", z_mm,
-                           interpolate_surface(z_mm, span_mm, resolution), kind, block)
-        for (_, kind, it), z_mm in zip(cases, controls)]
+    controls = np.array([_shelter_grid(config, kind, u)
+                         for (_, kind, _), u in zip(cases, draws)])
+    candidates = evaluate_candidate([f"{kind.value}-{it:02d}" for _, kind, it in cases],
+                                    controls, [kind for _, kind, _ in cases], config)
     ranked, rejected = rank_designs(candidates, block.weights)
     if not ranked:
         return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=None,
                               kept_columns=None, winner_analysis=None)
 
     winner = ranked[0]
-    surface = interpolate_surface(winner.control_mm, span_mm, resolution)
-    kept = reduce_formwork(winner, surface, block.reduction_tolerance, grid,
-                           structure)
+    surface = interpolate_surface(winner.control_mm, config.gen3d.span_mm,
+                                  config.gen3d.resolution)
+    kept = reduce_formwork(winner, surface, block.reduction_tolerance, grid, structure)
     analysis = _design_solve(winner, surface, kept, grid, structure)
     return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=surface,
                           kept_columns=kept, winner_analysis=analysis)

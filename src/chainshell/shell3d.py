@@ -114,10 +114,8 @@ def _control_grids(amplitude: float, frequency: int, seed: int,
     high = amplitude / Z_RANGE_DIVISOR
     base = base_field(coords[:, None], coords[None, :], amplitude, frequency, span)
     z = base + (0.0 + (high - 0.0) * u)
-    z[:, 0, :] = 0.0
-    z[:, -1, :] = 0.0
-    z[:, :, 0] = 0.0
-    z[:, :, -1] = 0.0
+    z[:, [0, -1], :] = 0.0
+    z[:, :, [0, -1]] = 0.0
     return z
 
 
@@ -155,22 +153,7 @@ class TriangleMesh:
     heights_m: np.ndarray  # (n, n), [i, j] = (x_i, y_j)
 
     def area(self) -> float:
-        # each face's (b - a) x (c - a), component by component as np.cross
-        # forms it.  An edge's x or y part that is +0.0 can only change the
-        # sign of a zero, which squaring drops, so it is left out; the plan
-        # steps and (dx dy)^2 are cached per lattice.  Lower faces
-        # row-major, then upper faces, summed once: a general mesh's bits
-        h = self.heights_m
-        dx, dy, czcz = _plan_steps(self.coords_m.astype(np.float64, copy=False).tobytes())
-        d10 = h[1:, :-1] - h[:-1, :-1]
-        d11 = h[1:, 1:] - h[:-1, :-1]
-        d01 = h[:-1, 1:] - h[:-1, :-1]
-        sq = np.empty((2,) + d11.shape)
-        cx, cy = d10 * dy, d10 * dx - dx * d11  # lower face
-        sq[0] = cx * cx + cy * cy + czcz
-        cx, cy = dy * d01 - d11 * dy, dx * d01  # upper face
-        sq[1] = cx * cx + cy * cy + czcz
-        return float(0.5 * np.sqrt(sq.ravel()).sum())
+        return float(lattice_area(self.coords_m, self.heights_m))
 
     def boundary_edges(self) -> np.ndarray:
         """The 4 (n - 1) perimeter edges as read-only (lo, hi) vertex index
@@ -185,6 +168,22 @@ class TriangleMesh:
         return float(np.linalg.norm(seg, axis=1).sum())
 
 
+def lattice_area(coords_m: np.ndarray, h: np.ndarray):
+    """TriangleMesh's area for each lane of the heights h (..., n, n)."""
+    # each face's (b - a) x (c - a) as np.cross forms it, less the +0.0 x and y
+    # edge parts (they can only flip a zero's sign, which squaring drops); lower
+    # faces row-major, then upper faces, summed once per lane: a mesh's bits
+    dx, dy, czcz = _plan_steps(coords_m.astype(np.float64, copy=False).tobytes())
+    h00 = h[..., :-1, :-1]
+    d10, d11, d01 = h[..., 1:, :-1] - h00, h[..., 1:, 1:] - h00, h[..., :-1, 1:] - h00
+    sq = np.empty(h.shape[:-2] + (2,) + d11.shape[-2:])
+    cx, cy = d10 * dy, d10 * dx - dx * d11  # lower face
+    sq[..., 0, :, :] = cx * cx + cy * cy + czcz
+    cx, cy = dy * d01 - d11 * dy, dx * d01  # upper face
+    sq[..., 1, :, :] = cx * cx + cy * cy + czcz
+    return 0.5 * np.sqrt(sq.reshape(h.shape[:-2] + (-1,))).sum(axis=-1)
+
+
 # Bounded like the write_mesh caches: an entry is one lattice's plan data
 @functools.lru_cache(maxsize=4)
 def _plan_steps(coords: bytes):
@@ -194,8 +193,7 @@ def _plan_steps(coords: bytes):
     step = np.diff(np.frombuffer(coords, dtype=np.float64))
     step.flags.writeable = False  # shared by every mesh of the lattice
     dx, dy = step[:, None], step[None, :]
-    cz = dx * dy
-    czcz = cz * cz
+    czcz = np.square(dx * dy)
     czcz.flags.writeable = False
     return dx, dy, czcz
 
@@ -228,8 +226,15 @@ class ShellSurface:
         """Spline slope dz/dx (axis "x") or dz/dy (axis "y") on the query grid."""
         if axis not in ("x", "y"):
             raise ParameterError(f"gradient axis must be 'x' or 'y', got {axis!r}")
-        dx, dy = (1, 0) if axis == "x" else (0, 1)
-        return self.spline(x_mm, y_mm, dx, dy)
+        return self.spline(x_mm, y_mm, int(axis == "x"), int(axis == "y"))
+
+
+def control_spline(z_mm, span_mm: float) -> GridSpline:
+    """The interpolating spline, cubic once the grid allows it, through the (m, m)
+    control heights z_mm (mm) over a span_mm square plan, or each lane of a stack."""
+    m = np.shape(z_mm)[-1]
+    coords = np.linspace(0.0, span_mm, m)
+    return GridSpline(coords, coords, z_mm, k=min(3, m - 1))
 
 
 def interpolate_surface(z_mm, span_mm: float, resolution: int) -> ShellSurface:
@@ -239,15 +244,11 @@ def interpolate_surface(z_mm, span_mm: float, resolution: int) -> ShellSurface:
     shape = np.shape(z_mm)
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ParameterError(f"control heights must be (m, m) with m >= 2, got {shape}")
-    m = shape[0]
-    if resolution < m:
-        raise ParameterError(f"resolution {resolution} below control grid size {m}")
-    coords = np.linspace(0.0, span_mm, m)
-    # interpolating tensor-product spline (s=0); cubic once the grid allows it
-    spline = GridSpline(coords, coords, z_mm, k=min(3, m - 1))
+    if resolution < shape[0]:
+        raise ParameterError(f"resolution {resolution} below control grid size {shape[0]}")
+    spline = control_spline(z_mm, span_mm)
     lattice = np.linspace(0.0, span_mm, resolution)
-    heights = spline(lattice, lattice)  # (res, res), [i, j] = (x_i, y_j)
-    mesh = TriangleMesh(coords_m=lattice / 1000.0, heights_m=heights / 1000.0)
+    mesh = TriangleMesh(coords_m=lattice / 1000.0, heights_m=spline(lattice, lattice) / 1000.0)
     return ShellSurface(span_mm=span_mm, spline=spline, mesh=mesh)
 
 
@@ -262,8 +263,7 @@ def depth_map(surface: ShellSurface, resolution: int = 256) -> np.ndarray:
     z_max = float(z.max())
     if z_max <= 0.0:
         return np.full((resolution, resolution), 255, dtype=np.uint8)
-    values = np.rint(255.0 * (1.0 - z / z_max))
-    img = np.clip(values, 0, 255).astype(np.uint8)
+    img = np.clip(np.rint(255.0 * (1.0 - z / z_max)), 0, 255).astype(np.uint8)
     # image rows top-down: row 0 at y = L; columns left-right along x
     return img.T[::-1, :]
 

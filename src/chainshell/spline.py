@@ -4,7 +4,9 @@
 rectangular grid.  The fit follows regrid/fpregr/fpgrre and the grid
 evaluation follows bispev/parder/fpbisp operation for operation, in the
 same order, so heights and slopes equal scipy's RectBivariateSpline bit
-for bit (Dierckx, *Curve and Surface Fitting with Splines*, 1993).
+for bit (Dierckx, *Curve and Surface Fitting with Splines*, 1993).  A
+lane stack (L, nx, ny) is fitted and evaluated in one call, with the same
+operations on (L,) arrays in place of floats: each lane has its own bits.
 
 `thin_plate_grid` is the thin-plate interpolant r^2 log r plus a degree-1
 polynomial that scipy's RBFInterpolator builds: the same shift and scale,
@@ -97,8 +99,7 @@ def _axis_fit(coords: bytes, k: int):
     if not 1 <= k < len(x):
         raise ParameterError(f"a degree-{k} spline needs more than {k} points per axis")
     t = _knots(x.tolist(), k)
-    k1 = k + 1
-    nk1 = len(t) - k1
+    k1, nk1 = k + 1, len(t) - k - 1
     band = [[0.0] * k1 for _ in range(nk1)]
     steps = []
     intervals, basis = _bspline_rows(np.array(t), k, x)
@@ -127,9 +128,9 @@ def _axis_fit(coords: bytes, k: int):
 def _rotate(lanes, steps, width: int) -> List[List[float]]:
     """Fold the data into the triangle with fpgrre's Givens rotations (fprota).
 
-    Each lane holds one value per data point; the same rotations act on
-    every lane, so each lane is reduced on its own.  Returns the reduced
-    lanes, `width` values each.
+    Each lane holds one value per data point, a float or the (L,) array of
+    a stack; the same rotations act on every lane, so each lane is reduced
+    on its own.  Returns the reduced lanes, `width` values each.
     """
     out = []
     for lane in lanes:
@@ -187,40 +188,36 @@ def _expand(knots: Tuple[float, ...], k: int, query: bytes) -> np.ndarray:
     rounded once, whatever order the product sums its zero terms in.
     """
     index, weights = _basis(knots, k, query)
-    q = len(index)
-    blocks = np.zeros((k + 1, len(knots) - k - 1, q))
-    for j1 in range(k + 1):
-        blocks[j1, index[:, j1], np.arange(q)] = weights[:, j1]
+    blocks = np.zeros((k + 1, len(knots) - k - 1, len(index)))
+    blocks[np.arange(k + 1), index, np.arange(len(index))[:, None]] = weights
     blocks.flags.writeable = False
     return blocks
 
 
 def _grid_sum(c: np.ndarray, index, wx, blocks) -> np.ndarray:
-    """fpbisp's double sum: 0.0 plus, i1 outer and j1 inner, (c * wx) * wy."""
+    """fpbisp's double sum on each lane of c (..., n, n): 0.0 plus, i1 outer
+    and j1 inner, (c * wx) * wy."""
     nx, kx1 = wx.shape
-    ky1, _, ny = blocks.shape
-    rows = (c[index] * wx[:, :, None]).transpose(1, 0, 2)  # [i1] = c * wx, (nx, n)
-    if nx * ny <= _BLOCK_POINTS:
-        # every term in one product, [i1 * ky1 + j1] = (nx, ny), added in order
-        terms = np.matmul(rows[:, None], blocks[None]).reshape(kx1 * ky1, nx, ny)
-        z = terms[0] + 0.0  # a new array, not a view that keeps every term
-        for term in terms[1:]:
-            z += term
-        return z
-    z = np.zeros((nx, ny))
-    term = np.empty((nx, ny))
-    for i1 in range(kx1):
-        for j1 in range(ky1):
-            np.matmul(rows[i1], blocks[j1], out=term)
-            z += term
-    return z
+    ky1, n, ny = blocks.shape
+    # [i1] = c * wx, the lanes' x rows stacked: (L nx, n)
+    rows = np.moveaxis(c[..., index, :] * wx[:, :, None], -2, 0).reshape(kx1, -1, n)
+    if rows.shape[1] * ny <= _BLOCK_POINTS:  # every term in one product, [i1 * ky1 + j1]
+        terms = iter(np.matmul(rows[:, None], blocks[None]).reshape(kx1 * ky1, -1, ny))
+    else:
+        term = np.empty((rows.shape[1], ny))
+        terms = (np.matmul(row, block, out=term) for row in rows for block in blocks)
+    z = next(terms) + 0.0  # a new array, not a view that keeps every term
+    for term in terms:
+        z += term
+    return z.reshape(c.shape[:-2] + (nx, ny))
 
 
 class GridSpline:
-    """Interpolating spline of degree k through z on the grid x by y (s = 0).
+    """Interpolating spline of degree k through z on the grid x by y (s = 0),
+    or one per lane of a stack z (L, nx, ny); indexing a stack picks lanes.
 
     Calling it evaluates on the grid spanned by increasing query vectors,
-    `[i, j] = (x_i, y_j)`, with queries clamped to the data range.
+    `[..., i, j] = (x_i, y_j)`, with queries clamped to the data range.
     """
 
     __slots__ = ("k", "tx", "ty", "coeffs")
@@ -229,16 +226,22 @@ class GridSpline:
         tx, steps_x, rows_x = _axis_fit(np.asarray(x, dtype=np.float64).tobytes(), k)
         ty, steps_y, rows_y = _axis_fit(np.asarray(y, dtype=np.float64).tobytes(), k)
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != (len(rows_x), len(rows_y)):
-            raise ParameterError(f"z must be {(len(rows_x), len(rows_y))}, got {z.shape}")
+        if z.ndim not in (2, 3) or z.shape[-2:] != (len(rows_x), len(rows_y)):
+            raise ParameterError(f"z must be {(len(rows_x), len(rows_y))} or a stack "
+                                 f"of them, got {z.shape}")
         self.k, self.tx, self.ty = k, tx, ty
         # the x direction on the rows of z, one lane per y, then the y
         # direction; g is indexed [y][x row of R], h [x row][y row]
-        g = _rotate(zip(*z.tolist()), steps_x, len(rows_x))
+        g = _rotate(z.T.tolist() if z.ndim == 2 else z.T, steps_x, len(rows_x))
         h = _rotate(zip(*g), steps_y, len(rows_y))
         # R_y c1 = h for every x row, then c R_x' = c1 for every y column
         c = _back(rows_x, zip(*_back(rows_y, h)))
-        self.coeffs = np.array(c).T  # [i, j]: x B-spline i, y B-spline j
+        self.coeffs = np.array(c).T  # [..., i, j]: x B-spline i, y B-spline j
+
+    def __getitem__(self, lanes) -> "GridSpline":
+        part = object.__new__(GridSpline)
+        part.k, part.tx, part.ty, part.coeffs = self.k, self.tx, self.ty, self.coeffs[lanes]
+        return part
 
     def __call__(self, x, y, dx: int = 0, dy: int = 0) -> np.ndarray:
         if (dx or dy) and not (0 <= dx < self.k and 0 <= dy < self.k):
@@ -247,7 +250,7 @@ class GridSpline:
         x = np.asarray(x, dtype=np.float64).ravel()
         y = np.asarray(y, dtype=np.float64).ravel()
         if x.size == 0 or y.size == 0:
-            return np.zeros((x.size, y.size))
+            return np.zeros(self.coeffs.shape[:-2] + (x.size, y.size))
         c, tx, ty = self._coefficients(dx, dy)
         index, wx = _basis(tx, self.k - dx, x.tobytes())
         return _grid_sum(c, index, wx, _expand(ty, self.k - dy, y.tobytes()))
@@ -258,12 +261,12 @@ class GridSpline:
         for order in range(dx):
             kk = self.k - order
             fac = np.subtract(tx[1 + kk:len(tx) - 1], tx[1:len(tx) - 1 - kk])
-            c = (c[1:] - c[:-1]) * float(kk) / fac[:, None]
+            c = (c[..., 1:, :] - c[..., :-1, :]) * float(kk) / fac[:, None]
             tx = tx[1:-1]
         for order in range(dy):
             kk = self.k - order
             fac = np.subtract(ty[1 + kk:len(ty) - 1], ty[1:len(ty) - 1 - kk])
-            c = (c[:, 1:] - c[:, :-1]) * float(kk) / fac
+            c = (c[..., 1:] - c[..., :-1]) * float(kk) / fac
             ty = ty[1:-1]
         return c, tx, ty
 
@@ -280,8 +283,7 @@ def thin_plate_grid(points: np.ndarray, values: np.ndarray,
     if y.shape != (p, 2) or d.shape != (p,) or p < 3:
         raise ParameterError("a thin-plate fit needs at least 3 (x, y) points")
     mins, maxs = y.min(axis=0), y.max(axis=0)
-    shift = (maxs + mins) / 2
-    scale = (maxs - mins) / 2
+    shift, scale = (maxs + mins) / 2, (maxs - mins) / 2
     scale[scale == 0.0] = 1.0
     poly = np.column_stack([np.ones(p), (y - shift) / scale])
 
@@ -303,9 +305,7 @@ def thin_plate_grid(points: np.ndarray, values: np.ndarray,
     for i, point in enumerate(y):
         vec[:, i] = _kernel_column(point.tobytes(), grid)
     vec[:, p] = 1.0
-    vec[:, p + 1:] = _grid_points(grid)
-    vec[:, p + 1:] -= shift
-    vec[:, p + 1:] /= scale
+    vec[:, p + 1:] = (_grid_points(grid) - shift) / scale
     return (vec @ coeffs).reshape(n, n)
 
 

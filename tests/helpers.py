@@ -12,7 +12,7 @@ from typing import TextIO
 from unittest import mock
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 from scipy.interpolate import RBFInterpolator, RectBivariateSpline
 
 import chainshell
@@ -104,6 +104,30 @@ def raster_solid_fraction(cell: UnitCell, resolution: int = 2048) -> float:
 
     solid = dist <= d / 2.0
     return float(solid.sum()) / float(resolution * resolution)
+
+
+def same_bits(ours, oracle) -> bool:
+    """Equal shapes and equal bits, signs of zeros included."""
+    ours, oracle = np.asarray(ours), np.asarray(oracle)
+    return (ours.shape == oracle.shape and np.array_equal(ours, oracle)
+            and np.array_equal(np.signbit(ours), np.signbit(oracle)))
+
+
+@st.composite
+def lane_stacks(draw, scale_mm: float = 50.0):
+    """(stack, span, rng): 1 to 7 lanes of (m, m) control grids, m = 2..10,
+    heights around +-scale_mm, the boundary maybe all +0.0 or all -0.0 as the
+    pools and the anchors set it, and one lane maybe all +0.0 or -0.0."""
+    m, lanes = draw(st.integers(2, 10)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(0.0, rng.uniform(0.0, scale_mm), (lanes, m, m))
+    boundary = draw(st.sampled_from([None, 0.0, -0.0]))
+    if boundary is not None:
+        z[:, 0, :] = z[:, -1, :] = z[:, :, 0] = z[:, :, -1] = boundary
+    flat = draw(st.sampled_from([None, 0.0, -0.0]))
+    if flat is not None:
+        z[rng.integers(lanes)] = flat
+    return z, draw(st.sampled_from([2000.0, 1.0, 3.7])), rng
 
 
 def fitpack_spline(z_mm: np.ndarray, span_mm: float) -> RectBivariateSpline:

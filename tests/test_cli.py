@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from chainshell import pipeline
 from chainshell.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from chainshell.config import config_hash, derive_seed, load_config
 from chainshell.pipeline import read_manifest_hash
@@ -390,6 +391,25 @@ def test_unknown_support_mode_exits_2(capsys, tmp_path):
     assert "unknown support mode 'edges-only'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [("[fem]\nlattice_grid = 3000", "fem.lattice_grid"),
+                                       ("[gen3d]\nresolution = 60000", "gen3d.resolution")])
+def test_configs_past_the_cost_budget_exit_2_before_any_output(capsys, tmp_path,
+                                                               monkeypatch, text, key):
+    # refused by validate, so no stage ever starts: were one to, it would
+    # meet this stub, not the allocation
+    def never(*args, **kwargs):
+        raise AssertionError("a refused config reached a run directory")
+
+    monkeypatch.setattr(pipeline.RunDir, "create", never)
+    config = tmp_path / "huge.ini"
+    config.write_text(text + "\n")
+    out = tmp_path / "never"
+    for argv in (["run"], ["optimize"], ["gen3d", "--amplitude", "10", "--frequency", "3"]):
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_stage_failures_exit_3(capsys, tmp_path, monkeypatch):
     fail_gen3d_at_group_2(monkeypatch)
     cfg = tmp_path / "small.ini"
@@ -565,3 +585,21 @@ def test_a_run_loads_no_scipy_linalg_and_no_numpy_ma(tmp_path, trimmed_cfg):
             f"assert main(['run', '--config', {trimmed_cfg!r}, "
             f"'--out', {str(tmp_path / 'run')!r}]) == 0")
     assert _loaded_modules(code) == []
+
+
+# the standard-library modules the CLI's import loads on top of numpy's own
+_CLI_STDLIB = ("argparse", "configparser", "csv", "copy", "dataclasses", "hashlib")
+
+
+def test_importing_the_cli_loads_no_module_beyond_numpy_and_its_stdlib_set():
+    # every benchmark child and every command pays this import first: a new
+    # public top-level module (or one the listed ones do not load
+    # themselves) adds to it, so it must be added here on purpose
+    code = ("import sys\nimport numpy\n"
+            f"for name in {_CLI_STDLIB!r}:\n    __import__(name)\n"
+            "before = set(sys.modules)\nimport chainshell.cli\n"
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    added = out.splitlines()[-1].split() if out.strip() else []
+    assert [m for m in added if not m.startswith("_")] == ["chainshell"]

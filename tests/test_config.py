@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from chainshell.config import (
+    COST_BUDGET_BYTES,
     PipelineConfig,
+    cost_estimates,
     config_hash,
     derive_seed,
     dump_config,
@@ -175,3 +179,36 @@ def test_load_config_reads_files(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[run]\nseed = 5\n")
     assert load_config(str(path)).seed == 5
+
+
+# the refused values measured before the budget: lattice_grid 3000 exited 3
+# at analyze after four stages were written, resolution 60000 exited 3 at
+# gen3d; these are checked only through the estimates, never run
+@pytest.mark.parametrize("text, key", [
+    ("[fem]\nlattice_grid = 3000", "fem.lattice_grid"),
+    ("[gen3d]\nresolution = 60000", "gen3d.resolution"),
+    ("[gen3d]\niterations = 100000000", "gen3d.iterations"),
+    ("[optimizer]\niterations_per_anchor = 1000000", "optimizer.iterations_per_anchor"),
+    ("[gen3d]\nresolution = 1448\n[optimizer]\ncontrol_F = 1447", "optimizer.control_F"),
+])
+def test_configs_past_the_cost_budget_are_refused_by_key(text, key):
+    with pytest.raises(ConfigError, match="GiB budget") as err:
+        parse_config(text)
+    assert err.value.key == key and key in str(err.value)
+
+
+@pytest.mark.parametrize("key, largest", [
+    ("fem.lattice_grid", 153), ("gen3d.resolution", 1448),
+    ("optimizer.iterations_per_anchor", 10965)])
+def test_cost_budget_edges_are_the_documented_ones(key, largest):
+    section, name = key.split(".")
+
+    def config(value):
+        block = getattr(PipelineConfig(), section)
+        return replace(PipelineConfig(), **{section: replace(block, **{name: value})})
+
+    assert cost_estimates(config(largest))[key] <= COST_BUDGET_BYTES
+    assert validate(config(largest))
+    assert cost_estimates(config(largest + 1))[key] > COST_BUDGET_BYTES
+    # the default run is far inside the budget
+    assert max(cost_estimates(PipelineConfig()).values()) < COST_BUDGET_BYTES / 100

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -34,12 +35,13 @@ from chainshell.optimizer import (
     _support_nodes,
 )
 from chainshell.pipeline import structure_spec
-from chainshell.shell3d import TriangleMesh, interpolate_surface
+from chainshell.shell3d import TriangleMesh, control_spline, interpolate_surface, lattice_area
 
 from helpers import (CONFIG, PROPERTY, SPEC, dict_default_supports, dict_restraint,
                      dict_support_nodes, dome_control, dome_surface, flat_surface,
-                     holds_geometry, meshgrid_usable_area, per_point_column_heights,
-                     shelter_control_grid, synthetic_candidate)
+                     holds_geometry, lane_stacks, meshgrid_usable_area,
+                     per_point_column_heights, same_bits, shelter_control_grid,
+                     synthetic_candidate)
 
 # the [optimizer] defaults, read where the study reads them
 BLOCK = OptimizerBlock()
@@ -58,7 +60,11 @@ def _incline_surface(rise_per_m: float, span_mm: float = CONFIG.gen3d.span_mm):
 
 
 def _slopes(surface, rule: str = BLOCK.slope_rule):
-    return slope_grid(surface, BLOCK.min_slope, rule)
+    return slope_grid(surface.spline, surface.span_mm, BLOCK.min_slope, rule)
+
+
+def _usable(surface):
+    return usable_area(surface.spline, surface.span_mm, SIDE, HEADROOM)
 
 
 def test_flat_surface_ponds_everywhere():
@@ -111,16 +117,16 @@ def test_slope_grid_matches_direct_neighbour_scan(pools42):
 
 def test_usable_area_on_flat_planes():
     # clear headroom everywhere but the column footprints, then nowhere
-    assert usable_area(flat_surface(height_mm=1600.0), SIDE, HEADROOM) == pytest.approx(
+    assert _usable(flat_surface(height_mm=1600.0)) == pytest.approx(
         4.0 - 16 * FOOTPRINT_M2, rel=1e-9)
-    assert usable_area(flat_surface(height_mm=1000.0), SIDE, HEADROOM) == 0.0
+    assert _usable(flat_surface(height_mm=1000.0)) == 0.0
 
 
 def test_columns_subtract_their_footprints():
     surface = flat_surface(height_mm=1600.0)
-    narrow = usable_area(surface, SIDE, HEADROOM)
+    narrow = usable_area(surface.spline, surface.span_mm, SIDE, HEADROOM)
     # a 0.09 m section covers 5x5 cells of the 0.02 m raster
-    wide = usable_area(surface, 0.09, HEADROOM)
+    wide = usable_area(surface.spline, surface.span_mm, 0.09, HEADROOM)
     assert wide < narrow
     assert wide == pytest.approx(4.0 - 16 * 25 * 0.02 ** 2, rel=1e-9)
 
@@ -129,7 +135,7 @@ def test_usable_area_matches_dome_closed_form():
     surface = dome_surface(height_m=3.0, radius_m=0.95)
     expected = math.pi * 0.95 ** 2 * (1.0 - 1.5 / 3.0)
     # the four inner columns stand inside the clear disc, the others outside
-    got = usable_area(surface, SIDE, HEADROOM) + 4 * FOOTPRINT_M2
+    got = usable_area(surface.spline, surface.span_mm, SIDE, HEADROOM) + 4 * FOOTPRINT_M2
     assert abs(got - expected) / expected < 0.02
 
 
@@ -166,7 +172,7 @@ def test_usable_area_matches_the_meshgrid_reference(seed):
     else:
         raster, side = _edge_case_footprint(rng)
     headroom = float(rng.uniform(0.0, 3.0))
-    assert (usable_area(surface, side, headroom, raster)
+    assert (usable_area(surface.spline, surface.span_mm, side, headroom, raster)
             == meshgrid_usable_area(surface, side, headroom, raster))
 
 
@@ -185,14 +191,49 @@ def test_usable_area_serves_each_column_layout_its_own_footprints(seed):
     headroom = float(rng.uniform(0.0, 3.0))
     for s, r, d in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
                     (0, 1, 1), (0, 0, 0), (1, 0, 0)):
-        assert (usable_area(surfaces[s], sides[d], headroom, rasters[r])
-                == meshgrid_usable_area(surfaces[s], sides[d], headroom, rasters[r]))
+        surface = surfaces[s]
+        assert (usable_area(surface.spline, surface.span_mm, sides[d], headroom, rasters[r])
+                == meshgrid_usable_area(surface, sides[d], headroom, rasters[r]))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_column_heights_match_one_spline_call_per_column(seed):
     surface, _ = _random_shelter_surface(seed)
-    assert initial_columns(surface).tolist() == per_point_column_heights(surface)
+    assert initial_columns(surface.spline).tolist() == per_point_column_heights(surface)
+
+
+@PROPERTY
+@given(lane_stacks(scale_mm=3000.0), st.sampled_from([16, 64]),
+       st.floats(0.0, 0.3), st.floats(0.0, 3.0))
+def test_study_measures_each_lane_of_a_stack_as_its_own_surface_bitwise(
+        case, resolution, side, headroom):
+    # the lattice area, the columns, UA and drainage under both rules, on
+    # 1 to 7 lanes (chunks of two leave an odd lane over), each against its
+    # lane's own surface on the single-grid path
+    z, span, _ = case
+    span *= 1000.0  # plans of 1 m, 3.7 m and 2 km under heights of metres
+    stack = control_spline(z, span)
+    lattice = np.linspace(0.0, span, resolution)
+    areas = lattice_area(lattice / 1000.0, stack(lattice, lattice) / 1000.0)
+    columns, usable = initial_columns(stack), usable_area(stack, span, side, headroom)
+    drainage = [slope_grid(stack, span, 0.02, rule) for rule in ("ponding", "strict")]
+    config = replace(CONFIG, optimizer=replace(BLOCK, column_section_side_m=side + 0.01,
+                                               headroom_m=headroom),
+                     gen3d=replace(CONFIG.gen3d, span_mm=span, resolution=resolution))
+    designs = evaluate_candidate([str(i) for i in range(len(z))], z, [FOUR] * len(z), config)
+    for i, grid in enumerate(z):
+        surface = interpolate_surface(grid, span, resolution)
+        assert same_bits(areas[i], surface.mesh.area())
+        assert same_bits(columns[i], initial_columns(surface.spline))
+        assert same_bits(usable[i], usable_area(surface.spline, span, side, headroom))
+        for rule, lanes in zip(("ponding", "strict"), drainage):
+            least, failing = slope_grid(surface.spline, span, 0.02, rule)
+            assert same_bits(lanes[i][0], least) and lanes[i][1] == failing
+        alone = _design(str(i), z[i:i + 1], surface, config.optimizer)
+        for field in ("column_heights_m", "column_volumes_m3", "cms_m2", "ua_m2",
+                      "min_slope_S"):
+            assert same_bits(getattr(designs[i], field), getattr(alone, field))
+        assert designs[i].failing_points == alone.failing_points
 
 
 def test_grade_examples_and_bounds():
@@ -312,22 +353,24 @@ def test_rank_designs_validates_inputs():
 
 def test_initial_columns_split_and_heights():
     surface = flat_surface(height_mm=1200.0)
-    heights = initial_columns(surface)
+    heights = initial_columns(surface.spline)
     assert heights.shape == (16,)
     assert heights == pytest.approx(np.full(16, 1.2), rel=1e-6)
     # every design has 4 load-bearing and 12 formwork columns
     assert (LOAD_BEARING.sum(), (~LOAD_BEARING).sum()) == (4, 12)
     corner_xy = {(0.25, 0.25), (0.25, 1.75), (1.75, 0.25), (1.75, 1.75)}
     assert {tuple(p) for p in COLUMN_POSITIONS_M[LOAD_BEARING].tolist()} == corner_xy
-    control = np.full((5, 5), 1200.0)  # the heights flat_surface interpolates
-    design = evaluate_candidate("flat", control, surface, FOUR, BLOCK)
-    assert design.control_mm is control
+    controls = np.full((1, 5, 5), 1200.0)  # the heights flat_surface interpolates
+    design = _design("flat", controls, surface)
+    # the design keeps its lane of the caller's stack, not a copy or a surface
+    assert np.shares_memory(design.control_mm, controls)
+    assert np.array_equal(design.control_mm, controls[0])
     assert design.lc_m3 == pytest.approx(4 * 0.0025 * 1.2, rel=1e-6)
     assert design.fc_m3 == pytest.approx(12 * 0.0025 * 1.2, rel=1e-6)
 
 
 def test_column_heights_follow_the_surface():
-    heights = initial_columns(dome_surface())
+    heights = initial_columns(dome_surface().spline)
     by_pos = dict(zip(map(tuple, COLUMN_POSITIONS_M.tolist()), heights.tolist()))
     # dome peaks at plan centre, so inner-ring columns stand taller
     assert by_pos[(0.75, 0.75)] > by_pos[(0.25, 0.25)]
@@ -364,10 +407,17 @@ def test_shelter_grids_are_seeded_and_clamped():
     assert single[m, m] > 0.0  # unanchored corner stays free
 
 
+def _design(cid: str, controls, surface, block: OptimizerBlock = BLOCK):
+    """evaluate_candidate on a stack of one FOUR-anchored control grid,
+    scored over the span and at the lattice of `surface`, its surface."""
+    config = replace(CONFIG, optimizer=block, gen3d=replace(
+        CONFIG.gen3d, span_mm=surface.span_mm, resolution=len(surface.mesh.coords_m)))
+    return evaluate_candidate([cid], controls, [FOUR], config)[0]
+
+
 def _dome_design(surface, block: OptimizerBlock = BLOCK):
     """The design of a default dome_surface over the surface's span."""
-    return evaluate_candidate("dome", dome_control(span_mm=surface.span_mm), surface,
-                              FOUR, block)
+    return _design("dome", dome_control(span_mm=surface.span_mm)[None], surface, block)
 
 
 def _column_volumes(heights, side):
@@ -381,9 +431,9 @@ def test_evaluate_candidate_collects_consistent_metrics():
     surface = dome_surface()
     design = _dome_design(surface)
     assert design.cms_m2 == pytest.approx(measure(surface).area_a)
-    assert np.array_equal(design.column_heights_m, initial_columns(surface))
-    assert (design.lc_m3, design.fc_m3) == _column_volumes(initial_columns(surface), SIDE)
-    assert design.ua_m2 == usable_area(surface, SIDE, HEADROOM)
+    assert np.array_equal(design.column_heights_m, initial_columns(surface.spline))
+    assert (design.lc_m3, design.fc_m3) == _column_volumes(design.column_heights_m, SIDE)
+    assert design.ua_m2 == _usable(surface)
     assert design.ua_m2 <= 4.0
     assert np.array_equal(design.column_volumes_m3, SIDE * SIDE * design.column_heights_m)
     assert (design.min_slope_S, design.failing_points) == _slopes(surface)
@@ -395,10 +445,11 @@ def test_evaluate_candidate_reads_the_block():
     changed = replace(BLOCK, column_section_side_m=0.08, min_slope=0.5,
                       slope_rule="strict", headroom_m=0.5)
     design = _dome_design(surface, changed)
-    assert (design.lc_m3, design.fc_m3) == _column_volumes(initial_columns(surface), 0.08)
-    assert (design.min_slope_S, design.failing_points) == slope_grid(surface, 0.5,
-                                                                      "strict")
-    assert design.ua_m2 == usable_area(surface, 0.08, 0.5)
+    heights = initial_columns(surface.spline)
+    assert (design.lc_m3, design.fc_m3) == _column_volumes(heights, 0.08)
+    assert ((design.min_slope_S, design.failing_points)
+            == slope_grid(surface.spline, surface.span_mm, 0.5, "strict"))
+    assert design.ua_m2 == usable_area(surface.spline, surface.span_mm, 0.08, 0.5)
     base = _dome_design(surface)
     assert design.lc_m3 != base.lc_m3 and design.ua_m2 != base.ua_m2
     assert ((design.min_slope_S, design.failing_points)
@@ -542,14 +593,39 @@ def test_study_keeps_only_the_winner_surface(monkeypatch):
     config = _with_optimizer(iterations_per_anchor=2)
     result = optimize(config, structure_spec(config), 11)
     gc.collect()
-    # ten candidates scored, then the winner rebuilt once
-    assert len(built) == 11
-    alive = [ref() for ref in built if ref() is not None]
-    assert len(alive) == 1 and alive[0] is result.winner_surface
+    # the ten candidates are scored as one stack, with no surface of their
+    # own; then the winner alone is built, once
+    assert len(built) == 1 and built[0]() is result.winner_surface
     # the winner is rebuilt from the control heights its candidate kept
-    assert controls[-1] is result.ranked[0].control_mm
-    # no candidate, the winner included, holds a surface or a mesh
-    assert not holds_geometry((result.ranked, result.rejected))
+    assert controls[0] is result.ranked[0].control_mm
+    # no candidate, the winner included, holds a surface or a mesh, and no
+    # array a candidate holds (or views) is a raster: at most the study's
+    # (10, 5, 5) control stack
+    candidates = result.ranked + result.rejected
+    assert not holds_geometry(candidates)
+    for c in candidates:
+        for array in (c.column_heights_m, c.column_volumes_m3, c.control_mm):
+            assert (array if array.base is None else array.base).size <= 10 * 25
+
+
+def test_scoring_a_study_holds_no_raster_of_every_candidate():
+    # 150 candidates, as the shelter benchmark scores them: their 64 x 64 CMS
+    # lattices and 100 x 100 UA rasters together take ~17 MB, so scoring
+    # must stay well below that at its peak and keep ~nothing once done
+    config = _with_optimizer(iterations_per_anchor=30)
+    kinds = [kind for kind in AnchorKind for _ in range(30)]
+    stack = np.array([shelter_control_grid(config, 11, kind, i // 30, i % 30)
+                      for i, kind in enumerate(kinds)])
+    ids = [str(i) for i in range(len(kinds))]
+    evaluate_candidate(ids, stack, kinds, config)  # warm the basis caches
+    tracemalloc.start()
+    try:
+        designs = evaluate_candidate(ids, stack, kinds, config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(designs) == 150
+    assert peak < 4e6 and held < 0.5e6
 
 
 def test_winner_rebuild_is_bit_exact(optimize_result):

@@ -20,14 +20,9 @@ from chainshell.optimizer import (COLUMN_POSITIONS_M, LOAD_BEARING, AnchorKind,
                                   _anchor_points)
 from chainshell.spline import GridSpline, thin_plate_grid
 
-from helpers import PROPERTY, fitpack_spline, rbf_thin_plate
+from helpers import PROPERTY, fitpack_spline, lane_stacks, rbf_thin_plate, same_bits
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-def same_bits(ours: np.ndarray, oracle: np.ndarray) -> bool:
-    return (ours.shape == oracle.shape and np.array_equal(ours, oracle)
-            and np.array_equal(np.signbit(ours), np.signbit(oracle)))
 
 
 @st.composite
@@ -104,6 +99,44 @@ def test_surfaces_evaluate_and_slope_like_fitpack(case):
     assert same_bits(surface.evaluate(qx, qy), oracle(qx, qy))
     assert same_bits(surface.gradient(qx, qy, axis="x"), oracle(qx, qy, dx=1))
     assert same_bits(surface.gradient(qx, qy, axis="y"), oracle(qx, qy, dy=1))
+
+
+@PROPERTY
+@given(lane_stacks())
+def test_a_stack_fits_each_lane_as_its_own_grid_bitwise(case):
+    # the fit's Givens loops on (L,) arrays: m = 2..10 points a side, each
+    # with the production degree k = min(3, m - 1)
+    z, span, _ = case
+    stack = shell3d.control_spline(z, span)
+    assert stack.coeffs.shape == z.shape
+    for lane, grid in zip(stack.coeffs, z):
+        assert same_bits(lane, shell3d.control_spline(grid, span).coeffs)
+
+
+@PROPERTY
+@given(lane_stacks(), st.sampled_from([4, 10, 64, 100, None]), st.integers(1, 3))
+def test_a_stack_evaluates_each_lane_as_its_own_spline_bitwise(case, points, chunk):
+    # the study's 4, 10, 64 and 100 point grids (None: uneven, unequal
+    # random queries), on the whole stack and on chunks of it; each lane is
+    # checked against its single spline and FITPACK, so an operation order
+    # changed on both paths fails too
+    z, span, rng = case
+    if points is None:
+        qx, qy = (np.sort(rng.uniform(-0.1 * span, 1.1 * span, rng.integers(1, 70)))
+                  for _ in range(2))
+    else:
+        qx = qy = np.linspace(0.0, span, points)
+    stack = shell3d.control_spline(z, span)
+    whole = stack(qx, qy)
+    parts = np.concatenate([stack[lo:lo + chunk](qx, qy) for lo in range(0, len(z), chunk)])
+    slopes = [stack(qx, qy, 1, 0), stack(qx, qy, 0, 1)] if len(z[0]) > 2 else []
+    for i, grid in enumerate(z):
+        single = shell3d.control_spline(grid, span)
+        oracle = fitpack_spline(grid, span)
+        assert same_bits(single(qx, qy), oracle(qx, qy))
+        assert same_bits(whole[i], oracle(qx, qy)) and same_bits(parts[i], whole[i])
+        for (dx, dy), slope in zip(((1, 0), (0, 1)), slopes):
+            assert same_bits(slope[i], oracle(qx, qy, dx=dx, dy=dy))
 
 
 _LOAD_BEARING = [tuple(p) for p in COLUMN_POSITIONS_M[LOAD_BEARING].tolist()]
