@@ -13,12 +13,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from . import filtering, loads as loads_mod, pipeline, profile2d, shell3d
-from .config import PipelineConfig, derive_seed, load_config, validate
+from .config import PipelineConfig, derive_seed, load_config, set_key
 from .errors import (ChainshellError, ConfigError, EnvelopeError, InfeasibleError,
                      ParameterError)
 # unused here, but bench/test_bench.py checks that the tracer rebinds
@@ -97,25 +96,21 @@ def _input_file(path) -> Path:
     return path
 
 
+# the config key each override flag sets
+_FLAG_KEYS = {"seed": "run.seed", "threads": "run.threads", "iterations": "gen3d.iterations",
+              "keep": "filter.keep", "supports": "fem.supports",
+              "area": "loads.plan_area_m2", "thickness": "loads.thickness_m"}
+
+
 def _config_from_args(args) -> PipelineConfig:
     if args.config is not None:
         _input_file(args.config)
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
-    if getattr(args, "iterations", None) is not None:
-        config = replace(config, gen3d=replace(config.gen3d, iterations=args.iterations))
-    if getattr(args, "keep", None) is not None:
-        config = replace(config, filter=replace(config.filter, keep=args.keep))
-    if getattr(args, "supports", None) is not None:
-        config = replace(config, fem=replace(config.fem, supports=args.supports))
-    if getattr(args, "area", None) is not None:
-        config = replace(config, loads=replace(config.loads, plan_area_m2=args.area))
-    if getattr(args, "thickness", None) is not None:
-        config = replace(config, loads=replace(config.loads, thickness_m=args.thickness))
-    return validate(config)
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            config = set_key(config, key, getattr(args, flag))
+    return pipeline.check_config(
+        config, pipeline.STAGES if args.command == "run" else (args.command,))
 
 
 def _out_dir(args, default) -> pipeline.RunDir:
@@ -254,7 +249,6 @@ def _kept_row_feasible(row: dict) -> None:
 
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
-    pipeline.require_plan_area(config)
     selected = Path(args.in_path)
     if selected.is_dir():
         selected = selected / "selected.csv"
@@ -290,7 +284,6 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
 
 
 def cmd_optimize(args, config: PipelineConfig) -> int:
-    pipeline.require_column_grid(config)
     out = _out_dir(args, "runs/shelter")
     pipeline.stage_optimize(config, out)
     _cat(out.path / "optimize" / "ranking.csv")

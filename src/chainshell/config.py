@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from . import units
@@ -116,30 +115,72 @@ class PipelineConfig:
 
 
 _BLOCK_NAMES = ("unit", "sweep2d", "gen3d", "filter", "loads", "fem", "optimizer")
+_SECTIONS = ("run",) + _BLOCK_NAMES
 _SHAPES = tuple(shape.value for shape in Shape)
 
+# One row per bounded key, checked in this order: (operator, bound) pairs, a
+# lower bound and maybe an upper one, or the noun a refusal names and the values
+# allowed.  Bounds set by other keys are derived checks below; see docs/formats.md.
+BOUNDS = {
+    "run.threads": (">=", 1),
+    "unit.shape": ("shape", _SHAPES),
+    "unit.target_ratio": (">", 0),
+    "unit.density_g_cm3": (">", 0),
+    "sweep2d.shape": ("shape", _SHAPES),
+    "sweep2d.frequency_max": (">=", FREQUENCY_MIN),
+    "sweep2d.span_mm": (">", 0),
+    "gen3d.iterations": (">=", 1),
+    "gen3d.groups": (">=", 1),
+    "gen3d.span_mm": (">", 0),
+    "filter.keep": (">=", 1),
+    "filter.tolerance_mode": ("tolerance mode", ("auto", "explicit")),
+    "filter.perimeter_tolerance_m": (">=", 0),
+    "filter.area_tolerance_m2": (">=", 0),
+    "loads.plan_area_m2": (">", 0),
+    "loads.thickness_m": (">", 0),
+    "loads.unit_weight_kn_m3": (">", 0),
+    "loads.snow_shape_factor": (">", 0, "<=", 1),
+    "loads.wind_shape_factor": (">", 0),
+    "loads.solid_fraction": (">", 0, "<=", 1),
+    "fem.elastic_modulus_pa": (">", 0),
+    "fem.shear_modulus_pa": (">", 0),
+    "fem.lattice_grid": (">=", 2),
+    "fem.supports": ("support mode", ("boundary-fixed", "corner-pinned")),
+    "optimizer.iterations_per_anchor": (">=", 1),
+    "optimizer.amplitude_cap_m": (">", 0, "<=", 3),
+    "optimizer.amplitude_min_fraction": (">=", 0, "<", 1),
+    "optimizer.control_F": (">=", 2),
+    "optimizer.weight_cms": (">=", 0),
+    "optimizer.weight_ua": (">=", 0),
+    "optimizer.weight_lc": (">=", 0),
+    "optimizer.weight_fc": (">=", 0),
+    "optimizer.min_slope": (">=", 0),
+    "optimizer.slope_rule": ("slope rule", ("ponding", "strict")),
+    "optimizer.headroom_m": (">=", 0),
+    "optimizer.column_section_side_m": (">", 0),
+    "optimizer.reduction_tolerance": (">=", 0),
+}
 
-def _require(ok: bool, key: str, message: str) -> None:
-    if not ok:
-        raise ConfigError(message, key=key)
+
+def _section(config: PipelineConfig, section: str) -> Dict[str, object]:
+    """One [section]'s keys and values; the [run] keys are the config's own."""
+    if section == "run":
+        return {k: v for k, v in vars(config).items() if k not in _BLOCK_NAMES}
+    return vars(getattr(config, section))
 
 
-def _top_group() -> int:
-    """The last study group g such that groups 1..g all lie in the envelope
-    their pools are checked against."""
-    table = DEFAULT_ENVELOPE_TABLE[GROUP_SHAPE]
-    group = 0
-    while True:
-        amplitude, frequency = group_parameters(group + 1)
-        if frequency not in table or amplitude > table[frequency]:
-            return group
-        group += 1
-
-
-def _top_ratio() -> float:
-    """The largest target ratio every catalog ring reaches."""
-    return min(units.max_ratio(units.UnitCell(s, *units.STANDARD_DIMENSIONS[s.value]))
-               for s in Shape)
+def _refusal(key: str, value, row) -> Optional[str]:
+    """Why `value` breaks its BOUNDS row, or None when it keeps to it."""
+    if isinstance(row[1], tuple):
+        return (None if value in row[1] else f"unknown {row[0]} {value!r} for {key}, "
+                f"expected one of {', '.join(row[1])}")
+    pairs = iter(row)
+    for op, bound in zip(pairs, pairs):
+        if not (value > bound if op == ">" else value >= bound if op == ">="
+                else value < bound if op == "<" else value <= bound):
+            must = " and ".join(f"{op} {b}" for op, b in zip(row[::2], row[1::2]))
+            return f"{key} must be {must}, got {value}"
+    return None
 
 
 # The most memory one config may ask for at once.  Each estimate below is
@@ -171,124 +212,111 @@ def cost_estimates(config: PipelineConfig) -> Dict[str, int]:
             key: config.optimizer.iterations_per_anchor * study}
 
 
-def validate(config: PipelineConfig) -> PipelineConfig:
-    """Reject every value a stage would reject later; ConfigError names the key."""
-    for name in _BLOCK_NAMES:
-        block = getattr(config, name)
-        for f in fields(block):
-            value = getattr(block, f.name)
-            if isinstance(value, float):
-                _require(math.isfinite(value), f"{name}.{f.name}",
-                         f"{f.name} must be finite, got {value}")
-    for key in ("weight_cms", "weight_ua", "weight_lc", "weight_fc"):
-        _require(getattr(config.optimizer, key) >= 0, f"optimizer.{key}",
-                 "criterion weights must be non-negative")
-    w = config.optimizer.weights
-    _require(abs(sum(w) - 1.0) <= 1e-9, "optimizer.weight_cms",
-             f"criterion weights must sum to 1.0, got {sum(w)}")
-    _require(config.unit.shape in _SHAPES, "unit.shape",
-             f"unknown shape {config.unit.shape!r}")
-    _require(config.sweep2d.shape in _SHAPES, "sweep2d.shape",
-             f"unknown shape {config.sweep2d.shape!r}")
-    top_ratio = _top_ratio()
-    _require(0 < config.unit.target_ratio <= top_ratio, "unit.target_ratio",
-             f"unit.target_ratio = {config.unit.target_ratio} is outside "
-             f"(0, {top_ratio!r}]: every catalog ring must reach it at or above "
-             "its footprint pitch")
-    _require(config.unit.density_g_cm3 > 0, "unit.density_g_cm3",
-             "density must be positive")
-    _require(config.sweep2d.span_mm > 0, "sweep2d.span_mm", "span must be positive")
+def _ratio_ceiling(config: PipelineConfig) -> None:
+    top = min(units.max_ratio(units.UnitCell(s, *units.STANDARD_DIMENSIONS[s.value]))
+              for s in Shape)
+    if config.unit.target_ratio > top:
+        raise ConfigError(f"unit.target_ratio = {config.unit.target_ratio} is outside (0, "
+                          f"{top!r}]: every catalog ring must reach it at or above its "
+                          "footprint pitch", key="unit.target_ratio")
+
+
+def _sweep_envelope(config: PipelineConfig) -> None:
     # sweep_2d needs an envelope entry for every frequency it sweeps
-    f_top = max(DEFAULT_ENVELOPE_TABLE[Shape(config.sweep2d.shape)])
-    _require(FREQUENCY_MIN <= config.sweep2d.frequency_max <= f_top,
-             "sweep2d.frequency_max",
-             f"frequency_max must be in {FREQUENCY_MIN}..{f_top}, "
-             f"got {config.sweep2d.frequency_max}")
+    block = config.sweep2d
+    f_top = max(DEFAULT_ENVELOPE_TABLE[Shape(block.shape)])
+    if block.frequency_max > f_top:
+        raise ConfigError(f"frequency_max must be in {FREQUENCY_MIN}..{f_top}, got "
+                          f"{block.frequency_max}", key="sweep2d.frequency_max")
     # curvature grows with A and f: the sweep's top cell bounds every other
-    top = peak_curvature(AMPLITUDE_MAX_MM, config.sweep2d.frequency_max,
-                         config.sweep2d.span_mm)
-    _require(math.isfinite(top), "sweep2d.span_mm",
-             f"sweep2d.span_mm = {config.sweep2d.span_mm} is too small: the peak "
-             f"curvature at A={AMPLITUDE_MAX_MM} mm, f={config.sweep2d.frequency_max} "
-             f"is {top}")
-    _require(config.gen3d.iterations >= 1, "gen3d.iterations",
-             "iterations must be >= 1")
-    top_group = _top_group()
-    amplitude, frequency = group_parameters(top_group + 1)
-    _require(1 <= config.gen3d.groups <= top_group, "gen3d.groups",
-             f"gen3d.groups = {config.gen3d.groups} is outside 1..{top_group}: group "
-             f"{top_group + 1} (A={amplitude} mm, f={frequency}) lies outside the "
-             f"{GROUP_SHAPE.value} envelope")
-    _require(config.gen3d.span_mm > 0, "gen3d.span_mm", "span must be positive")
+    top = peak_curvature(AMPLITUDE_MAX_MM, block.frequency_max, block.span_mm)
+    if not math.isfinite(top):
+        raise ConfigError(f"sweep2d.span_mm = {block.span_mm} is too small: the peak "
+                          f"curvature at A={AMPLITUDE_MAX_MM} mm, f={block.frequency_max} "
+                          f"is {top}", key="sweep2d.span_mm")
+
+
+def _groups_envelope(config: PipelineConfig) -> None:
+    # groups 1..groups must all lie in the envelope their pools are checked against
+    table = DEFAULT_ENVELOPE_TABLE[GROUP_SHAPE]
+    for group in range(1, config.gen3d.groups + 1):
+        amplitude, frequency = group_parameters(group)
+        if frequency not in table or amplitude > table[frequency]:
+            raise ConfigError(f"gen3d.groups = {config.gen3d.groups} is outside 1..{group - 1}"
+                              f": group {group} (A={amplitude} mm, f={frequency}) lies outside "
+                              f"the {GROUP_SHAPE.value} envelope", key="gen3d.groups")
+
+
+def _plan_finite(config: PipelineConfig) -> None:
+    # the analyze and optimize stages compare the plan area with this square
+    if not math.isfinite((config.gen3d.span_mm / 1000.0) * (config.gen3d.span_mm / 1000.0)):
+        raise ConfigError(f"gen3d.span_mm = {config.gen3d.span_mm} is too large: its square "
+                          "plan, (span_mm / 1000)^2 m2, is not finite", key="gen3d.span_mm")
+
+
+def _resolution_floor(config: PipelineConfig) -> None:
     # group g samples a (g+2)-point control grid, the optimizer a (F+1)-point one
     needed = max(config.gen3d.groups + 2, config.optimizer.control_F + 1)
-    _require(config.gen3d.resolution >= needed, "gen3d.resolution",
-             f"resolution must be >= {needed}, the largest control grid size")
-    _require(config.filter.keep >= 1, "filter.keep", "keep must be >= 1")
-    _require(config.filter.tolerance_mode in ("auto", "explicit"),
-             "filter.tolerance_mode",
-             f"unknown tolerance mode {config.filter.tolerance_mode!r}")
-    _require(config.filter.perimeter_tolerance_m >= 0, "filter.perimeter_tolerance_m",
-             "tolerances must be non-negative")
-    _require(config.filter.area_tolerance_m2 >= 0, "filter.area_tolerance_m2",
-             "tolerances must be non-negative")
-    for f in fields(config.loads):
-        _require(getattr(config.loads, f.name) > 0, f"loads.{f.name}",
-                 f"{f.name} must be positive")
-    _require(config.loads.snow_shape_factor <= 1, "loads.snow_shape_factor",
-             "snow shape factor must be <= 1")
-    _require(config.loads.solid_fraction <= 1, "loads.solid_fraction",
-             "solid fraction must be <= 1")
-    _require(config.fem.elastic_modulus_pa > 0, "fem.elastic_modulus_pa",
-             "moduli must be positive")
-    _require(config.fem.shear_modulus_pa > 0, "fem.shear_modulus_pa",
-             "moduli must be positive")
-    _require(config.fem.lattice_grid >= 2, "fem.lattice_grid",
-             "lattice grid must be >= 2")
-    _require(config.fem.supports in ("boundary-fixed", "corner-pinned"), "fem.supports",
-             f"unknown support mode {config.fem.supports!r}")
-    block = config.optimizer
-    _require(block.iterations_per_anchor >= 1, "optimizer.iterations_per_anchor",
-             "need at least one iteration per anchor kind")
-    _require(0 < block.amplitude_cap_m <= 3.0, "optimizer.amplitude_cap_m",
-             "amplitude cap must be in (0, 3] m")
-    _require(0 <= block.amplitude_min_fraction < 1, "optimizer.amplitude_min_fraction",
-             "amplitude_min_fraction must be in [0, 1)")
-    _require(block.control_F >= 2, "optimizer.control_F",
-             "control grid F must be >= 2")
-    _require(block.slope_rule in ("ponding", "strict"), "optimizer.slope_rule",
-             f"unknown slope rule {block.slope_rule!r}")
-    _require(block.min_slope >= 0, "optimizer.min_slope",
-             "min slope must be non-negative")
-    _require(block.headroom_m >= 0, "optimizer.headroom_m",
-             "headroom must be non-negative")
-    _require(block.column_section_side_m > 0, "optimizer.column_section_side_m",
-             "column section side must be positive")
-    _require(block.reduction_tolerance >= 0, "optimizer.reduction_tolerance",
-             "reduction tolerance must be non-negative")
-    _require(config.threads >= 1, "threads", "threads must be >= 1")
+    if config.gen3d.resolution < needed:
+        raise ConfigError(f"resolution must be >= {needed}, the largest control grid "
+                          "size", key="gen3d.resolution")
+
+
+def _weight_sum(config: PipelineConfig) -> None:
+    total = sum(config.optimizer.weights)
+    if abs(total - 1.0) > 1e-9:
+        raise ConfigError(f"criterion weights must sum to 1.0, got {total}",
+                          key="optimizer.weight_cms")
+
+
+def _cost_budget(config: PipelineConfig) -> None:
     for key, cost in cost_estimates(config).items():
-        section, name = key.split(".")
-        _require(cost <= COST_BUDGET_BYTES, key,
-                 f"{key} = {getattr(getattr(config, section), name)} needs an estimated "
-                 f"{cost / 2**30:.3g} GiB at once, past the {COST_BUDGET_BYTES >> 30} GiB "
-                 "budget")
+        if cost > COST_BUDGET_BYTES:
+            section, name = key.split(".")
+            raise ConfigError(f"{key} = {getattr(getattr(config, section), name)} needs an "
+                              f"estimated {cost / 2**30:.3g} GiB at once, past the "
+                              f"{COST_BUDGET_BYTES >> 30} GiB budget", key=key)
+
+
+def validate(config: PipelineConfig) -> PipelineConfig:
+    """Reject every value a stage would reject later; ConfigError names the key.
+    Floats must be finite, then each BOUNDS row holds, then each derived bound."""
+    values = {f"{section}.{name}": value for section in _SECTIONS
+              for name, value in _section(config, section).items()}
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key.split('.')[1]} must be finite, got {value}", key=key)
+    for key, row in BOUNDS.items():
+        message = _refusal(key, values[key], row)
+        if message:
+            # a refused [run] value is named as the config's attribute: `threads`
+            raise ConfigError(message, key=key.removeprefix("run."))
+    for check in (_ratio_ceiling, _sweep_envelope, _groups_envelope, _plan_finite,
+                  _resolution_floor, _weight_sum, _cost_budget):
+        check(config)
     return config
 
 
-def _coerce(raw: str, to_type: type, key: str):
+def set_key(config: PipelineConfig, key: str, raw) -> PipelineConfig:
+    """`config` with `key` ("section.name") set to `raw` as its default's type,
+    for the parser and the command-line flags; ConfigError names a bad key."""
+    section, name = key.split(".")
+    current = _section(config, section)
+    if name not in current:
+        raise ConfigError(f"unknown key {name!r} in [{section}]", key=key)
+    kind = type(current[name])
     try:
-        return to_type(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"cannot parse {raw!r} as {to_type.__name__}",
-                          key=key) from None
+        raise ConfigError(f"cannot parse {raw!r} as {kind.__name__}", key=key) from None
+    if section == "run":
+        return replace(config, **{name: value})
+    return replace(config, **{section: replace(getattr(config, section), **{name: value})})
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse flat key-value config with [section] headers.
-
-    Unknown sections or keys are rejected with the offending name.
-    """
+    """Parse INI text with [section] headers; an unknown section or key is
+    refused by name."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (control_F)
     try:
@@ -297,31 +325,12 @@ def parse_config(text: str) -> PipelineConfig:
         raise ConfigError(f"config syntax error: {exc}") from None
 
     config = PipelineConfig()
-    updates: Dict[str, object] = {}
     for section in parser.sections():
-        if section == "run":
-            for key, raw in parser.items("run"):
-                if key == "seed":
-                    updates["seed"] = _coerce(raw, int, "run.seed")
-                elif key == "threads":
-                    updates["threads"] = _coerce(raw, int, "run.threads")
-                else:
-                    raise ConfigError(f"unknown key {key!r} in [run]",
-                                      key=f"run.{key}")
-            continue
-        if section not in _BLOCK_NAMES:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]", key=section)
-        block = getattr(config, section)
-        block_fields = {f.name: f for f in fields(block)}
-        block_updates = {}
-        for key, raw in parser.items(section):
-            if key not in block_fields:
-                raise ConfigError(f"unknown key {key!r} in [{section}]",
-                                  key=f"{section}.{key}")
-            current = getattr(block, key)
-            block_updates[key] = _coerce(raw, type(current), f"{section}.{key}")
-        updates[section] = replace(block, **block_updates)
-    return validate(replace(config, **updates))
+        for name, raw in parser.items(section):
+            config = set_key(config, f"{section}.{name}", raw)
+    return validate(config)
 
 
 def load_config(path: Optional[str]) -> PipelineConfig:
@@ -333,16 +342,9 @@ def load_config(path: Optional[str]) -> PipelineConfig:
 
 def dump_config(config: PipelineConfig) -> str:
     """Canonical text form; hashing this pins the run's configuration."""
-    out = io.StringIO()
-    out.write("[run]\n")
-    out.write(f"seed = {config.seed}\n")
-    out.write(f"threads = {config.threads}\n")
-    for name in _BLOCK_NAMES:
-        block = getattr(config, name)
-        out.write(f"\n[{name}]\n")
-        for f in fields(block):
-            out.write(f"{f.name} = {getattr(block, f.name)}\n")
-    return out.getvalue()
+    return "\n".join(f"[{section}]\n" + "".join(f"{name} = {value}\n" for name, value
+                                             in _section(config, section).items())
+                     for section in _SECTIONS)
 
 
 def config_hash(config: PipelineConfig) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import filtering, loads, profile2d, shell3d, units
 from .config import PipelineConfig, config_hash, derive_seed, dump_config, validate
-from .errors import ParameterError, StageError
+from .errors import ConfigError, ParameterError, StageError
 from .fem import analyze_shell, default_supports
 from .optimizer import COLUMN_POSITIONS_M, LOAD_BEARING, MAX_SECTION_SIDE_M, optimize
 
@@ -385,50 +385,54 @@ def _refuse_foreign_run(out_dir: Path, cfg_hash: str) -> None:
                 f"this run's is {cfg_hash}); write it to another directory")
 
 
-def require_column_grid(config: PipelineConfig) -> None:
-    """Refuse, with ParameterError, a shelter column grid that does not fit:
-    columns [optimizer] column_section_side_m wide must not overlap or
-    cross the plan's near edges, and the footprint of the farthest must
-    end inside the [gen3d] span."""
-    side = config.optimizer.column_section_side_m
-    if side > MAX_SECTION_SIDE_M:
-        raise ParameterError(
-            f"optimizer.column_section_side_m = {side} exceeds the shelter column "
-            f"grid's {MAX_SECTION_SIDE_M} m: neighbouring footprints would overlap "
-            f"or cross the plan edge")
-    reach_m = float(COLUMN_POSITIONS_M.max()) + side / 2.0
-    if reach_m > config.gen3d.span_mm / 1000.0:
-        raise ParameterError(
-            f"gen3d.span_mm = {config.gen3d.span_mm} is too small for the shelter "
-            f"column grid: its columns of optimizer.column_section_side_m = {side} "
-            f"reach {reach_m} m")
-
-
-def require_plan_area(config: PipelineConfig) -> None:
-    """Refuse, with ParameterError, a [loads] plan_area_m2 larger than the
-    [gen3d] span's square plan: dead_load refuses a surface smaller than the
-    plan area, and a flat shell over the span has (span_mm / 1000)^2."""
+def _plan_area_fits(config: PipelineConfig) -> None:
+    """dead_load refuses a surface smaller than [loads] plan_area_m2, and a
+    flat shell over the [gen3d] span has (span_mm / 1000)^2."""
     plan_m2 = (config.gen3d.span_mm / 1000.0) ** 2
     if config.loads.plan_area_m2 > plan_m2:
-        raise ParameterError(
-            f"loads.plan_area_m2 = {config.loads.plan_area_m2} exceeds the "
-            f"{plan_m2} m2 plan of gen3d.span_mm = {config.gen3d.span_mm}")
+        raise ConfigError(
+            f"loads.plan_area_m2 = {config.loads.plan_area_m2} exceeds the {plan_m2} m2 "
+            f"plan of gen3d.span_mm = {config.gen3d.span_mm}", key="loads.plan_area_m2")
+
+
+def _column_grid_fits(config: PipelineConfig) -> None:
+    """Columns [optimizer] column_section_side_m wide must not overlap or cross
+    the plan's near edges, and the farthest one's footprint must end in the span."""
+    side = config.optimizer.column_section_side_m
+    if side > MAX_SECTION_SIDE_M:
+        raise ConfigError(
+            f"optimizer.column_section_side_m = {side} exceeds the shelter column "
+            f"grid's {MAX_SECTION_SIDE_M} m: neighbouring footprints would overlap "
+            f"or cross the plan edge", key="optimizer.column_section_side_m")
+    reach_m = float(COLUMN_POSITIONS_M.max()) + side / 2.0
+    if reach_m > config.gen3d.span_mm / 1000.0:
+        raise ConfigError(
+            f"gen3d.span_mm = {config.gen3d.span_mm} is too small for the shelter "
+            f"column grid: its columns of optimizer.column_section_side_m = {side} "
+            f"reach {reach_m} m", key="gen3d.span_mm")
+
+
+def check_config(config: PipelineConfig, stages=STAGES) -> PipelineConfig:
+    """`validate(config)`, then the cross-key checks `stages` need (kept here, as
+    the column grid is the optimizer's); call it before creating anything."""
+    config = validate(config)
+    if "analyze" in stages or "optimize" in stages:
+        _plan_area_fits(config)
+    if "optimize" in stages:
+        _column_grid_fits(config)
+    return config
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> Path:
     """Execute all stages in order; returns the run directory.
 
-    A plan area larger than the span's square plan, a span the shelter
-    column grid does not fit in, or a directory whose manifest.txt records
-    another config_hash, is refused with ParameterError before anything is
-    written.  A stage failure halts the pipeline, preserves prior outputs,
-    and writes an incomplete manifest naming the stage and cause, and
-    listing every file written before it failed, before re-raising as a
-    stage error.
+    A config `check_config` refuses, or a directory whose manifest.txt
+    records another config_hash, is refused before anything is written.  A
+    stage failure halts the pipeline, preserves prior outputs, and writes an
+    incomplete manifest naming the stage and cause, and listing every file
+    written before it failed, before re-raising as a stage error.
     """
-    config = validate(config)
-    require_plan_area(config)
-    require_column_grid(config)
+    config = check_config(config)
     _refuse_foreign_run(Path(out_dir), config_hash(config))
     out = RunDir.create(out_dir)
     write_output(out, "config.ini", dump_config(config))

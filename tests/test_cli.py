@@ -480,6 +480,17 @@ def test_analyze_refuses_a_plan_area_beyond_the_span_before_any_output(capsys, t
     assert main(["loads", "--config", str(cfg)]) == EXIT_OK
 
 
+def test_optimize_refuses_a_plan_area_beyond_the_span_before_any_output(capsys, tmp_path):
+    # 10 m2 does not fit the default 2 m span's 4 m2 plan; the shelter study's
+    # dead load needs it
+    cfg = tmp_path / "plan-area-10.ini"
+    cfg.write_text("[loads]\nplan_area_m2 = 10\n")
+    out = tmp_path / "shelter"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "loads.plan_area_m2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_refuses_a_pool_drawn_over_another_span(capsys, tmp_path):
     # a pool drawn at the default 2000 mm span: its 8 m perimeter pins the
     # span, whatever the resolution it is rebuilt at

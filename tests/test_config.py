@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from chainshell.config import (
+    BOUNDS,
     COST_BUDGET_BYTES,
     PipelineConfig,
     cost_estimates,
@@ -13,6 +16,7 @@ from chainshell.config import (
     dump_config,
     load_config,
     parse_config,
+    set_key,
     validate,
 )
 from chainshell.errors import ConfigError
@@ -114,6 +118,8 @@ def test_syntax_errors_are_config_errors():
     ("[gen3d]\nresolution = 5\n", "gen3d.resolution"),
     ("[gen3d]\nresolution = 8\n[optimizer]\ncontrol_F = 8\n", "gen3d.resolution"),
     ("[gen3d]\nspan_mm = 0\n", "gen3d.span_mm"),
+    # positive, but (span_mm / 1000)^2 overflows the plan area check
+    ("[gen3d]\nspan_mm = 1e300\n", "gen3d.span_mm"),
     ("[sweep2d]\nspan_mm = -1\n", "sweep2d.span_mm"),
     # positive, but the sweep's top cell (A = 40 mm, f = 10) curves infinitely
     ("[sweep2d]\nspan_mm = 1e-300\n", "sweep2d.span_mm"),
@@ -146,6 +152,87 @@ def test_validation_names_the_offending_key(text, key):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key == key
+
+
+def _default(key: str):
+    section, name = key.split(".")
+    config = PipelineConfig()
+    return getattr(config if section == "run" else getattr(config, section), name)
+
+
+def _bound_cases():
+    for key, row in BOUNDS.items():
+        if not isinstance(row[1], tuple):
+            for op, bound in zip(row[::2], row[1::2]):
+                yield pytest.param(key, op, bound, id=f"{key}{op}{bound}")
+
+
+@pytest.mark.parametrize("key, op, bound", list(_bound_cases()))
+def test_every_bound_of_the_table_is_enforced(key, op, bound):
+    own = f"{key} must be"
+    named = key.removeprefix("run.")
+    outward = 1 if op.startswith("<") else -1
+    past = (bound + outward if isinstance(_default(key), int)
+            else math.nextafter(float(bound), outward * math.inf))
+    with pytest.raises(ConfigError) as err:
+        validate(set_key(PipelineConfig(), key, past))
+    assert str(err.value).startswith(own) and err.value.key == named
+    on_bound = set_key(PipelineConfig(), key, bound)
+    if op in (">", "<"):
+        with pytest.raises(ConfigError) as err:
+            validate(on_bound)
+        assert str(err.value).startswith(own) and err.value.key == named
+    else:
+        try:
+            validate(on_bound)
+        except ConfigError as exc:
+            # another check may refuse the value first, as the weight sum does
+            assert not str(exc).startswith(own)
+
+
+@pytest.mark.parametrize("key", [k for k, row in BOUNDS.items() if isinstance(row[1], tuple)])
+def test_every_choice_of_the_table_is_accepted_and_nothing_else(key):
+    noun, choices = BOUNDS[key]
+    for choice in choices:
+        assert validate(set_key(PipelineConfig(), key, choice))
+    with pytest.raises(ConfigError) as err:
+        validate(set_key(PipelineConfig(), key, "other"))
+    assert str(err.value).startswith(f"unknown {noun} 'other' for {key}")
+    assert err.value.key == key
+
+
+def _interval(row) -> str:
+    if isinstance(row[1], tuple):
+        return "one of " + ", ".join(f"`{choice}`" for choice in row[1])
+    lower = {">": "(", ">=": "["}[row[0]] + str(row[1])
+    upper = str(row[3]) + {"<": ")", "<=": "]"}[row[2]] if len(row) > 2 else "∞)"
+    return f"{lower}, {upper}"
+
+
+def test_the_documented_key_table_is_the_config_row_for_row():
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = lines.index("| Key | Default | Range | Also refused |") + 2
+    documented = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default, accepted = [c.strip() for c in line.strip("|").split("|")][:3]
+        documented.append((key.strip("`"), default.strip("`"), accepted))
+    expected, section = [], None
+    for line in dump_config(PipelineConfig()).splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            name, default = line.split(" = ")
+            key = f"{section}.{name}"
+            if key in BOUNDS:
+                accepted = _interval(BOUNDS[key])
+            else:
+                accepted = ("any integer" if isinstance(_default(key), int)
+                            else "any finite number")
+            expected.append((key, default, accepted))
+    assert documented == expected
 
 
 def test_zero_headroom_slope_and_weight_are_accepted():
