@@ -289,8 +289,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
     for key, row in BOUNDS.items():
         message = _refusal(key, values[key], row)
         if message:
-            # a refused [run] value is named as the config's attribute: `threads`
-            raise ConfigError(message, key=key.removeprefix("run."))
+            raise ConfigError(message, key=key)
     for check in (_ratio_ceiling, _sweep_envelope, _groups_envelope, _plan_finite,
                   _resolution_floor, _weight_sum, _cost_budget):
         check(config)

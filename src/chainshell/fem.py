@@ -35,9 +35,6 @@ _VERTICAL_TOL = 1e-8
 # the most elements in one assembly block: each (block, 12, 12) temporary
 # is at most ~0.3 MB
 _BLOCK_ELEMENTS = 256
-# the contraction order np.einsum's optimizer picks for the element batch at
-# every batch size, given so that no block pays for the search again
-_EINSUM_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -184,8 +181,8 @@ def assemble_stiffness(model: FrameModel, block: slice = slice(None),
     t3 = _rotations(delta / length[:, None])
     for b in range(4):
         lam[:, 3 * b:3 * b + 3, 3 * b:3 * b + 3] = t3
-    ke = np.einsum("eki,ekl,elj->eij", lam, _local_stiffness(model, length),
-                   lam, out=out, optimize=_EINSUM_PATH)
+    ke = np.matmul(np.matmul(lam.transpose(0, 2, 1), _local_stiffness(model, length)), lam,
+                   out=out)
     return ke, _element_dofs(ends)
 
 

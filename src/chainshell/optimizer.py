@@ -5,16 +5,18 @@ a 3 m amplitude cap, gates them by the 2% drainage rule, grades survivors
 1-100 on chainmail area (CMS), usable area (UA), and column volumes
 (LC, FC), ranks by weighted score, and reduces formwork columns on the
 winner while the supported shape stays within perimeter/area tolerances.
-A study is scored as one lane stack, each lane with its own surface's bits.
+The study is one table, a row per candidate: scored as one lane stack (each
+lane with its own surface's bits) and ranked by one sort over its columns.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +43,12 @@ _GRID_AXIS_M = np.array([0.25, 0.75, 1.25, 1.75])
 COLUMN_POSITIONS_M = np.stack(np.meshgrid(_GRID_AXIS_M, _GRID_AXIS_M, indexing="ij"),
                               axis=-1).reshape(-1, 2)
 LOAD_BEARING = np.isin(COLUMN_POSITIONS_M, _GRID_AXIS_M[[0, -1]]).all(axis=1)
+# the columns load-bearing first, then formwork, each in grid order
+COLUMN_ORDER = np.argsort(~LOAD_BEARING, kind="stable")
 # the widest column section whose footprints neither overlap each other nor
 # cross the plan's near edges: the grid spacing, and twice the nearest line
 MAX_SECTION_SIDE_M = min(float(np.diff(_GRID_AXIS_M).min()), 2.0 * float(_GRID_AXIS_M[0]))
-for _constant in (_GRID_AXIS_M, COLUMN_POSITIONS_M, LOAD_BEARING):
+for _constant in (_GRID_AXIS_M, COLUMN_POSITIONS_M, LOAD_BEARING, COLUMN_ORDER):
     _constant.flags.writeable = False
 del _constant
 
@@ -66,6 +70,12 @@ _ANCHOR_CORNERS = {
     AnchorKind.THREE: ((0, 0), (1, 0), (1, 1)),
     AnchorKind.FOUR: ((0, 0), (1, 0), (1, 1), (0, 1)),
 }
+# a study row's kind is its code, the kind's index here
+KINDS = tuple(AnchorKind)
+# (code, fx, fy) of every base corner a kind pins
+_PINS = np.array([(code, fx, fy) for code, kind in enumerate(KINDS)
+                  for fx, fy in _ANCHOR_CORNERS[kind]])
+_PINS.flags.writeable = False
 
 
 def _anchor_points(kind: AnchorKind, span_m: float) -> Tuple[Tuple[float, float], ...]:
@@ -82,10 +92,17 @@ def initial_columns(spline: GridSpline) -> np.ndarray:
     return np.where(heights < 0.0, 0.0, heights)
 
 
+def drainage_points_m(span_mm: float) -> np.ndarray:
+    """(100, 2) plan coordinates (m) of the 10x10 drainage grid in row-major
+    order, the order of slope_grid's failing mask."""
+    coords_m = np.linspace(0.0, span_mm, SLOPE_GRID_POINTS) / 1000.0
+    return np.stack(np.meshgrid(coords_m, coords_m, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def slope_grid(spline: GridSpline, span_mm: float, min_slope: float, rule: str):
     """Drainage check on a 10x10 grid of surface points: the least point
-    slope and the plan coordinates (m) of the points that fail, one such
-    pair per lane of a stack.
+    slope and the (100,) mask of the points that fail, in the row-major
+    order of drainage_points_m, each with a leading lane axis on a stack.
 
     Slope between 4-neighbours is |dh| / horizontal distance.  A point's
     slope is its steepest neighbour slope under the ponding rule (it drains
@@ -113,12 +130,8 @@ def slope_grid(spline: GridSpline, span_mm: float, min_slope: float, rule: str):
         layer.fill(pad)
         layer[part] = s
         reduce(slopes, layer, out=slopes)
-
-    coords_m = (coords_mm / 1000.0).tolist()
-    lanes = [(least, tuple((coords_m[i], coords_m[j]) for i, j in zip(*np.nonzero(fails))))
-             for least, fails in zip(slopes.min(axis=(-2, -1)).reshape(-1).tolist(),
-                                     ~(slopes.reshape(-1, n, n) >= min_slope))]
-    return lanes if slopes.ndim > 2 else lanes[0]
+    return (slopes.min(axis=(-2, -1)),
+            ~(slopes >= min_slope).reshape(slopes.shape[:-2] + (n * n,)))
 
 
 def usable_area(spline: GridSpline, span_mm: float, section_side: float,
@@ -151,8 +164,8 @@ def _footprints(span_m: float, raster: int, section_side: float) -> np.ndarray:
     return mask
 
 
-def grade(values: Sequence[float]) -> List[float]:
-    """Affine 1-100 rescale within a cohort: lowest 100, highest 1.
+def grade(values: Sequence[float]) -> np.ndarray:
+    """Affine 1-100 rescale within a cohort, elementwise: lowest 100, highest 1.
 
     An all-equal cohort grades 100 across the board.  Grading the negated
     values rewards the highest instead, bit for bit as the mirrored formula
@@ -163,107 +176,97 @@ def grade(values: Sequence[float]) -> List[float]:
     arr = np.asarray(values, dtype=float)
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
-        return [100.0] * len(arr)
-    return list(1.0 + 99.0 * ((hi - arr) / (hi - lo)))
+        return np.full(len(arr), 100.0)
+    return 1.0 + 99.0 * ((hi - arr) / (hi - lo))
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateDesign:
-    """A scored design: its chainmail and usable areas, its (16,) column
-    heights and volumes in grid order, its least drainage slope and the grid
-    points that fail drainage (it drains when there are none).  It keeps the
-    control heights (mm) that define its surface, not the surface:
-    interpolate_surface rebuilds that surface bit for bit where it is
-    needed."""
+class Study(NamedTuple):
+    """A scored study as one table, a row per candidate.  It keeps each
+    surface's control heights, not the surface: interpolate_surface rebuilds
+    that surface bit for bit where it is needed."""
 
-    candidate_id: str
-    kind: AnchorKind
-    column_heights_m: np.ndarray
-    column_volumes_m3: np.ndarray
-    control_mm: np.ndarray  # (F+1, F+1) control heights over the [gen3d] span
-    cms_m2: float
-    ua_m2: float
-    min_slope_S: float
-    failing_points: Tuple[Tuple[float, float], ...]  # plan coords, m
-    grades: Optional[Dict[str, float]] = None
-    weighted_score: Optional[float] = None
+    ids: np.ndarray          # (L,) str
+    kinds: np.ndarray        # (L,) kind codes, indices into KINDS
+    controls_mm: np.ndarray  # (L, m, m) control heights over the [gen3d] span
+    heights_m: np.ndarray    # (L, 16) column heights in grid order
+    volumes_m3: np.ndarray   # (L, 16) column volumes in grid order
+    cms_m2: np.ndarray       # (L,) chainmail area (CMS)
+    ua_m2: np.ndarray        # (L,) usable area (UA)
+    min_slope: np.ndarray    # (L,) least drainage slope
+    fails: np.ndarray        # (L, 100) failing drainage-grid points; a row drains if none
 
     @property
-    def lc_m3(self) -> float:
-        """LC: the load-bearing column volume, summed in grid order."""
-        return sum(self.column_volumes_m3[LOAD_BEARING].tolist())
+    def drains(self) -> np.ndarray:
+        return ~self.fails.any(axis=-1)
+
+    # LC and FC add a row's columns one at a time in grid order from 0.0, as
+    # Python's sum adds a list: np.sum's pairwise blocks could reorder them
+    @property
+    def lc_m3(self) -> np.ndarray:
+        """LC: the load-bearing column volume of each row."""
+        return functools.reduce(np.add, self.volumes_m3[:, LOAD_BEARING].T, 0.0)
 
     @property
-    def fc_m3(self) -> float:
-        """FC: the formwork column volume, summed in grid order."""
-        return sum(self.column_volumes_m3[~LOAD_BEARING].tolist())
+    def fc_m3(self) -> np.ndarray:
+        """FC: the formwork column volume of each row."""
+        return functools.reduce(np.add, self.volumes_m3[:, ~LOAD_BEARING].T, 0.0)
 
 
 def evaluate_candidate(candidate_ids: Sequence[str], controls_mm: np.ndarray,
-                       kinds: Sequence[AnchorKind], config: PipelineConfig
-                       ) -> List[CandidateDesign]:
-    """Columns, drainage, CMS and UA under the [optimizer] block of the surface
-    through each (m, m) lane of the control heights `controls_mm` (mm) over the
-    [gen3d] span, CMS on its resolution lattice: one fit and one call per small
-    grid, the lattices and rasters _CHUNK_LANES lanes at a time, then dropped."""
+                       kinds: Sequence[int], config: PipelineConfig) -> Study:
+    """The study table, under the [optimizer] block, of the surfaces through the
+    (L, m, m) control heights `controls_mm` (mm) over the [gen3d] span, row i
+    named candidate_ids[i] of kind code kinds[i]: one fit and one call per small
+    grid, then CMS on the resolution lattice and UA _CHUNK_LANES lanes at a time."""
     block, span_mm = config.optimizer, config.gen3d.span_mm
     side = block.column_section_side_m
     splines = control_spline(controls_mm, span_mm)
     heights = initial_columns(splines)
-    slopes = slope_grid(splines, span_mm, block.min_slope, block.slope_rule)
+    least, fails = slope_grid(splines, span_mm, block.min_slope, block.slope_rule)
     lattice = np.linspace(0.0, span_mm, config.gen3d.resolution)
-    cms, ua = [], []
+    cms, ua = np.empty(len(controls_mm)), np.empty(len(controls_mm))
     for lo in range(0, len(controls_mm), _CHUNK_LANES):
-        part = splines[lo:lo + _CHUNK_LANES]
-        cms += lattice_area(lattice / 1000.0, part(lattice, lattice) / 1000.0).tolist()
-        ua += usable_area(part, span_mm, side, block.headroom_m).tolist()
-    return [CandidateDesign(candidate_id=cid, kind=kind, column_heights_m=h,
-                            column_volumes_m3=side * side * h, control_mm=z,
-                            cms_m2=a, ua_m2=u, min_slope_S=least, failing_points=failing)
-            for cid, kind, z, h, a, u, (least, failing)
-            in zip(candidate_ids, kinds, controls_mm, heights, cms, ua, slopes)]
+        lanes = slice(lo, lo + _CHUNK_LANES)
+        part = splines[lanes]
+        cms[lanes] = lattice_area(lattice / 1000.0, part(lattice, lattice) / 1000.0)
+        ua[lanes] = usable_area(part, span_mm, side, block.headroom_m)
+    return Study(ids=np.asarray(candidate_ids, dtype=str), kinds=np.asarray(kinds),
+                 controls_mm=controls_mm, heights_m=heights, volumes_m3=side * side * heights,
+                 cms_m2=cms, ua_m2=ua, min_slope=least, fails=fails)
 
 
-def rank_designs(candidates: Sequence[CandidateDesign],
-                 weights: Tuple[float, float, float, float]
-                 ) -> Tuple[Tuple[CandidateDesign, ...], Tuple[CandidateDesign, ...]]:
+def rank_designs(study: Study, weights: Tuple[float, float, float, float]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drainage-gate, grade survivors per criterion, sort by weighted score.
 
-    Returns the survivors best first (a candidate's rank is its 1-based
-    position) and the drainage rejects in input order.  Rejected candidates
-    never enter any grading cohort.  Ties break on lower CMS, then higher
-    UA, then input order.
+    Returns the row order (the survivors best first, a survivor's rank its
+    1-based position, then the drainage rejects in input order), the (L, 4)
+    CMS, UA, LC and FC grades and the (L,) weighted scores; a reject's grades
+    and score are NaN, for it never enters a grading cohort.  Ties break on
+    lower CMS, then higher UA, then input order.
     """
-    if not candidates:
+    if len(study.ids) == 0:
         raise ParameterError("no candidates to rank")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ParameterError("criterion weights must sum to 1.0")
-    survivors = [c for c in candidates if not c.failing_points]
-    rejected = tuple(c for c in candidates if c.failing_points)
-    if not survivors:
-        return (), rejected
+    drains = study.drains
+    survivors, rejected = np.flatnonzero(drains), np.flatnonzero(~drains)
+    grades = np.full((len(drains), 4), np.nan)
+    scores = np.full(len(drains), np.nan)
+    if not len(survivors):
+        return rejected, grades, scores
 
-    g_cms = grade([c.cms_m2 for c in survivors])
-    g_ua = grade([-c.ua_m2 for c in survivors])
-    g_lc = grade([c.lc_m3 for c in survivors])
-    g_fc = grade([c.fc_m3 for c in survivors])
-
+    cms, ua = study.cms_m2[survivors], study.ua_m2[survivors]
+    g_cms, g_ua = grade(cms), grade(-ua)
+    g_lc, g_fc = grade(study.lc_m3[survivors]), grade(study.fc_m3[survivors])
     w_cms, w_ua, w_lc, w_fc = weights
-    scored = [replace(c, grades={"CMS": cms, "UA": ua, "LC": lc, "FC": fc},
-                      weighted_score=w_cms * cms + w_ua * ua + w_lc * lc + w_fc * fc)
-              for c, cms, ua, lc, fc in zip(survivors, g_cms, g_ua, g_lc, g_fc)]
-
-    order = sorted(range(len(scored)),
-                   key=lambda i: (-scored[i].weighted_score, scored[i].cms_m2,
-                                  -scored[i].ua_m2, i))
-    return tuple(scored[i] for i in order), rejected
-
-
-def _kept_columns(kept: np.ndarray) -> List[int]:
-    """Indices of the kept columns: load-bearing, then formwork, each in grid
-    order."""
-    return (np.flatnonzero(kept & LOAD_BEARING).tolist()
-            + np.flatnonzero(kept & ~LOAD_BEARING).tolist())
+    score = w_cms * g_cms + w_ua * g_ua + w_lc * g_lc + w_fc * g_fc
+    grades[survivors] = np.stack([g_cms, g_ua, g_lc, g_fc], axis=1)
+    scores[survivors] = score
+    # the last key sorts first; each key sorts stably and compares -0.0 equal
+    # to 0.0, as sorted() compares them, so full ties keep input order
+    order = survivors[np.lexsort((-ua, cms, -score))]
+    return np.concatenate([order, rejected]), grades, scores
 
 
 def _support_nodes(grid: int, kind: AnchorKind, span_m: float,
@@ -291,19 +294,19 @@ def _lattice_nodes(span_m: float, grid: int, xy) -> np.ndarray:
     return ij[:, 0] * (grid + 1) + ij[:, 1]
 
 
-def _design_solve(design: CandidateDesign, surface: ShellSurface, kept: np.ndarray,
+def _design_solve(study: Study, row: int, surface: ShellSurface, kept: np.ndarray,
                   grid: int, structure: StructureSpec) -> fem.SolveResult:
-    """Frame solve of the design's surface on its anchors and its kept columns."""
-    supports = _support_nodes(grid, design.kind, surface.span_mm / 1000.0, kept)
-    case = combine(structure, design.cms_m2)
+    """Frame solve of the surface of the study's row on its anchors and kept columns."""
+    supports = _support_nodes(grid, KINDS[study.kinds[row]], surface.span_mm / 1000.0, kept)
+    case = combine(structure, float(study.cms_m2[row]))
     return fem.analyze_shell(surface, case, structure, supports, grid)
 
 
-def formwork_reactions(design: CandidateDesign, surface: ShellSurface, grid: int,
+def formwork_reactions(study: Study, row: int, surface: ShellSurface, grid: int,
                        structure: StructureSpec) -> Dict[int, float]:
     """Vertical FEM reaction magnitude (kN) carried by each formwork column
-    of `design`, whose surface is `surface`, keyed by column index."""
-    reactions = _design_solve(design, surface, np.ones_like(LOAD_BEARING), grid,
+    of the study's row, whose surface is `surface`, keyed by column index."""
+    reactions = _design_solve(study, row, surface, np.ones_like(LOAD_BEARING), grid,
                               structure).reactions
     columns = _lattice_nodes(surface.span_mm / 1000.0, grid, COLUMN_POSITIONS_M)
     # every formwork column holds its node's uz, so each has a reaction
@@ -315,7 +318,7 @@ def _fit_supported_surface(kind: AnchorKind, heights: np.ndarray, kept: np.ndarr
                            span_m: float, resolution: int = 33):
     """Thin-plate fit through anchor pins and kept column tops; (P, a) of the fit."""
     anchors = _anchor_points(kind, span_m)
-    columns = _kept_columns(kept)
+    columns = COLUMN_ORDER[kept[COLUMN_ORDER]]
     xy = np.concatenate([np.array(anchors), COLUMN_POSITIONS_M[columns]])
     z = np.concatenate([np.zeros(len(anchors)), heights[columns]])
     coords = np.linspace(0.0, span_m, resolution)
@@ -325,7 +328,7 @@ def _fit_supported_surface(kind: AnchorKind, heights: np.ndarray, kept: np.ndarr
     return mesh.boundary_length(), mesh.area()
 
 
-def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: float,
+def reduce_formwork(study: Study, row: int, surface: ShellSurface, tolerance: float,
                     grid: int, structure: StructureSpec) -> np.ndarray:
     """Remove formwork columns while the supported shape holds its metrics;
     returns the (16,) mask of the kept columns.
@@ -335,17 +338,17 @@ def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: f
     anchors and the remaining column tops stays within dP = tolerance *
     P_ref and da = tolerance * a_ref of the full 16-column reference fit
     (P_ref, a_ref).  Load-bearing columns are never touched.  `surface` is
-    the design's surface, which the reaction solve needs.
+    the surface of the study's row, which the reaction solve needs.
     """
     if tolerance < 0:
         raise ParameterError("tolerance must be non-negative")
     span_m = surface.span_mm / 1000.0
-    heights = design.column_heights_m
+    kind, heights = KINDS[study.kinds[row]], study.heights_m[row]
     kept = np.ones_like(LOAD_BEARING)
-    p_ref, a_ref = _fit_supported_surface(design.kind, heights, kept, span_m)
+    p_ref, a_ref = _fit_supported_surface(kind, heights, kept, span_m)
     dP, da = tolerance * p_ref, tolerance * a_ref
 
-    reactions = formwork_reactions(design, surface, grid, structure)
+    reactions = formwork_reactions(study, row, surface, grid, structure)
     order = sorted(reactions, key=lambda k: (reactions[k], k))
 
     removed_any = True
@@ -356,7 +359,7 @@ def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: f
                 continue
             trial = kept.copy()
             trial[k] = False
-            p, a = _fit_supported_surface(design.kind, heights, trial, span_m)
+            p, a = _fit_supported_surface(kind, heights, trial, span_m)
             if abs(p - p_ref) <= dP and abs(a - a_ref) <= da:
                 kept = trial
                 removed_any = True
@@ -364,9 +367,10 @@ def reduce_formwork(design: CandidateDesign, surface: ShellSurface, tolerance: f
     return kept
 
 
-def _stream_key(seed: int, anchor_index: int, iteration: int) -> Tuple[int, int]:
-    """The Philox key of one study candidate's stream."""
-    return seed * 5 + anchor_index, iteration
+def _stream_keys(seed: int, iterations: int) -> List[Tuple[int, int]]:
+    """The Philox keys of a study's candidate streams in row order: kind by
+    kind, and each kind's iterations in turn."""
+    return list(itertools.product(range(seed * 5, seed * 5 + len(KINDS)), range(iterations)))
 
 
 def _stream_length(block: OptimizerBlock) -> int:
@@ -375,31 +379,31 @@ def _stream_length(block: OptimizerBlock) -> int:
     return 1 + (block.control_F + 1) ** 2
 
 
-def _shelter_grid(config: PipelineConfig, kind: AnchorKind, u: np.ndarray) -> np.ndarray:
-    """The (F+1, F+1) shelter control heights (mm) drawn from its stream's
-    doubles `u`, each mapped to [low, high] as numpy's uniform maps it:
-    low + (high - low) * u.  The amplitude comes first, then the heights in
-    row-major order; the control points over the kind's anchor corners are
-    clamped to the ground."""
+def _shelter_grid(config: PipelineConfig, kinds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (L, F+1, F+1) shelter control heights (mm) of the (L, n) stream
+    doubles `u`, each mapped as numpy's uniform maps it: low + (high - low) * u.
+    A row's amplitude comes first, then its heights in row-major order; the
+    points over the base corners its kind code (`kinds`) pins are grounded."""
     block = config.optimizer
     lo = block.amplitude_min_fraction * block.amplitude_cap_m
-    amp_m = float(lo + (block.amplitude_cap_m - lo) * u[0])
+    amp_m = lo + (block.amplitude_cap_m - lo) * u[:, 0]
     m = block.control_F + 1
-    z_mm = 0.0 + (amp_m * 1000.0 - 0.0) * u[1:].reshape(m, m)
-    for fx, fy in _ANCHOR_CORNERS[kind]:
-        z_mm[fx * (m - 1), fy * (m - 1)] = 0.0
+    z_mm = (0.0 + (amp_m[:, None] * 1000.0 - 0.0) * u[:, 1:]).reshape(-1, m, m)
+    lane, pin = np.nonzero(np.asarray(kinds)[:, None] == _PINS[:, 0])
+    z_mm[lane, _PINS[pin, 1] * (m - 1), _PINS[pin, 2] * (m - 1)] = 0.0
     return z_mm
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """The ranking (survivors best first, then the drainage rejects) and,
-    for its winner (ranked[0]; none when every candidate is rejected), the
-    surface, the (16,) mask of the columns kept by formwork reduction and
-    the frame solve on them."""
+    """The study table with rank_designs' order, grades and scores; for its
+    winner (row order[0]; none if every candidate is rejected) its surface,
+    the (16,) mask of the columns formwork reduction kept, and their solve."""
 
-    ranked: Tuple[CandidateDesign, ...]
-    rejected: Tuple[CandidateDesign, ...]
+    study: Study
+    order: np.ndarray   # (L,) rows: survivors best first, then the rejects
+    grades: np.ndarray  # (L, 4)
+    scores: np.ndarray  # (L,)
     winner_surface: Optional[ShellSurface]  # the one surface the study keeps
     kept_columns: Optional[np.ndarray]
     winner_analysis: Optional[fem.SolveResult]
@@ -416,25 +420,22 @@ def optimize(config: PipelineConfig, structure: StructureSpec,
     Results are deterministic for a given (config, structure, seed).
     """
     block, grid = config.optimizer, config.fem.lattice_grid
-
-    cases = [(ai, kind, it) for ai, kind in enumerate(AnchorKind)
-             for it in range(block.iterations_per_anchor)]
+    n = block.iterations_per_anchor
+    kinds = np.repeat(np.arange(len(KINDS)), n)
+    ids = np.char.add(np.array([f"{kind.value}-" for kind in KINDS])[kinds],
+                      np.char.zfill(np.tile(np.arange(n), len(KINDS)).astype(str), 2))
     # every candidate's stream, drawn in one call before any is scored
-    draws = random_doubles([_stream_key(seed, ai, it) for ai, _, it in cases],
-                           _stream_length(block))
-    controls = np.array([_shelter_grid(config, kind, u)
-                         for (_, kind, _), u in zip(cases, draws)])
-    candidates = evaluate_candidate([f"{kind.value}-{it:02d}" for _, kind, it in cases],
-                                    controls, [kind for _, kind, _ in cases], config)
-    ranked, rejected = rank_designs(candidates, block.weights)
-    if not ranked:
-        return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=None,
+    draws = random_doubles(_stream_keys(seed, n), _stream_length(block))
+    study = evaluate_candidate(ids, _shelter_grid(config, kinds, draws), kinds, config)
+    order, grades, scores = rank_designs(study, block.weights)
+    if not study.drains.any():
+        return OptimizeResult(study, order, grades, scores, winner_surface=None,
                               kept_columns=None, winner_analysis=None)
 
-    winner = ranked[0]
-    surface = interpolate_surface(winner.control_mm, config.gen3d.span_mm,
+    winner = int(order[0])
+    surface = interpolate_surface(study.controls_mm[winner], config.gen3d.span_mm,
                                   config.gen3d.resolution)
-    kept = reduce_formwork(winner, surface, block.reduction_tolerance, grid, structure)
-    analysis = _design_solve(winner, surface, kept, grid, structure)
-    return OptimizeResult(ranked=ranked, rejected=rejected, winner_surface=surface,
+    kept = reduce_formwork(study, winner, surface, block.reduction_tolerance, grid, structure)
+    analysis = _design_solve(study, winner, surface, kept, grid, structure)
+    return OptimizeResult(study, order, grades, scores, winner_surface=surface,
                           kept_columns=kept, winner_analysis=analysis)

@@ -16,7 +16,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from . import filtering, loads, profile2d, shell3d, units
 from .config import PipelineConfig, config_hash, derive_seed, dump_config, validate
 from .errors import ConfigError, ParameterError, StageError
 from .fem import analyze_shell, default_supports
-from .optimizer import COLUMN_POSITIONS_M, LOAD_BEARING, MAX_SECTION_SIDE_M, optimize
+from .optimizer import (COLUMN_ORDER, COLUMN_POSITIONS_M, KINDS, LOAD_BEARING, MAX_SECTION_SIDE_M,
+                        OptimizeResult, drainage_points_m, optimize)
 
 STAGES = ("units", "sweep2d", "gen3d", "filter", "analyze", "optimize")
 
@@ -243,24 +244,32 @@ def stage_analyze(config: PipelineConfig, out: RunDir, gen_carry: Dict,
     write_output(out, "analyze/displacements.csv", "\n".join(rows) + "\n")
 
 
-def _ranking_rows(ranked, rejected) -> List[str]:
-    """Ranked candidates by rank, then the rejected ones with rank and
-    grades left blank."""
-    rows = ["candidate,anchor_kind,rank,CMS_m2,UA_m2,LC_volume_m3,LC_count,"
+def _format_rows(template: str, columns: Sequence[Sequence]) -> str:
+    """One template line per row of the columns, formatted in one call; %.Nf
+    formats a float exactly as _fmt does."""
+    return (template * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def _ranking_csv(result: OptimizeResult) -> str:
+    """ranking.csv: the ranked candidates by rank, then the rejected ones
+    with rank and grades left blank."""
+    study, order = result.study, result.order
+    ranked = int(study.drains.sum())
+    top = order[:ranked]  # the survivors, best first
+    names = np.array([kind.value for kind in KINDS])[study.kinds[order]].tolist()
+    ids, metrics = study.ids[order].tolist(), [column[order].tolist() for column in (
+        study.cms_m2, study.ua_m2, study.lc_m3, study.fc_m3, study.min_slope)]
+    lc, fc = int(LOAD_BEARING.sum()), int((~LOAD_BEARING).sum())
+    return ("candidate,anchor_kind,rank,CMS_m2,UA_m2,LC_volume_m3,LC_count,"
             "FC_volume_m3,FC_count,min_slope,drainage_pass,grade_CMS,grade_UA,"
-            "grade_LC,grade_FC,weighted_score"]
-    lc_count = str(int(LOAD_BEARING.sum()))
-    fc_count = str(int((~LOAD_BEARING).sum()))
-    for rank, c in enumerate(ranked + rejected, start=1):
-        graded = c.grades is not None
-        scores = ([_fmt(c.grades[k], 6) for k in ("CMS", "UA", "LC", "FC")]
-                  + [_fmt(c.weighted_score, 6)]) if graded else [""] * 5
-        rows.append(",".join([
-            c.candidate_id, c.kind.value, str(rank) if graded else "",
-            _fmt(c.cms_m2, 6), _fmt(c.ua_m2, 6),
-            _fmt(c.lc_m3, 9), lc_count, _fmt(c.fc_m3, 9), fc_count,
-            _fmt(c.min_slope_S, 6), "0" if c.failing_points else "1"] + scores))
-    return rows
+            "grade_LC,grade_FC,weighted_score\n"
+            + _format_rows(f"%s,%s,%d,%.6f,%.6f,%.9f,{lc},%.9f,{fc},%.6f,1,"
+                           "%.6f,%.6f,%.6f,%.6f,%.6f\n",
+                           [ids[:ranked], names[:ranked], range(1, ranked + 1),
+                            *(column[:ranked] for column in metrics),
+                            *result.grades[top].T.tolist(), result.scores[top].tolist()])
+            + _format_rows(f"%s,%s,,%.6f,%.6f,%.9f,{lc},%.9f,{fc},%.6f,0,,,,,\n",
+                           [column[ranked:] for column in [ids, names, *metrics]]))
 
 
 def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> str:
@@ -272,29 +281,26 @@ def node_displacement_rows(displacements: np.ndarray, coords_m: np.ndarray) -> s
     n = len(coords_m)
     t = displacements[:n * n, :3] * 1000.0
     i, j = np.divmod(np.arange(n * n), n)
-    # one np.linalg.norm per node row keeps its bits; %.Nf formats a float
-    # exactly as _fmt does
+    # one np.linalg.norm per node row keeps its bits
     norms = [float(np.linalg.norm(row)) for row in t]
-    values = zip(range(n * n), coords_m[i].tolist(), coords_m[j].tolist(),
-                 *t.T.tolist(), norms)
-    return (("%d,%.4f,%.4f,%.6f,%.6f,%.6f,%.6f\n" * (n * n))
-            % tuple(itertools.chain.from_iterable(values)))
+    return _format_rows("%d,%.4f,%.4f,%.6f,%.6f,%.6f,%.6f\n",
+                        [range(n * n), coords_m[i].tolist(), coords_m[j].tolist(),
+                         *t.T.tolist(), norms])
 
 
 def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
     spec = structure_spec(config)
     result = optimize(config, spec, derive_seed(config.seed, "optimize"))
+    study = result.study
+    write_output(out, "optimize/ranking.csv", _ranking_csv(result))
 
-    rows = _ranking_rows(result.ranked, result.rejected)
-    write_output(out, "optimize/ranking.csv", "\n".join(rows) + "\n")
+    # each candidate's failing points in row-major grid order, candidates in ranking order
+    rows, points = np.nonzero(study.fails[result.order])
+    xy = drainage_points_m(config.gen3d.span_mm)[points]
+    write_output(out, "optimize/slope_failures.csv", "candidate,x_m,y_m\n" + _format_rows(
+        "%s,%.4f,%.4f\n", [study.ids[result.order[rows]].tolist(), *xy.T.tolist()]))
 
-    marker_rows = ["candidate,x_m,y_m"]
-    for c in result.ranked + result.rejected:
-        for (x, y) in c.failing_points:
-            marker_rows.append(f"{c.candidate_id},{_fmt(x, 4)},{_fmt(y, 4)}")
-    write_output(out, "optimize/slope_failures.csv", "\n".join(marker_rows) + "\n")
-
-    if result.ranked:
+    if result.winner_surface is not None:
         write_output(out, "optimize/winner.mesh",
                      shell3d.write_mesh(result.winner_surface.mesh))
 
@@ -309,16 +315,12 @@ def stage_optimize(config: PipelineConfig, out: RunDir) -> None:
                      + node_displacement_rows(solved.displacements, coords)
                      + footer)
 
-        winner = result.ranked[0]
-        heights, volumes = winner.column_heights_m, winner.column_volumes_m3.tolist()
-        crows = ["role,x_m,y_m,height_m,volume_m3,kept"]
-        for role, mask in (("load-bearing", LOAD_BEARING), ("formwork", ~LOAD_BEARING)):
-            for k in np.flatnonzero(mask).tolist():
-                x, y = COLUMN_POSITIONS_M[k].tolist()
-                crows.append(f"{role},{_fmt(x, 4)},{_fmt(y, 4)},"
-                             f"{_fmt(heights[k], 6)},{_fmt(volumes[k], 9)},"
-                             f"{'1' if result.kept_columns[k] else '0'}")
-        write_output(out, "optimize/columns.csv", "\n".join(crows) + "\n")
+        winner, k = result.order[0], COLUMN_ORDER
+        write_output(out, "optimize/columns.csv", "role,x_m,y_m,height_m,volume_m3,kept\n"
+                     + _format_rows("%s,%.4f,%.4f,%.6f,%.9f,%d\n", [
+                         np.where(LOAD_BEARING[k], "load-bearing", "formwork").tolist(),
+                         *COLUMN_POSITIONS_M[k].T.tolist(), study.heights_m[winner, k].tolist(),
+                         study.volumes_m3[winner, k].tolist(), result.kept_columns[k].tolist()]))
 
 
 def _manifest_hash(cfg_hash: str, seed: int, status: str,

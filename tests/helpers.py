@@ -19,12 +19,12 @@ import chainshell
 from chainshell import loads, pipeline
 from chainshell.config import PipelineConfig, derive_seed
 from chainshell.errors import GeometryError, ParameterError
-from chainshell.fem import (FIXED, PINNED, BeamSection, FrameModel, analyze_shell,
-                            assemble_stiffness, default_supports, frame_from_surface)
+from chainshell.fem import (FIXED, PINNED, BeamSection, FrameModel, _local_stiffness,
+                            _rotations, analyze_shell, assemble_stiffness, default_supports,
+                            frame_from_surface)
 from chainshell.filtering import measure
-from chainshell.optimizer import (COLUMN_POSITIONS_M, LOAD_BEARING, AnchorKind,
-                                  CandidateDesign, _anchor_points, _shelter_grid,
-                                  _stream_key, _stream_length)
+from chainshell.optimizer import (_ANCHOR_CORNERS, COLUMN_POSITIONS_M, KINDS, LOAD_BEARING,
+                                  AnchorKind, Study, _anchor_points)
 from chainshell.pipeline import filter_pool, structure_spec
 from chainshell.shell3d import (ShellSurface, TriangleMesh, generate_iterations,
                                group_parameters, interpolate_surface, random_doubles)
@@ -202,6 +202,21 @@ def dense_stiffness(model: FrameModel) -> np.ndarray:
     return K
 
 
+def einsum_element_blocks(model: FrameModel, block: slice = slice(None)) -> np.ndarray:
+    """The (b, 12, 12) global element blocks lam^T k lam of the elements in
+    block, contracted by np.einsum lam with k first: the oracle for
+    assemble_stiffness's matmul form."""
+    ends = model.ends[block]
+    delta = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
+    length = np.linalg.norm(delta, axis=1)
+    lam = np.zeros((len(ends), 12, 12))
+    t3 = _rotations(delta / length[:, None])
+    for b in range(4):
+        lam[:, 3 * b:3 * b + 3, 3 * b:3 * b + 3] = t3
+    return np.einsum("eki,ekl,elj->eij", lam, _local_stiffness(model, length), lam,
+                     optimize=["einsum_path", (0, 1), (0, 1)])
+
+
 def restraint(n_nodes: int, nodes, kind: np.ndarray) -> np.ndarray:
     """(n_nodes, 6) restraint mask holding the DOFs of `kind` at `nodes`."""
     mask = np.zeros((n_nodes, 6), dtype=bool)
@@ -308,18 +323,88 @@ def pairwise_noncollinear(pts: np.ndarray) -> bool:
     return False
 
 
+def synthetic_study(rows) -> Study:
+    """Hand-built study table for exercising the ranking rules in isolation,
+    one row per (cid, cms, ua, lc_m3, fc_m3, drainage) tuple: LC and FC
+    spread evenly over the load-bearing and the formwork columns.  A row
+    that fails drainage fails it at the plan origin."""
+    cids, cms, ua, lc, fc, drainage = (list(column) for column in zip(*rows))
+    volumes = np.where(LOAD_BEARING, np.divide(lc, LOAD_BEARING.sum())[:, None],
+                       np.divide(fc, (~LOAD_BEARING).sum())[:, None])
+    fails = np.zeros((len(cids), 100), dtype=bool)
+    fails[:, 0] = np.logical_not(drainage)
+    return Study(ids=np.array(cids, dtype=str),
+                 kinds=np.full(len(cids), KINDS.index(AnchorKind.FOUR)),
+                 controls_mm=np.full((len(cids), 5, 5), 1600.0),
+                 heights_m=np.ones((len(cids), 16)), volumes_m3=volumes,
+                 cms_m2=np.array(cms, dtype=float), ua_m2=np.array(ua, dtype=float),
+                 min_slope=np.full(len(cids), 0.05), fails=fails)
+
+
 def synthetic_candidate(cid: str, cms: float, ua: float, lc_m3: float = 0.012,
-                        fc_m3: float = 0.036, drainage: bool = True) -> CandidateDesign:
-    """Hand-built design for exercising the ranking rules in isolation: LC
-    and FC spread evenly over the load-bearing and the formwork columns.
-    One that fails drainage fails it at the plan origin."""
-    volumes = np.where(LOAD_BEARING, lc_m3 / LOAD_BEARING.sum(),
-                       fc_m3 / (~LOAD_BEARING).sum())
-    return CandidateDesign(candidate_id=cid, kind=AnchorKind.FOUR,
-                           column_heights_m=np.ones(16), column_volumes_m3=volumes,
-                           control_mm=np.full((5, 5), 1600.0),
-                           cms_m2=cms, ua_m2=ua, min_slope_S=0.05,
-                           failing_points=() if drainage else ((0.0, 0.0),))
+                        fc_m3: float = 0.036, drainage: bool = True) -> tuple:
+    """One synthetic_study row, with the default LC and FC."""
+    return cid, cms, ua, lc_m3, fc_m3, drainage
+
+
+def list_grade(values) -> list:
+    """The cohort grades as a list, one value at a time: lowest 100, highest 1."""
+    arr = np.asarray(values, dtype=float)
+    lo, hi = float(arr.min()), float(arr.max())
+    if hi == lo:
+        return [100.0] * len(arr)
+    return list(1.0 + 99.0 * ((hi - arr) / (hi - lo)))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Candidate:
+    """One study row as its own record, as the per-candidate ranking kept it."""
+
+    row: int
+    cms_m2: float
+    ua_m2: float
+    column_volumes_m3: np.ndarray
+    drains: bool
+    grades: dict = None
+    weighted_score: float = None
+
+    @property
+    def lc_m3(self) -> float:
+        return sum(self.column_volumes_m3[LOAD_BEARING].tolist())
+
+    @property
+    def fc_m3(self) -> float:
+        return sum(self.column_volumes_m3[~LOAD_BEARING].tolist())
+
+
+def record_rank_designs(study: Study, weights) -> tuple:
+    """Oracle for rank_designs: one record per candidate, each survivor
+    graded with dataclasses.replace and the survivors sorted by sorted() on
+    the key (-score, CMS, -UA, index).  Returns the row order (survivors best
+    first, then the rejects in input order), and the grades and scores by row."""
+    candidates = [_Candidate(i, cms, ua, volumes, drains) for i, (cms, ua, volumes, drains)
+                  in enumerate(zip(study.cms_m2.tolist(), study.ua_m2.tolist(),
+                                   study.volumes_m3, study.drains.tolist()))]
+    survivors = [c for c in candidates if c.drains]
+    rejected = [c for c in candidates if not c.drains]
+    grades, scores = {}, {}
+    if survivors:
+        g_cms = list_grade([c.cms_m2 for c in survivors])
+        g_ua = list_grade([-c.ua_m2 for c in survivors])
+        g_lc = list_grade([c.lc_m3 for c in survivors])
+        g_fc = list_grade([c.fc_m3 for c in survivors])
+        w_cms, w_ua, w_lc, w_fc = weights
+        scored = [dataclasses.replace(c, grades={"CMS": cms, "UA": ua, "LC": lc, "FC": fc},
+                                      weighted_score=w_cms * cms + w_ua * ua + w_lc * lc
+                                      + w_fc * fc)
+                  for c, cms, ua, lc, fc in zip(survivors, g_cms, g_ua, g_lc, g_fc)]
+        order = sorted(range(len(scored)),
+                       key=lambda i: (-scored[i].weighted_score, scored[i].cms_m2,
+                                      -scored[i].ua_m2, i))
+        survivors = [scored[i] for i in order]
+        grades = {c.row: [c.grades[k] for k in ("CMS", "UA", "LC", "FC")] for c in survivors}
+        scores = {c.row: c.weighted_score for c in survivors}
+    return [c.row for c in survivors + rejected], grades, scores
 
 
 def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
@@ -332,11 +417,17 @@ def shelter_control_grid(config: PipelineConfig, seed: int, kind: AnchorKind,
     amplitude A_i is itself drawn within the [optimizer] cap; control points
     over anchor corners are clamped to the ground.  The draws are the first
     doubles of the (seed * 5 + anchor_index, iteration) stream: A_i, then
-    the heights in row-major order.
+    the heights in row-major order, each mapped as low + (high - low) * u.
     """
-    u = random_doubles([_stream_key(seed, anchor_index, iteration)],
-                       _stream_length(config.optimizer))
-    return _shelter_grid(config, kind, u[0])
+    block = config.optimizer
+    m = block.control_F + 1
+    u = random_doubles([(seed * 5 + anchor_index, iteration)], 1 + m * m)[0]
+    lo = block.amplitude_min_fraction * block.amplitude_cap_m
+    amp_m = float(lo + (block.amplitude_cap_m - lo) * u[0])
+    z_mm = 0.0 + (amp_m * 1000.0 - 0.0) * u[1:].reshape(m, m)
+    for fx, fy in _ANCHOR_CORNERS[kind]:
+        z_mm[fx * (m - 1), fy * (m - 1)] = 0.0
+    return z_mm
 
 
 def dome_control(height_m: float = 3.0, radius_m: float = 0.95,

@@ -56,6 +56,7 @@ from helpers import (
     raster_solid_fraction,
     simply_supported_model,
     synthetic_candidate,
+    synthetic_study,
     uniform_beam_loads,
     BEAM_E,
     BEAM_SECTION,
@@ -216,33 +217,42 @@ def test_a08_ranking_csv_determinism(tmp_path):
     assert ok
 
 
+def _ranking(rows, weights):
+    """The ranked ids, the rejected ids, and each ranked id's grades by
+    criterion and its score, of a synthetic study of `rows`."""
+    study = synthetic_study(rows)
+    order, grades, scores = rank_designs(study, weights)
+    ranked = order[:int(study.drains.sum())].tolist()
+    graded = {study.ids[i]: (dict(zip(("CMS", "UA", "LC", "FC"), grades[i].tolist())),
+                             float(scores[i])) for i in ranked}
+    return study.ids[ranked].tolist(), study.ids[order[len(ranked):]].tolist(), graded
+
+
 def test_a09_ranking_correctness(optimize_result):
     pool = [synthetic_candidate("top", 4.0, 3.9, lc_m3=0.010, fc_m3=0.030),
             synthetic_candidate("mid", 4.5, 3.0),
             synthetic_candidate("low", 5.0, 2.2, lc_m3=0.014, fc_m3=0.040),
             synthetic_candidate("swamp", 0.1, 4.0, drainage=False)]
     weights = OptimizerBlock().weights
-    ranked, rejected = rank_designs(pool, weights)
-    gate_ok = ([c.candidate_id for c in rejected] == ["swamp"]
-               and all(not c.failing_points for c in ranked))
+    ranked, rejected, graded = _ranking(pool, weights)
+    gate_ok = rejected == ["swamp"] and "swamp" not in ranked
 
-    rescaled = [synthetic_candidate(c.candidate_id, 2.5 * c.cms_m2 + 3.0, c.ua_m2,
-                                    lc_m3=c.lc_m3, fc_m3=c.fc_m3,
-                                    drainage=not c.failing_points)
-                for c in pool]
+    rescaled = [(cid, 2.5 * cms + 3.0, ua, lc, fc, drainage)
+                for cid, cms, ua, lc, fc, drainage in pool]
+    after_ranked, _, after_graded = _ranking(rescaled, weights)
     affine_ok = True
-    for before, after in zip(rank_designs(pool, weights)[0],
-                             rank_designs(rescaled, weights)[0]):
-        if before.candidate_id != after.candidate_id:
+    for before, after in zip(ranked, after_ranked):
+        if before != after:
             affine_ok = False
             continue
         for key in ("CMS", "UA", "LC", "FC"):
-            if abs(before.grades[key] - after.grades[key]) > 1e-9:
+            if abs(graded[before][0][key] - after_graded[after][0][key]) > 1e-9:
                 affine_ok = False
 
-    dominant_ok = ranked[0].candidate_id == "top" and ranked[0].weighted_score == 100.0
+    dominant_ok = ranked[0] == "top" and graded["top"][1] == 100.0
 
-    gated_live = all(not c.failing_points for c in optimize_result.ranked)
+    study, order = optimize_result.study, optimize_result.order
+    gated_live = not study.fails[order[:int(study.drains.sum())]].any()
     disp = optimize_result.winner_analysis.max_translation_mm
     limit = deflection_limit(CONFIG.gen3d.span_mm / 1000.0)
     bound_ok = disp <= limit

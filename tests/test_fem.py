@@ -38,6 +38,7 @@ from helpers import (
     chain_ends,
     default_analysis,
     default_frame,
+    einsum_element_blocks,
     dense_stiffness,
     dict_default_supports,
     dict_restraint,
@@ -434,6 +435,39 @@ def test_free_band_is_the_fortran_ordered_lower_band_of_k_ff(pools42, monkeypatc
             for offset in range(len(ab)):
                 assert np.array_equal(ab[offset, :len(free) - offset],
                                       np.diagonal(K_ff, -offset))
+
+
+def _oriented_frame(rng, n_elements: int) -> FrameModel:
+    """Elements with two nodes of their own each, of every orientation the
+    rotations tell apart in turn: inclined, horizontal, straight up and
+    straight down."""
+    start = rng.uniform(-2.0, 2.0, size=(n_elements, 3))
+    step = rng.uniform(0.05, 1.0, size=(n_elements, 3)) * rng.choice([-1.0, 1.0], (n_elements, 3))
+    kind = np.arange(n_elements) % 4
+    step[kind == 1, 2] = 0.0
+    step[kind >= 2, :2] = 0.0
+    step[kind == 2, 2] = np.abs(step[kind == 2, 2])
+    step[kind == 3, 2] = -np.abs(step[kind == 3, 2])
+    nodes = np.stack([start, start + step], axis=1).reshape(-1, 3)
+    return FrameModel(nodes=nodes, ends=np.arange(2 * n_elements).reshape(-1, 2),
+                      section=SECTION, restrained=np.zeros((2 * n_elements, 6), dtype=bool),
+                      **MODULI)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_element_blocks_are_the_einsum_contraction_bitwise(seed):
+    # a block of one element, a whole assembly block and an uneven tail,
+    # returned and written into out as the band assembly writes them
+    n = 2 * fem._BLOCK_ELEMENTS + 37
+    model = _oriented_frame(np.random.default_rng(seed), n)
+    for block in (slice(5, 6), slice(0, fem._BLOCK_ELEMENTS),
+                  slice(2 * fem._BLOCK_ELEMENTS, n)):
+        expected = einsum_element_blocks(model, block)
+        ke, _ = assemble_stiffness(model, block)
+        assert ke.tobytes() == expected.tobytes()
+        out = np.empty_like(expected)
+        assemble_stiffness(model, block, out=out)
+        assert out.tobytes() == expected.tobytes()
 
 
 # what a solve may hold beside the band and the element blocks: one block's

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chainshell import optimizer
 from chainshell.config import OptimizerBlock, PipelineConfig
@@ -19,7 +19,10 @@ from chainshell.filtering import measure
 from chainshell.optimizer import (
     COLUMN_POSITIONS_M,
     LOAD_BEARING,
+    KINDS,
     AnchorKind,
+    Study,
+    drainage_points_m,
     evaluate_candidate,
     formwork_reactions,
     grade,
@@ -40,13 +43,14 @@ from chainshell.shell3d import TriangleMesh, control_spline, interpolate_surface
 from helpers import (CONFIG, PROPERTY, SPEC, dict_default_supports, dict_restraint,
                      dict_support_nodes, dome_control, dome_surface, flat_surface,
                      holds_geometry, lane_stacks, meshgrid_usable_area,
-                     per_point_column_heights, same_bits, shelter_control_grid,
-                     synthetic_candidate)
+                     per_point_column_heights, record_rank_designs, same_bits,
+                     shelter_control_grid, synthetic_candidate, synthetic_study)
 
 # the [optimizer] defaults, read where the study reads them
 BLOCK = OptimizerBlock()
 SIDE, HEADROOM = BLOCK.column_section_side_m, BLOCK.headroom_m
 FOUR = AnchorKind.FOUR
+FOUR_CODE = KINDS.index(FOUR)
 GRID = CONFIG.fem.lattice_grid
 EVERY_COLUMN = np.ones(16, dtype=bool)
 # a 0.05 m square column covers 3x3 cells of the default 0.02 m raster
@@ -63,26 +67,31 @@ def _slopes(surface, rule: str = BLOCK.slope_rule):
     return slope_grid(surface.spline, surface.span_mm, BLOCK.min_slope, rule)
 
 
+def _points(surface, fails):
+    """The plan coordinates (m) of the drainage-grid points a mask marks."""
+    return tuple(map(tuple, drainage_points_m(surface.span_mm)[fails].tolist()))
+
+
 def _usable(surface):
     return usable_area(surface.spline, surface.span_mm, SIDE, HEADROOM)
 
 
 def test_flat_surface_ponds_everywhere():
-    min_slope_S, failing_points = _slopes(flat_surface(height_mm=1600.0))
-    assert len(failing_points) == 100
+    min_slope_S, fails = _slopes(flat_surface(height_mm=1600.0))
+    assert fails.shape == (100,) and fails.sum() == 100
     assert min_slope_S == 0.0
 
 
 def test_incline_drains_under_ponding_but_not_strict():
     surface = _incline_surface(0.03)
-    assert _slopes(surface, "ponding")[1] == ()
-    assert _slopes(surface, "strict")[1]  # cross-slope directions are dead flat
+    assert not _slopes(surface, "ponding")[1].any()
+    assert _slopes(surface, "strict")[1].any()  # cross-slope directions are dead flat
 
 
 def test_too_shallow_incline_fails_both_rules():
     surface = _incline_surface(0.01)
-    assert _slopes(surface, "ponding")[1]
-    assert _slopes(surface, "strict")[1]
+    assert _slopes(surface, "ponding")[1].any()
+    assert _slopes(surface, "strict")[1].any()
 
 
 def test_unknown_drainage_rule_is_rejected():
@@ -92,7 +101,8 @@ def test_unknown_drainage_rule_is_rejected():
 
 def test_slope_grid_matches_direct_neighbour_scan(pools42):
     surface = pools42[2].surfaces[0]
-    min_slope_S, failing_points = _slopes(surface)
+    min_slope_S, fails = _slopes(surface)
+    failing_points = _points(surface, fails)
     coords = np.linspace(0.0, surface.span_mm, 10)
     z = np.asarray(surface.evaluate(coords, coords)) / 1000.0
     step = (coords[1] - coords[0]) / 1000.0
@@ -217,30 +227,30 @@ def test_study_measures_each_lane_of_a_stack_as_its_own_surface_bitwise(
     areas = lattice_area(lattice / 1000.0, stack(lattice, lattice) / 1000.0)
     columns, usable = initial_columns(stack), usable_area(stack, span, side, headroom)
     drainage = [slope_grid(stack, span, 0.02, rule) for rule in ("ponding", "strict")]
+    codes = np.full(len(z), FOUR_CODE)
     config = replace(CONFIG, optimizer=replace(BLOCK, column_section_side_m=side + 0.01,
                                                headroom_m=headroom),
                      gen3d=replace(CONFIG.gen3d, span_mm=span, resolution=resolution))
-    designs = evaluate_candidate([str(i) for i in range(len(z))], z, [FOUR] * len(z), config)
+    study = evaluate_candidate([str(i) for i in range(len(z))], z, codes, config)
     for i, grid in enumerate(z):
         surface = interpolate_surface(grid, span, resolution)
         assert same_bits(areas[i], surface.mesh.area())
         assert same_bits(columns[i], initial_columns(surface.spline))
         assert same_bits(usable[i], usable_area(surface.spline, span, side, headroom))
-        for rule, lanes in zip(("ponding", "strict"), drainage):
+        for rule, (lane_least, lane_fails) in zip(("ponding", "strict"), drainage):
             least, failing = slope_grid(surface.spline, span, 0.02, rule)
-            assert same_bits(lanes[i][0], least) and lanes[i][1] == failing
+            assert same_bits(lane_least[i], least) and np.array_equal(lane_fails[i], failing)
         alone = _design(str(i), z[i:i + 1], surface, config.optimizer)
-        for field in ("column_heights_m", "column_volumes_m3", "cms_m2", "ua_m2",
-                      "min_slope_S"):
-            assert same_bits(getattr(designs[i], field), getattr(alone, field))
-        assert designs[i].failing_points == alone.failing_points
+        for field in ("heights_m", "volumes_m3", "cms_m2", "ua_m2", "min_slope"):
+            assert same_bits(getattr(study, field)[i], getattr(alone, field)[0])
+        assert np.array_equal(study.fails[i], alone.fails[0])
 
 
 def test_grade_examples_and_bounds():
-    assert grade([2.0, 4.0]) == [100.0, 1.0]
-    assert grade([1.0, 2.0, 3.0]) == [100.0, 50.5, 1.0]
-    assert grade([5.0, 5.0, 5.0]) == [100.0, 100.0, 100.0]
-    assert grade([-1.0, -2.0, -3.0]) == [1.0, 50.5, 100.0]
+    assert grade([2.0, 4.0]).tolist() == [100.0, 1.0]
+    assert grade([1.0, 2.0, 3.0]).tolist() == [100.0, 50.5, 1.0]
+    assert grade([5.0, 5.0, 5.0]).tolist() == [100.0, 100.0, 100.0]
+    assert grade([-1.0, -2.0, -3.0]).tolist() == [1.0, 50.5, 100.0]
     rng = np.random.default_rng(3)
     values = rng.uniform(10.0, 90.0, size=17)
     scores = grade(values)
@@ -283,72 +293,133 @@ _candidate = synthetic_candidate
 
 
 def _rank(candidates):
-    return rank_designs(candidates, BLOCK.weights)
+    """rank_designs on a synthetic study of the candidate rows: the ranked
+    ids best first, the rejected ids, and each ranked id's grades by
+    criterion and weighted score."""
+    study = synthetic_study(candidates)
+    order, grades, scores = rank_designs(study, BLOCK.weights)
+    ranked = order[:int(study.drains.sum())]
+    ids = study.ids.tolist()
+    graded = {ids[i]: (dict(zip(("CMS", "UA", "LC", "FC"), grades[i].tolist())),
+                       float(scores[i])) for i in ranked.tolist()}
+    return ([ids[i] for i in ranked.tolist()],
+            [ids[i] for i in order[len(ranked):].tolist()], graded)
 
 
 def test_single_survivor_takes_every_grade():
-    ranked, rejected = _rank([_candidate("only", 5.0, 3.0)])
-    assert len(ranked) == 1 and rejected == ()
-    winner = ranked[0]
-    assert winner.grades == {"CMS": 100.0, "UA": 100.0, "LC": 100.0, "FC": 100.0}
-    assert winner.weighted_score == 100.0
+    ranked, rejected, graded = _rank([_candidate("only", 5.0, 3.0)])
+    assert ranked == ["only"] and rejected == []
+    grades, score = graded["only"]
+    assert grades == {"CMS": 100.0, "UA": 100.0, "LC": 100.0, "FC": 100.0}
+    assert score == 100.0
 
 
 def test_dominating_candidate_scores_exactly_100():
     pool = [_candidate("best", 4.0, 3.9, lc_m3=0.010, fc_m3=0.030),
             _candidate("mid", 4.5, 3.0, lc_m3=0.012, fc_m3=0.036),
             _candidate("worst", 5.0, 2.0, lc_m3=0.014, fc_m3=0.040)]
-    ranked, _ = _rank(pool)
-    assert ranked[0].candidate_id == "best"
-    assert ranked[0].weighted_score == 100.0
-    scores = [c.weighted_score for c in ranked]
+    ranked, _, graded = _rank(pool)
+    assert ranked[0] == "best"
+    assert graded["best"][1] == 100.0
+    scores = [graded[cid][1] for cid in ranked]
     assert scores == sorted(scores, reverse=True)
     assert all(1.0 <= s <= 100.0 for s in scores)
 
 
 def test_drainage_failures_never_join_a_cohort():
     pool = [_candidate("a", 4.0, 3.9), _candidate("b", 4.5, 3.0)]
-    baseline, _ = _rank(pool)
+    baseline, _, base_graded = _rank(pool)
     # an extreme failing candidate must not shift anyone's grades
     spoiled = pool + [_candidate("swamp", 1000.0, 0.0, drainage=False)]
-    ranked, rejected = _rank(spoiled)
-    assert [c.candidate_id for c in rejected] == ["swamp"]
-    assert all(c.candidate_id != "swamp" for c in ranked)
-    for before, after in zip(baseline, ranked):
-        assert before.candidate_id == after.candidate_id
-        assert before.grades == after.grades
-        assert before.weighted_score == after.weighted_score
+    ranked, rejected, graded = _rank(spoiled)
+    assert rejected == ["swamp"]
+    assert "swamp" not in ranked
+    assert baseline == ranked
+    for cid in ranked:
+        assert base_graded[cid] == graded[cid]
 
 
 def test_all_equal_cohort_keeps_input_order():
     pool = [_candidate(f"c{i}", 4.0, 3.0) for i in range(5)]
-    ranked, _ = _rank(pool)
-    assert [c.candidate_id for c in ranked] == [f"c{i}" for i in range(5)]
-    assert all(c.weighted_score == 100.0 for c in ranked)
+    ranked, _, graded = _rank(pool)
+    assert ranked == [f"c{i}" for i in range(5)]
+    assert all(score == 100.0 for _, score in graded.values())
 
 
 def test_all_rejected_pool_reports_no_winner():
     pool = [_candidate("x", 4.0, 3.0, drainage=False),
             _candidate("y", 5.0, 2.0, drainage=False)]
-    ranked, rejected = _rank(pool)
-    assert ranked == ()
-    assert [c.candidate_id for c in rejected] == ["x", "y"]
+    ranked, rejected, _ = _rank(pool)
+    assert ranked == []
+    assert rejected == ["x", "y"]
 
 
 def test_grades_survive_affine_rescaling_of_a_criterion():
     pool = [_candidate("a", 4.0, 3.9), _candidate("b", 4.5, 3.1),
             _candidate("c", 5.0, 2.2)]
-    doubled = [_candidate(c.candidate_id, 2.0 * c.cms_m2, c.ua_m2) for c in pool]
-    for x, y in zip(_rank(pool)[0], _rank(doubled)[0]):
-        assert x.candidate_id == y.candidate_id
-        assert x.grades["CMS"] == pytest.approx(y.grades["CMS"], rel=1e-9)
+    doubled = [_candidate(cid, 2.0 * cms, ua) for cid, cms, ua, *_ in pool]
+    (x_ids, _, x_graded), (y_ids, _, y_graded) = _rank(pool), _rank(doubled)
+    assert x_ids == y_ids
+    for cid in x_ids:
+        assert x_graded[cid][0]["CMS"] == pytest.approx(y_graded[cid][0]["CMS"], rel=1e-9)
 
 
 def test_rank_designs_validates_inputs():
     with pytest.raises(ParameterError):
-        _rank([])
+        rank_designs(synthetic_study([_candidate("a", 4.0, 3.0)])._replace(
+            ids=np.array([], dtype=str)), BLOCK.weights)
     with pytest.raises(ParameterError):
-        rank_designs([_candidate("a", 4.0, 3.0)], (0.9, 0.4, 0.1, 0.1))
+        rank_designs(synthetic_study([_candidate("a", 4.0, 3.0)]), (0.9, 0.4, 0.1, 0.1))
+
+
+# exact values, signed zeros among them, make ties in score, CMS and UA
+# common; the finite floats stay where a grade's range cannot overflow
+_RANK_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 4.0]),
+                         st.floats(-1e6, 1e6, allow_nan=False))
+_RANK_ROWS = st.lists(st.tuples(_RANK_VALUES, _RANK_VALUES, _RANK_VALUES, _RANK_VALUES,
+                                st.booleans()), min_size=1, max_size=12)
+
+
+@PROPERTY
+@given(_RANK_ROWS, st.sampled_from([BLOCK.weights, (0.25, 0.25, 0.25, 0.25),
+                                    (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]))
+@example([(4.0, 3.0, 0.012, 0.036, True)], BLOCK.weights)           # one survivor
+@example([(4.0, 3.0, 0.012, 0.036, False)] * 3, BLOCK.weights)      # all rejected
+@example([(0.0, 0.0, 1.0, 1.0, True), (-0.0, -0.0, 1.0, 1.0, True),
+          (0.0, -0.0, 2.5, 1.0, True), (-0.0, 0.0, 2.5, 1.0, True)],
+         (0.5, 0.5, 0.0, 0.0))                                      # ties at +-0.0
+def test_rank_designs_matches_the_record_ranking_bitwise(rows, weights):
+    study = synthetic_study([(f"c{i}", cms, ua, lc, fc, drains)
+                             for i, (cms, ua, lc, fc, drains) in enumerate(rows)])
+    order, grades, scores = rank_designs(study, weights)
+    expected_order, expected_grades, expected_scores = record_rank_designs(study, weights)
+    assert order.tolist() == expected_order
+    assert grades.shape == (len(rows), 4) and scores.shape == (len(rows),)
+    for row in range(len(rows)):
+        if row in expected_scores:
+            assert same_bits(grades[row], np.array(expected_grades[row]))
+            assert same_bits(scores[row], expected_scores[row])
+        else:  # a reject never enters a grading cohort
+            assert np.isnan(grades[row]).all() and np.isnan(scores[row])
+
+
+def test_lc_and_fc_add_the_column_volumes_left_to_right():
+    # twelve formwork volumes whose pairwise np.sum rounds differently from
+    # Python's left-to-right sum of the row's list; numpy sums the rows of a
+    # one-row table pairwise (and of taller ones, today, column by column)
+    formwork = [1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, 7.0, 1.0, 1.0, 2.0, 1.0, 1.0]
+    assert float(np.sum(np.array(formwork))) != sum(formwork)
+    for rows in (1, 2):
+        volumes = np.zeros((rows, 16))
+        volumes[:, ~LOAD_BEARING] = formwork
+        volumes[-1, LOAD_BEARING] = -0.0
+        study = synthetic_study([_candidate(str(i), 4.0, 3.0) for i in range(rows)])._replace(
+            volumes_m3=volumes)
+        for row in range(rows):
+            assert same_bits(study.fc_m3[row], sum(volumes[row, ~LOAD_BEARING].tolist()))
+            assert same_bits(study.lc_m3[row], sum(volumes[row, LOAD_BEARING].tolist()))
+        # Python's sum starts from 0: four -0.0 volumes sum to +0.0
+        assert same_bits(study.lc_m3[-1], 0.0)
 
 
 def test_initial_columns_split_and_heights():
@@ -361,12 +432,12 @@ def test_initial_columns_split_and_heights():
     corner_xy = {(0.25, 0.25), (0.25, 1.75), (1.75, 0.25), (1.75, 1.75)}
     assert {tuple(p) for p in COLUMN_POSITIONS_M[LOAD_BEARING].tolist()} == corner_xy
     controls = np.full((1, 5, 5), 1200.0)  # the heights flat_surface interpolates
-    design = _design("flat", controls, surface)
-    # the design keeps its lane of the caller's stack, not a copy or a surface
-    assert np.shares_memory(design.control_mm, controls)
-    assert np.array_equal(design.control_mm, controls[0])
-    assert design.lc_m3 == pytest.approx(4 * 0.0025 * 1.2, rel=1e-6)
-    assert design.fc_m3 == pytest.approx(12 * 0.0025 * 1.2, rel=1e-6)
+    study = _design("flat", controls, surface)
+    # the table keeps the caller's stack, not a copy or a surface
+    assert np.shares_memory(study.controls_mm[0], controls)
+    assert np.array_equal(study.controls_mm[0], controls[0])
+    assert study.lc_m3[0] == pytest.approx(4 * 0.0025 * 1.2, rel=1e-6)
+    assert study.fc_m3[0] == pytest.approx(12 * 0.0025 * 1.2, rel=1e-6)
 
 
 def test_column_heights_follow_the_surface():
@@ -407,16 +478,16 @@ def test_shelter_grids_are_seeded_and_clamped():
     assert single[m, m] > 0.0  # unanchored corner stays free
 
 
-def _design(cid: str, controls, surface, block: OptimizerBlock = BLOCK):
-    """evaluate_candidate on a stack of one FOUR-anchored control grid,
+def _design(cid: str, controls, surface, block: OptimizerBlock = BLOCK) -> Study:
+    """The one-row study table of a stack of one FOUR-anchored control grid,
     scored over the span and at the lattice of `surface`, its surface."""
     config = replace(CONFIG, optimizer=block, gen3d=replace(
         CONFIG.gen3d, span_mm=surface.span_mm, resolution=len(surface.mesh.coords_m)))
-    return evaluate_candidate([cid], controls, [FOUR], config)[0]
+    return evaluate_candidate([cid], controls, [FOUR_CODE], config)
 
 
 def _dome_design(surface, block: OptimizerBlock = BLOCK):
-    """The design of a default dome_surface over the surface's span."""
+    """The one-row study of a default dome_surface over the surface's span."""
     return _design("dome", dome_control(span_mm=surface.span_mm)[None], surface, block)
 
 
@@ -429,58 +500,60 @@ def _column_volumes(heights, side):
 
 def test_evaluate_candidate_collects_consistent_metrics():
     surface = dome_surface()
-    design = _dome_design(surface)
-    assert design.cms_m2 == pytest.approx(measure(surface).area_a)
-    assert np.array_equal(design.column_heights_m, initial_columns(surface.spline))
-    assert (design.lc_m3, design.fc_m3) == _column_volumes(design.column_heights_m, SIDE)
-    assert design.ua_m2 == _usable(surface)
-    assert design.ua_m2 <= 4.0
-    assert np.array_equal(design.column_volumes_m3, SIDE * SIDE * design.column_heights_m)
-    assert (design.min_slope_S, design.failing_points) == _slopes(surface)
-    assert design.grades is None and design.weighted_score is None
+    study = _dome_design(surface)
+    assert study.cms_m2[0] == pytest.approx(measure(surface).area_a)
+    assert np.array_equal(study.heights_m[0], initial_columns(surface.spline))
+    assert (study.lc_m3[0], study.fc_m3[0]) == _column_volumes(study.heights_m[0], SIDE)
+    assert study.ua_m2[0] == _usable(surface)
+    assert study.ua_m2[0] <= 4.0
+    assert np.array_equal(study.volumes_m3[0], SIDE * SIDE * study.heights_m[0])
+    least, fails = _slopes(surface)
+    assert study.min_slope[0] == least and np.array_equal(study.fails[0], fails)
+    # grades and scores are rank_designs' output, no column of the table
+    assert not {"grades", "scores"} & set(Study._fields)
 
 
 def test_evaluate_candidate_reads_the_block():
     surface = dome_surface()
     changed = replace(BLOCK, column_section_side_m=0.08, min_slope=0.5,
                       slope_rule="strict", headroom_m=0.5)
-    design = _dome_design(surface, changed)
+    study = _dome_design(surface, changed)
     heights = initial_columns(surface.spline)
-    assert (design.lc_m3, design.fc_m3) == _column_volumes(heights, 0.08)
-    assert ((design.min_slope_S, design.failing_points)
-            == slope_grid(surface.spline, surface.span_mm, 0.5, "strict"))
-    assert design.ua_m2 == usable_area(surface.spline, surface.span_mm, 0.08, 0.5)
+    assert (study.lc_m3[0], study.fc_m3[0]) == _column_volumes(heights, 0.08)
+    least, fails = slope_grid(surface.spline, surface.span_mm, 0.5, "strict")
+    assert study.min_slope[0] == least and np.array_equal(study.fails[0], fails)
+    assert study.ua_m2[0] == usable_area(surface.spline, surface.span_mm, 0.08, 0.5)
     base = _dome_design(surface)
-    assert design.lc_m3 != base.lc_m3 and design.ua_m2 != base.ua_m2
-    assert ((design.min_slope_S, design.failing_points)
-            != (base.min_slope_S, base.failing_points))
+    assert study.lc_m3[0] != base.lc_m3[0] and study.ua_m2[0] != base.ua_m2[0]
+    assert (study.min_slope[0] != base.min_slope[0]
+            or not np.array_equal(study.fails[0], base.fails[0]))
 
 
 def test_formwork_reactions_cover_every_column():
     surface = dome_surface()
-    design = _dome_design(surface)
-    reactions = formwork_reactions(design, surface, GRID, SPEC)
+    study = _dome_design(surface)
+    reactions = formwork_reactions(study, 0, surface, GRID, SPEC)
     assert set(reactions) == set(np.flatnonzero(~LOAD_BEARING).tolist())
     assert all(r >= 0.0 for r in reactions.values())
 
 
 def test_zero_tolerance_blocks_every_removal():
     surface = dome_surface()
-    design = _dome_design(surface)
-    kept = reduce_formwork(design, surface, 0.0, GRID, SPEC)
+    study = _dome_design(surface)
+    kept = reduce_formwork(study, 0, surface, 0.0, GRID, SPEC)
     assert kept.all()
     with pytest.raises(ParameterError):
-        reduce_formwork(design, surface, -0.1, GRID, SPEC)
+        reduce_formwork(study, 0, surface, -0.1, GRID, SPEC)
 
 
 def test_reduction_respects_its_own_tolerances():
     surface = dome_surface()
-    design = _dome_design(surface)
+    study = _dome_design(surface)
     span_m = surface.span_mm / 1000.0
-    heights = design.column_heights_m
+    heights = study.heights_m[0]
     p_ref, a_ref = _fit_supported_surface(FOUR, heights, EVERY_COLUMN, span_m)
     dP, da = 0.02 * p_ref, 0.02 * a_ref
-    kept = reduce_formwork(design, surface, 0.02, GRID, SPEC)
+    kept = reduce_formwork(study, 0, surface, 0.02, GRID, SPEC)
     assert kept.shape == (16,) and kept[LOAD_BEARING].all()
     p, a = _fit_supported_surface(FOUR, heights, kept, span_m)
     assert abs(p - p_ref) <= dP
@@ -490,12 +563,12 @@ def test_reduction_respects_its_own_tolerances():
 def test_design_solve_follows_the_structure_moduli():
     # a linear frame with every stiffness halved deflects exactly twice as far
     surface = dome_surface()
-    design = _dome_design(surface)
+    study = _dome_design(surface)
     base = SPEC
     soft = replace(base, elastic_modulus=base.elastic_modulus / 2,
                    shear_modulus=base.shear_modulus / 2)
-    stiff = _design_solve(design, surface, EVERY_COLUMN, GRID, base).max_translation_mm
-    halved = _design_solve(design, surface, EVERY_COLUMN, GRID, soft).max_translation_mm
+    stiff = _design_solve(study, 0, surface, EVERY_COLUMN, GRID, base).max_translation_mm
+    halved = _design_solve(study, 0, surface, EVERY_COLUMN, GRID, soft).max_translation_mm
     assert halved / stiff == pytest.approx(2.0, rel=1e-9)
 
 
@@ -505,9 +578,9 @@ def test_reaction_lookup_clamps_like_the_supports():
     # row, and their reactions are read there
     span_m = 1.6
     surface = dome_surface(span_mm=span_m * 1000.0)
-    design = _dome_design(surface)
-    reactions = formwork_reactions(design, surface, GRID, SPEC)
-    solved = _design_solve(design, surface, EVERY_COLUMN, GRID, SPEC).reactions
+    study = _dome_design(surface)
+    reactions = formwork_reactions(study, 0, surface, GRID, SPEC)
+    solved = _design_solve(study, 0, surface, EVERY_COLUMN, GRID, SPEC).reactions
     step = span_m / GRID
     for k, reaction in reactions.items():
         x, y = COLUMN_POSITIONS_M[k].tolist()
@@ -540,33 +613,33 @@ def test_candidate_evaluation_needs_no_boundary(monkeypatch):
         raise AssertionError("evaluate_candidate walked the mesh boundary")
 
     monkeypatch.setattr(TriangleMesh, "boundary_edges", forbidden)
-    design = _dome_design(surface)
-    assert design.cms_m2 == area
+    study = _dome_design(surface)
+    assert study.cms_m2[0] == area
 
 
 def test_optimize_is_deterministic_across_reruns():
     config = _with_optimizer(iterations_per_anchor=4)
     first = optimize(config, structure_spec(config), 11)
     second = optimize(config, structure_spec(config), 11)
-    assert ([c.candidate_id for c in first.ranked]
-            == [c.candidate_id for c in second.ranked])
-    assert ([c.weighted_score for c in first.ranked]
-            == [c.weighted_score for c in second.ranked])
+    assert first.study.ids[first.order].tolist() == second.study.ids[second.order].tolist()
+    ranked = first.order[first.study.drains[first.order]]
+    assert first.scores[ranked].tolist() == second.scores[ranked].tolist()
     assert np.array_equal(first.kept_columns, second.kept_columns)
 
 
 def test_full_study_outcome(optimize_result):
-    result = optimize_result
-    assert len(result.ranked) + len(result.rejected) == 100
-    winner = result.ranked[0]
-    assert winner.candidate_id == "two-side-13"
+    result, study = optimize_result, optimize_result.study
+    assert len(study.ids) == len(result.order) == 100
+    winner = result.order[0]
+    assert study.ids[winner] == "two-side-13"
     assert result.kept_columns[LOAD_BEARING].all()
     assert result.kept_columns[~LOAD_BEARING].sum() == 4
-    assert winner.failing_points == ()
-    scores = [c.weighted_score for c in result.ranked]
+    assert not study.fails[winner].any()
+    ranked = int(study.drains.sum())
+    scores = result.scores[result.order[:ranked]].tolist()
     assert scores == sorted(scores, reverse=True)
     assert all(1.0 <= s <= 100.0 for s in scores)
-    assert all(c.failing_points for c in result.rejected)
+    assert study.fails[result.order[ranked:]].any(axis=1).all()
     # within the default span's span/250 limit
     assert result.winner_analysis.max_translation_mm <= 8.0
 
@@ -574,7 +647,7 @@ def test_full_study_outcome(optimize_result):
 def test_a_study_with_every_candidate_rejected_has_no_winner():
     config = _with_optimizer(iterations_per_anchor=1, min_slope=100.0)
     result = optimize(config, structure_spec(config), 11)
-    assert result.ranked == () and len(result.rejected) == 5
+    assert not result.study.drains.any() and len(result.order) == 5
     assert (result.winner_surface, result.kept_columns, result.winner_analysis) == (
         None, None, None)
 
@@ -596,16 +669,16 @@ def test_study_keeps_only_the_winner_surface(monkeypatch):
     # the ten candidates are scored as one stack, with no surface of their
     # own; then the winner alone is built, once
     assert len(built) == 1 and built[0]() is result.winner_surface
-    # the winner is rebuilt from the control heights its candidate kept
-    assert controls[0] is result.ranked[0].control_mm
-    # no candidate, the winner included, holds a surface or a mesh, and no
-    # array a candidate holds (or views) is a raster: at most the study's
-    # (10, 5, 5) control stack
-    candidates = result.ranked + result.rejected
-    assert not holds_geometry(candidates)
-    for c in candidates:
-        for array in (c.column_heights_m, c.column_volumes_m3, c.control_mm):
-            assert (array if array.base is None else array.base).size <= 10 * 25
+    # the winner is rebuilt from the control heights its row of the table kept
+    study = result.study
+    assert np.shares_memory(controls[0], study.controls_mm)
+    assert controls[0].tobytes() == study.controls_mm[result.order[0]].tobytes()
+    # the table, the winner's row included, holds no surface or mesh, and no
+    # array it holds (or views) is a raster: at most the ten rows' 10 x 10
+    # drainage masks, where one 64 x 64 lattice would hold 4096 values
+    assert not holds_geometry(study)
+    for array in study:
+        assert (array if array.base is None else array.base).size <= 10 * 100
 
 
 def test_scoring_a_study_holds_no_raster_of_every_candidate():
@@ -613,25 +686,26 @@ def test_scoring_a_study_holds_no_raster_of_every_candidate():
     # lattices and 100 x 100 UA rasters together take ~17 MB, so scoring
     # must stay well below that at its peak and keep ~nothing once done
     config = _with_optimizer(iterations_per_anchor=30)
-    kinds = [kind for kind in AnchorKind for _ in range(30)]
-    stack = np.array([shelter_control_grid(config, 11, kind, i // 30, i % 30)
-                      for i, kind in enumerate(kinds)])
+    kinds = np.repeat(np.arange(len(KINDS)), 30)
+    stack = np.array([shelter_control_grid(config, 11, KINDS[code], code, i % 30)
+                      for i, code in enumerate(kinds.tolist())])
     ids = [str(i) for i in range(len(kinds))]
     evaluate_candidate(ids, stack, kinds, config)  # warm the basis caches
     tracemalloc.start()
     try:
-        designs = evaluate_candidate(ids, stack, kinds, config)
+        study = evaluate_candidate(ids, stack, kinds, config)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(designs) == 150
+    assert len(study.ids) == 150
     assert peak < 4e6 and held < 0.5e6
 
 
 def test_winner_rebuild_is_bit_exact(optimize_result):
-    winner, surface = optimize_result.ranked[0], optimize_result.winner_surface
-    assert surface.mesh.area() == winner.cms_m2
-    again = interpolate_surface(winner.control_mm, CONFIG.gen3d.span_mm,
+    study, winner = optimize_result.study, optimize_result.order[0]
+    surface = optimize_result.winner_surface
+    assert surface.mesh.area() == study.cms_m2[winner]
+    again = interpolate_surface(study.controls_mm[winner], CONFIG.gen3d.span_mm,
                                 CONFIG.gen3d.resolution)
     assert again.mesh.coords_m.tobytes() == surface.mesh.coords_m.tobytes()
     assert again.mesh.heights_m.tobytes() == surface.mesh.heights_m.tobytes()

@@ -8,7 +8,7 @@ import pytest
 
 from chainshell.config import PipelineConfig
 from chainshell.errors import EnvelopeError, GeometryError, ParameterError
-from chainshell.optimizer import AnchorKind
+from chainshell.optimizer import KINDS, AnchorKind, _shelter_grid, _stream_keys, _stream_length
 from chainshell.pipeline import pool_grids
 from chainshell.shell3d import (
     TriangleMesh,
@@ -132,15 +132,34 @@ def test_shelter_control_grid_is_numpys_uniform_draw(seed, kind, iteration):
 
 
 def test_shelter_control_grid_is_the_batched_study_draw(optimize_result):
-    # the conftest study: default config, seed 11, every stream in one call
+    # the conftest study (default config, seed 11, every stream in one call):
+    # its control table, and the one whole-array map of its (L, n) draws,
+    # row by row against each row's stream drawn and mapped alone
     config = PipelineConfig()
-    designs = optimize_result.ranked + optimize_result.rejected
-    assert len(designs) == 5 * config.optimizer.iterations_per_anchor
-    for design in designs:
-        iteration = int(design.candidate_id.rsplit("-", 1)[1])
-        grid = shelter_control_grid(config, 11, design.kind,
-                                    list(AnchorKind).index(design.kind), iteration)
-        assert grid.tobytes() == design.control_mm.tobytes()
+    block = config.optimizer
+    study = optimize_result.study
+    n = block.iterations_per_anchor
+    assert len(study.ids) == 5 * n
+    grids = _shelter_grid(config, study.kinds,
+                          random_doubles(_stream_keys(11, n), _stream_length(block)))
+    assert grids.shape == study.controls_mm.shape
+    for row, (cid, code) in enumerate(zip(study.ids.tolist(), study.kinds.tolist())):
+        iteration = int(cid.rsplit("-", 1)[1])
+        grid = shelter_control_grid(config, 11, KINDS[code], code, iteration)
+        assert grid.tobytes() == study.controls_mm[row].tobytes() == grids[row].tobytes()
+
+
+@pytest.mark.parametrize("control_F", [1, 4, 7])
+def test_shelter_grid_maps_rows_of_any_kind_order(control_F):
+    # the anchor clamps follow each row's own kind, in any order of kinds
+    config = replace(CONFIG, optimizer=replace(CONFIG.optimizer, control_F=control_F))
+    rng = np.random.default_rng(control_F)
+    rows = [(int(code), int(it)) for code, it in zip(rng.integers(0, 5, 23),
+                                                      rng.integers(0, 100, 23))]
+    u = random_doubles([(3 * 5 + code, it) for code, it in rows], _stream_length(config.optimizer))
+    grids = _shelter_grid(config, np.array([code for code, _ in rows]), u)
+    for grid, (code, it) in zip(grids, rows):
+        assert grid.tobytes() == shelter_control_grid(config, 3, KINDS[code], code, it).tobytes()
 
 
 @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
